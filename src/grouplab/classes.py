@@ -219,22 +219,6 @@ def residual_in(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
 # -- subnormality ------------------------------------------------------------
 
 
-def _reach_down(L: SubgroupLattice, top: int, pred) -> frozenset[int]:
-    """Ids a with a chain a = A0 <= ... <= Am = top where every step (A,B)
-    satisfies pred(A, B)."""
-    reached = {top}
-    frontier = [top]
-    while frontier:
-        new = []
-        for b in frontier:
-            for a in L.subs_of(b):
-                if a not in reached and a != b and pred(a, b):
-                    reached.add(a)
-                    new.append(a)
-        frontier = new
-    return frozenset(reached)
-
-
 def _prime_index(L: SubgroupLattice, a: int, b: int) -> bool:
     from .permgroup import is_prime
 
@@ -249,7 +233,7 @@ def p_subnormal_set(L: SubgroupLattice, variant_k: bool = False) -> frozenset[in
             pred = lambda a, b: _prime_index(L, a, b) or L.leq(b, L.normalizer(a))
         else:
             pred = lambda a, b: _prime_index(L, a, b)
-        hit = _reach_down(L, L.top.id, pred)
+        hit = frozenset(L.reach_down(L.top.id, pred))
         L.subnormal_cache[key] = hit
     return hit
 
@@ -280,7 +264,7 @@ def f_subnormal_set(L: SubgroupLattice, F: ClassOracle,
             resid = residual_in(L, b, F)
             return resid & ~L.subgroups[a].mask == 0
 
-        hit = _reach_down(L, L.top.id, pred)
+        hit = frozenset(L.reach_down(L.top.id, pred))
         L.subnormal_cache[key] = hit
     return hit
 

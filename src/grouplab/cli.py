@@ -31,7 +31,10 @@ def _load_spec(text: str) -> dict:
     name, _, args = text.partition(":")
     if not name:
         raise ParseError(f"cannot interpret group spec {text!r}")
-    arglist = [int(a) for a in args.split(",") if a] if args else []
+    try:
+        arglist = [int(a) for a in args.split(",") if a]
+    except ValueError as exc:
+        raise ParseError(f"builder arguments must be integers in {text!r}") from exc
     return {"kind": "named", "name": name, "args": arglist}
 
 
@@ -64,9 +67,8 @@ def _ks(raw: str) -> list[int]:
 def cmd_show(args) -> int:
     G = _group(args.group)
     L = G.lattice()
-    inv = G.basic_invariants()
     print(f"group {G.name}: order {G.order}, primes {list(G.prime_divisors())}")
-    print(f"  abelian={inv.is_abelian} cyclic={inv.is_cyclic} "
+    print(f"  abelian={G.is_abelian()} cyclic={G.is_cyclic()} "
           f"exponent={G.exponent()}")
     print(f"  soluble={structure.is_soluble(G)} "
           f"supersoluble={structure.is_supersoluble(G)} "
@@ -145,6 +147,8 @@ def cmd_verify(args) -> int:
     for s in suites:
         if s not in harness.SUITE_IDS:
             raise GroupError(f"unknown suite {s!r}")
+    if args.jobs < 1:
+        raise GroupError("--jobs must be >= 1")
     corpus = harness.build_corpus(harness.CorpusConfig(cap=args.cap))
     reports = harness.run_suites(suites, _ks(args.k), corpus, jobs=args.jobs)
     if args.out:

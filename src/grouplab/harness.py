@@ -11,18 +11,18 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
-from .permgroup import (FiniteGroup, GroupError, factorize, group_from_spec,
-                        order_cap, prime_power, quotient_cached)
+from .permgroup import (FiniteGroup, GroupError, direct_product, factorize,
+                        group_from_spec, order_cap, prime_power,
+                        quotient_cached)
 from .lattice import SubgroupLattice
 from . import classes, structure, submodular
 
 SCHEMA_VERSION = 1
-
-SUITE_IDS = ("T3.1", "T3.2", "T3.3", "T3.5", "T3.6", "P3.1", "T3.6_1",
-             "R1", "R2", "R3", "L")
 
 DEFAULT_CORPUS_CAP = 200
 
@@ -179,13 +179,8 @@ def build_corpus(config: CorpusConfig | None = None) -> list[CorpusEntry]:
     config = config or CorpusConfig()
     entries = [CorpusEntry(name, spec) for name, spec in _family_specs(config)]
     seen: dict[tuple, str] = {}
-    collisions: list[tuple[str, str]] = []
     for e in entries:
-        fp = e.fingerprint()
-        if fp in seen:
-            collisions.append((e.name, seen[fp]))
-        else:
-            seen[fp] = e.name
+        seen.setdefault(e.fingerprint(), e.name)
     if "subgroups" in set(config.families):
         for host_name, host_spec in (("S4", _named("sym", [4])),
                                      ("S5", _named("sym", [5]))):
@@ -242,18 +237,37 @@ class VerificationReport:
                 "summary": self.summary()}
 
 
-def _merge_counters(total: dict, part: dict) -> None:
-    for key, val in part.items():
-        total[key] = total.get(key, 0) + val
-
-
 # -- suite evaluation helpers ------------------------------------------------
+
+
+def _record(name: str, k, check, subject, counters: Counter) -> dict:
+    """One timed report record: `check(subject, k, counters)` returns
+    (ok, witness, fields); the witness is kept only when ok is false."""
+    t0 = time.perf_counter()
+    ok, witness, fields = check(subject, k, counters)
+    return {"group": name, "k": k, **fields, "pass": ok,
+            "witness": None if ok else witness,
+            "elapsed": round(time.perf_counter() - t0, 4)}
+
+
+def _checked(checks: dict[str, bool]):
+    """(ok, witness, fields) of a check made of named boolean sub-checks."""
+    failures = [c for c, v in checks.items() if not v]
+    return not failures, {"failed_checks": failures}, {"checks": checks}
 
 
 def _member_in_Y(L: SubgroupLattice, a: int, k: int) -> bool:
     """Y-membership of lattice member a as a group: every subgroup of a is
     k-submodular in a (intrinsic, no re-enumeration)."""
     return len(submodular.ksub_set(L, k, top=a)) == len(L.subs_of(a))
+
+
+def _quotient_lattice(G: FiniteGroup, L: SubgroupLattice,
+                      n: int) -> SubgroupLattice:
+    """Lattice of G/n for a normal subgroup id n; G/1 is G, so L itself."""
+    if n == L.bottom.id:
+        return L
+    return quotient_cached(G, L.subgroups[n].mask)[0].lattice()
 
 
 def _quotient_lattices(G: FiniteGroup):
@@ -268,6 +282,26 @@ def _quotient_lattices(G: FiniteGroup):
         yield sub, Q, epi
 
 
+def _quotients_in(G: FiniteGroup, cls: str, k: int) -> bool:
+    """Every nontrivial proper quotient of G lies in class cls."""
+    return all(submodular.in_class(Q.lattice(), cls, k)
+               for _, Q, _ in _quotient_lattices(G))
+
+
+def _count_subdirect_pairs(G: FiniteGroup, L: SubgroupLattice,
+                           normals: list[int], cls: str, k: int) -> int:
+    """Number of pairs n1 < n2 from `normals` that meet trivially and whose
+    quotients G/n1 and G/n2 both lie in class cls."""
+    count = 0
+    for i, n1 in enumerate(normals):
+        for n2 in normals[i + 1:]:
+            if (L.meet(n1, n2) == L.bottom.id
+                    and submodular.in_class(_quotient_lattice(G, L, n1), cls, k)
+                    and submodular.in_class(_quotient_lattice(G, L, n2), cls, k)):
+                count += 1
+    return count
+
+
 def _image_id(Lq: SubgroupLattice, epi, mask: int) -> int:
     """Lattice id (in the quotient lattice) of the image of a subgroup mask."""
     out = 0
@@ -277,155 +311,83 @@ def _image_id(Lq: SubgroupLattice, epi, mask: int) -> int:
     return Lq.by_mask[out]
 
 
-def _eval_T31(entry: CorpusEntry, k_set: list[int]):
-    records, counters = [], {}
-    L = entry.lattice
-    for k in k_set:
-        t0 = time.perf_counter()
-        variants = {str(v): submodular.thm31_characterization(L, v, k)
-                    for v in (1, 2, 3)}
-        ok = len(set(variants.values())) == 1
-        records.append({"group": entry.name, "k": k, "variants": variants,
-                        "pass": ok,
-                        "witness": None if ok else {"variants": variants},
-                        "elapsed": round(time.perf_counter() - t0, 4)})
-    return records, counters
+# -- suite checks ------------------------------------------------------------
+# Each check takes (entry, k, counters) and returns (ok, witness, fields).
 
 
-def _eval_T32(entry: CorpusEntry, k_set: list[int]):
-    records, counters = [], {}
-    L = entry.lattice
-    for k in k_set:
-        t0 = time.perf_counter()
-        variants = {str(v): submodular.thm32_characterization(L, v, k)
-                    for v in (1, 2, 3, 4)}
-        ok = len(set(variants.values())) == 1
-        records.append({"group": entry.name, "k": k, "variants": variants,
-                        "pass": ok,
-                        "witness": None if ok else {"variants": variants},
-                        "elapsed": round(time.perf_counter() - t0, 4)})
-    return records, counters
+def _variants_check(characterization, variants, entry: CorpusEntry, k: int,
+                    counters: Counter):
+    """Every variant of one theorem characterization agrees (T3.1, T3.2)."""
+    verdicts = {str(v): characterization(entry.lattice, v, k)
+                for v in variants}
+    return (len(set(verdicts.values())) == 1, {"variants": verdicts},
+            {"variants": verdicts})
 
 
-def _core_quotient_lattice(G: FiniteGroup, L: SubgroupLattice,
-                           m: int) -> SubgroupLattice:
-    """Lattice of G/Core_G(m); reuses L itself when the core is trivial."""
-    c = L.core(m)
-    if c == L.bottom.id:
-        return L
-    return quotient_cached(G, L.subgroups[c].mask)[0].lattice()
-
-
-def _eval_T33(entry: CorpusEntry, k_set: list[int]):
-    records, counters = [], {}
+def _t33_check(entry: CorpusEntry, k: int, counters: Counter):
     G = entry.group
     L = entry.lattice
-    for k in k_set:
-        t0 = time.perf_counter()
-        in_X = submodular.in_class(L, "X", k)
-        in_Y = submodular.in_class(L, "Y", k)
-        checks: dict[str, bool] = {}
+    top = L.top.id
+    in_X = submodular.in_class(L, "X", k)
+    in_Y = submodular.in_class(L, "Y", k)
+    checks: dict[str, bool] = {}
 
-        if in_X:
-            checks["quotient_closure_X"] = all(
-                submodular.in_class(Q.lattice(), "X", k)
-                for _, Q, _ in _quotient_lattices(G))
-            _merge_counters(counters, {"nonvacuous_quotient_closure_X": 1})
-        prim = all(
-            submodular.in_class(_core_quotient_lattice(G, L, m), "X", k)
-            for m in L.hasse_down[L.top.id])
-        checks["primitive_closure_X"] = (not prim) or in_X
-        if prim:
-            _merge_counters(counters, {"nonvacuous_primitive_closure_X": 1})
-        if in_Y:
-            checks["quotient_closure_Y"] = all(
-                submodular.in_class(Q.lattice(), "Y", k)
-                for _, Q, _ in _quotient_lattices(G))
-            checks["subgroup_closure_Y"] = all(
-                _member_in_Y(L, a, k) for a in range(len(L.subgroups)))
-            _merge_counters(counters, {"nonvacuous_Y_closures": 1})
-        sub_ok = True
-        normals = structure.normal_ids_in(L, L.top.id)
-        for i, n1 in enumerate(normals):
-            for n2 in normals[i + 1:]:
-                if L.meet(n1, n2) != L.bottom.id:
-                    continue
-                q1 = quotient_cached(G, L.subgroups[n1].mask)[0]
-                q2 = quotient_cached(G, L.subgroups[n2].mask)[0]
-                if (submodular.in_class(q1.lattice(), "Y", k)
-                        and submodular.in_class(q2.lattice(), "Y", k)):
-                    _merge_counters(counters, {"nonvacuous_subdirect_Y": 1})
-                    if not in_Y:
-                        sub_ok = False
-        checks["subdirect_closure_Y"] = sub_ok
-        phi = L.frattini()
-        if phi == L.bottom.id:
-            y_of_quot = in_Y
-        else:
-            y_of_quot = submodular.in_class(
-                quotient_cached(G, L.subgroups[phi].mask)[0].lattice(), "Y", k)
-        checks["frattini_X_iff_Y"] = in_X == y_of_quot
-        checks["X_supersoluble"] = (not in_X) or structure.is_supersoluble(G)
-        if k == 1:
-            # k=1 corollary, phrased with the modular/submodular predicates
-            all_max_modular = all(
-                submodular.is_modular_subgroup(L, L.subgroups[m])
-                for m in L.hasse_down[L.top.id])
-            if phi == L.bottom.id:
-                qL = L
-            else:
-                qL = quotient_cached(G, L.subgroups[phi].mask)[0].lattice()
-            all_sub_submodular = (
-                len(submodular.submodular_set(qL)) == len(qL.subgroups))
-            checks["c3_modular_frattini"] = all_max_modular == all_sub_submodular
-        failures = [c for c, v in checks.items() if not v]
-        records.append({"group": entry.name, "k": k, "checks": checks,
-                        "pass": not failures,
-                        "witness": {"failed_checks": failures} if failures else None,
-                        "elapsed": round(time.perf_counter() - t0, 4)})
-    return records, counters
+    if in_X:
+        checks["quotient_closure_X"] = _quotients_in(G, "X", k)
+        counters["nonvacuous_quotient_closure_X"] += 1
+    prim = all(submodular.in_class(_quotient_lattice(G, L, L.core(m)), "X", k)
+               for m in L.hasse_down[top])
+    checks["primitive_closure_X"] = (not prim) or in_X
+    if prim:
+        counters["nonvacuous_primitive_closure_X"] += 1
+    if in_Y:
+        checks["quotient_closure_Y"] = _quotients_in(G, "Y", k)
+        checks["subgroup_closure_Y"] = all(
+            _member_in_Y(L, a, k) for a in range(len(L.subgroups)))
+        counters["nonvacuous_Y_closures"] += 1
+    normals = structure.normal_ids_in(L, top)
+    pairs = _count_subdirect_pairs(G, L, normals, "Y", k)
+    if pairs:
+        counters["nonvacuous_subdirect_Y"] += pairs
+    checks["subdirect_closure_Y"] = in_Y or not pairs
+    frattini_quotient = _quotient_lattice(G, L, L.frattini())
+    checks["frattini_X_iff_Y"] = (
+        in_X == submodular.in_class(frattini_quotient, "Y", k))
+    checks["X_supersoluble"] = (not in_X) or structure.is_supersoluble(G)
+    if k == 1:
+        # k=1 corollary, phrased with the modular/submodular predicates
+        all_max_modular = all(
+            submodular.is_modular_subgroup(L, L.subgroups[m])
+            for m in L.hasse_down[top])
+        all_sub_submodular = (len(submodular.submodular_set(frattini_quotient))
+                              == len(frattini_quotient.subgroups))
+        checks["c3_modular_frattini"] = all_max_modular == all_sub_submodular
+    return _checked(checks)
 
 
-def _eval_lf_suite(entry: CorpusEntry, k_set: list[int], cls: str):
-    """Shared body of the T3.5 (cls='K') and T3.6 (cls='F') suites."""
-    records, counters = [], {}
+def _local_formation_check(cls: str, formation, entry: CorpusEntry, k: int,
+                           counters: Counter):
+    """Class cls is the local formation defined by `formation(k)` and is
+    closed under subgroups, quotients and Frattini extensions (T3.5 with
+    K and h, T3.6 with F and f)."""
     G = entry.group
     L = entry.lattice
-    for k in k_set:
-        t0 = time.perf_counter()
-        fn = classes.h_function(k) if cls == "K" else classes.f_function(k)
-        member = submodular.in_class(L, cls, k)
-        checks = {"local_formation_agreement":
-                  member == classes.in_local_formation(G, fn)}
-        if member:
-            checks["subgroup_closure"] = all(
-                submodular.in_class_member(L, a, cls, k)
-                for a in range(len(L.subgroups)))
-            checks["quotient_closure"] = all(
-                submodular.in_class(Q.lattice(), cls, k)
-                for _, Q, _ in _quotient_lattices(G))
-            _merge_counters(counters, {f"nonvacuous_{cls}_closures": 1})
-        phi = L.frattini()
-        if phi != L.bottom.id:
-            quot_member = submodular.in_class(
-                quotient_cached(G, L.subgroups[phi].mask)[0].lattice(), cls, k)
-            checks["saturation"] = (not quot_member) or member
-            if quot_member:
-                _merge_counters(counters, {f"nonvacuous_{cls}_saturation": 1})
-        failures = [c for c, v in checks.items() if not v]
-        records.append({"group": entry.name, "k": k, "checks": checks,
-                        "pass": not failures,
-                        "witness": {"failed_checks": failures} if failures else None,
-                        "elapsed": round(time.perf_counter() - t0, 4)})
-    return records, counters
-
-
-def _eval_T35(entry, k_set):
-    return _eval_lf_suite(entry, k_set, "K")
-
-
-def _eval_T36(entry, k_set):
-    return _eval_lf_suite(entry, k_set, "F")
+    member = submodular.in_class(L, cls, k)
+    checks = {"local_formation_agreement":
+              member == classes.in_local_formation(G, formation(k))}
+    if member:
+        checks["subgroup_closure"] = all(
+            submodular.in_class_member(L, a, cls, k)
+            for a in range(len(L.subgroups)))
+        checks["quotient_closure"] = _quotients_in(G, cls, k)
+        counters[f"nonvacuous_{cls}_closures"] += 1
+    phi = L.frattini()
+    if phi != L.bottom.id:
+        quot_member = submodular.in_class(_quotient_lattice(G, L, phi), cls, k)
+        checks["saturation"] = (not quot_member) or member
+        if quot_member:
+            counters[f"nonvacuous_{cls}_saturation"] += 1
+    return _checked(checks)
 
 
 def _K_oracle(k: int) -> classes.ClassOracle:
@@ -436,28 +398,19 @@ def _K_oracle(k: int) -> classes.ClassOracle:
         is_formation=True, is_hereditary=True)
 
 
-def _eval_P31(entry: CorpusEntry, k_set: list[int]):
-    records, counters = [], {}
+def _p31_check(entry: CorpusEntry, k: int, counters: Counter):
     G = entry.group
     L = entry.lattice
-    for k in k_set:
-        t0 = time.perf_counter()
-        Uk = classes.oracle("U_k", k=k)
-        lhs1 = submodular.in_class(L, "K", k)
-        rhs1 = structure.is_supersoluble(G) and classes.in_wF(G, Uk)
-        lhs2 = submodular.in_class(L, "F", k)
-        rhs2 = classes.in_wF(G, _K_oracle(k))
-        checks = {"K_eq_U_and_wUk": lhs1 == rhs1, "F_eq_wK": lhs2 == rhs2}
-        if lhs1:
-            _merge_counters(counters, {"nonvacuous_K_members": 1})
-        if lhs2:
-            _merge_counters(counters, {"nonvacuous_F_members": 1})
-        failures = [c for c, v in checks.items() if not v]
-        records.append({"group": entry.name, "k": k, "checks": checks,
-                        "pass": not failures,
-                        "witness": {"failed_checks": failures} if failures else None,
-                        "elapsed": round(time.perf_counter() - t0, 4)})
-    return records, counters
+    in_K = submodular.in_class(L, "K", k)
+    in_F = submodular.in_class(L, "F", k)
+    if in_K:
+        counters["nonvacuous_K_members"] += 1
+    if in_F:
+        counters["nonvacuous_F_members"] += 1
+    w_Uk = classes.in_wF(G, classes.oracle("U_k", k=k))
+    return _checked({
+        "K_eq_U_and_wUk": in_K == (structure.is_supersoluble(G) and w_Uk),
+        "F_eq_wK": in_F == classes.in_wF(G, _K_oracle(k))})
 
 
 def _is_set_product(G: FiniteGroup, L: SubgroupLattice, a: int, b: int) -> bool:
@@ -475,65 +428,44 @@ def _is_set_product(G: FiniteGroup, L: SubgroupLattice, a: int, b: int) -> bool:
     return seen == G.full_mask()
 
 
-def _eval_T361(entry: CorpusEntry, k_set: list[int]):
-    records, counters = [], {}
+def _t361_check(entry: CorpusEntry, k: int, counters: Counter):
+    """A product G = AB of nilpotent k-submodular subgroups forces G to be
+    supersoluble and in F."""
     G = entry.group
     L = entry.lattice
-    nilpotent_ids = [a for a in range(len(L.subgroups))
-                     if structure.is_nilpotent_in(L, a)]
-    for k in k_set:
-        t0 = time.perf_counter()
-        reach = submodular.ksub_set(L, k)
-        conclusion = None
-        found = 0
-        nontrivial = 0
-        ok = True
-        for i, a in enumerate(nilpotent_ids):
-            for b in nilpotent_ids[i:]:
-                if a not in reach or b not in reach:
-                    continue
-                if not _is_set_product(G, L, a, b):
-                    continue
+    nilpotent = [a for a in sorted(submodular.ksub_set(L, k))
+                 if structure.is_nilpotent_in(L, a)]
+    found = nontrivial = 0
+    for i, a in enumerate(nilpotent):
+        for b in nilpotent[i:]:
+            if _is_set_product(G, L, a, b):
                 found += 1
                 if L.subgroups[a].order < G.order and L.subgroups[b].order < G.order:
                     nontrivial += 1
-                if conclusion is None:
-                    conclusion = (structure.is_supersoluble(G)
-                                  and submodular.in_class(L, "F", k))
-                if not conclusion:
-                    ok = False
-        _merge_counters(counters, {"factorizations": found,
-                                   "nonvacuous_nontrivial_factorizations": nontrivial})
-        records.append({"group": entry.name, "k": k,
-                        "factorizations": found, "nontrivial": nontrivial,
-                        "pass": ok,
-                        "witness": None if ok else {"factorization_pair": True},
-                        "elapsed": round(time.perf_counter() - t0, 4)})
-    return records, counters
+    ok = not found or (structure.is_supersoluble(G)
+                       and submodular.in_class(L, "F", k))
+    counters["factorizations"] += found
+    counters["nonvacuous_nontrivial_factorizations"] += nontrivial
+    return (ok, {"factorization_pair": True},
+            {"factorizations": found, "nontrivial": nontrivial})
 
 
-def _eval_R1(entry: CorpusEntry, k_set: list[int]):
-    records, counters = [], {}
+def _r1_check(entry: CorpusEntry, k: int, counters: Counter):
+    """1-submodular equals submodular, and for maximal subgroups also
+    modular and Schmidt's criterion (k is always 1)."""
     L = entry.lattice
-    t0 = time.perf_counter()
-    checks = {"one_submodular_eq_submodular":
-              submodular.ksub_set(L, 1) == submodular.submodular_set(L)}
+    one_sub = submodular.ksub_set(L, 1)
     max_ok = True
     for m in L.hasse_down[L.top.id]:
         M = L.subgroups[m]
         modular = submodular.is_modular_subgroup(L, M)
-        one_sub = m in submodular.ksub_set(L, 1)
         schmidt = submodular.schmidt_maximal_modular(L, M)
-        if not (modular == one_sub == schmidt):
+        if not (modular == (m in one_sub) == schmidt):
             max_ok = False
-        _merge_counters(counters, {"nonvacuous_maximal_checks": 1})
-    checks["maximal_modular_collapse"] = max_ok
-    failures = [c for c, v in checks.items() if not v]
-    records.append({"group": entry.name, "k": 1, "checks": checks,
-                    "pass": not failures,
-                    "witness": {"failed_checks": failures} if failures else None,
-                    "elapsed": round(time.perf_counter() - t0, 4)})
-    return records, counters
+        counters["nonvacuous_maximal_checks"] += 1
+    return _checked({
+        "one_submodular_eq_submodular": one_sub == submodular.submodular_set(L),
+        "maximal_modular_collapse": max_ok})
 
 
 def _is_classic_LM(L: SubgroupLattice) -> bool:
@@ -550,54 +482,44 @@ def _is_classic_LM(L: SubgroupLattice) -> bool:
     return True
 
 
-def _eval_R2(entry: CorpusEntry, k_set: list[int]):
-    records, counters = [], {}
+def _r2_check(entry: CorpusEntry, k: int, counters: Counter):
+    """1-LM groups are exactly the classical LM-groups (k is always 1)."""
     L = entry.lattice
-    t0 = time.perf_counter()
     one_lm = submodular.is_k_LM_group(L, 1)[0]
     classic = _is_classic_LM(L)
     if one_lm:
-        _merge_counters(counters, {"nonvacuous_lm_members": 1})
+        counters["nonvacuous_lm_members"] += 1
     ok = one_lm == classic
-    records.append({"group": entry.name, "k": 1,
-                    "checks": {"one_LM_eq_LM": ok}, "pass": ok,
-                    "witness": None if ok else {"one_LM": one_lm, "LM": classic},
-                    "elapsed": round(time.perf_counter() - t0, 4)})
-    return records, counters
+    return (ok, {"one_LM": one_lm, "LM": classic},
+            {"checks": {"one_LM_eq_LM": ok}})
 
 
-def _eval_R3(entry: CorpusEntry, k_set: list[int]):
-    records, counters = [], {}
-    L = entry.lattice
-    for k in k_set:
-        t0 = time.perf_counter()
-        member = {c: submodular.in_class(L, c, k) for c in "YXKF"}
-        chain_ok = ((not member["Y"] or member["X"])
-                    and (not member["X"] or member["K"])
-                    and (not member["K"] or member["F"]))
-        for gap in ("X_not_Y", "K_not_X", "F_not_K"):
-            hi, lo = gap[0], gap[-1]
-            if member[hi] and not member[lo]:
-                _merge_counters(counters, {f"strictness_{gap}": 1})
-        records.append({"group": entry.name, "k": k, "membership": member,
-                        "pass": chain_ok,
-                        "witness": None if chain_ok else {"membership": member},
-                        "elapsed": round(time.perf_counter() - t0, 4)})
-    return records, counters
+def _r3_check(entry: CorpusEntry, k: int, counters: Counter):
+    """The inclusions Y <= X <= K <= F, counting where each is strict."""
+    chain = "YXKF"
+    member = {c: submodular.in_class(entry.lattice, c, k) for c in chain}
+    ok = True
+    for small, big in zip(chain, chain[1:]):
+        if member[small] and not member[big]:
+            ok = False
+        if member[big] and not member[small]:
+            counters[f"strictness_{big}_not_{small}"] += 1
+    return ok, {"membership": member}, {"membership": member}
 
 
 # -- lemma suite -------------------------------------------------------------
+# Each lemma takes (entry, k_set, counters) and returns its verdict, or None
+# where it does not apply to the entry.
 
 
-def _lemma_21(entry, k_set, checks, counters):
+def _lemma_21(entry, k_set, counters):
     """n-modular embedding transfers to and from quotients by N <= H."""
-    G = entry.group
     L = entry.lattice
     ok = True
-    for sub, Q, epi in _quotient_lattices(G):
+    for sub, Q, epi in _quotient_lattices(entry.group):
         Lq = Q.lattice()
         for h in range(len(L.subgroups)):
-            if not L.leq(L.by_mask[sub.mask], h) or h == L.top.id:
+            if not L.leq(sub.id, h) or h == L.top.id:
                 continue
             h_img = _image_id(Lq, epi, L.subgroups[h].mask)
             if h_img == Lq.top.id:
@@ -610,11 +532,11 @@ def _lemma_21(entry, k_set, checks, counters):
                 if down != up:
                     ok = False
                 if not L.is_normal_in(h, L.top.id):
-                    _merge_counters(counters, {"nonvacuous_L2.1": 1})
-    checks["L2.1"] = ok
+                    counters["nonvacuous_L2.1"] += 1
+    return ok
 
 
-def _lemma_22(entry, k_set, checks, counters):
+def _lemma_22(entry, k_set, counters):
     """Maximal M k-submodular iff the core quotient has the Schmidt-like
     Sylow structure of the lemma."""
     G = entry.group
@@ -645,10 +567,10 @@ def _lemma_22(entry, k_set, checks, counters):
                            and Lq.normal_mask(p_syl)
                            and Lq.subgroups[m_img].order == q**n
                            and _is_cyclic_member(Lq, m_img))
-                _merge_counters(counters, {"nonvacuous_L2.2": 1})
+                counters["nonvacuous_L2.2"] += 1
             if lhs != rhs:
                 ok = False
-    checks["L2.2"] = ok
+    return ok
 
 
 def _is_cyclic_member(L: SubgroupLattice, a: int) -> bool:
@@ -657,7 +579,7 @@ def _is_cyclic_member(L: SubgroupLattice, a: int) -> bool:
     return any(orders[x] == sub.order for x in sub.members)
 
 
-def _lemma_23(entry, k_set, checks, counters):
+def _lemma_23(entry, k_set, counters):
     L = entry.lattice
     ok = True
     for k in k_set:
@@ -666,16 +588,16 @@ def _lemma_23(entry, k_set, checks, counters):
         if all(m in reach for m in maxes):
             if not structure.is_supersoluble(entry.group):
                 ok = False
-            _merge_counters(counters, {"nonvacuous_L2.3": 1})
+            counters["nonvacuous_L2.3"] += 1
         psub = classes.p_subnormal_set(L)
         kpsub = classes.p_subnormal_set(L, variant_k=True)
         for m in maxes:
             if m in reach and not (m in psub and m in kpsub):
                 ok = False
-    checks["L2.3"] = ok
+    return ok
 
 
-def _lemma_24(entry, k_set, checks, counters):
+def _lemma_24(entry, k_set, counters):
     L = entry.lattice
     ok = True
     for k in k_set:
@@ -685,7 +607,7 @@ def _lemma_24(entry, k_set, checks, counters):
                 if c not in reach:
                     ok = False
                 if c != h:
-                    _merge_counters(counters, {"nonvacuous_L2.4_conj": 1})
+                    counters["nonvacuous_L2.4_conj"] += 1
         for r in reach:
             if r == L.top.id:
                 continue
@@ -693,11 +615,11 @@ def _lemma_24(entry, k_set, checks, counters):
                 if h not in reach:
                     ok = False
                 if h != r:
-                    _merge_counters(counters, {"nonvacuous_L2.4_trans": 1})
-    checks["L2.4"] = ok
+                    counters["nonvacuous_L2.4_trans"] += 1
+    return ok
 
 
-def _lemma_25(entry, k_set, checks, counters):
+def _lemma_25(entry, k_set, counters):
     L = entry.lattice
     ok = True
     for k in k_set:
@@ -708,72 +630,68 @@ def _lemma_25(entry, k_set, checks, counters):
                 if d not in submodular.ksub_set(L, k, top=u):
                     ok = False
                 if d != h and d != u:
-                    _merge_counters(counters, {"nonvacuous_L2.5": 1})
+                    counters["nonvacuous_L2.5"] += 1
                 if u in reach and d not in reach:
                     ok = False
-    checks["L2.5"] = ok
+    return ok
 
 
-def _lemma_26(entry, k_set, checks, counters):
-    G = entry.group
+def _lemma_26(entry, k_set, counters):
     L = entry.lattice
     ok = True
-    for sub, Q, epi in _quotient_lattices(G):
+    for sub, Q, epi in _quotient_lattices(entry.group):
         Lq = Q.lattice()
-        n_id = L.by_mask[sub.mask]
         for k in k_set:
             reach = submodular.ksub_set(L, k)
             reach_q = submodular.ksub_set(Lq, k)
             for h in range(len(L.subgroups)):
-                hn = L.join(h, n_id)
+                hn = L.join(h, sub.id)
                 hn_img = _image_id(Lq, epi, L.subgroups[hn].mask)
                 if h in reach and hn_img not in reach_q:
                     ok = False  # (1) fails
                 if (hn_img in reach_q) != (hn in reach):
                     ok = False  # (3) fails
-                if L.leq(n_id, h) and hn_img in reach_q and h not in reach:
+                if L.leq(sub.id, h) and hn_img in reach_q and h not in reach:
                     ok = False  # (2) fails
                 if h != hn:
-                    _merge_counters(counters, {"nonvacuous_L2.6": 1})
-    checks["L2.6"] = ok
+                    counters["nonvacuous_L2.6"] += 1
+    return ok
 
 
-def _lemma_27(entry, k_set, checks, counters):
+def _lemma_27(entry, k_set, counters):
+    """In a soluble group every k-submodular subgroup is U_k-subnormal."""
     L = entry.lattice
     if not structure.is_soluble(entry.group):
-        return
+        return None
     ok = True
     for k in k_set:
         reach = submodular.ksub_set(L, k)
-        Uk = classes.oracle("U_k", k=k)
-        usub = classes.f_subnormal_set(L, Uk)
+        usub = classes.f_subnormal_set(L, classes.oracle("U_k", k=k))
         if not reach <= usub:
             ok = False
         if usub - reach:
-            _merge_counters(counters, {"L2.7_converse_gap_groups": 1})
-        _merge_counters(counters, {"nonvacuous_L2.7": len(reach) - 1})
-    checks.setdefault("L2.7", True)
-    checks["L2.7"] = checks["L2.7"] and ok
+            counters["L2.7_converse_gap_groups"] += 1
+        counters["nonvacuous_L2.7"] += len(reach) - 1
+    return ok
 
 
-def _lemma_28(entry, k_set, checks, counters):
+def _lemma_28(entry, k_set, counters):
+    """A k-submodular Sylow subgroup for the largest prime is normal."""
     G = entry.group
     L = entry.lattice
     if G.order == 1:
-        return
-    p = max(G.prime_divisors())
-    syl = structure.sylow_in(L, L.top.id, p)
+        return None
+    syl = structure.sylow_in(L, L.top.id, max(G.prime_divisors()))
     ok = True
     for k in k_set:
         if syl in submodular.ksub_set(L, k):
             if not L.normal_mask(syl):
                 ok = False
-            _merge_counters(counters, {"nonvacuous_L2.8": 1})
-    checks.setdefault("L2.8", True)
-    checks["L2.8"] = checks["L2.8"] and ok
+            counters["nonvacuous_L2.8"] += 1
+    return ok
 
 
-def _lemma_monotone(entry, k_set, checks, counters):
+def _lemma_monotone(entry, k_set, counters):
     L = entry.lattice
     ks = sorted(k_set)
     ok = True
@@ -783,74 +701,68 @@ def _lemma_monotone(entry, k_set, checks, counters):
         if not r1 <= r2:
             ok = False
         if r2 - r1:
-            _merge_counters(counters, {"nonvacuous_monotone_strict": 1})
-        _merge_counters(counters, {"nonvacuous_monotone": 1})
-    checks["monotone_k"] = ok
+            counters["nonvacuous_monotone_strict"] += 1
+        counters["nonvacuous_monotone"] += 1
+    return ok
 
 
-def _lemma_31(entry, k_set, checks, counters):
+def _lemma_31(entry, k_set, counters):
     G = entry.group
     L = entry.lattice
     U = classes.oracle("U")
+    nontrivial_normals = [n for n in structure.normal_ids_in(L, L.top.id)
+                          if n != L.bottom.id]
     ok = True
     for k in k_set:
         in_F = submodular.in_class(L, "F", k)
         if structure.is_nilpotent(G):
             if not in_F:
                 ok = False
-            _merge_counters(counters, {"nonvacuous_L3.1_nilpotent": 1})
+            counters["nonvacuous_L3.1_nilpotent"] += 1
         if in_F:
-            if not classes.in_wF(G, U):
+            # (1) Sylows U-subnormal, (2) quotient and (5) subgroup closure
+            if not (classes.in_wF(G, U) and _quotients_in(G, "F", k)
+                    and all(submodular.in_class_member(L, a, "F", k)
+                            for a in range(len(L.subgroups)))):
                 ok = False
-            # (2) quotient closure and (5) subgroup closure
-            if not all(submodular.in_class(Q.lattice(), "F", k)
-                       for _, Q, _ in _quotient_lattices(G)):
-                ok = False
-            if not all(submodular.in_class_member(L, a, "F", k)
-                       for a in range(len(L.subgroups))):
-                ok = False
-            _merge_counters(counters, {"nonvacuous_L3.1_members": 1})
+            counters["nonvacuous_L3.1_members"] += 1
         # (3) subdirect closure
-        normals = structure.normal_ids_in(L, L.top.id)
-        for i, n1 in enumerate(normals):
-            for n2 in normals[i + 1:]:
-                if L.meet(n1, n2) != L.bottom.id:
-                    continue
-                if L.subgroups[n1].order == 1 or L.subgroups[n2].order == 1:
-                    continue
-                q1 = quotient_cached(G, L.subgroups[n1].mask)[0]
-                q2 = quotient_cached(G, L.subgroups[n2].mask)[0]
-                if (submodular.in_class(q1.lattice(), "F", k)
-                        and submodular.in_class(q2.lattice(), "F", k)):
-                    _merge_counters(counters, {"nonvacuous_L3.1_subdirect": 1})
-                    if not in_F:
-                        ok = False
-    checks["L3.1"] = ok
+        pairs = _count_subdirect_pairs(G, L, nontrivial_normals, "F", k)
+        if pairs:
+            counters["nonvacuous_L3.1_subdirect"] += pairs
+            if not in_F:
+                ok = False
+    return ok
 
 
-def _eval_L(entry: CorpusEntry, k_set: list[int]):
-    records, counters = [], {}
-    checks: dict[str, bool] = {}
-    t0 = time.perf_counter()
-    for fn in (_lemma_21, _lemma_22, _lemma_23, _lemma_24, _lemma_25,
-               _lemma_26, _lemma_27, _lemma_28, _lemma_monotone, _lemma_31):
-        fn(entry, k_set, checks, counters)
-    failures = [c for c, v in checks.items() if not v]
-    records.append({"group": entry.name, "k": list(k_set), "checks": checks,
-                    "pass": not failures,
-                    "witness": {"failed_checks": failures} if failures else None,
-                    "elapsed": round(time.perf_counter() - t0, 4)})
-    return records, counters
+_LEMMAS = {"L2.1": _lemma_21, "L2.2": _lemma_22, "L2.3": _lemma_23,
+           "L2.4": _lemma_24, "L2.5": _lemma_25, "L2.6": _lemma_26,
+           "L2.7": _lemma_27, "L2.8": _lemma_28, "monotone_k": _lemma_monotone,
+           "L3.1": _lemma_31}
+
+# every lemma needs at least one non-vacuous instance; these counters are
+# seeded with zero so an untested lemma fails the suite
+_LEMMA_COUNTERS = (
+    "nonvacuous_L2.1", "nonvacuous_L2.2", "nonvacuous_L2.3",
+    "nonvacuous_L2.4_conj", "nonvacuous_L2.4_trans", "nonvacuous_L2.5",
+    "nonvacuous_L2.6", "nonvacuous_L2.7", "nonvacuous_L2.8",
+    "nonvacuous_monotone", "nonvacuous_L3.1_nilpotent",
+    "nonvacuous_L3.1_members", "nonvacuous_L3.1_subdirect",
+    "nonvacuous_L3.1_product", "L2.7_converse_gap_groups")
 
 
-def _lemma_31_products(corpus: list[CorpusEntry], k_set: list[int]):
+def _lemma_check(entry: CorpusEntry, k_set: list[int], counters: Counter):
+    checks = {}
+    for name, lemma in _LEMMAS.items():
+        ok = lemma(entry, k_set, counters)
+        if ok is not None:
+            checks[name] = ok
+    return _checked(checks)
+
+
+def _lemma_31_products(corpus: list[CorpusEntry], k_set: list[int],
+                       counters: Counter):
     """Direct products of small class members stay in the class."""
-    record = {"group": "corpus:direct-products", "k": list(k_set),
-              "checks": {}, "pass": True, "witness": None, "elapsed": 0.0}
-    counters: dict[str, int] = {"nonvacuous_L3.1_product": 0}
-    t0 = time.perf_counter()
-    from .permgroup import direct_product
-
     small = [e for e in corpus if 1 < e.order <= 12]
     ok = True
     for k in k_set:
@@ -864,20 +776,33 @@ def _lemma_31_products(corpus: list[CorpusEntry], k_set: list[int]):
                 counters["nonvacuous_L3.1_product"] += 1
                 if not submodular.in_class(P.lattice(), "F", k):
                     ok = False
-    record["checks"]["L3.1_product"] = ok
-    record["pass"] = ok
-    if not ok:
-        record["witness"] = {"failed_checks": ["L3.1_product"]}
-    record["elapsed"] = round(time.perf_counter() - t0, 4)
-    return record, counters
+    return _checked({"L3.1_product": ok})
 
 
-_SUITE_EVAL = {
-    "T3.1": _eval_T31, "T3.2": _eval_T32, "T3.3": _eval_T33,
-    "T3.5": _eval_T35, "T3.6": _eval_T36, "P3.1": _eval_P31,
-    "T3.6_1": _eval_T361, "R1": _eval_R1, "R2": _eval_R2, "R3": _eval_R3,
-    "L": _eval_L,
+# -- suite table and runner --------------------------------------------------
+
+# k modes: one record per k, a single k=1 record, one record for the k list
+_PER_K, _K_ONE, _K_LIST = "per_k", "k_one", "k_list"
+
+_SUITES = {
+    "T3.1": (partial(_variants_check, submodular.thm31_characterization,
+                     (1, 2, 3)), _PER_K),
+    "T3.2": (partial(_variants_check, submodular.thm32_characterization,
+                     (1, 2, 3, 4)), _PER_K),
+    "T3.3": (_t33_check, _PER_K),
+    "T3.5": (partial(_local_formation_check, "K", classes.h_function),
+             _PER_K),
+    "T3.6": (partial(_local_formation_check, "F", classes.f_function),
+             _PER_K),
+    "P3.1": (_p31_check, _PER_K),
+    "T3.6_1": (_t361_check, _PER_K),
+    "R1": (_r1_check, _K_ONE),
+    "R2": (_r2_check, _K_ONE),
+    "R3": (_r3_check, _PER_K),
+    "L": (_lemma_check, _K_LIST),
 }
+
+SUITE_IDS = tuple(_SUITES)
 
 
 def _lemma_corpus(corpus: list[CorpusEntry]) -> list[CorpusEntry]:
@@ -885,51 +810,49 @@ def _lemma_corpus(corpus: list[CorpusEntry]) -> list[CorpusEntry]:
             if e.order <= LEMMA_SUITE_MAX_ORDER or e.name in LEMMA_SUITE_EXTRA]
 
 
-def _eval_entry(args):
+def _eval_entry(suite: str, entry: CorpusEntry, k_set: list[int]):
+    """Records of one corpus entry under one suite, and their counters."""
+    check, mode = _SUITES[suite]
+    ks = {_PER_K: k_set, _K_ONE: [1], _K_LIST: [list(k_set)]}[mode]
+    counters: Counter = Counter()
+    return [_record(entry.name, k, check, entry, counters) for k in ks], counters
+
+
+def _eval_spec(args):
+    """_eval_entry in a pool worker, rebuilding the entry from its spec."""
     suite, name, spec, k_set = args
-    entry = CorpusEntry(name, spec)
-    return _SUITE_EVAL[suite](entry, k_set)
+    return _eval_entry(suite, CorpusEntry(name, spec), k_set)
 
 
 def run_suite(suite: str, k_set: list[int], corpus: list[CorpusEntry],
               jobs: int = 1) -> VerificationReport:
-    if suite not in _SUITE_EVAL:
+    if suite not in _SUITES:
         raise GroupError(f"unknown suite {suite!r}")
     if any(k < 1 for k in k_set):
         raise GroupError("k values must be >= 1")
     k_set = sorted(set(k_set))
     entries = _lemma_corpus(corpus) if suite == "L" else corpus
-    all_records: list[dict] = []
-    counters: dict[str, int] = {}
     if jobs > 1:
         work = [(suite, e.name, e.spec, k_set) for e in entries]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_entry, work))
+            results = list(pool.map(_eval_spec, work))
     else:
-        results = [_SUITE_EVAL[suite](e, k_set) for e in entries]
-    for records, part in results:
-        all_records.extend(records)
-        _merge_counters(counters, part)
-    all_records.sort(key=lambda r: (r["group"], str(r["k"])))
+        results = [_eval_entry(suite, e, k_set) for e in entries]
+    records: list[dict] = []
+    counters: Counter = Counter()
+    for part_records, part in results:
+        records.extend(part_records)
+        counters.update(part)
+    records.sort(key=lambda r: (r["group"], str(r["k"])))
     if suite == "L":
-        record, part = _lemma_31_products(entries, k_set)
-        all_records.append(record)
-        _merge_counters(counters, part)
-        # every lemma needs at least one non-vacuous instance; seed the
-        # counters with zero so an untested lemma fails the suite
-        for key in ("nonvacuous_L2.1", "nonvacuous_L2.2", "nonvacuous_L2.3",
-                    "nonvacuous_L2.4_conj", "nonvacuous_L2.4_trans",
-                    "nonvacuous_L2.5", "nonvacuous_L2.6", "nonvacuous_L2.7",
-                    "nonvacuous_L2.8", "nonvacuous_monotone",
-                    "nonvacuous_L3.1_nilpotent", "nonvacuous_L3.1_members",
-                    "nonvacuous_L3.1_subdirect"):
-            counters.setdefault(key, 0)
+        records.append(_record("corpus:direct-products", list(k_set),
+                               _lemma_31_products, entries, counters))
+        counters.update(dict.fromkeys(_LEMMA_COUNTERS, 0))
         # the converse of the soluble-case subnormality lemma must be
         # falsified somewhere in the corpus (the order-42 holomorph does it)
-        counters.setdefault("L2.7_converse_gap_groups", 0)
         counters["nonvacuous_L2.7_converse_falsified"] = (
             counters["L2.7_converse_gap_groups"])
-    return VerificationReport(suite, k_set, all_records, counters)
+    return VerificationReport(suite, k_set, records, dict(counters))
 
 
 def run_suites(suites: list[str], k_set: list[int], corpus: list[CorpusEntry],

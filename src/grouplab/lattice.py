@@ -65,7 +65,6 @@ class SubgroupLattice:
         self._join_memo: dict[tuple[int, int], int] = {}
         self._chain_lengths: dict[tuple[int, int], frozenset[int]] = {}
         self._subs_of: dict[int, list[int]] = {}
-        self._conj_class: list[int] | None = None
         # caches owned by other modules (submodular / classes)
         self.step_kind_cache: dict[tuple[int, int], tuple] = {}
         self.ksub_reach: dict[tuple[int, int], frozenset[int]] = {}
@@ -161,17 +160,6 @@ class SubgroupLattice:
             frontier = new
         return sorted(seen)
 
-    def conj_class(self) -> list[int]:
-        """Per-subgroup conjugacy class id (id of the least member)."""
-        if self._conj_class is None:
-            cls = [-1] * len(self.subgroups)
-            for a in range(len(self.subgroups)):
-                if cls[a] < 0:
-                    for b in self.conjugates(a):
-                        cls[b] = a
-            self._conj_class = cls
-        return self._conj_class
-
     def normalizer(self, a: int) -> int:
         hit = self._normalizers[a]
         if hit is None:
@@ -190,15 +178,6 @@ class SubgroupLattice:
 
     def normal_mask(self, a: int) -> bool:
         return self.normalizer(a) == self.top.id
-
-    def centralizer_of_set(self, ordinals: Iterable[int]) -> int:
-        mult = self.group.mult
-        mask = 0
-        members = list(ordinals)
-        for g in range(self.group.order):
-            if all(mult[g][s] == mult[s][g] for s in members):
-                mask |= 1 << g
-        return self.by_mask[mask]
 
     def core(self, a: int, within: int | None = None) -> int:
         """Core of subgroup a inside `within` (default: the whole group)."""
@@ -244,6 +223,25 @@ class SubgroupLattice:
         for m in self.hasse_down[self.top.id]:
             mask &= self.subgroups[m].mask
         return self.by_mask[mask]
+
+    def reach_down(self, top: int, pred) -> dict[int, int]:
+        """Ids a with a chain a = A0 < ... < Am = top whose every step (A, B)
+        satisfies pred(A, B), mapped to the least such m.
+
+        This is the one chain search behind every chain predicate: breadth
+        first from `top`, so the distances also give shortest witnesses.
+        """
+        dist = {top: 0}
+        frontier = [top]
+        while frontier:
+            new = []
+            for b in frontier:
+                for a in self.subs_of(b):
+                    if a not in dist and pred(a, b):
+                        dist[a] = dist[b] + 1
+                        new.append(a)
+            frontier = new
+        return dist
 
     def comparable_pairs(self) -> list[tuple[int, int]]:
         """All pairs (a, b) with a < b in the lattice order."""
@@ -331,42 +329,3 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     if full not in mask_gens:  # trivial group
         mask_gens.setdefault(full, ())
     return SubgroupLattice(G, mask_gens)
-
-
-# -- spec-level convenience wrappers ----------------------------------------
-
-
-def generated_subgroup(L: SubgroupLattice, seed: Iterable[int]) -> Subgroup:
-    return L.subgroups[L.generated(seed)]
-
-
-def core(L: SubgroupLattice, H: Subgroup) -> Subgroup:
-    return L.subgroups[L.core(H.id)]
-
-
-def normalizer(L: SubgroupLattice, H: Subgroup) -> Subgroup:
-    return L.subgroups[L.normalizer(H.id)]
-
-
-def centralizer_of_set(L: SubgroupLattice, ordinals: Iterable[int]) -> Subgroup:
-    return L.subgroups[L.centralizer_of_set(ordinals)]
-
-
-def conjugates(L: SubgroupLattice, H: Subgroup) -> list[Subgroup]:
-    return [L.subgroups[i] for i in L.conjugates(H.id)]
-
-
-def intersect(L: SubgroupLattice, A: Subgroup, B: Subgroup) -> Subgroup:
-    return L.subgroups[L.meet(A.id, B.id)]
-
-
-def maximal_subgroups(L: SubgroupLattice, B: Subgroup) -> list[Subgroup]:
-    return [L.subgroups[i] for i in L.maximal_subgroups(B.id)]
-
-
-def n_maximal_chain_exists(L: SubgroupLattice, A: Subgroup, B: Subgroup, n: int) -> bool:
-    return L.n_maximal_chain_exists(A.id, B.id, n)
-
-
-def frattini(L: SubgroupLattice) -> Subgroup:
-    return L.subgroups[L.frattini()]

@@ -172,14 +172,6 @@ class Permutation(tuple):
         return result
 
 
-@dataclass
-class BasicInvariants:
-    order: int
-    is_abelian: bool
-    is_cyclic: bool
-    prime_divisors: tuple[int, ...]
-
-
 class FiniteGroup:
     """A concrete finite permutation group with a full element table.
 
@@ -251,9 +243,6 @@ class FiniteGroup:
             self._inv = [self.element_index[e.inverse()] for e in self.elements]
         return self._inv
 
-    def op(self, i: int, j: int) -> int:
-        return self.mult[i][j]
-
     def conj_table(self, g: int) -> list[int]:
         """Ordinal map x -> g^-1 x g."""
         tab = self._conj.get(g)
@@ -294,14 +283,6 @@ class FiniteGroup:
 
     def prime_divisors(self) -> tuple[int, ...]:
         return tuple(sorted(factorize(self.order))) if self.order > 1 else ()
-
-    def basic_invariants(self) -> BasicInvariants:
-        return BasicInvariants(
-            order=self.order,
-            is_abelian=self.is_abelian(),
-            is_cyclic=self.is_cyclic(),
-            prime_divisors=self.prime_divisors(),
-        )
 
     # -- subgroup masks ------------------------------------------------------
     # Subgroup element sets are bitmasks over element ordinals throughout the
@@ -461,10 +442,6 @@ def generate(degree: int, gens: Sequence[Permutation], name: str = "G") -> Finit
     return FiniteGroup(degree, elements, gens, name=name, _trusted=True)
 
 
-def parse_permutation(cycles: str, degree: int) -> Permutation:
-    return Permutation.parse(cycles, degree)
-
-
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """External direct product acting on disjoint point sets."""
     if G.order * H.order > order_cap():
@@ -490,8 +467,21 @@ def _unit_perms(m: int) -> list[Permutation]:
             for u in range(2, m) if math.gcd(u, m) == 1]
 
 
+# argument count of each stock builder
+_BUILDER_ARITY = {"cyclic": 1, "elem_abelian": 2, "dihedral": 1, "dicyclic": 1,
+                 "sym": 1, "alt": 1, "holomorph_cyclic": 1,
+                 "frobenius_metacyclic": 3}
+
+
 def named_group(name: str, args: Sequence[int]) -> FiniteGroup:
     """Builders for the stock families used throughout the corpus."""
+    if not isinstance(name, str) or name not in _BUILDER_ARITY:
+        raise GroupError(f"unknown builder {name!r}")
+    arity = _BUILDER_ARITY[name]
+    if (not isinstance(args, (list, tuple)) or len(args) != arity
+            or not all(type(a) is int for a in args)):
+        raise ParseError(f"builder {name!r} needs {arity} integer "
+                         f"argument(s), got {args!r}")
     args = list(args)
     if name == "cyclic":
         (n,) = args
@@ -564,7 +554,6 @@ def named_group(name: str, args: Sequence[int]) -> FiniteGroup:
         u = _multiplier_of_order(p, qn)
         gens = [_cyclic_gen(p), Permutation([(u * i) % p for i in range(p)])]
         return generate(p, gens, name=f"F({p},{q}^{n})")
-    raise GroupError(f"unknown builder {name!r}")
 
 
 def _multiplier_of_order(p: int, d: int) -> int:
@@ -667,14 +656,6 @@ def quotient_cached(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphis
     return hit
 
 
-def exponent(G: FiniteGroup) -> int:
-    return G.exponent()
-
-
-def basic_invariants(G: FiniteGroup) -> BasicInvariants:
-    return G.basic_invariants()
-
-
 # -- group-spec files --------------------------------------------------------
 
 
@@ -693,14 +674,17 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         cycles = spec.get("cycles", [])
         if not isinstance(degree, int) or degree < 0:
             raise ParseError("generators spec needs an integer 'degree'")
+        if not isinstance(cycles, list) or not all(isinstance(c, str)
+                                                   for c in cycles):
+            raise ParseError("generators spec needs a list of cycle strings")
         gens = [Permutation.parse(c, degree) for c in cycles]
         return generate(degree, gens, name=spec.get("name", f"gen{degree}"))
     if kind == "named":
         return named_group(spec.get("name", ""), spec.get("args", []))
     if kind == "direct":
         parts = spec.get("parts", [])
-        if not parts:
-            raise ParseError("direct spec needs at least one part")
+        if not isinstance(parts, list) or not parts:
+            raise ParseError("direct spec needs a non-empty list of parts")
         G = group_from_spec(parts[0])
         for sub in parts[1:]:
             G = direct_product(G, group_from_spec(sub))

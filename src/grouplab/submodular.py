@@ -141,21 +141,6 @@ def is_modular_subgroup(L: SubgroupLattice, M: Subgroup) -> bool:
     return _modular_in(L, M.id, L.top.id)
 
 
-def _reach_from(L: SubgroupLattice, top: int, pred) -> frozenset[int]:
-    """Ids connected to `top` by a chain of pred-steps (downward search)."""
-    reached = {top}
-    frontier = [top]
-    while frontier:
-        new = []
-        for b in frontier:
-            for a in L.subs_of(b):
-                if a not in reached and a != b and pred(a, b):
-                    reached.add(a)
-                    new.append(a)
-        frontier = new
-    return frozenset(reached)
-
-
 def submodular_set(L: SubgroupLattice, top: int | None = None) -> frozenset[int]:
     """Ids submodular in `top` (default: the whole group)."""
     if top is None:
@@ -163,7 +148,7 @@ def submodular_set(L: SubgroupLattice, top: int | None = None) -> frozenset[int]
     key = (-1, top)
     hit = L.ksub_reach.get(key)
     if hit is None:
-        hit = _reach_from(L, top, lambda a, b: _modular_in(L, a, b))
+        hit = frozenset(L.reach_down(top, lambda a, b: _modular_in(L, a, b)))
         L.ksub_reach[key] = hit
     return hit
 
@@ -189,24 +174,14 @@ def ksub_set(L: SubgroupLattice, k: int, top: int | None = None) -> frozenset[in
     key = (k, top)
     hit = L.ksub_reach.get(key)
     if hit is None:
-        hit = _reach_from(L, top, lambda a, b: _step_ok(L, a, b, k))
+        hit = frozenset(L.reach_down(top, lambda a, b: _step_ok(L, a, b, k)))
         L.ksub_reach[key] = hit
     return hit
 
 
 def _witness(L: SubgroupLattice, h: int, k: int, top: int) -> ChainWitness:
     """Shortest, then lexicographically least, chain h -> top."""
-    # distances to top over legal steps
-    dist = {top: 0}
-    frontier = [top]
-    while frontier and h not in dist:
-        new = []
-        for b in frontier:
-            for a in L.subs_of(b):
-                if a not in dist and a != b and _step_ok(L, a, b, k):
-                    dist[a] = dist[b] + 1
-                    new.append(a)
-        frontier = new
+    dist = L.reach_down(top, lambda a, b: _step_ok(L, a, b, k))
     ids = [h]
     steps = []
     cur = h
@@ -229,11 +204,6 @@ def is_k_submodular(L: SubgroupLattice, H: Subgroup,
     if H.id not in reach:
         return False, None
     return True, _witness(L, H.id, k, L.top.id)
-
-
-def is_k_submodular_in(L: SubgroupLattice, h: int, b: int, k: int) -> bool:
-    """k-submodularity of member h inside member b (intrinsic to b)."""
-    return h in ksub_set(L, k, top=b)
 
 
 # -- n-maximality and k-LM groups --------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from grouplab import cli
 
 
@@ -82,6 +84,23 @@ def test_bad_group_spec(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "show", '{"kind": "bogus"}')
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "sym:x"],
+    ["show", "sym"],
+    ["show", "sym:1,2"],
+    ["show", '{"kind": "named", "name": "sym", "args": ["4"]}'],
+    ["show", '{"kind": "direct", "parts": 5}'],
+    ["show", '{"kind": "generators", "degree": 3, "cycles": [5]}'],
+    ["verify", "--suite", "R1", "--jobs", "0"],
+    ["verify", "--suite", "R1", "--jobs", "-1"],
+])
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_classify(capsys):

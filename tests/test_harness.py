@@ -91,14 +91,27 @@ def test_report_json_schema(corpus, tmp_path):
     assert loaded["reports"][0]["suite"] == "T3.1"
 
 
-def test_report_determinism(corpus):
-    sub = _mini(corpus, "S4", "Hol(Z5)", "D6", "Z12")
+@pytest.mark.parametrize("suite", harness.SUITE_IDS)
+def test_report_determinism(corpus, suite):
+    sub = _mini(corpus, "Hol(Z5)", "S3", "Z4")
     strip = lambda rep: [{k: v for k, v in r.items() if k != "elapsed"}
                          for r in rep.entries]
-    r1 = harness.run_suite("T3.1", [1, 2], sub, jobs=1)
-    r2 = harness.run_suite("T3.1", [1, 2], sub, jobs=3)
+    r1 = harness.run_suite(suite, [1, 2, 3], sub, jobs=1)
+    r2 = harness.run_suite(suite, [1, 2, 3], sub, jobs=2)
     assert strip(r1) == strip(r2)
     assert r1.counters == r2.counters
+
+
+def test_record_keys_per_suite(corpus):
+    base = {"group", "k", "pass", "witness", "elapsed"}
+    extra = {"T3.1": {"variants"}, "T3.2": {"variants"},
+             "T3.6_1": {"factorizations", "nontrivial"}, "R3": {"membership"}}
+    sub = _mini(corpus, "S3", "Z4")
+    for suite in harness.SUITE_IDS:
+        rep = harness.run_suite(suite, [1, 2], sub)
+        assert rep.entries
+        for rec in rep.entries:
+            assert set(rec) == base | extra.get(suite, {"checks"}), suite
 
 
 def test_failure_records_carry_witness(corpus):

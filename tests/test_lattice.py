@@ -3,8 +3,6 @@ from itertools import combinations
 import pytest
 
 from grouplab import named_group
-from grouplab.lattice import (core, frattini, generated_subgroup, intersect,
-                              maximal_subgroups, normalizer)
 
 
 def naive_subgroup_masks(G):
@@ -73,7 +71,7 @@ def test_hasse_covers_have_no_intermediate():
 def test_generated_subgroup():
     G = named_group("sym", [4])
     L = G.lattice()
-    s = generated_subgroup(L, [1])
+    s = L.subgroups[L.generated([1])]
     assert s.order > 1 and s.mask == G.closure_mask([1])
 
 
@@ -83,26 +81,26 @@ def test_conjugates_and_core(hol5):
     assert len(four) == 5
     cls = L.conjugates(four[0].id)
     assert len(cls) == 5
-    assert core(L, four[0]).order == 1
+    assert L.subgroups[L.core(four[0].id)].order == 1
 
 
 def test_normalizer_and_normality(s4):
     L = s4.lattice()
     v4 = next(s for s in L.subgroups if s.order == 4
               and L.normalizer(s.id) == L.top.id)
-    assert normalizer(L, v4).order == 24
+    assert L.subgroups[L.normalizer(v4.id)].order == 24
     s3 = next(s for s in L.subgroups if s.order == 6)
-    assert normalizer(L, s3).order == 6
+    assert L.subgroups[L.normalizer(s3.id)].order == 6
 
 
 def test_intersect_and_maximal(s4):
     L = s4.lattice()
     top = L.subgroups[L.top.id]
-    maxes = maximal_subgroups(L, top)
+    maxes = [L.subgroups[i] for i in L.maximal_subgroups(top.id)]
     assert sorted({m.order for m in maxes}) == [6, 8, 12]
     a4 = next(m for m in maxes if m.order == 12)
     d8 = next(m for m in maxes if m.order == 8)
-    assert intersect(L, a4, d8).order == 4
+    assert L.subgroups[L.meet(a4.id, d8.id)].order == 4
 
 
 def test_chain_lengths(hol5):
@@ -115,9 +113,9 @@ def test_chain_lengths(hol5):
 
 def test_frattini():
     L = named_group("cyclic", [4]).lattice()
-    assert frattini(L).order == 2
+    assert L.subgroups[L.frattini()].order == 2
     L8 = named_group("dicyclic", [2]).lattice()
-    assert frattini(L8).order == 2  # Phi(Q8) = center
+    assert L8.subgroups[L8.frattini()].order == 2  # Phi(Q8) = center
 
 
 def test_subgroup_as_group_matches(s4):

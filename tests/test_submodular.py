@@ -1,6 +1,6 @@
 import pytest
 
-from grouplab import named_group
+from grouplab import all_subgroups, named_group
 from grouplab import submodular
 from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  is_modular_subgroup, is_n_maximal_with_index,
@@ -208,3 +208,40 @@ def test_lattice_dot_output(hol5):
     assert "n-modular n=2" in dot
     assert "normal" in dot
     assert dot.count("->") > 10
+
+
+@pytest.mark.parametrize("name,args", [("holomorph_cyclic", [5]), ("sym", [4])])
+def test_witnesses_are_shortest_and_reverify(name, args):
+    G = named_group(name, args)
+    L = G.lattice()
+    fresh = all_subgroups(G)  # empty step-kind cache: steps are recomputed
+    assert [s.mask for s in fresh.subgroups] == [s.mask for s in L.subgroups]
+    for k in (1, 2, 3):
+        def legal(a, b):
+            return any(
+                is_n_modularly_embedded(L, L.subgroups[b], L.subgroups[a], n)
+                for n in range(1, k + 1))
+
+        dist = L.reach_down(L.top.id, legal)
+        # independent oracle: ids are sorted by order, so every proper
+        # overgroup of a has a larger id and a descending scan sees it first
+        shortest = {L.top.id: 0}
+        for a in reversed(range(L.top.id)):
+            ups = [d + 1 for b, d in shortest.items()
+                   if L.leq(a, b) and legal(a, b)]
+            if ups:
+                shortest[a] = min(ups)
+        assert dist == shortest
+        assert frozenset(dist) == ksub_set(L, k)
+        for h in ksub_set(L, k):
+            ok, w = is_k_submodular(L, L.subgroups[h], k)
+            assert ok and w.ids[0] == h and w.ids[-1] == L.top.id
+            assert len(w.steps) == dist[h]
+            for step in w.steps:
+                lo, up = fresh.subgroups[step.lower], fresh.subgroups[step.upper]
+                if step.kind == "normal":
+                    assert is_n_modularly_embedded(fresh, up, lo, 1)
+                    assert fresh.is_normal_in(lo.id, up.id)
+                else:
+                    assert step.kind == "n_modular" and 1 <= step.n <= k
+                    assert is_n_modularly_embedded(fresh, up, lo, step.n)
