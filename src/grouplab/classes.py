@@ -31,14 +31,13 @@ from . import structure
 class ClassOracle:
     """Named membership predicate for a class of groups.
 
-    The formation/hereditary flags are trusted metadata; they are only set
-    where standard theory asserts the closure property.
+    The formation flag is trusted metadata; it is only set where standard
+    theory asserts the closure property.
     """
 
     name: str
     member_fn: Callable[[FiniteGroup], bool]
     is_formation: bool = False
-    is_hereditary: bool = False
 
     def member(self, G: FiniteGroup) -> bool:
         key = f"class:{self.name}"
@@ -67,9 +66,9 @@ def _exponent_k_ok(G: FiniteGroup, k: int) -> bool:
 
 
 def _all_sylow_abelian(G: FiniteGroup) -> bool:
+    mult = G.mult
     for p in G.prime_divisors():
-        members = G.mask_members(G.sylow_mask(p))
-        mult = G.mult
+        members = structure.sylow(G, p).members
         if not all(mult[x][y] == mult[y][x] for x in members for y in members):
             return False
     return True
@@ -85,20 +84,17 @@ def _all_sylow_cyclic(G: FiniteGroup) -> bool:
 def oracle(class_id: str, m: int | None = None, k: int | None = None) -> ClassOracle:
     """Build a ClassOracle from its class-id and parameters."""
     if class_id == "N":
-        return ClassOracle("N", structure.is_nilpotent,
-                           is_formation=True, is_hereditary=True)
+        return ClassOracle("N", structure.is_nilpotent, is_formation=True)
     if class_id == "U":
-        return ClassOracle("U", structure.is_supersoluble,
-                           is_formation=True, is_hereditary=True)
+        return ClassOracle("U", structure.is_supersoluble, is_formation=True)
     if class_id == "S":
-        return ClassOracle("S", structure.is_soluble,
-                           is_formation=True, is_hereditary=True)
+        return ClassOracle("S", structure.is_soluble, is_formation=True)
     if class_id == "A":
         if m is None:
             raise GroupError("A(m) needs m")
         return ClassOracle(f"A({m})",
                            lambda G: G.is_abelian() and m % G.exponent() == 0,
-                           is_formation=True, is_hereditary=True)
+                           is_formation=True)
     if class_id == "A_exp_k":
         if m is None or k is None:
             raise GroupError("A_exp_k(m) needs m and k")
@@ -106,20 +102,20 @@ def oracle(class_id: str, m: int | None = None, k: int | None = None) -> ClassOr
             f"A({m})_{k}",
             lambda G: (G.is_abelian() and m % G.exponent() == 0
                        and _exponent_k_ok(G, k)),
-            is_formation=True, is_hereditary=True)
+            is_formation=True)
     if class_id == "A_k":
         if k is None:
             raise GroupError("A_k needs k")
         return ClassOracle(f"A_{k}",
                            lambda G: _all_sylow_abelian(G) and _exponent_k_ok(G, k),
-                           is_formation=True, is_hereditary=True)
+                           is_formation=True)
     if class_id == "U_k":
         if k is None:
             raise GroupError("U_k needs k")
         return ClassOracle(
             f"U_{k}",
             lambda G: structure.is_supersoluble(G) and _exponent_k_ok(G, k),
-            is_formation=True, is_hereditary=True)
+            is_formation=True)
     if class_id == "cyclic_A":
         if m is None or k is None:
             raise GroupError("cyclic_A(m)_k needs m and k")
@@ -127,7 +123,7 @@ def oracle(class_id: str, m: int | None = None, k: int | None = None) -> ClassOr
             f"cycA({m})_{k}",
             lambda G: (G.is_abelian() and m % G.exponent() == 0
                        and _exponent_k_ok(G, k) and G.is_cyclic()),
-            is_formation=True, is_hereditary=True)
+            is_formation=True)
     if class_id == "sylA_cyclic":
         if m is None or k is None:
             raise GroupError("sylA(m)_k_cyclic needs m and k")
@@ -143,8 +139,7 @@ def oracle(class_id: str, m: int | None = None, k: int | None = None) -> ClassOr
                     return False
             return True
 
-        return ClassOracle(f"sylA({m})_{k}cyc", member,
-                           is_formation=True, is_hereditary=True)
+        return ClassOracle(f"sylA({m})_{k}cyc", member, is_formation=True)
     raise GroupError(f"unknown class id {class_id!r}")
 
 
@@ -177,9 +172,7 @@ def residual_mask(G: FiniteGroup, F: ClassOracle) -> int:
     result = None
     for a in structure.normal_ids_in(L, L.top.id):
         sub = L.subgroups[a]
-        if sub.order == 1:
-            ok = F.member(G)
-        elif sub.order == G.order:
+        if sub.order == G.order:
             ok = True  # trivial quotient is in every non-empty class we build
         else:
             Q, _ = quotient_cached(G, sub.mask)

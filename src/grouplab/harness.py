@@ -256,17 +256,9 @@ def _checked(checks: dict[str, bool]):
     return not failures, {"failed_checks": failures}, {"checks": checks}
 
 
-def _member_in_Y(L: SubgroupLattice, a: int, k: int) -> bool:
-    """Y-membership of lattice member a as a group: every subgroup of a is
-    k-submodular in a (intrinsic, no re-enumeration)."""
-    return len(submodular.ksub_set(L, k, top=a)) == len(L.subs_of(a))
-
-
 def _quotient_lattice(G: FiniteGroup, L: SubgroupLattice,
                       n: int) -> SubgroupLattice:
-    """Lattice of G/n for a normal subgroup id n; G/1 is G, so L itself."""
-    if n == L.bottom.id:
-        return L
+    """Lattice of G/n for a normal subgroup id n."""
     return quotient_cached(G, L.subgroups[n].mask)[0].lattice()
 
 
@@ -343,7 +335,8 @@ def _t33_check(entry: CorpusEntry, k: int, counters: Counter):
     if in_Y:
         checks["quotient_closure_Y"] = _quotients_in(G, "Y", k)
         checks["subgroup_closure_Y"] = all(
-            _member_in_Y(L, a, k) for a in range(len(L.subgroups)))
+            submodular.in_class(L, "Y", k, top=a)
+            for a in range(len(L.subgroups)))
         counters["nonvacuous_Y_closures"] += 1
     normals = structure.normal_ids_in(L, top)
     pairs = _count_subdirect_pairs(G, L, normals, "Y", k)
@@ -377,7 +370,7 @@ def _local_formation_check(cls: str, formation, entry: CorpusEntry, k: int,
               member == classes.in_local_formation(G, formation(k))}
     if member:
         checks["subgroup_closure"] = all(
-            submodular.in_class_member(L, a, cls, k)
+            submodular.in_class(L, cls, k, top=a)
             for a in range(len(L.subgroups)))
         checks["quotient_closure"] = _quotients_in(G, cls, k)
         counters[f"nonvacuous_{cls}_closures"] += 1
@@ -395,7 +388,7 @@ def _K_oracle(k: int) -> classes.ClassOracle:
     return classes.ClassOracle(
         f"Kcls_{k}",
         lambda G: submodular.in_class(G.lattice(), "K", k),
-        is_formation=True, is_hereditary=True)
+        is_formation=True)
 
 
 def _p31_check(entry: CorpusEntry, k: int, counters: Counter):
@@ -434,7 +427,7 @@ def _t361_check(entry: CorpusEntry, k: int, counters: Counter):
     G = entry.group
     L = entry.lattice
     nilpotent = [a for a in sorted(submodular.ksub_set(L, k))
-                 if structure.is_nilpotent_in(L, a)]
+                 if structure.is_quotient_nilpotent(L, L.bottom.id, a)]
     found = nontrivial = 0
     for i, a in enumerate(nilpotent):
         for b in nilpotent[i:]:
@@ -546,7 +539,7 @@ def _lemma_22(entry, k_set, counters):
         reach = submodular.ksub_set(L, k)
         for m in L.hasse_down[L.top.id]:
             lhs = m in reach
-            if L.normal_mask(m):
+            if L.is_normal_in(m, L.top.id):
                 rhs = True
             else:
                 c = L.core(m)
@@ -564,7 +557,7 @@ def _lemma_22(entry, k_set, counters):
                     p_syl = structure.sylow_in(Lq, Lq.top.id, p)
                     rhs = (n <= k and p in facs and facs[p] == 1
                            and Lq.subgroups[p_syl].order == p
-                           and Lq.normal_mask(p_syl)
+                           and Lq.is_normal_in(p_syl, Lq.top.id)
                            and Lq.subgroups[m_img].order == q**n
                            and _is_cyclic_member(Lq, m_img))
                 counters["nonvacuous_L2.2"] += 1
@@ -685,7 +678,7 @@ def _lemma_28(entry, k_set, counters):
     ok = True
     for k in k_set:
         if syl in submodular.ksub_set(L, k):
-            if not L.normal_mask(syl):
+            if not L.is_normal_in(syl, L.top.id):
                 ok = False
             counters["nonvacuous_L2.8"] += 1
     return ok
@@ -722,7 +715,7 @@ def _lemma_31(entry, k_set, counters):
         if in_F:
             # (1) Sylows U-subnormal, (2) quotient and (5) subgroup closure
             if not (classes.in_wF(G, U) and _quotients_in(G, "F", k)
-                    and all(submodular.in_class_member(L, a, "F", k)
+                    and all(submodular.in_class(L, "F", k, top=a)
                             for a in range(len(L.subgroups)))):
                 ok = False
             counters["nonvacuous_L3.1_members"] += 1
@@ -764,6 +757,7 @@ def _lemma_31_products(corpus: list[CorpusEntry], k_set: list[int],
                        counters: Counter):
     """Direct products of small class members stay in the class."""
     small = [e for e in corpus if 1 < e.order <= 12]
+    products: dict[tuple[str, str], FiniteGroup] = {}  # shared across k
     ok = True
     for k in k_set:
         members = [e for e in small
@@ -772,7 +766,10 @@ def _lemma_31_products(corpus: list[CorpusEntry], k_set: list[int],
             for e2 in members[i:]:
                 if e1.order * e2.order > order_cap():
                     continue
-                P = direct_product(e1.group, e2.group)
+                P = products.get((e1.name, e2.name))
+                if P is None:
+                    P = products[e1.name, e2.name] = direct_product(
+                        e1.group, e2.group)
                 counters["nonvacuous_L3.1_product"] += 1
                 if not submodular.in_class(P.lattice(), "F", k):
                     ok = False

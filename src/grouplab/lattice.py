@@ -176,9 +176,6 @@ class SubgroupLattice:
         """a normal in b (both lattice ids, a <= b assumed or checked cheaply)."""
         return self.leq(a, b) and self.leq(b, self.normalizer(a))
 
-    def normal_mask(self, a: int) -> bool:
-        return self.normalizer(a) == self.top.id
-
     def core(self, a: int, within: int | None = None) -> int:
         """Core of subgroup a inside `within` (default: the whole group)."""
         if within is None:

@@ -206,9 +206,7 @@ class FiniteGroup:
         self._conj: dict[int, list[int]] = {}
         self._lattice = None
         self._quotients: dict[int, tuple["FiniteGroup", "Epimorphism"]] = {}
-        self._derived_mask: int | None = None
         self._class_cache: dict[str, bool] = {}
-        self._sylow_masks: dict[int, int] = {}
 
     # -- elementary structure ------------------------------------------------
 
@@ -319,55 +317,9 @@ class FiniteGroup:
             out |= 1 << tab[i]
         return out
 
-    def derived_mask(self) -> int:
-        """Bitmask of the derived (commutator) subgroup."""
-        if self._derived_mask is None:
-            mult, inv = self.mult, self.inv
-            n = self.order
-            comms = set()
-            for x in range(n):
-                for y in range(n):
-                    comms.add(mult[mult[inv[x]][inv[y]]][mult[x][y]])
-            self._derived_mask = self.closure_mask(comms)
-        return self._derived_mask
-
     def mask_is_normal(self, mask: int) -> bool:
         return all(self.conjugate_mask(mask, g) == mask
                    for g in (self.element_index[p] for p in self.generators))
-
-    def sylow_mask(self, p: int) -> int:
-        """Bitmask of one Sylow p-subgroup, by normalizer extension.
-
-        Deterministic but representative-only; the lattice module picks the
-        canonical (least-id) representative when a lattice is in hand.
-        """
-        cached = self._sylow_masks.get(p)
-        if cached is not None:
-            return cached
-        target = p ** factorize(self.order).get(p, 0)
-        orders = self.element_orders
-        mask = 1 << self.identity_ordinal
-        size = 1
-        while size < target:
-            # a p-element normalizing the current p-subgroup, outside it
-            members = self.mask_members(mask)
-            found = None
-            for g in range(self.order):
-                if mask >> g & 1:
-                    continue
-                pp = prime_power(orders[g])
-                if pp is None or pp[0] != p:
-                    continue
-                tab = self.conj_table(g)
-                if all(mask >> tab[x] & 1 for x in members):
-                    found = g
-                    break
-            if found is None:
-                raise GroupError("sylow extension failed")  # cannot happen
-            mask = self.closure_mask(members + [found])
-            size = bin(mask).count("1")
-        self._sylow_masks[p] = mask
-        return mask
 
     def lattice(self):
         """The full subgroup lattice of this group (built once, cached)."""
@@ -649,9 +601,13 @@ def quotient(G: FiniteGroup, members) -> tuple[FiniteGroup, Epimorphism]:
 
 
 def quotient_cached(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
+    """`quotient`, memoised per group; G/1 is G itself under the identity."""
     hit = G._quotients.get(nmask)
     if hit is None:
-        hit = quotient(G, nmask)
+        if nmask == 1 << G.identity_ordinal:
+            hit = G, Epimorphism(G, G, tuple(range(G.order)))
+        else:
+            hit = quotient(G, nmask)
         G._quotients[nmask] = hit
     return hit
 
@@ -672,7 +628,7 @@ def group_from_spec(spec: dict) -> FiniteGroup:
     if kind == "generators":
         degree = spec.get("degree")
         cycles = spec.get("cycles", [])
-        if not isinstance(degree, int) or degree < 0:
+        if type(degree) is not int or degree < 0:
             raise ParseError("generators spec needs an integer 'degree'")
         if not isinstance(cycles, list) or not all(isinstance(c, str)
                                                    for c in cycles):

@@ -1,16 +1,19 @@
 """Structural series and predicates: Sylow subgroups, solubility, nilpotency,
 supersolubility, Ore dispersivity, Fitting subgroup, chief factors.
 
-Most predicates come in two forms: a whole-group form taking a FiniteGroup
-(which uses the group's own lattice) and an `_in` form evaluating a lattice
-member as a group in its own right, which avoids rebuilding lattices for
-subgroups.
+Each property has one implementation.  Sylow subgroups come from the lattice
+(`sylow_in`), nilpotency is `is_quotient_nilpotent` (with c the trivial
+subgroup for a group or lattice member), solubility is the derived series
+(`is_soluble`), the commutator subgroup is `_derived_of_mask`, and
+supersolubility of a lattice member is `is_supersoluble_in`.  The `_in`
+forms take a lattice and a member id and treat the member as a group in its
+own right, so no lattice is rebuilt for a subgroup.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permgroup import FiniteGroup, GroupError, factorize, is_prime, prime_power
+from .permgroup import FiniteGroup, GroupError, factorize, is_prime
 from .lattice import Subgroup, SubgroupLattice
 
 
@@ -62,7 +65,7 @@ def sylow_count(G: FiniteGroup, p: int) -> int:
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
     L = G.lattice()
-    return L.subgroups[L.by_mask[G.derived_mask()]]
+    return L.subgroups[L.by_mask[_derived_of_mask(G, range(G.order))]]
 
 
 def is_soluble(G: FiniteGroup) -> bool:
@@ -78,7 +81,8 @@ def is_soluble(G: FiniteGroup) -> bool:
         mask = nxt
 
 
-def _derived_of_mask(G: FiniteGroup, members: list[int]) -> int:
+def _derived_of_mask(G: FiniteGroup, members) -> int:
+    """Bitmask of the commutator subgroup of the subgroup `members`."""
     mult, inv = G.mult, G.inv
     comms = set()
     for x in members:
@@ -90,18 +94,8 @@ def _derived_of_mask(G: FiniteGroup, members: list[int]) -> int:
 
 def is_nilpotent(G: FiniteGroup) -> bool:
     """Every Sylow subgroup normal (the finite-group criterion)."""
-    return all(G.mask_is_normal(G.sylow_mask(p)) for p in G.prime_divisors())
-
-
-def is_nilpotent_in(L: SubgroupLattice, a: int) -> bool:
-    """Nilpotency of lattice member a, via normal Sylows inside a."""
-    order = L.subgroups[a].order
-    for p, mult in factorize(order).items():
-        target = p**mult
-        if not any(L.subgroups[s].order == target and L.leq(a, L.normalizer(s))
-                   for s in L.subs_of(a)):
-            return False
-    return True
+    L = G.lattice()
+    return is_quotient_nilpotent(L, L.bottom.id, L.top.id)
 
 
 def is_quotient_nilpotent(L: SubgroupLattice, c: int, b: int) -> bool:
@@ -109,7 +103,7 @@ def is_quotient_nilpotent(L: SubgroupLattice, c: int, b: int) -> bool:
 
     b/c is nilpotent iff each of its Sylows is normal, i.e. iff for every
     prime r | |b/c| some subgroup between c and b, normal in b, realizes the
-    full r-part.
+    full r-part.  With c the trivial subgroup this is nilpotency of b.
     """
     oc, ob = L.subgroups[c].order, L.subgroups[b].order
     q = ob // oc
@@ -140,9 +134,9 @@ def fitting(G: FiniteGroup) -> Subgroup:
     L = G.lattice()
     acc = L.bottom.id
     for a in normal_ids_in(L, L.top.id):
-        if is_nilpotent_in(L, a):
+        if is_quotient_nilpotent(L, L.bottom.id, a):
             acc = L.join(acc, a)
-    if not is_nilpotent_in(L, acc):
+    if not is_quotient_nilpotent(L, L.bottom.id, acc):
         raise InternalInconsistency("join of normal nilpotent subgroups not nilpotent")
     return L.subgroups[acc]
 
@@ -196,17 +190,10 @@ def chief_factors_in(L: SubgroupLattice, b: int) -> list[ChiefFactor]:
 # -- supersolubility and dispersivity ---------------------------------------
 
 
-def is_soluble_in(L: SubgroupLattice, b: int) -> bool:
-    """Solubility of lattice member b: every chief factor of b has
-    prime-power order (minimal normal subgroups of prime-power order are
-    elementary abelian)."""
-    return all(
-        prime_power(L.subgroups[h].order // L.subgroups[k].order) is not None
-        for k, h in chief_factor_pairs_in(L, b))
-
-
 def is_supersoluble_in(L: SubgroupLattice, b: int) -> bool:
-    primary = is_soluble_in(L, b) and all(
+    """Every chief factor of b has prime order; cross-checked against the
+    prime-index-maximal-subgroups criterion."""
+    primary = all(
         is_prime(L.subgroups[h].order // L.subgroups[k].order)
         for k, h in chief_factor_pairs_in(L, b))
     # cross-check: all maximal subgroups of b have prime index (Huppert)
@@ -220,8 +207,7 @@ def is_supersoluble_in(L: SubgroupLattice, b: int) -> bool:
 
 
 def is_supersoluble(G: FiniteGroup) -> bool:
-    """Soluble with all chief factors of prime order; cross-checked against
-    the prime-index-maximal-subgroups criterion."""
+    """`is_supersoluble_in` for the whole group."""
     L = G.lattice()
     return is_supersoluble_in(L, L.top.id)
 

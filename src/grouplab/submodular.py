@@ -250,36 +250,35 @@ def is_k_LM_group(L: SubgroupLattice,
 CLASS_IDS = ("X", "Y", "K", "F")
 
 
-def in_class(L: SubgroupLattice, cls: str, k: int) -> bool:
-    """Membership of the lattice's group in one of the four classes.
+def in_class(L: SubgroupLattice, cls: str, k: int,
+             top: int | None = None) -> bool:
+    """Membership of `top` (default: the whole group), regarded as a group,
+    in one of the four classes.
 
     X: every maximal subgroup k-submodular.  Y: every subgroup.
     K: supersoluble with every Sylow subgroup k-submodular.
     F: every Sylow subgroup k-submodular.
+
+    The Sylow subgroups of `top` are the conjugates of one of them that lie
+    in `top`: all of them are conjugate in `top`, hence in the whole group.
     """
     if cls not in CLASS_IDS:
         raise GroupError(f"unknown class {cls!r}")
-    reach = ksub_set(L, k)
-    top = L.top.id
+    if top is None:
+        top = L.top.id
+    reach = ksub_set(L, k, top=top)
     if cls == "X":
         return all(m in reach for m in L.hasse_down[top])
     if cls == "Y":
-        return len(reach) == len(L.subgroups)
+        return len(reach) == len(L.subs_of(top))
     sylows_ok = all(
         c in reach
-        for p in L.group.prime_divisors()
-        for c in L.conjugates(structure.sylow_in(L, top, p)))
+        for p in factorize(L.subgroups[top].order)
+        for c in L.conjugates(structure.sylow_in(L, top, p))
+        if L.leq(c, top))
     if cls == "F":
         return sylows_ok
     return structure.is_supersoluble_in(L, top) and sylows_ok
-
-
-def in_class_member(L: SubgroupLattice, a: int, cls: str, k: int) -> bool:
-    """Class membership of lattice member a regarded as a group."""
-    if a == L.top.id:
-        return in_class(L, cls, k)
-    H = L.subgroup_as_group(a)
-    return in_class(H.lattice(), cls, k)
 
 
 # -- theorem characterizations -----------------------------------------------
@@ -308,7 +307,7 @@ def thm31_characterization(L: SubgroupLattice, variant: int, k: int) -> bool:
                    for cf in structure.chief_factors_in(L, top)
                    if cf.complemented)
     if variant == 3:
-        if not structure.is_soluble_in(L, top):
+        if not structure.is_soluble(L.group):
             return False
         maxes = L.hasse_down[top]
         for i, m1 in enumerate(maxes):
@@ -350,7 +349,7 @@ def schmidt_maximal_modular(L: SubgroupLattice, M: Subgroup) -> bool:
     top = L.top.id
     if M.id not in L.hasse_down[top]:
         raise GroupError("M must be maximal")
-    if L.normal_mask(M.id):
+    if L.is_normal_in(M.id, top):
         return True
     c = L.core(M.id)
     q_order = L.group.order // L.subgroups[c].order

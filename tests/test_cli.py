@@ -95,6 +95,8 @@ def test_bad_group_spec(capsys):
     ["show", '{"kind": "generators", "degree": 3, "cycles": [5]}'],
     ["verify", "--suite", "R1", "--jobs", "0"],
     ["verify", "--suite", "R1", "--jobs", "-1"],
+    ["show", '{"kind": "generators", "degree": true}'],
+    ["show", '{"kind": "generators", "degree": false}'],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,0 +1,43 @@
+"""Structural predicates against sympy's permutation groups, an oracle that
+shares no code with the engine."""
+import pytest
+
+from grouplab import named_group
+from grouplab import structure
+
+combinatorics = pytest.importorskip("sympy.combinatorics")
+
+
+def _sympy_group(G, gens):
+    """sympy group generated by the given element ordinals of G."""
+    perms = [combinatorics.Permutation(list(G.elements[g])) for g in gens]
+    return combinatorics.PermutationGroup(
+        perms or [combinatorics.Permutation(list(range(G.degree)))])
+
+
+def test_corpus_structure_matches_sympy(corpus):
+    mismatches = []
+    for entry in corpus:
+        G = entry.group
+        P = _sympy_group(G, [G.element_index[g] for g in G.generators])
+        ours = (G.order, structure.is_soluble(G), structure.is_nilpotent(G),
+                structure.derived_subgroup(G).order,
+                [structure.sylow(G, p).order for p in G.prime_divisors()])
+        theirs = (P.order(), P.is_solvable, P.is_nilpotent,
+                  P.derived_subgroup().order(),
+                  [P.sylow_subgroup(p).order() for p in G.prime_divisors()])
+        if ours != theirs:
+            mismatches.append((entry.name, ours, theirs))
+    assert not mismatches
+
+
+@pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5]),
+                                       ("sym", [5])])
+def test_member_nilpotency_matches_sympy(name, args):
+    G = named_group(name, args)
+    L = G.lattice()
+    for s in L.subgroups:
+        P = _sympy_group(G, s.gens)
+        assert P.order() == s.order
+        assert (structure.is_quotient_nilpotent(L, L.bottom.id, s.id)
+                == P.is_nilpotent), s

@@ -159,6 +159,18 @@ def test_class_membership(hol5, hol7, s4):
         assert submodular.in_class(q8, c, 1)
 
 
+@pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5])])
+def test_member_class_asked_in_parent_lattice(name, args):
+    L = named_group(name, args).lattice()
+    for a in range(len(L.subgroups)):
+        # reference: the member rebuilt as a group with its own lattice
+        La = L.subgroup_as_group(a).lattice()
+        for c in submodular.CLASS_IDS:
+            for k in (1, 2, 3):
+                assert (submodular.in_class(L, c, k, top=a)
+                        == submodular.in_class(La, c, k)), (a, c, k)
+
+
 def test_class_membership_a5():
     L = named_group("alt", [5]).lattice()
     for k in (1, 2, 3):
