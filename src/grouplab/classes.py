@@ -223,7 +223,7 @@ def p_subnormal_set(L: SubgroupLattice, variant_k: bool = False) -> frozenset[in
     hit = L.subnormal_cache.get(key)
     if hit is None:
         if variant_k:
-            pred = lambda a, b: _prime_index(L, a, b) or L.leq(b, L.normalizer(a))
+            pred = lambda a, b: _prime_index(L, a, b) or L.is_normal_in(a, b)
         else:
             pred = lambda a, b: _prime_index(L, a, b)
         hit = frozenset(L.reach_down(L.top.id, pred))
@@ -241,23 +241,18 @@ def is_KP_subnormal(G: FiniteGroup, H: Subgroup) -> bool:
     return H.id in p_subnormal_set(L, variant_k=True)
 
 
-def f_subnormal_set(L: SubgroupLattice, F: ClassOracle,
-                    variant_k: bool = False) -> frozenset[int]:
-    """Ids F-subnormal (or K-F-subnormal) in the lattice's top group.
+def f_subnormal_set(L: SubgroupLattice, F: ClassOracle) -> frozenset[int]:
+    """Ids F-subnormal in the lattice's top group.
 
     Residuals are computed lazily per chain node, so only groups actually
     touched by the backward search are materialized.
     """
-    key = f"{'KF' if variant_k else 'F'}:{F.name}"
+    key = f"F:{F.name}"
     hit = L.subnormal_cache.get(key)
     if hit is None:
-        def pred(a: int, b: int) -> bool:
-            if variant_k and L.leq(b, L.normalizer(a)):
-                return True
-            resid = residual_in(L, b, F)
-            return resid & ~L.subgroups[a].mask == 0
-
-        hit = frozenset(L.reach_down(L.top.id, pred))
+        hit = frozenset(L.reach_down(
+            L.top.id,
+            lambda a, b: residual_in(L, b, F) & ~L.subgroups[a].mask == 0))
         L.subnormal_cache[key] = hit
     return hit
 
@@ -265,11 +260,6 @@ def f_subnormal_set(L: SubgroupLattice, F: ClassOracle,
 def is_F_subnormal(G: FiniteGroup, H: Subgroup, F: ClassOracle) -> bool:
     L = G.lattice()
     return H.id in f_subnormal_set(L, F)
-
-
-def is_KF_subnormal(G: FiniteGroup, H: Subgroup, F: ClassOracle) -> bool:
-    L = G.lattice()
-    return H.id in f_subnormal_set(L, F, variant_k=True)
 
 
 # -- local formations and the w-construction ---------------------------------

@@ -150,7 +150,8 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise GroupError("--jobs must be >= 1")
     corpus = harness.build_corpus(harness.CorpusConfig(cap=args.cap))
-    reports = harness.run_suites(suites, _ks(args.k), corpus, jobs=args.jobs)
+    reports = [harness.run_suite(s, _ks(args.k), corpus, jobs=args.jobs)
+               for s in suites]
     if args.out:
         harness.report_to_file(reports, args.out)
     all_ok = True

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .permgroup import (FiniteGroup, GroupError, direct_product, factorize,
-                        group_from_spec, order_cap, prime_power,
-                        quotient_cached)
+                        group_from_spec, named_group, named_order, order_cap,
+                        prime_power, quotient_cached)
 from .lattice import SubgroupLattice
 from . import classes, structure, submodular
 
@@ -85,122 +85,80 @@ def _element_class_count(G: FiniteGroup) -> int:
     return count
 
 
-FAMILIES = ("cyclic", "elem_abelian", "dihedral", "dicyclic", "symmetric",
-            "holomorph", "frobenius", "products", "subgroups")
-
-
 @dataclass
 class CorpusConfig:
     cap: int = DEFAULT_CORPUS_CAP
-    families: tuple[str, ...] = FAMILIES
 
     def __post_init__(self):
         if self.cap < 2:
             raise GroupError("corpus cap must be at least 2")
-        unknown = set(self.families) - set(FAMILIES)
-        if unknown:
-            raise GroupError(f"unknown corpus families: {sorted(unknown)}")
 
 
 def _named(name: str, args: list[int]) -> dict:
     return {"kind": "named", "name": name, "args": args}
 
 
-def _family_specs(config: CorpusConfig) -> list[tuple[str, dict]]:
-    cap = config.cap
-    fams = set(config.families)
-    out: list[tuple[str, dict]] = []
-    if "cyclic" in fams:
-        out += [(f"Z{n}", _named("cyclic", [n])) for n in range(1, 25)]
-    if "elem_abelian" in fams:
-        out += [(f"E{p}^{e}", _named("elem_abelian", [p, e]))
-                for p, e in ((2, 2), (2, 3), (2, 4), (3, 2), (5, 2))]
-    if "dihedral" in fams:
-        out += [(f"D{n}", _named("dihedral", [n])) for n in range(3, 21)]
-    if "dicyclic" in fams:
-        out += [(f"Dic{n}", _named("dicyclic", [n])) for n in range(2, 9)]
-    if "symmetric" in fams:
-        out += [("S3", _named("sym", [3])), ("S4", _named("sym", [4])),
-                ("S5", _named("sym", [5])), ("A4", _named("alt", [4])),
-                ("A5", _named("alt", [5]))]
-    if "holomorph" in fams:
-        out += [(f"Hol(Z{n})", _named("holomorph_cyclic", [n]))
-                for n in (5, 7, 9)]
-    if "frobenius" in fams:
-        out += [(f"Frob({p},{q}^{n})", _named("frobenius_metacyclic", [p, q, n]))
-                for p, q, n in ((5, 2, 2), (7, 2, 1), (7, 3, 1), (13, 3, 1),
-                                (13, 2, 2))]
-    if "products" in fams:
-        pairs = [("Z4xZ2", ("cyclic", [4]), ("cyclic", [2])),
-                 ("Z6xZ2", ("cyclic", [6]), ("cyclic", [2])),
-                 ("S3xZ2", ("sym", [3]), ("cyclic", [2])),
-                 ("S3xZ4", ("sym", [3]), ("cyclic", [4])),
-                 ("S3xS3", ("sym", [3]), ("sym", [3])),
-                 ("A4xZ2", ("alt", [4]), ("cyclic", [2])),
-                 ("Q8xZ3", ("dicyclic", [2]), ("cyclic", [3])),
-                 ("D4xZ2", ("dihedral", [4]), ("cyclic", [2])),
-                 ("Hol(Z5)xS3", ("holomorph_cyclic", [5]), ("sym", [3]))]
-        out += [(name, {"kind": "direct",
-                        "parts": [_named(n1, a1), _named(n2, a2)]})
-                for name, (n1, a1), (n2, a2) in pairs]
-    return [(n, s) for n, s in out if _spec_order_bound(s) <= cap]
+def _stock_specs(cap: int) -> list[tuple[str, dict]]:
+    out = [(f"Z{n}", _named("cyclic", [n])) for n in range(1, 25)]
+    out += [(f"E{p}^{e}", _named("elem_abelian", [p, e]))
+            for p, e in ((2, 2), (2, 3), (2, 4), (3, 2), (5, 2))]
+    out += [(f"D{n}", _named("dihedral", [n])) for n in range(3, 21)]
+    out += [(f"Dic{n}", _named("dicyclic", [n])) for n in range(2, 9)]
+    out += [("S3", _named("sym", [3])), ("S4", _named("sym", [4])),
+            ("S5", _named("sym", [5])), ("A4", _named("alt", [4])),
+            ("A5", _named("alt", [5]))]
+    out += [(f"Hol(Z{n})", _named("holomorph_cyclic", [n])) for n in (5, 7, 9)]
+    out += [(f"Frob({p},{q}^{n})", _named("frobenius_metacyclic", [p, q, n]))
+            for p, q, n in ((5, 2, 2), (7, 2, 1), (7, 3, 1), (13, 3, 1),
+                            (13, 2, 2))]
+    pairs = [("Z4xZ2", ("cyclic", [4]), ("cyclic", [2])),
+             ("Z6xZ2", ("cyclic", [6]), ("cyclic", [2])),
+             ("S3xZ2", ("sym", [3]), ("cyclic", [2])),
+             ("S3xZ4", ("sym", [3]), ("cyclic", [4])),
+             ("S3xS3", ("sym", [3]), ("sym", [3])),
+             ("A4xZ2", ("alt", [4]), ("cyclic", [2])),
+             ("Q8xZ3", ("dicyclic", [2]), ("cyclic", [3])),
+             ("D4xZ2", ("dihedral", [4]), ("cyclic", [2])),
+             ("Hol(Z5)xS3", ("holomorph_cyclic", [5]), ("sym", [3]))]
+    out += [(name, {"kind": "direct",
+                    "parts": [_named(n1, a1), _named(n2, a2)]})
+            for name, (n1, a1), (n2, a2) in pairs]
+    return [(n, s) for n, s in out if _spec_order(s, cap) <= cap]
 
 
-def _spec_order_bound(spec: dict) -> int:
-    """Exact order of a named/direct spec (all builders have known orders)."""
+def _spec_order(spec: dict, cap: int) -> int:
+    """Order of a named/direct spec if at most cap, else a number above cap."""
     if spec["kind"] == "direct":
-        r = 1
-        for p in spec["parts"]:
-            r *= _spec_order_bound(p)
-        return r
-    name, args = spec["name"], spec["args"]
-    return {
-        "cyclic": lambda n: n,
-        "elem_abelian": lambda p, e: p**e,
-        "dihedral": lambda n: 2 * n,
-        "dicyclic": lambda n: 4 * n,
-        "sym": lambda n: math.factorial(n),
-        "alt": lambda n: math.factorial(n) // 2,
-        "holomorph_cyclic": lambda n: n * _totient(n),
-        "frobenius_metacyclic": lambda p, q, n: p * q**n,
-    }[name](*args)
-
-
-def _totient(n: int) -> int:
-    r = n
-    for p in factorize(n):
-        r -= r // p
-    return r
+        return math.prod(_spec_order(p, cap) for p in spec["parts"])
+    return named_order(spec["name"], spec["args"], cap)
 
 
 def build_corpus(config: CorpusConfig | None = None) -> list[CorpusEntry]:
     """Default corpus: stock families plus every subgroup of S4 and S5 as an
     independent entry, deduplicated by invariant fingerprint."""
     config = config or CorpusConfig()
-    entries = [CorpusEntry(name, spec) for name, spec in _family_specs(config)]
+    entries = [CorpusEntry(name, spec) for name, spec in _stock_specs(config.cap)]
     seen: dict[tuple, str] = {}
     for e in entries:
         seen.setdefault(e.fingerprint(), e.name)
-    if "subgroups" in set(config.families):
-        for host_name, host_spec in (("S4", _named("sym", [4])),
-                                     ("S5", _named("sym", [5]))):
-            if _spec_order_bound(host_spec) > config.cap:
+    for n in (4, 5):
+        if named_order("sym", [n], config.cap) > config.cap:
+            continue
+        host = named_group("sym", [n])
+        L = host.lattice()
+        for s in L.subgroups:
+            if s.order < 2:
                 continue
-            host = group_from_spec(host_spec)
-            L = host.lattice()
-            for s in L.subgroups:
-                if s.order < 2:
-                    continue
-                gens = s.gens or tuple(s.members)
-                spec = {"kind": "generators", "degree": host.degree,
-                        "cycles": [host.elements[g].cycle_string()
-                                   for g in gens]}
-                cand = CorpusEntry(f"{host_name}_sub{s.id}", spec)
-                fp = cand.fingerprint()
-                if fp in seen:
-                    continue
-                seen[fp] = cand.name
-                entries.append(cand)
+            gens = s.gens or tuple(s.members)
+            spec = {"kind": "generators", "degree": host.degree,
+                    "cycles": [host.elements[g].cycle_string()
+                               for g in gens]}
+            cand = CorpusEntry(f"S{n}_sub{s.id}", spec)
+            fp = cand.fingerprint()
+            if fp in seen:
+                continue
+            seen[fp] = cand.name
+            entries.append(cand)
     entries.sort(key=lambda e: e.name)
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
@@ -850,11 +808,6 @@ def run_suite(suite: str, k_set: list[int], corpus: list[CorpusEntry],
         counters["nonvacuous_L2.7_converse_falsified"] = (
             counters["L2.7_converse_gap_groups"])
     return VerificationReport(suite, k_set, records, dict(counters))
-
-
-def run_suites(suites: list[str], k_set: list[int], corpus: list[CorpusEntry],
-               jobs: int = 1) -> list[VerificationReport]:
-    return [run_suite(s, k_set, corpus, jobs=jobs) for s in suites]
 
 
 def report_to_file(reports: list[VerificationReport], path: str) -> None:

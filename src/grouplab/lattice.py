@@ -22,14 +22,11 @@ class Subgroup:
     members: tuple[int, ...]
     mask: int
     id: int = -1
-    gens: tuple[int, ...] = ()
+    gens: tuple[int, ...] = ()  # generates members; conjugation tests use it
 
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def contains(self, other: "Subgroup") -> bool:
-        return other.mask & ~self.mask == 0
 
     def gen_cycles(self) -> list[str]:
         """Cycle strings for a small generating set (for reports)."""
@@ -144,11 +141,12 @@ class SubgroupLattice:
             self._conj_cache[a][g] = hit
         return hit
 
-    def conjugates(self, a: int) -> list[int]:
-        """Distinct conjugates of subgroup a under the whole group."""
+    def conjugates(self, a: int, within: int | None = None) -> list[int]:
+        """Distinct conjugates of subgroup a under `within` (default: the
+        whole group): the orbit of a under the generators of `within`."""
+        gens = self.subgroups[self.top.id if within is None else within].gens
         seen = {a}
         frontier = [a]
-        gens = [self.group.element_index[p] for p in self.group.generators]
         while frontier:
             new = []
             for x in frontier:
@@ -161,35 +159,31 @@ class SubgroupLattice:
         return sorted(seen)
 
     def normalizer(self, a: int) -> int:
+        """N(a): the g with g^-1 h g in a for each generator h of a."""
         hit = self._normalizers[a]
         if hit is None:
-            mask = self.subgroups[a].mask
+            mult, inv = self.group.mult, self.group.inv
+            sub = self.subgroups[a]
             nm = 0
             for g in range(self.group.order):
-                if self.group.conjugate_mask(mask, g) == mask:
+                row = mult[inv[g]]
+                if all(sub.mask >> mult[row[h]][g] & 1 for h in sub.gens):
                     nm |= 1 << g
             hit = self.by_mask[nm]
             self._normalizers[a] = hit
         return hit
 
     def is_normal_in(self, a: int, b: int) -> bool:
-        """a normal in b (both lattice ids, a <= b assumed or checked cheaply)."""
+        """a normal in b: the package's one normality test."""
         return self.leq(a, b) and self.leq(b, self.normalizer(a))
 
     def core(self, a: int, within: int | None = None) -> int:
-        """Core of subgroup a inside `within` (default: the whole group)."""
-        if within is None:
-            within = self.top.id
-        mask = self.subgroups[a].mask
-        acc = mask
-        for g in self.subgroups[within].members:
-            acc &= self.group.conjugate_mask(mask, g)
-            if acc == self.bottom.mask:
-                break
-        return self.by_mask[acc]
-
-    def maximal_subgroups(self, b: int) -> list[int]:
-        return list(self.hasse_down[b])
+        """Core of subgroup a inside `within` (default: the whole group): the
+        meet of its conjugates under `within`."""
+        mask = self.top.mask
+        for c in self.conjugates(a, within):
+            mask &= self.subgroups[c].mask
+        return self.by_mask[mask]
 
     def chain_lengths(self, a: int, b: int) -> frozenset[int]:
         """Achievable lengths of maximal chains a = C0 < ... < Cn = b."""
@@ -239,16 +233,6 @@ class SubgroupLattice:
                         new.append(a)
             frontier = new
         return dist
-
-    def comparable_pairs(self) -> list[tuple[int, int]]:
-        """All pairs (a, b) with a < b in the lattice order."""
-        pairs = []
-        for b in range(len(self.subgroups)):
-            mb = self.subgroups[b].mask
-            for a in range(b):
-                if self.subgroups[a].mask & ~mb == 0:
-                    pairs.append((a, b))
-        return pairs
 
     # -- subgroup as standalone group ---------------------------------------
 

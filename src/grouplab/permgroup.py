@@ -176,7 +176,7 @@ class FiniteGroup:
     """A concrete finite permutation group with a full element table.
 
     Immutable after construction; internal tables (multiplication,
-    conjugation, element orders, subgroup lattice) are cached lazily.
+    inverses, element orders, subgroup lattice) are cached lazily.
     """
 
     def __init__(
@@ -203,7 +203,6 @@ class FiniteGroup:
         self._mult: list[list[int]] | None = None
         self._inv: list[int] | None = None
         self._orders: list[int] | None = None
-        self._conj: dict[int, list[int]] = {}
         self._lattice = None
         self._quotients: dict[int, tuple["FiniteGroup", "Epimorphism"]] = {}
         self._class_cache: dict[str, bool] = {}
@@ -240,17 +239,6 @@ class FiniteGroup:
         if self._inv is None:
             self._inv = [self.element_index[e.inverse()] for e in self.elements]
         return self._inv
-
-    def conj_table(self, g: int) -> list[int]:
-        """Ordinal map x -> g^-1 x g."""
-        tab = self._conj.get(g)
-        if tab is None:
-            mult = self.mult
-            gi = self.inv[g]
-            row = mult[gi]
-            tab = [mult[row[x]][g] for x in range(self.order)]
-            self._conj[g] = tab
-        return tab
 
     @property
     def element_orders(self) -> list[int]:
@@ -311,15 +299,13 @@ class FiniteGroup:
         return (1 << self.order) - 1
 
     def conjugate_mask(self, mask: int, g: int) -> int:
-        tab = self.conj_table(g)
+        """Bitmask of the conjugate set {g^-1 x g : x in mask}."""
+        mult = self.mult
+        row = mult[self.inv[g]]
         out = 0
-        for i in self.mask_members(mask):
-            out |= 1 << tab[i]
+        for x in self.mask_members(mask):
+            out |= 1 << mult[row[x]][g]
         return out
-
-    def mask_is_normal(self, mask: int) -> bool:
-        return all(self.conjugate_mask(mask, g) == mask
-                   for g in (self.element_index[p] for p in self.generators))
 
     def lattice(self):
         """The full subgroup lattice of this group (built once, cached)."""
@@ -337,9 +323,6 @@ class Epimorphism:
     source: FiniteGroup
     target: FiniteGroup
     table: tuple[int, ...]
-
-    def __call__(self, ordinal: int) -> int:
-        return self.table[ordinal]
 
     def kernel_mask(self) -> int:
         t = self.target.identity_ordinal
@@ -419,22 +402,68 @@ def _unit_perms(m: int) -> list[Permutation]:
             for u in range(2, m) if math.gcd(u, m) == 1]
 
 
-# argument count of each stock builder
-_BUILDER_ARITY = {"cyclic": 1, "elem_abelian": 2, "dihedral": 1, "dicyclic": 1,
-                 "sym": 1, "alt": 1, "holomorph_cyclic": 1,
-                 "frobenius_metacyclic": 3}
+def _totient(n: int) -> int:
+    r = n
+    for p in factorize(n):
+        r -= r // p
+    return r
+
+
+def _product_to(cap: int, factors: Iterable[int]) -> int:
+    """Product of the factors, stopped at the first partial product above cap."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > cap:
+            break
+    return out
+
+
+def _power_to(cap: int, p: int, k: int) -> int:
+    """p**k, or a power of p above cap when p**k is (p >= 2)."""
+    return p ** min(max(k, 0), cap.bit_length())
+
+
+# Stock builders: name -> (argument count, order(cap, *args)).  For valid
+# arguments `order` is the order of the built group when that is at most
+# cap, and a number above cap otherwise; powers and factorials stop growing
+# once past cap, so no huge intermediate is formed.
+_BUILDERS = {
+    "cyclic": (1, lambda cap, n: n),
+    "elem_abelian": (2, _power_to),
+    "dihedral": (1, lambda cap, n: 2 * n),
+    "dicyclic": (1, lambda cap, n: 4 * n),
+    "sym": (1, lambda cap, n: _product_to(cap, range(2, n + 1))),
+    "alt": (1, lambda cap, n: _product_to(cap, range(3, n + 1))),
+    "holomorph_cyclic": (1, lambda cap, m: m * _totient(m) if 1 <= m <= cap
+                         else m),
+    "frobenius_metacyclic": (3, lambda cap, p, q, n: p * _power_to(cap, q, n)),
+}
+
+
+def named_order(name: str, args: Sequence[int], cap: int) -> int:
+    """Order of `named_group(name, args)` if at most cap, else a number above
+    cap; nothing is built."""
+    return _BUILDERS[name][1](cap, *args)
 
 
 def named_group(name: str, args: Sequence[int]) -> FiniteGroup:
-    """Builders for the stock families used throughout the corpus."""
-    if not isinstance(name, str) or name not in _BUILDER_ARITY:
+    """Builders for the stock families used throughout the corpus.
+
+    The order cap is checked on the builder's order before anything is
+    built, so an over-cap request fails at once."""
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise GroupError(f"unknown builder {name!r}")
-    arity = _BUILDER_ARITY[name]
+    arity = _BUILDERS[name][0]
     if (not isinstance(args, (list, tuple)) or len(args) != arity
             or not all(type(a) is int for a in args)):
         raise ParseError(f"builder {name!r} needs {arity} integer "
                          f"argument(s), got {args!r}")
     args = list(args)
+    cap = order_cap()
+    if named_order(name, args, cap) > cap:
+        raise OrderCapExceeded(f"{name}({', '.join(map(str, args))}) has "
+                               f"order above cap {cap}")
     if name == "cyclic":
         (n,) = args
         if n < 1:
@@ -522,8 +551,6 @@ def _multiplier_of_order(p: int, d: int) -> int:
 
 def _dicyclic(n: int) -> FiniteGroup:
     """Dicyclic group of order 4n via its right regular representation."""
-    if 4 * n > order_cap():
-        raise OrderCapExceeded(f"dicyclic({n}) exceeds cap")
     # elements (i, j) = a^i b^j with a^(2n)=1, b^2=a^n, b^-1 a b = a^-1
     els = [(i, j) for j in range(2) for i in range(2 * n)]
     pos = {e: x for x, e in enumerate(els)}
@@ -562,7 +589,8 @@ def quotient(G: FiniteGroup, members) -> tuple[FiniteGroup, Epimorphism]:
     nmems = G.mask_members(nmask)
     if not nmems or G.closure_mask(nmems) != nmask:
         raise GroupError("quotient: member set is not a subgroup")
-    if not G.mask_is_normal(nmask):
+    if any(G.conjugate_mask(nmask, G.element_index[p]) != nmask
+           for p in G.generators):
         raise GroupError("quotient: subgroup is not normal")
     mult = G.mult
     n = G.order

@@ -4,10 +4,11 @@ supersolubility, Ore dispersivity, Fitting subgroup, chief factors.
 Each property has one implementation.  Sylow subgroups come from the lattice
 (`sylow_in`), nilpotency is `is_quotient_nilpotent` (with c the trivial
 subgroup for a group or lattice member), solubility is the derived series
-(`is_soluble`), the commutator subgroup is `_derived_of_mask`, and
-supersolubility of a lattice member is `is_supersoluble_in`.  The `_in`
-forms take a lattice and a member id and treat the member as a group in its
-own right, so no lattice is rebuilt for a subgroup.
+(`is_soluble`), the commutator subgroup is `_derived_of_mask`,
+supersolubility of a lattice member is `is_supersoluble_in`, and normality
+is the lattice's `is_normal_in`.  The `_in` forms take a lattice and a
+member id and treat the member as a group in its own right, so no lattice
+is rebuilt for a subgroup.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ class ChiefFactor:
     above: Subgroup
     order: int
     complemented: bool
-    complement: Subgroup | None
     centralizer: Subgroup
 
 
@@ -110,8 +110,7 @@ def is_quotient_nilpotent(L: SubgroupLattice, c: int, b: int) -> bool:
     for r, m in factorize(q).items():
         target = oc * r**m
         if not any(L.subgroups[s].order == target
-                   and L.leq(c, s) and L.leq(s, b)
-                   and L.leq(b, L.normalizer(s))
+                   and L.leq(c, s) and L.is_normal_in(s, b)
                    for s in L.subs_of(b)):
             return False
     return True
@@ -126,7 +125,7 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 
 def normal_ids_in(L: SubgroupLattice, b: int) -> list[int]:
-    return [a for a in L.subs_of(b) if L.leq(b, L.normalizer(a))]
+    return [a for a in L.subs_of(b) if L.is_normal_in(a, b)]
 
 
 def fitting(G: FiniteGroup) -> Subgroup:
@@ -162,26 +161,23 @@ def chief_factor_pairs_in(L: SubgroupLattice, b: int) -> list[tuple[int, int]]:
 
 
 def chief_factors_in(L: SubgroupLattice, b: int) -> list[ChiefFactor]:
+    """Chief factors H/K of b, each with C_b(H/K): the g in b with
+    [g, h] in K for every generator h of H."""
     out = []
     mult, inv = L.group.mult, L.group.inv
     for k, h in chief_factor_pairs_in(L, b):
         sk, sh = L.subgroups[k], L.subgroups[h]
-        complement = None
-        for m in L.subs_of(b):
-            if L.join(h, m) == b and L.meet(h, m) == k:
-                complement = m
-                break
         kmask = sk.mask
         cmask = 0
         for g in L.subgroups[b].members:
             gi = inv[g]
             if all(kmask >> mult[mult[gi][inv[x]]][mult[g][x]] & 1
-                   for x in sh.members):
+                   for x in sh.gens):
                 cmask |= 1 << g
         out.append(ChiefFactor(
             below=sk, above=sh, order=sh.order // sk.order,
-            complemented=complement is not None,
-            complement=None if complement is None else L.subgroups[complement],
+            complemented=any(L.join(h, m) == b and L.meet(h, m) == k
+                             for m in L.subs_of(b)),
             centralizer=L.subgroups[L.by_mask[cmask]],
         ))
     return out

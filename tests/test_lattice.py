@@ -96,7 +96,7 @@ def test_normalizer_and_normality(s4):
 def test_intersect_and_maximal(s4):
     L = s4.lattice()
     top = L.subgroups[L.top.id]
-    maxes = [L.subgroups[i] for i in L.maximal_subgroups(top.id)]
+    maxes = [L.subgroups[i] for i in L.hasse_down[top.id]]
     assert sorted({m.order for m in maxes}) == [6, 8, 12]
     a4 = next(m for m in maxes if m.order == 12)
     d8 = next(m for m in maxes if m.order == 8)
@@ -127,9 +127,53 @@ def test_subgroup_as_group_matches(s4):
     assert not H.is_abelian()
 
 
-def test_comparable_pairs(s4):
+# -- generator-based normalizers, conjugates and cores against the
+#    all-members definitions ---------------------------------------------------
+
+REFERENCE_GROUPS = [("sym", [4]), ("holomorph_cyclic", [5]), ("sym", [5])]
+
+
+def _conjugate_by_permutations(G, mask, g):
+    """{g^-1 x g : x in mask}, computed from the permutations themselves."""
+    p = G.elements[g]
+    pi = p.inverse()
+    out = 0
+    for x in G.mask_members(mask):
+        out |= 1 << G.element_index[pi * G.elements[x] * p]
+    return out
+
+
+def test_conjugate_mask_matches_permutation_arithmetic(s4):
     L = s4.lattice()
-    pairs = L.comparable_pairs()
-    assert all(a < b and L.leq(a, b) for a, b in pairs)
-    # bottom is below every other subgroup, top above
-    assert sum(1 for a, _ in pairs if a == 0) == len(L) - 1
+    for s in L.subgroups:
+        for g in range(s4.order):
+            assert (s4.conjugate_mask(s.mask, g)
+                    == _conjugate_by_permutations(s4, s.mask, g))
+
+
+@pytest.mark.parametrize("name,args", REFERENCE_GROUPS)
+def test_normalizer_conjugates_core_match_definitions(name, args):
+    G = named_group(name, args)
+    L = G.lattice()
+    # conj[a][g] = mask of a^g, for every member g of G
+    conj = [[G.conjugate_mask(s.mask, g) for g in range(G.order)]
+            for s in L.subgroups]
+    for s in L.subgroups:
+        a = s.id
+        nm = sum(1 << g for g in range(G.order) if conj[a][g] == s.mask)
+        assert L.subgroups[L.normalizer(a)].mask == nm
+        assert (L.subgroups[L.normalizer(a)].order * len(L.conjugates(a))
+                == G.order)
+        assert ({L.subgroups[c].mask for c in L.conjugates(a)}
+                == set(conj[a]))
+        for b in range(len(L)):
+            if not L.leq(a, b):
+                continue
+            core = s.mask
+            for g in L.subgroups[b].members:
+                core &= conj[a][g]
+            assert L.subgroups[L.core(a, within=b)].mask == core
+            assert ({L.subgroups[c].mask for c in L.conjugates(a, within=b)}
+                    == {conj[a][g] for g in L.subgroups[b].members})
+            assert L.is_normal_in(a, b) == all(
+                conj[a][g] == s.mask for g in L.subgroups[b].members)

@@ -41,3 +41,27 @@ def test_member_nilpotency_matches_sympy(name, args):
         assert P.order() == s.order
         assert (structure.is_quotient_nilpotent(L, L.bottom.id, s.id)
                 == P.is_nilpotent), s
+
+
+def test_normality_and_sylow_counts_match_sympy(corpus):
+    """`is_normal_in(a, top)` for every subgroup, and `sylow_count` for every
+    prime, of every corpus group, against sympy: `is_normal`, and n_p as the
+    index of the normalizer of sympy's Sylow subgroup, by its definition."""
+    mismatches = []
+    for entry in corpus:
+        G = entry.group
+        L = G.lattice()
+        P = _sympy_group(G, [G.element_index[g] for g in G.generators])
+        for s in L.subgroups:
+            theirs = _sympy_group(G, s.gens).is_normal(P)
+            if L.is_normal_in(s.id, L.top.id) != theirs:
+                mismatches.append((entry.name, s.id, theirs))
+        elements = list(P.generate())
+        for p in G.prime_divisors():
+            syl = P.sylow_subgroup(p)
+            members = set(syl.generate())
+            normalizer = sum(1 for g in elements
+                             if all(h ^ g in members for h in syl.generators))
+            if structure.sylow_count(G, p) != P.order() // normalizer:
+                mismatches.append((entry.name, p))
+    assert not mismatches

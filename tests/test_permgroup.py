@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from grouplab import (GroupError, OrderCapExceeded, Permutation, direct_product,
                       generate, group_from_spec, named_group, quotient)
-from grouplab.permgroup import factorize, is_prime, order_cap, prime_power
+from grouplab.permgroup import (factorize, is_prime, named_order, order_cap,
+                                prime_power)
 
 
 def test_parse_and_cycle_string_roundtrip():
@@ -71,6 +72,8 @@ NAMED_ORDERS = [
 @pytest.mark.parametrize("args,order", NAMED_ORDERS)
 def test_named_group_orders(args, order):
     assert named_group(*args).order == order
+    assert named_order(*args, order_cap()) == order
+    assert named_order(*args, order - 1) > order - 1
 
 
 def test_named_group_bad_args():
@@ -162,3 +165,34 @@ def test_prime_power():
     assert prime_power(27) == (3, 3)
     assert prime_power(12) is None
     assert prime_power(1) is None
+
+
+OVER_CAP_50 = [("cyclic", [51]), ("elem_abelian", [2, 6]), ("dihedral", [26]),
+               ("dicyclic", [13]), ("sym", [5]), ("alt", [5]),
+               ("holomorph_cyclic", [60]), ("frobenius_metacyclic", [13, 2, 2])]
+
+
+def test_order_cap_fails_before_building(monkeypatch):
+    from grouplab import cli, permgroup
+
+    monkeypatch.setenv("GROUPLAB_ORDER_CAP", "50")
+    built = []
+    real = permgroup.generate
+    monkeypatch.setattr(permgroup, "generate",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
+    for name, args in OVER_CAP_50:
+        with pytest.raises(OrderCapExceeded):
+            named_group(name, args)
+    assert built == []
+    assert cli.main(["show", "holomorph_cyclic:60"]) == 2
+    assert built == []
+    assert named_group("dicyclic", [12]).order == 48
+    assert built
+
+
+def test_named_order_stays_near_cap():
+    # 1000!, 2**1000 and the like are never formed
+    for name, args in [("sym", [1000]), ("alt", [1000]),
+                       ("elem_abelian", [2, 1000]),
+                       ("frobenius_metacyclic", [3, 2, 1000])]:
+        assert 50 < named_order(name, args, 50) < 10**4

@@ -1,3 +1,5 @@
+import pytest
+
 from grouplab import named_group
 from grouplab import structure
 from grouplab.structure import (all_sylow, chief_factors, derived_subgroup,
@@ -99,3 +101,21 @@ def test_supersoluble_in_members(s5):
     a5 = next(s.id for s in L.subgroups if s.order == 60)
     assert structure.is_supersoluble_in(L, f20)
     assert not structure.is_supersoluble_in(L, a5)
+
+
+@pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5]),
+                                       ("sym", [5])])
+def test_chief_factor_centralizers_match_definition(name, args):
+    """C_b(H/K), tested on the generators of H, equals {g in b : [g, x] in K
+    for every x in H} for every chief factor of every subgroup b."""
+    G = named_group(name, args)
+    L = G.lattice()
+    mult, inv = G.mult, G.inv
+    for b in range(len(L)):
+        for cf in structure.chief_factors_in(L, b):
+            cmask = 0
+            for g in L.subgroups[b].members:
+                if all(cf.below.mask >> mult[mult[inv[g]][inv[x]]][mult[g][x]] & 1
+                       for x in cf.above.members):
+                    cmask |= 1 << g
+            assert cf.centralizer.mask == cmask
