@@ -243,7 +243,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check" and args.k < 1:
             raise GroupError("k must be >= 1")
         return args.fn(args)
-    except (GroupError, ParseError, json.JSONDecodeError, OSError) as exc:
+    except (GroupError, ParseError, json.JSONDecodeError, UnicodeDecodeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,9 +1,10 @@
 """Complete subgroup lattices of small finite groups.
 
 Enumeration is by cyclic extension: seed with all cyclic subgroups, then close
-the set under join-with-a-cyclic-subgroup until fixpoint.  Subgroups are
-canonically identified by their member bitmask; lattice ids are assigned in
-(order, member-set) sort order, so reports are deterministic.
+the set under join-with-a-cyclic-subgroup until fixpoint.  Each join <H, c>
+is enumerated from the known mask of H as a union of cosets of H.  Subgroups
+are canonically identified by their member bitmask; lattice ids are assigned
+in (order, member-set) sort order, so reports are deterministic.
 """
 from __future__ import annotations
 
@@ -303,7 +304,7 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
         for cmask, cgen in cyc_items:
             if cmask & ~h == 0 or h == full:
                 continue
-            j = G.closure_mask(hgens + (cgen,))
+            j = G.closure_mask(hgens + (cgen,), h)
             if j not in mask_gens:
                 mask_gens[j] = hgens + (cgen,)
                 queue.append(j)

@@ -3,6 +3,13 @@
 Elements are permutations of {0, ..., degree-1}; a group stores its complete
 element table together with a multiplication table over element ordinals.
 
+The multiplication table is built from the Cayley graph: one row of
+permutation products per generator, every other row a re-indexing of a known
+row (`FiniteGroup.mult`).  Subgroup closures are bitmasks, enumerated as
+unions of cosets of a known subgroup H (`FiniteGroup.closure_mask`): the
+trivial subgroup by default, the subgroup being extended when the lattice is
+enumerated.
+
 Conventions (fixed, everything else in the package is written against them):
 
 * Composition applies the left factor first: ``(p * q)(i) == q[p[i]]``.
@@ -227,11 +234,42 @@ class FiniteGroup:
 
     @property
     def mult(self) -> list[list[int]]:
-        """Multiplication table over ordinals, left factor first."""
+        """Multiplication table over ordinals, left factor first.
+
+        Built from the Cayley graph: each distinct generator s gets its left
+        row [s*b for b], by n permutation products; then a walk from the
+        identity by right multiplication derives row(p*s) from row(p) as
+        row(p)[s*b], since (p*s)*b = p*(s*b).  An element the walk does not
+        reach (a hand-built table whose generators do not generate it) gets
+        its row by direct products.
+        """
         if self._mult is None:
             idx = self.element_index
             els = self.elements
-            self._mult = [[idx[a * b] for b in els] for a in els]
+            n = len(els)
+            left = {}  # generator ordinal -> its left row
+            for s in self.generators:
+                i = idx.get(s)
+                if i is not None and i not in left:
+                    left[i] = [idx[s * b] for b in els]
+            rows: list = [None] * n
+            e = self.identity_ordinal
+            rows[e] = list(range(n))
+            frontier = [e]
+            while frontier:
+                new = []
+                for p in frontier:
+                    row = rows[p]
+                    for s, left_s in left.items():
+                        q = row[s]
+                        if rows[q] is None:
+                            rows[q] = list(map(row.__getitem__, left_s))
+                            new.append(q)
+                frontier = new
+            for a in range(n):
+                if rows[a] is None:
+                    rows[a] = [idx[els[a] * b] for b in els]
+            self._mult = rows
         return self._mult
 
     @property
@@ -274,26 +312,40 @@ class FiniteGroup:
     # Subgroup element sets are bitmasks over element ordinals throughout the
     # package; bit i set means elements[i] belongs to the set.
 
-    def closure_mask(self, gens: Iterable[int]) -> int:
-        """Bitmask of the subgroup generated by the given ordinals."""
+    def closure_mask(self, gens: Iterable[int], base: int | None = None) -> int:
+        """Bitmask of the subgroup generated by the given ordinals.
+
+        `base` is the mask of a subgroup H of the result, such as the one
+        generated by all but the last ordinal; by default H is trivial.  The
+        closure is enumerated as a union of cosets H*x (Dimino): H*x*s =
+        H*(x*s), so for each coset representative x and generator s whose
+        product x*s is not yet reached, the whole coset H*(x*s) is added and
+        x*s becomes a new representative.  With H trivial this is a
+        breadth-first search from the identity.
+        """
         mult = self.mult
-        e = self.identity_ordinal
+        if base is None:
+            base = 1 << self.identity_ordinal
         gens = list(gens)
-        mask = 1 << e
-        frontier = [e]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = mult[x][g]
-                    if not mask >> y & 1:
-                        mask |= 1 << y
-                        new.append(y)
-            frontier = new
-        return mask
+        # membership as one ASCII "0"/"1" per ordinal, read back at the end
+        # as a binary number (ordinal 0 is the last digit)
+        bits = bytearray(bin(base)[:1:-1].ljust(self.order, "0"), "ascii")
+        hrows = [mult[h] for h in self.mask_members(base)]
+        reps = [self.identity_ordinal]
+        for x in reps:
+            row = mult[x]
+            for s in gens:
+                y = row[s]
+                if bits[y] == 48:  # "0": the coset H*y is new
+                    for r in hrows:
+                        bits[r[y]] = 49
+                    reps.append(y)
+        return int(bits[::-1], 2)
 
     def mask_members(self, mask: int) -> list[int]:
-        return [i for i in range(self.order) if mask >> i & 1]
+        """Ordinals of the set bits, ascending: the positions of "1" in the
+        reversed binary string, found by the regex engine."""
+        return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
 
     def full_mask(self) -> int:
         return (1 << self.order) - 1

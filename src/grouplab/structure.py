@@ -146,18 +146,25 @@ def chief_factors(G: FiniteGroup) -> list[ChiefFactor]:
 
 
 def chief_factor_pairs_in(L: SubgroupLattice, b: int) -> list[tuple[int, int]]:
-    """All pairs (k, h) of b-normal subgroups with h/k minimal normal in b/k."""
+    """All pairs (k, h) of b-normal subgroups with h/k minimal normal in b/k.
+
+    Over the b-normal subgroups, up[i] and down[i] are the bitsets of those
+    containing and contained in the i-th; (k, h) is a pair iff the interval
+    up[k] & down[h] is exactly {k, h}.  Ids ascend with order, so a
+    subgroup lies only in those at or after its own position.
+    """
     normals = normal_ids_in(L, b)
-    pairs = []
-    for k in normals:
-        for h in normals:
-            if k == h or not L.leq(k, h):
-                continue
-            if any(w not in (k, h) and L.leq(k, w) and L.leq(w, h)
-                   for w in normals):
-                continue
-            pairs.append((k, h))
-    return pairs
+    masks = [L.subgroups[a].mask for a in normals]
+    m = len(normals)
+    up, down = [0] * m, [0] * m
+    for i, mi in enumerate(masks):
+        for j in range(i, m):
+            if mi & ~masks[j] == 0:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return [(normals[i], normals[j])
+            for i in range(m) for j in range(i + 1, m)
+            if up[i] & down[j] == (1 << i | 1 << j)]
 
 
 def chief_factors_in(L: SubgroupLattice, b: int) -> list[ChiefFactor]:

@@ -105,6 +105,14 @@ def test_malformed_input_exits_2(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_spec_file_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "show", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "alt:5", "--k", "1")
     assert code == 0
@@ -119,6 +127,19 @@ def test_verify_small(capsys, tmp_path):
     assert "suite_pass=True" in out
     payload = json.loads(out_path.read_text())
     assert payload["reports"][0]["suite"] == "T3.2"
+
+
+def test_verify_lemma_suite_single_k(capsys, tmp_path):
+    # monotonicity in k has nothing to compare at one k and is not required;
+    # the cap keeps Hol(Z7), the one group that falsifies the L2.7 converse
+    out_path = tmp_path / "rep.json"
+    code, out, _ = run(capsys, "verify", "--suite", "L", "--k", "2",
+                       "--cap", "42", "--out", str(out_path))
+    assert code == 0
+    assert "suite_pass=True" in out
+    counters = json.loads(out_path.read_text())["reports"][0]["summary"][
+        "counters"]
+    assert "nonvacuous_monotone" not in counters
 
 
 def test_verify_unknown_suite(capsys):

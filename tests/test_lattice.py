@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from grouplab import named_group
+from grouplab import Permutation, named_group
 
 
 def naive_subgroup_masks(G):
@@ -177,3 +177,29 @@ def test_normalizer_conjugates_core_match_definitions(name, args):
                     == {conj[a][g] for g in L.subgroups[b].members})
             assert L.is_normal_in(a, b) == all(
                 conj[a][g] == s.mask for g in L.subgroups[b].members)
+
+
+def _closure_by_permutations(G, gens):
+    """Mask of the subgroup generated by the given ordinals, by closing the
+    set of permutations under right multiplication."""
+    gperms = [G.elements[g] for g in gens]
+    seen = {Permutation.identity(G.degree)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [x * g for x in frontier for g in gperms if x * g not in seen]
+        seen.update(frontier)
+    return sum(1 << G.element_index[x] for x in seen)
+
+
+@pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5])])
+def test_coset_closure_matches_plain_closure(name, args):
+    """Closure of <H, c> by cosets of H, started from the mask of H, equals
+    the closure of H's generators and c, for every subgroup H and element c."""
+    G = named_group(name, args)
+    for s in G.lattice().subgroups:
+        assert G.closure_mask(s.gens) == s.mask
+        for c in range(G.order):
+            gens = s.gens + (c,)
+            expected = _closure_by_permutations(G, gens)
+            assert G.closure_mask(gens, s.mask) == expected
+            assert G.closure_mask(gens) == expected

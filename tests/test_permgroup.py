@@ -196,3 +196,55 @@ def test_named_order_stays_near_cap():
                        ("elem_abelian", [2, 1000]),
                        ("frobenius_metacyclic", [3, 2, 1000])]:
         assert 50 < named_order(name, args, 50) < 10**4
+
+
+# -- the Cayley-graph multiplication table against its definition ------------
+
+
+def _assert_mult_is_definition(G):
+    """mult[a][b] is the ordinal of elements[a] * elements[b], every a, b."""
+    els, idx, mult = G.elements, G.element_index, G.mult
+    assert len(mult) == G.order
+    for a, x in enumerate(els):
+        assert [idx[x * y] for y in els] == mult[a]
+
+
+def test_mult_matches_definition_on_corpus(corpus):
+    for entry in corpus:
+        _assert_mult_is_definition(entry.group)
+
+
+@pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5])])
+def test_mult_matches_definition_on_quotients(name, args):
+    from grouplab.permgroup import quotient_cached
+    from grouplab.structure import normal_subgroups
+
+    G = named_group(name, args)
+    for N in normal_subgroups(G):
+        Q, _ = quotient_cached(G, N.mask)
+        _assert_mult_is_definition(Q)
+
+
+def test_mult_matches_definition_on_subgroups(s4):
+    L = s4.lattice()
+    for s in L.subgroups:
+        _assert_mult_is_definition(L.subgroup_as_group(s.id))
+
+
+def test_mult_with_repeated_and_identity_generators():
+    G = group_from_spec({"kind": "generators", "degree": 4,
+                         "cycles": ["(1 2 3 4)", "(1 2 3 4)", "()", "(1 2)",
+                                    "(1 2)"]})
+    assert G.order == 24
+    _assert_mult_is_definition(G)
+
+
+def test_mult_of_table_its_generators_do_not_generate():
+    from grouplab import FiniteGroup
+
+    S3 = named_group("sym", [3])
+    # generated by one transposition only: the walk reaches 2 of 6 rows
+    G = FiniteGroup(3, S3.elements, [Permutation.parse("(1 2)", 3)])
+    _assert_mult_is_definition(G)
+    H = FiniteGroup(3, S3.elements, [])
+    _assert_mult_is_definition(H)

@@ -119,3 +119,29 @@ def test_chief_factor_centralizers_match_definition(name, args):
                        for x in cf.above.members):
                     cmask |= 1 << g
             assert cf.centralizer.mask == cmask
+
+
+def _chief_factor_pairs_by_definition(L, b):
+    """Pairs (k, h) of b-normal subgroups, k < h, with no b-normal subgroup
+    strictly between them: the definitional triple loop."""
+    normals = structure.normal_ids_in(L, b)
+    pairs = []
+    for k in normals:
+        for h in normals:
+            if k == h or not L.leq(k, h):
+                continue
+            if any(w not in (k, h) and L.leq(k, w) and L.leq(w, h)
+                   for w in normals):
+                continue
+            pairs.append((k, h))
+    return pairs
+
+
+def test_chief_factor_pairs_match_definition(corpus):
+    groups = [e.group for e in corpus if e.order <= 60]
+    groups.append(named_group("elem_abelian", [2, 4]))
+    for G in groups:
+        L = G.lattice()
+        for b in range(len(L)):
+            assert (structure.chief_factor_pairs_in(L, b)
+                    == _chief_factor_pairs_by_definition(L, b)), (G.name, b)
