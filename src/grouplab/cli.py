@@ -187,8 +187,17 @@ def cmd_export_lattice(args) -> int:
     return EXIT_TRUE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so `main` reports them on one `error:`
+    line and returns 2 instead of argparse printing usage and exiting.
+    Subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="grouplab",
         description="finite-group engine for submodularity analysis")
     sub = top.add_subparsers(dest="command", required=True)

@@ -422,15 +422,7 @@ def _r1_check(entry: CorpusEntry, k: int, counters: Counter):
 def _is_classic_LM(L: SubgroupLattice) -> bool:
     """LM-group in the classical sense: A maximal in <A,B> forces A meet B
     maximal in B."""
-    m = len(L.subgroups)
-    for a in range(m):
-        for b in range(m):
-            j = L.join(a, b)
-            if a == j or a not in L.hasse_down[j]:
-                continue
-            if L.meet(a, b) not in L.hasse_down[b]:
-                return False
-    return True
+    return all(L.meet(a, b) in L.hasse_down[b] for a, b in L.maximal_in_join())
 
 
 def _r2_check(entry: CorpusEntry, k: int, counters: Counter):

@@ -2,17 +2,28 @@
 
 Enumeration is by cyclic extension: seed with all cyclic subgroups, then close
 the set under join-with-a-cyclic-subgroup until fixpoint.  Each join <H, c>
-is enumerated from the known mask of H as a union of cosets of H.  Subgroups
-are canonically identified by their member bitmask; lattice ids are assigned
-in (order, member-set) sort order, so reports are deterministic.
+is enumerated from the known mask of H as a union of cosets of H.  A join is
+not enumerated when Lagrange's theorem already names it: if an earlier join
+j = <H, c'> contains c, then <H, c> <= j, and when no order other than |j|
+fits between |Hc| and |j| as a multiple of lcm(|H|, |c|) dividing |j|,
+<H, c> = j, which is already known (`_lagrange_pins`).  Subgroups are
+canonically identified by their member bitmask; lattice ids are assigned in
+(order, member-set) sort order, so reports are deterministic.
+
+The order relation is held as bitsets over ids: up[a] has bit b set when
+a <= b, down[a] when b <= a.  Since ids sort by order, the lowest bit of
+the common upper bounds of some subgroups is their join and the highest bit
+of their common lower bounds their meet, so join, meet, `generated` and the
+Hasse covers are a few integer operations each.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .permgroup import FiniteGroup, OrderCapExceeded, order_cap
+from .permgroup import FiniteGroup, OrderCapExceeded, order_cap, set_bits
 
 
 @dataclass
@@ -57,10 +68,9 @@ class SubgroupLattice:
         self.bottom = self.subgroups[0]
         self.top = self.subgroups[-1]
         assert self.bottom.order == 1 and self.top.order == n
-        self._build_covers()
+        self._build_order()
         self._conj_cache: list[dict[int, int]] = [dict() for _ in self.subgroups]
         self._normalizers: list[int | None] = [None] * len(self.subgroups)
-        self._join_memo: dict[tuple[int, int], int] = {}
         self._chain_lengths: dict[tuple[int, int], frozenset[int]] = {}
         self._subs_of: dict[int, list[int]] = {}
         # caches owned by other modules (submodular / classes)
@@ -73,67 +83,77 @@ class SubgroupLattice:
     def __len__(self) -> int:
         return len(self.subgroups)
 
-    def _build_covers(self) -> None:
+    def _build_order(self) -> None:
+        """holders[x] has bit s set when subgroup s contains element x; b
+        holds every generator of a exactly when a <= b, so up[a] is the AND
+        of holders over a.gens.  The covers of a are greedy: the lowest bit
+        left in up[a] above a is minimal, so take it and clear its up-set."""
         subs = self.subgroups
         m = len(subs)
+        self.holders: list[int] = [0] * self.group.order
+        for s in subs:
+            bit = 1 << s.id
+            for x in s.members:
+                self.holders[x] |= bit
+        self.up: list[int] = []
+        for s in subs:
+            u = (1 << m) - 1
+            for g in s.gens:
+                u &= self.holders[g]
+            self.up.append(u)
+        self.down: list[int] = [0] * m
         self.hasse_down: list[list[int]] = [[] for _ in range(m)]  # maximal subgroups
         self.hasse_up: list[list[int]] = [[] for _ in range(m)]  # covers
-        for a in range(m):
-            sa = subs[a]
-            sups = [b for b in range(a + 1, m)
-                    if subs[b].order > sa.order
-                    and subs[b].order % sa.order == 0
-                    and sa.mask & ~subs[b].mask == 0]
-            for b in sups:
-                mb = subs[b].mask
-                if any(c != b and subs[c].order < subs[b].order
-                       and subs[c].mask & ~mb == 0 for c in sups):
-                    continue
+        for a, u in enumerate(self.up):
+            bit = 1 << a
+            for b in set_bits(u):
+                self.down[b] |= bit
+            u ^= bit
+            while u:
+                b = (u & -u).bit_length() - 1
                 self.hasse_up[a].append(b)
                 self.hasse_down[b].append(a)
+                u &= ~self.up[b]
 
     # -- basic queries -------------------------------------------------------
 
     def leq(self, a: int, b: int) -> bool:
-        return self.subgroups[a].mask & ~self.subgroups[b].mask == 0
+        return self.up[a] >> b & 1 == 1
 
     def meet(self, a: int, b: int) -> int:
-        mask = self.subgroups[a].mask & self.subgroups[b].mask
-        return self.by_mask[mask]
+        """The largest common lower bound: the highest bit of down[a] & down[b]."""
+        return (self.down[a] & self.down[b]).bit_length() - 1
 
     def join(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        hit = self._join_memo.get((a, b))
-        if hit is None:
-            hit = self.least_containing(self.subgroups[a].mask | self.subgroups[b].mask)
-            self._join_memo[(a, b)] = hit
-        return hit
-
-    def least_containing(self, mask: int) -> int:
-        """Id of the smallest subgroup whose member set contains `mask`."""
-        direct = self.by_mask.get(mask)
-        if direct is not None:
-            return direct
-        for s in self.subgroups:
-            if mask & ~s.mask == 0:
-                return s.id
-        raise AssertionError("lattice incomplete")  # top contains everything
+        """The least common upper bound: the lowest bit of up[a] & up[b]."""
+        u = self.up[a] & self.up[b]
+        return (u & -u).bit_length() - 1
 
     def generated(self, seed: Iterable[int]) -> int:
         """Least subgroup containing the given element ordinals."""
-        mask = 0
-        for i in seed:
-            mask |= 1 << i
-        return self.least_containing(mask)
+        u = (1 << len(self.subgroups)) - 1
+        for x in seed:
+            u &= self.holders[x]
+        return (u & -u).bit_length() - 1
 
     def subs_of(self, b: int) -> list[int]:
+        """Ids of the subgroups of b, ascending (kept: chain searches and
+        the modularity test walk the same intervals many times)."""
         hit = self._subs_of.get(b)
         if hit is None:
-            mb = self.subgroups[b].mask
-            hit = [a for a in range(b + 1) if self.subgroups[a].mask & ~mb == 0]
-            self._subs_of[b] = hit
+            hit = self._subs_of[b] = set_bits(self.down[b])
         return hit
+
+    def maximal_in_join(self) -> Iterator[tuple[int, int]]:
+        """The pairs (a, b) with a maximal in the join of a and b, in
+        lexicographic order: b lies under some cover j of a and not under a,
+        and then a < join(a, b) <= j forces join(a, b) = j."""
+        for a, covers in enumerate(self.hasse_up):
+            below = 0
+            for j in covers:
+                below |= self.down[j]
+            for b in set_bits(below & ~self.down[a]):
+                yield a, b
 
     def conjugate(self, a: int, g: int) -> int:
         hit = self._conj_cache[a].get(g)
@@ -272,6 +292,25 @@ class SubgroupLattice:
         return H
 
 
+def _lagrange_pins(h_order: int, c_order: int, meet_order: int,
+                   j_order: int) -> bool:
+    """Whether <h, c> <= j has order |j| by Lagrange's theorem alone.
+
+    The order of <h, c> is a multiple of lcm(|h|, |c|), at least the size
+    |h||c|/|h meet c| of the product set hc, and a divisor of |j|.  With
+    q = |j|/lcm, the candidates below |j| are lcm times a proper divisor of
+    q, the largest of which is q over its least prime factor.
+    """
+    step = math.lcm(h_order, c_order)
+    q = j_order // step
+    if q == 1:
+        return True
+    p = 2
+    while q % p:
+        p += 1
+    return q // p * step < h_order * c_order // meet_order
+
+
 def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     """Enumerate every subgroup of G by cyclic extension."""
     if G.order > order_cap():
@@ -297,17 +336,27 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
         if mask not in mask_gens:
             mask_gens[mask] = (gen,)
             queue.append(mask)
-    full = G.full_mask()
     while queue:
         h = queue.popleft()
         hgens = mask_gens[h]
+        h_order = h.bit_count()
+        joins: list[int] = []  # the distinct <h, c> closed so far, by order
         for cmask, cgen in cyc_items:
-            if cmask & ~h == 0 or h == full:
+            if cmask & ~h == 0:
                 continue
+            j = next((x for x in joins if cmask & ~x == 0), None)
+            if j is not None and _lagrange_pins(
+                    h_order, cmask.bit_count(), (cmask & h).bit_count(),
+                    j.bit_count()):
+                continue  # <h, c> = j, which is known
             j = G.closure_mask(hgens + (cgen,), h)
             if j not in mask_gens:
                 mask_gens[j] = hgens + (cgen,)
                 queue.append(j)
+            if j not in joins:
+                joins.append(j)
+                joins.sort(key=int.bit_count)
+    full = G.full_mask()
     if full not in mask_gens:  # trivial group
         mask_gens.setdefault(full, ())
     return SubgroupLattice(G, mask_gens)

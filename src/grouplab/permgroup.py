@@ -84,6 +84,13 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return q, m
 
 
+def set_bits(bits: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending: the
+    positions of "1" in the reversed binary string, found by the regex
+    engine."""
+    return [m.start() for m in re.finditer("1", bin(bits)[:1:-1])]
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -213,6 +220,8 @@ class FiniteGroup:
         self._lattice = None
         self._quotients: dict[int, tuple["FiniteGroup", "Epimorphism"]] = {}
         self._class_cache: dict[str, bool] = {}
+        # (base mask, membership template, rows of base) of the last closure
+        self._coset_setup: tuple[int, bytes, list] = (0, b"", [])
 
     # -- elementary structure ------------------------------------------------
 
@@ -322,15 +331,24 @@ class FiniteGroup:
         product x*s is not yet reached, the whole coset H*(x*s) is added and
         x*s becomes a new representative.  With H trivial this is a
         breadth-first search from the identity.
+
+        The set-up that depends only on H (its membership template and its
+        rows of the multiplication table) is kept for the last `base` seen,
+        so the extensions of one subgroup by each cyclic subgroup build it
+        once.
         """
         mult = self.mult
         if base is None:
             base = 1 << self.identity_ordinal
+        if self._coset_setup[0] != base:
+            # membership as one ASCII "0"/"1" per ordinal, read back at the
+            # end as a binary number (ordinal 0 is the last digit)
+            self._coset_setup = (
+                base, bin(base)[:1:-1].ljust(self.order, "0").encode("ascii"),
+                [mult[h] for h in self.mask_members(base)])
+        _, template, hrows = self._coset_setup
+        bits = bytearray(template)
         gens = list(gens)
-        # membership as one ASCII "0"/"1" per ordinal, read back at the end
-        # as a binary number (ordinal 0 is the last digit)
-        bits = bytearray(bin(base)[:1:-1].ljust(self.order, "0"), "ascii")
-        hrows = [mult[h] for h in self.mask_members(base)]
         reps = [self.identity_ordinal]
         for x in reps:
             row = mult[x]
@@ -343,9 +361,8 @@ class FiniteGroup:
         return int(bits[::-1], 2)
 
     def mask_members(self, mask: int) -> list[int]:
-        """Ordinals of the set bits, ascending: the positions of "1" in the
-        reversed binary string, found by the regex engine."""
-        return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
+        """Ordinals of the members of a mask, ascending."""
+        return set_bits(mask)
 
     def full_mask(self) -> int:
         return (1 << self.order) - 1

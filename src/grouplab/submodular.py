@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .permgroup import (GroupError, factorize, is_prime, prime_power,
-                        quotient_cached)
+                        quotient_cached, set_bits)
 from .lattice import Subgroup, SubgroupLattice
 from . import structure
 
@@ -186,9 +186,8 @@ def _witness(L: SubgroupLattice, h: int, k: int, top: int) -> ChainWitness:
     steps = []
     cur = h
     while cur != top:
-        nxt = min(b for b in range(len(L.subgroups))
-                  if L.leq(cur, b) and b != cur
-                  and dist.get(b) == dist[cur] - 1 and _step_ok(L, cur, b, k))
+        nxt = next(b for b in set_bits(L.up[cur] ^ (1 << cur))
+                   if dist.get(b) == dist[cur] - 1 and _step_ok(L, cur, b, k))
         kind = step_kind(L, cur, nxt)
         steps.append(EmbeddingEdge(cur, nxt, "normal", None)
                      if kind[0] == "normal"
@@ -232,16 +231,11 @@ def is_k_LM_group(L: SubgroupLattice,
     join of A and B; returns the first failing pair as counterexample."""
     if k < 1:
         raise GroupError("k-LM needs k >= 1")
-    m = len(L.subgroups)
-    for a in range(m):
-        for b in range(m):
-            j = L.join(a, b)
-            if a == j or a not in L.hasse_down[j]:
-                continue
-            d = L.meet(a, b)
-            res = is_n_maximal_with_index(L, L.subgroups[d], L.subgroups[b])
-            if res is None or not 1 <= res[0] <= k:
-                return False, (a, b)
+    for a, b in L.maximal_in_join():
+        d = L.meet(a, b)
+        res = is_n_maximal_with_index(L, L.subgroups[d], L.subgroups[b])
+        if res is None or not 1 <= res[0] <= k:
+            return False, (a, b)
     return True, None
 
 

@@ -97,6 +97,9 @@ def test_bad_group_spec(capsys):
     ["verify", "--suite", "R1", "--jobs", "-1"],
     ["show", '{"kind": "generators", "degree": true}'],
     ["show", '{"kind": "generators", "degree": false}'],
+    ["show"],
+    ["check"],
+    ["verify"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -82,12 +82,8 @@ def test_group_from_spec_builds_or_typed_error(spec):
 
 
 def _run(capsys, argv):
-    """Exit code and stderr of one command line; argparse's usage errors
-    leave by SystemExit."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    """Exit code and stderr of one command line."""
+    code = cli.main(argv)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return code, err

@@ -1,8 +1,10 @@
+import math
 from itertools import combinations
 
 import pytest
 
-from grouplab import Permutation, named_group
+from grouplab import Permutation, all_subgroups, direct_product, named_group
+from grouplab.lattice import _lagrange_pins
 
 
 def naive_subgroup_masks(G):
@@ -203,3 +205,117 @@ def test_coset_closure_matches_plain_closure(name, args):
             expected = _closure_by_permutations(G, gens)
             assert G.closure_mask(gens, s.mask) == expected
             assert G.closure_mask(gens) == expected
+
+
+# -- the bitset order relation and the enumeration against mask definitions --
+
+
+def _order_groups(corpus):
+    """Every corpus group of order <= 60, plus E2^5 and S4 x S3."""
+    return ([e.group for e in corpus if e.order <= 60]
+            + [named_group("elem_abelian", [2, 5]),
+               direct_product(named_group("sym", [4]), named_group("sym", [3]))])
+
+
+def _cover_scan(L):
+    """Hasse covers by the definition: b covers a when a < b and no c lies
+    strictly between them."""
+    subs = L.subgroups
+    up = [[] for _ in subs]
+    down = [[] for _ in subs]
+    for sa in subs:
+        sups = [sb for sb in subs if sb.id != sa.id and sa.mask & ~sb.mask == 0]
+        for sb in sups:
+            if not any(sc.order < sb.order and sc.mask & ~sb.mask == 0
+                       for sc in sups):
+                up[sa.id].append(sb.id)
+                down[sb.id].append(sa.id)
+    return up, down
+
+
+def test_order_relation_matches_mask_definitions(corpus):
+    for G in _order_groups(corpus):
+        L = G.lattice()
+        subs = L.subgroups
+        m = len(subs)
+        for s in subs:
+            assert G.closure_mask(s.gens) == s.mask  # holders rely on it
+        for a in subs:
+            ups = [b.id for b in subs if a.mask & ~b.mask == 0]
+            assert L.up[a.id] == sum(1 << b for b in ups)
+            assert all(L.leq(a.id, b) == (b in ups) for b in range(m))
+            downs = [b.id for b in subs if b.mask & ~a.mask == 0]
+            assert L.down[a.id] == sum(1 << b for b in downs)
+            assert L.subs_of(a.id) == downs
+            over = [subs[b] for b in ups]
+            for b in subs:
+                union = a.mask | b.mask
+                assert L.join(a.id, b.id) == next(
+                    s.id for s in over if union & ~s.mask == 0), G.name
+                assert subs[L.meet(a.id, b.id)].mask == a.mask & b.mask
+        assert (L.hasse_up, L.hasse_down) == _cover_scan(L), G.name
+        for x in range(G.order):
+            for y in range(x, G.order):
+                assert (subs[L.generated([x, y])].mask
+                        == G.closure_mask([x, y]))
+        assert L.generated([]) == L.bottom.id
+
+
+def test_maximal_in_join_matches_join_loop(corpus):
+    for G in _order_groups(corpus):
+        L = G.lattice()
+        m = len(L)
+        pairs = [(a, b) for a in range(m) for b in range(m)
+                 if L.join(a, b) != a and a in L.hasse_down[L.join(a, b)]]
+        assert list(L.maximal_in_join()) == pairs, G.name
+
+
+def _unskipped_mask_gens(G):
+    """The cyclic-extension loop closing every subgroup with every cyclic
+    subgroup outside it, with no extension skipped."""
+    e = G.identity_ordinal
+    cyclic = {}
+    for x in range(G.order):
+        cyclic.setdefault(G.closure_mask([x]), x)
+    cyc_items = sorted(cyclic.items(),
+                       key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
+    mask_gens = {1 << e: ()}
+    queue = []
+    for mask, gen in cyc_items:
+        if mask not in mask_gens:
+            mask_gens[mask] = (gen,)
+            queue.append(mask)
+    for h in queue:
+        for cmask, cgen in cyc_items:
+            if cmask & ~h:
+                j = G.closure_mask(mask_gens[h] + (cgen,), h)
+                if j not in mask_gens:
+                    mask_gens[j] = mask_gens[h] + (cgen,)
+                    queue.append(j)
+    mask_gens.setdefault(G.full_mask(), ())
+    return mask_gens
+
+
+def test_enumeration_matches_unskipped_loop(corpus):
+    for G in _order_groups(corpus) + [named_group("holomorph_cyclic", [19])]:
+        expected = _unskipped_mask_gens(G)
+        got = {s.mask: s.gens for s in all_subgroups(G).subgroups}
+        assert got == expected, G.name
+
+
+def test_lagrange_pins_matches_divisor_search():
+    """The skip test against its definition: the least multiple of
+    lcm(|h|, |c|) dividing |j| and at least |h||c|/|h meet c| is |j|."""
+    for h in range(1, 25):
+        for c in range(1, 25):
+            for meet in (d for d in range(1, min(h, c) + 1)
+                         if h % d == 0 and c % d == 0):
+                step = math.lcm(h, c)
+                lo = h * c // meet
+                for j in range(step, 8 * step + 1, step):
+                    if j < lo:
+                        continue
+                    least = min(d for d in range(step, j + 1, step)
+                                if j % d == 0 and d >= lo)
+                    assert _lagrange_pins(h, c, meet, j) == (least == j), (
+                        h, c, meet, j)

@@ -222,10 +222,11 @@ def test_lattice_dot_output(hol5):
     assert dot.count("->") > 10
 
 
-@pytest.mark.parametrize("name,args", [("holomorph_cyclic", [5]), ("sym", [4])])
-def test_witnesses_are_shortest_and_reverify(name, args):
-    G = named_group(name, args)
+def _check_witnesses(G):
+    """Witnesses of G's lattice at k = 1..3 are shortest chains, and each
+    step re-verifies on a freshly enumerated lattice; returns their number."""
     L = G.lattice()
+    checked = 0
     fresh = all_subgroups(G)  # empty step-kind cache: steps are recomputed
     assert [s.mask for s in fresh.subgroups] == [s.mask for s in L.subgroups]
     for k in (1, 2, 3):
@@ -257,3 +258,15 @@ def test_witnesses_are_shortest_and_reverify(name, args):
                 else:
                     assert step.kind == "n_modular" and 1 <= step.n <= k
                     assert is_n_modularly_embedded(fresh, up, lo, step.n)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name,args", [("holomorph_cyclic", [5]), ("sym", [4])])
+def test_witnesses_are_shortest_and_reverify(name, args):
+    assert _check_witnesses(named_group(name, args)) > 0
+
+
+def test_witnesses_reverify_on_corpus(corpus):
+    checked = sum(_check_witnesses(e.group) for e in corpus if e.order <= 60)
+    assert checked == 3094
