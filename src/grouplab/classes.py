@@ -19,10 +19,11 @@ which contain every cyclic p-group.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .permgroup import FiniteGroup, GroupError, factorize, quotient_cached
+from .permgroup import (FiniteGroup, GroupError, factorize, is_prime,
+                        quotient_cached, set_bits)
 from .lattice import Subgroup, SubgroupLattice
 from . import structure
 
@@ -46,18 +47,6 @@ class ClassOracle:
             hit = self.member_fn(G)
             G._class_cache[key] = hit
         return hit
-
-
-@dataclass
-class FormationFunction:
-    name: str
-    at_fn: Callable[[int], ClassOracle]
-    _memo: dict[int, ClassOracle] = field(default_factory=dict)
-
-    def at(self, p: int) -> ClassOracle:
-        if p not in self._memo:
-            self._memo[p] = self.at_fn(p)
-        return self._memo[p]
 
 
 def _exponent_k_ok(G: FiniteGroup, k: int) -> bool:
@@ -143,14 +132,14 @@ def oracle(class_id: str, m: int | None = None, k: int | None = None) -> ClassOr
     raise GroupError(f"unknown class id {class_id!r}")
 
 
-def h_function(k: int) -> FormationFunction:
+def h_function(k: int) -> Callable[[int], ClassOracle]:
     """The formation function h with h(p) = cyclic members of A(p-1)_k."""
-    return FormationFunction(f"h_k{k}", lambda p: oracle("cyclic_A", m=p - 1, k=k))
+    return lambda p: oracle("cyclic_A", m=p - 1, k=k)
 
 
-def f_function(k: int) -> FormationFunction:
+def f_function(k: int) -> Callable[[int], ClassOracle]:
     """The formation function f with f(p) = cyclic-Sylow members of A(p-1)_k."""
-    return FormationFunction(f"f_k{k}", lambda p: oracle("sylA_cyclic", m=p - 1, k=k))
+    return lambda p: oracle("sylA_cyclic", m=p - 1, k=k)
 
 
 # -- residuals ---------------------------------------------------------------
@@ -213,21 +202,19 @@ def residual_in(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
 
 
 def _prime_index(L: SubgroupLattice, a: int, b: int) -> bool:
-    from .permgroup import is_prime
-
     return is_prime(L.subgroups[b].order // L.subgroups[a].order)
 
 
 def p_subnormal_set(L: SubgroupLattice, variant_k: bool = False) -> frozenset[int]:
-    key = "KP" if variant_k else "P"
-    hit = L.subnormal_cache.get(key)
+    """Ids P-subnormal (chains of prime-index steps, which are the
+    prime-index covers in `L.prime_down`) or, with `variant_k`,
+    K-P-subnormal (each step of prime index or normal) in the top group."""
+    if not variant_k:
+        return frozenset(set_bits(L.prime_down[L.top.id]))
+    hit = L.subnormal_cache.get("KP")
     if hit is None:
-        if variant_k:
-            pred = lambda a, b: _prime_index(L, a, b) or L.is_normal_in(a, b)
-        else:
-            pred = lambda a, b: _prime_index(L, a, b)
-        hit = frozenset(L.reach_down(L.top.id, pred))
-        L.subnormal_cache[key] = hit
+        hit = L.subnormal_cache["KP"] = frozenset(L.reach_down(
+            L.top.id, lambda a, b: _prime_index(L, a, b) or L.is_normal_in(a, b)))
     return hit
 
 
@@ -265,14 +252,14 @@ def is_F_subnormal(G: FiniteGroup, H: Subgroup, F: ClassOracle) -> bool:
 # -- local formations and the w-construction ---------------------------------
 
 
-def in_local_formation(G: FiniteGroup, f: FormationFunction) -> bool:
+def in_local_formation(G: FiniteGroup, f: Callable[[int], ClassOracle]) -> bool:
     """Membership in LF(f): every chief-factor automizer lies in f(p) for all
     primes p dividing the factor order."""
     L = G.lattice()
     for cf in structure.chief_factors_in(L, L.top.id):
         Q, _ = quotient_cached(G, cf.centralizer.mask)
         for p in factorize(cf.order):
-            if not f.at(p).member(Q):
+            if not f(p).member(Q):
                 return False
     return True
 

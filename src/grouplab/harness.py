@@ -238,6 +238,12 @@ def _quotients_in(G: FiniteGroup, cls: str, k: int) -> bool:
                for _, Q, _ in _quotient_lattices(G))
 
 
+def _subgroups_in(L: SubgroupLattice, cls: str, k: int) -> bool:
+    """Every subgroup of L's group lies in class cls."""
+    return all(submodular.in_class(L, cls, k, top=a)
+               for a in range(len(L.subgroups)))
+
+
 def _count_subdirect_pairs(G: FiniteGroup, L: SubgroupLattice,
                            normals: list[int], cls: str, k: int) -> int:
     """Number of pairs n1 < n2 from `normals` that meet trivially and whose
@@ -292,9 +298,7 @@ def _t33_check(entry: CorpusEntry, k: int, counters: Counter):
         counters["nonvacuous_primitive_closure_X"] += 1
     if in_Y:
         checks["quotient_closure_Y"] = _quotients_in(G, "Y", k)
-        checks["subgroup_closure_Y"] = all(
-            submodular.in_class(L, "Y", k, top=a)
-            for a in range(len(L.subgroups)))
+        checks["subgroup_closure_Y"] = _subgroups_in(L, "Y", k)
         counters["nonvacuous_Y_closures"] += 1
     normals = structure.normal_ids_in(L, top)
     pairs = _count_subdirect_pairs(G, L, normals, "Y", k)
@@ -327,9 +331,7 @@ def _local_formation_check(cls: str, formation, entry: CorpusEntry, k: int,
     checks = {"local_formation_agreement":
               member == classes.in_local_formation(G, formation(k))}
     if member:
-        checks["subgroup_closure"] = all(
-            submodular.in_class(L, cls, k, top=a)
-            for a in range(len(L.subgroups)))
+        checks["subgroup_closure"] = _subgroups_in(L, cls, k)
         checks["quotient_closure"] = _quotients_in(G, cls, k)
         counters[f"nonvacuous_{cls}_closures"] += 1
     phi = L.frattini()
@@ -419,17 +421,14 @@ def _r1_check(entry: CorpusEntry, k: int, counters: Counter):
         "maximal_modular_collapse": max_ok})
 
 
-def _is_classic_LM(L: SubgroupLattice) -> bool:
-    """LM-group in the classical sense: A maximal in <A,B> forces A meet B
-    maximal in B."""
-    return all(L.meet(a, b) in L.hasse_down[b] for a, b in L.maximal_in_join())
-
-
 def _r2_check(entry: CorpusEntry, k: int, counters: Counter):
     """1-LM groups are exactly the classical LM-groups (k is always 1)."""
     L = entry.lattice
     one_lm = submodular.is_k_LM_group(L, 1)[0]
-    classic = _is_classic_LM(L)
+    # LM-group in the classical sense: A maximal in <A,B> forces A meet B
+    # maximal in B
+    classic = all(L.meet(a, b) in L.hasse_down[b]
+                  for a, b in L.maximal_in_join())
     if one_lm:
         counters["nonvacuous_lm_members"] += 1
     ok = one_lm == classic
@@ -461,9 +460,7 @@ def _lemma_21(entry, k_set, counters):
     ok = True
     for sub, Q, epi in _quotient_lattices(entry.group):
         Lq = Q.lattice()
-        for h in range(len(L.subgroups)):
-            if not L.leq(sub.id, h) or h == L.top.id:
-                continue
+        for h in L.interval(sub.id, L.top.id)[:-1]:  # the top is last
             h_img = _image_id(Lq, epi, L.subgroups[h].mask)
             if h_img == Lq.top.id:
                 continue
@@ -665,8 +662,7 @@ def _lemma_31(entry, k_set, counters):
         if in_F:
             # (1) Sylows U-subnormal, (2) quotient and (5) subgroup closure
             if not (classes.in_wF(G, U) and _quotients_in(G, "F", k)
-                    and all(submodular.in_class(L, "F", k, top=a)
-                            for a in range(len(L.subgroups)))):
+                    and _subgroups_in(L, "F", k)):
                 ok = False
             counters["nonvacuous_L3.1_members"] += 1
         # (3) subdirect closure

@@ -13,8 +13,11 @@ canonically identified by their member bitmask; lattice ids are assigned in
 The order relation is held as bitsets over ids: up[a] has bit b set when
 a <= b, down[a] when b <= a.  Since ids sort by order, the lowest bit of
 the common upper bounds of some subgroups is their join and the highest bit
-of their common lower bounds their meet, so join, meet, `generated` and the
-Hasse covers are a few integer operations each.
+of their common lower bounds their meet, so join, meet, `generated`,
+intervals and the Hasse covers are a few integer operations each, and
+prime_down[b] holds the subgroups that reach b by a chain of prime-index
+covers, which answers both n-maximality with prime-power index and
+P-subnormality with one bit test.
 """
 from __future__ import annotations
 
@@ -23,7 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .permgroup import FiniteGroup, OrderCapExceeded, order_cap, set_bits
+from .permgroup import (FiniteGroup, OrderCapExceeded, factorize, order_cap,
+                        set_bits)
 
 
 @dataclass
@@ -71,7 +75,6 @@ class SubgroupLattice:
         self._build_order()
         self._conj_cache: list[dict[int, int]] = [dict() for _ in self.subgroups]
         self._normalizers: list[int | None] = [None] * len(self.subgroups)
-        self._chain_lengths: dict[tuple[int, int], frozenset[int]] = {}
         self._subs_of: dict[int, list[int]] = {}
         # caches owned by other modules (submodular / classes)
         self.step_kind_cache: dict[tuple[int, int], tuple] = {}
@@ -87,7 +90,17 @@ class SubgroupLattice:
         """holders[x] has bit s set when subgroup s contains element x; b
         holds every generator of a exactly when a <= b, so up[a] is the AND
         of holders over a.gens.  The covers of a are greedy: the lowest bit
-        left in up[a] above a is minimal, so take it and clear its up-set."""
+        left in up[a] above a is minimal, so take it and clear its up-set.
+
+        prime_down[b] has bit a set when a chain a = C0 < ... < Cn = b of
+        covers of prime index exists.  Ids ascend by order, so every cover
+        into a is found before a is processed and prime_down[a] is complete
+        when it is pushed up.  If |b:a| = q^n, such a chain is exactly a
+        maximal chain of length n: in a maximal chain of n covers the
+        indices are powers of q greater than 1 multiplying to q^n, so each
+        is q; conversely a step of prime index is a cover by Lagrange's
+        theorem, and indices dividing q^n are q, so there are n of them.
+        """
         subs = self.subgroups
         m = len(subs)
         self.holders: list[int] = [0] * self.group.order
@@ -102,6 +115,8 @@ class SubgroupLattice:
                 u &= self.holders[g]
             self.up.append(u)
         self.down: list[int] = [0] * m
+        self.prime_down: list[int] = [1 << a for a in range(m)]
+        primes = set(factorize(self.group.order))  # a prime index divides |G|
         self.hasse_down: list[list[int]] = [[] for _ in range(m)]  # maximal subgroups
         self.hasse_up: list[list[int]] = [[] for _ in range(m)]  # covers
         for a, u in enumerate(self.up):
@@ -113,6 +128,8 @@ class SubgroupLattice:
                 b = (u & -u).bit_length() - 1
                 self.hasse_up[a].append(b)
                 self.hasse_down[b].append(a)
+                if subs[b].order // subs[a].order in primes:
+                    self.prime_down[b] |= self.prime_down[a]
                 u &= ~self.up[b]
 
     # -- basic queries -------------------------------------------------------
@@ -135,6 +152,10 @@ class SubgroupLattice:
         for x in seed:
             u &= self.holders[x]
         return (u & -u).bit_length() - 1
+
+    def interval(self, a: int, b: int) -> list[int]:
+        """Ids c with a <= c <= b, ascending."""
+        return set_bits(self.down[b] & self.up[a])
 
     def subs_of(self, b: int) -> list[int]:
         """Ids of the subgroups of b, ascending (kept: chain searches and
@@ -205,30 +226,6 @@ class SubgroupLattice:
         for c in self.conjugates(a, within):
             mask &= self.subgroups[c].mask
         return self.by_mask[mask]
-
-    def chain_lengths(self, a: int, b: int) -> frozenset[int]:
-        """Achievable lengths of maximal chains a = C0 < ... < Cn = b."""
-        if a == b:
-            return frozenset({0})
-        if not self.leq(a, b):
-            return frozenset()
-        key = (a, b)
-        hit = self._chain_lengths.get(key)
-        if hit is None:
-            out: set[int] = set()
-            for m in self.hasse_down[b]:
-                if self.leq(a, m):
-                    out.update(n + 1 for n in self.chain_lengths(a, m))
-            hit = frozenset(out)
-            self._chain_lengths[key] = hit
-        return hit
-
-    def n_maximal_chain_exists(self, a: int, b: int, n: int) -> bool:
-        if not self.leq(a, b):
-            raise ValueError("chain query requires a <= b")
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return n in self.chain_lengths(a, b)
 
     def frattini(self) -> int:
         mask = self.top.mask

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permgroup import FiniteGroup, GroupError, factorize, is_prime
+from .permgroup import FiniteGroup, GroupError, factorize, is_prime, set_bits
 from .lattice import Subgroup, SubgroupLattice
 
 
@@ -109,9 +109,8 @@ def is_quotient_nilpotent(L: SubgroupLattice, c: int, b: int) -> bool:
     q = ob // oc
     for r, m in factorize(q).items():
         target = oc * r**m
-        if not any(L.subgroups[s].order == target
-                   and L.leq(c, s) and L.is_normal_in(s, b)
-                   for s in L.subs_of(b)):
+        if not any(L.subgroups[s].order == target and L.is_normal_in(s, b)
+                   for s in L.interval(c, b)):
             return False
     return True
 
@@ -146,30 +145,23 @@ def chief_factors(G: FiniteGroup) -> list[ChiefFactor]:
 
 
 def chief_factor_pairs_in(L: SubgroupLattice, b: int) -> list[tuple[int, int]]:
-    """All pairs (k, h) of b-normal subgroups with h/k minimal normal in b/k.
-
-    Over the b-normal subgroups, up[i] and down[i] are the bitsets of those
-    containing and contained in the i-th; (k, h) is a pair iff the interval
-    up[k] & down[h] is exactly {k, h}.  Ids ascend with order, so a
-    subgroup lies only in those at or after its own position.
-    """
+    """All pairs (k, h) of b-normal subgroups with h/k minimal normal in b/k:
+    k < h and the b-normal subgroups of the interval [k, h] are k and h."""
     normals = normal_ids_in(L, b)
-    masks = [L.subgroups[a].mask for a in normals]
-    m = len(normals)
-    up, down = [0] * m, [0] * m
-    for i, mi in enumerate(masks):
-        for j in range(i, m):
-            if mi & ~masks[j] == 0:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return [(normals[i], normals[j])
-            for i in range(m) for j in range(i + 1, m)
-            if up[i] & down[j] == (1 << i | 1 << j)]
+    normal_bits = sum(1 << a for a in normals)
+    pairs = []
+    for k in normals:
+        above = L.up[k] & normal_bits
+        for h in set_bits(above ^ (1 << k)):
+            if L.down[h] & above == (1 << k) | (1 << h):
+                pairs.append((k, h))
+    return pairs
 
 
 def chief_factors_in(L: SubgroupLattice, b: int) -> list[ChiefFactor]:
     """Chief factors H/K of b, each with C_b(H/K): the g in b with
-    [g, h] in K for every generator h of H."""
+    [g, h] in K for every generator h of H.  A complement m of H/K has
+    m meet H = K, so it lies in the interval [K, b]."""
     out = []
     mult, inv = L.group.mult, L.group.inv
     for k, h in chief_factor_pairs_in(L, b):
@@ -184,7 +176,7 @@ def chief_factors_in(L: SubgroupLattice, b: int) -> list[ChiefFactor]:
         out.append(ChiefFactor(
             below=sk, above=sh, order=sh.order // sk.order,
             complemented=any(L.join(h, m) == b and L.meet(h, m) == k
-                             for m in L.subs_of(b)),
+                             for m in L.interval(k, b)),
             centralizer=L.subgroups[L.by_mask[cmask]],
         ))
     return out

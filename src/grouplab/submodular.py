@@ -123,9 +123,7 @@ def _modular_in(L: SubgroupLattice, m: int, b: int) -> bool:
             break
     # condition (2): <m, Y ^ Z> = <m, Y> ^ Z for m <= Z
     if ok:
-        for z in subs:
-            if not L.leq(m, z):
-                continue
+        for z in L.interval(m, b):
             for y in subs:
                 if L.join(m, L.meet(y, z)) != L.meet(L.join(m, y), z):
                     ok = False
@@ -210,18 +208,18 @@ def is_k_submodular(L: SubgroupLattice, H: Subgroup,
 
 def is_n_maximal_with_index(L: SubgroupLattice, A: Subgroup,
                             B: Subgroup) -> tuple[int, int | None] | None:
-    """(n, q) with |B:A| = q^n and an n-step maximal chain A -> B, if any."""
+    """(n, q) with |B:A| = q^n and an n-step maximal chain A -> B, if any:
+    with prime-power index that chain is one of prime-index covers, so A
+    lies in `L.prime_down[B]` (see `SubgroupLattice._build_order`)."""
     if not L.leq(A.id, B.id):
         raise GroupError("A must lie in B")
     index = B.order // A.order
     if index == 1:
         return (0, None)
     pp = prime_power(index)
-    if pp is None:
+    if pp is None or not L.prime_down[B.id] >> A.id & 1:
         return None
     q, n = pp
-    if not L.n_maximal_chain_exists(A.id, B.id, n):
-        return None
     return (n, q)
 
 

@@ -36,11 +36,11 @@ def test_oracle_sylow_conditions():
 
 def test_h_and_f_values():
     # h(5) at k=2 contains Z4; at k=1 it does not
-    assert h_function(2).at(5).member(named_group("cyclic", [4]))
-    assert not h_function(1).at(5).member(named_group("cyclic", [4]))
+    assert h_function(2)(5).member(named_group("cyclic", [4]))
+    assert not h_function(1)(5).member(named_group("cyclic", [4]))
     # f(7) at k=1 contains S3 (cyclic Sylows 2, 3 with orders dividing 6)
-    assert f_function(1).at(7).member(named_group("sym", [3]))
-    assert not h_function(1).at(7).member(named_group("sym", [3]))  # not abelian
+    assert f_function(1)(7).member(named_group("sym", [3]))
+    assert not h_function(1)(7).member(named_group("sym", [3]))  # not abelian
     with pytest.raises(Exception):
         oracle("nosuch")
 

@@ -4,7 +4,10 @@ from itertools import combinations
 import pytest
 
 from grouplab import Permutation, all_subgroups, direct_product, named_group
+from grouplab.classes import p_subnormal_set
 from grouplab.lattice import _lagrange_pins
+from grouplab.permgroup import is_prime, prime_power
+from grouplab.submodular import is_n_maximal_with_index
 
 
 def naive_subgroup_masks(G):
@@ -105,12 +108,13 @@ def test_intersect_and_maximal(s4):
     assert L.subgroups[L.meet(a4.id, d8.id)].order == 4
 
 
-def test_chain_lengths(hol5):
+def test_n_maximal_chains(hol5):
     L = hol5.lattice()
     four = next(s for s in L.subgroups if s.order == 4)
-    assert L.n_maximal_chain_exists(L.bottom.id, four.id, 2)
-    assert not L.n_maximal_chain_exists(L.bottom.id, four.id, 1)
-    assert L.n_maximal_chain_exists(L.top.id, L.top.id, 0)
+    n, q = is_n_maximal_with_index(L, L.bottom, four)
+    assert (n, q) == (2, 2)  # a 2-step maximal chain 1 < Z2 < Z4
+    assert n != 1  # and no 1-step one
+    assert is_n_maximal_with_index(L, L.top, L.top) == (0, None)
 
 
 def test_frattini():
@@ -268,6 +272,42 @@ def test_maximal_in_join_matches_join_loop(corpus):
         pairs = [(a, b) for a in range(m) for b in range(m)
                  if L.join(a, b) != a and a in L.hasse_down[L.join(a, b)]]
         assert list(L.maximal_in_join()) == pairs, G.name
+
+
+def _chain_lengths(L, a, b, memo):
+    """Lengths of the maximal chains a = C0 < ... < Cn = b, by recursion over
+    the maximal subgroups of b: the reference for `prime_down`."""
+    if a == b:
+        return frozenset({0})
+    if (a, b) not in memo:
+        memo[a, b] = frozenset(n + 1 for c in L.hasse_down[b] if L.leq(a, c)
+                               for n in _chain_lengths(L, a, c, memo))
+    return memo[a, b]
+
+
+def test_prime_chains_and_intervals_match_definitions(corpus):
+    groups = ([e.group for e in corpus if e.order <= 60]
+              + [named_group("elem_abelian", [2, 5]),
+                 named_group("holomorph_cyclic", [19])])
+    for G in groups:
+        L = G.lattice()
+        subs = L.subgroups
+        m = len(L)
+        memo = {}
+        for b in range(m):
+            for a in (a for a in range(m) if L.leq(a, b)):
+                pp = prime_power(subs[b].order // subs[a].order)
+                if pp is not None:
+                    q, n = pp
+                    chain = n in _chain_lengths(L, a, b, memo)
+                    assert is_n_maximal_with_index(L, subs[a], subs[b]) == (
+                        (n, q) if chain else None), (G.name, a, b)
+        prime_step = lambda a, b: is_prime(subs[b].order // subs[a].order)
+        assert p_subnormal_set(L) == frozenset(L.reach_down(L.top.id, prime_step))
+        for a in range(m):
+            above = [c for c in range(m) if L.leq(a, c)]
+            for b in range(m):
+                assert L.interval(a, b) == [c for c in above if L.leq(c, b)]
 
 
 def _unskipped_mask_gens(G):
