@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .permgroup import (FiniteGroup, GroupError, direct_product, factorize,
-                        group_from_spec, named_group, named_order, order_cap,
+                        group_from_spec, named_order, order_cap,
                         prime_power, quotient_cached)
 from .lattice import SubgroupLattice
 from . import classes, structure, submodular
@@ -68,21 +68,24 @@ class CorpusEntry:
 
     def fingerprint(self) -> tuple:
         G = self.group
-        return (G.order, G.is_abelian(), G.exponent(), len(G.lattice()),
-                _element_class_count(G))
+        return _fingerprint(G, range(G.order), len(G.lattice()))
 
 
-def _element_class_count(G: FiniteGroup) -> int:
+def _fingerprint(G: FiniteGroup, members, subgroups: int) -> tuple:
+    """Isomorphism invariants of the subgroup of G with these members and
+    this many subgroups: order, commutativity, exponent, subgroup count and
+    number of conjugacy classes of elements."""
     mult, inv = G.mult, G.inv
-    seen = [False] * G.order
-    count = 0
-    for x in range(G.order):
-        if seen[x]:
-            continue
-        count += 1
-        for g in range(G.order):
-            seen[mult[mult[inv[g]][x]][g]] = True
-    return count
+    abelian = all(mult[a][b] == mult[b][a] for a in members for b in members)
+    seen: set[int] = set()
+    classes = 0
+    for x in members:
+        if x not in seen:
+            classes += 1
+            seen.update(mult[mult[inv[g]][x]][g] for g in members)
+    return (len(members), abelian,
+            math.lcm(*(G.element_orders[x] for x in members)), subgroups,
+            classes)
 
 
 @dataclass
@@ -141,22 +144,24 @@ def build_corpus(config: CorpusConfig | None = None) -> list[CorpusEntry]:
     seen: dict[tuple, str] = {}
     for e in entries:
         seen.setdefault(e.fingerprint(), e.name)
+    hosts = {e.name: e.group for e in entries if e.name in ("S4", "S5")}
     for n in (4, 5):
-        if named_order("sym", [n], config.cap) > config.cap:
+        host = hosts.get(f"S{n}")
+        if host is None:  # over the cap
             continue
-        host = named_group("sym", [n])
         L = host.lattice()
         for s in L.subgroups:
             if s.order < 2:
+                continue
+            # the candidate's invariants, read inside the host
+            fp = _fingerprint(host, s.members, L.down[s.id].bit_count())
+            if fp in seen:
                 continue
             gens = s.gens or tuple(s.members)
             spec = {"kind": "generators", "degree": host.degree,
                     "cycles": [host.elements[g].cycle_string()
                                for g in gens]}
             cand = CorpusEntry(f"S{n}_sub{s.id}", spec)
-            fp = cand.fingerprint()
-            if fp in seen:
-                continue
             seen[fp] = cand.name
             entries.append(cand)
     entries.sort(key=lambda e: e.name)

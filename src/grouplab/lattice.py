@@ -1,14 +1,17 @@
 """Complete subgroup lattices of small finite groups.
 
-Enumeration is by cyclic extension: seed with all cyclic subgroups, then close
-the set under join-with-a-cyclic-subgroup until fixpoint.  Each join <H, c>
-is enumerated from the known mask of H as a union of cosets of H.  A join is
-not enumerated when Lagrange's theorem already names it: if an earlier join
-j = <H, c'> contains c, then <H, c> <= j, and when no order other than |j|
-fits between |Hc| and |j| as a multiple of lcm(|H|, |c|) dividing |j|,
-<H, c> = j, which is already known (`_lagrange_pins`).  Subgroups are
-canonically identified by their member bitmask; lattice ids are assigned in
-(order, member-set) sort order, so reports are deterministic.
+Enumeration is by cyclic extension of conjugacy class representatives
+(Neubüser): each representative H is extended by one zuppo (cyclic subgroup
+of prime-power order) from each orbit of N(H) on the zuppos outside H, and
+each new subgroup brings its whole class, its orbit under G's generators.
+Each join <H, z> is enumerated from the known mask of H as a union of cosets
+of H, unless Lagrange's theorem already names it (`_lagrange_pins`).  Each
+subgroup's generator tuple is the one the plain loop (every subgroup
+extended by every cyclic subgroup) finds first, replayed on the finished
+lattice with joins in place of closures, so it does not depend on the
+enumeration order.  Subgroups are canonically identified by their member
+bitmask; lattice ids are assigned in (order, member-set) sort order, so
+reports are deterministic.
 
 The order relation is held as bitsets over ids: up[a] has bit b set when
 a <= b, down[a] when b <= a.  Since ids sort by order, the lowest bit of
@@ -22,12 +25,11 @@ P-subnormality with one bit test.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .permgroup import (FiniteGroup, OrderCapExceeded, factorize, order_cap,
-                        set_bits)
+                        prime_power, set_bits)
 
 
 @dataclass
@@ -75,6 +77,8 @@ class SubgroupLattice:
         self._build_order()
         self._conj_cache: list[dict[int, int]] = [dict() for _ in self.subgroups]
         self._normalizers: list[int | None] = [None] * len(self.subgroups)
+        # a -> (r, t) with a = r^t, from the class enumeration
+        self._conjugated: dict[int, tuple[int, int]] = {}
         self._subs_of: dict[int, list[int]] = {}
         # caches owned by other modules (submodular / classes)
         self.step_kind_cache: dict[tuple[int, int], tuple] = {}
@@ -103,34 +107,38 @@ class SubgroupLattice:
         """
         subs = self.subgroups
         m = len(subs)
-        self.holders: list[int] = [0] * self.group.order
+        holders: list[int] = [0] * self.group.order
         for s in subs:
             bit = 1 << s.id
             for x in s.members:
-                self.holders[x] |= bit
-        self.up: list[int] = []
+                holders[x] |= bit
+        up: list[int] = []
         for s in subs:
             u = (1 << m) - 1
             for g in s.gens:
-                u &= self.holders[g]
-            self.up.append(u)
-        self.down: list[int] = [0] * m
-        self.prime_down: list[int] = [1 << a for a in range(m)]
+                u &= holders[g]
+            up.append(u)
+        down: list[int] = [0] * m
+        prime_down: list[int] = [1 << a for a in range(m)]
         primes = set(factorize(self.group.order))  # a prime index divides |G|
-        self.hasse_down: list[list[int]] = [[] for _ in range(m)]  # maximal subgroups
-        self.hasse_up: list[list[int]] = [[] for _ in range(m)]  # covers
-        for a, u in enumerate(self.up):
+        orders = [s.order for s in subs]
+        hasse_down: list[list[int]] = [[] for _ in range(m)]  # maximal subgroups
+        hasse_up: list[list[int]] = [[] for _ in range(m)]  # covers
+        for a, u in enumerate(up):
             bit = 1 << a
             for b in set_bits(u):
-                self.down[b] |= bit
+                down[b] |= bit
             u ^= bit
             while u:
                 b = (u & -u).bit_length() - 1
-                self.hasse_up[a].append(b)
-                self.hasse_down[b].append(a)
-                if subs[b].order // subs[a].order in primes:
-                    self.prime_down[b] |= self.prime_down[a]
-                u &= ~self.up[b]
+                hasse_up[a].append(b)
+                hasse_down[b].append(a)
+                if orders[b] // orders[a] in primes:
+                    prime_down[b] |= prime_down[a]
+                u &= ~up[b]
+        self.holders, self.up, self.down = holders, up, down
+        self.prime_down = prime_down
+        self.hasse_down, self.hasse_up = hasse_down, hasse_up
 
     # -- basic queries -------------------------------------------------------
 
@@ -201,18 +209,19 @@ class SubgroupLattice:
         return sorted(seen)
 
     def normalizer(self, a: int) -> int:
-        """N(a): the g with g^-1 h g in a for each generator h of a."""
+        """N(a): the g with g^-1 h g in a for each generator h of a, or
+        N(r)^t when the enumeration found a as the conjugate r^t."""
         hit = self._normalizers[a]
         if hit is None:
-            mult, inv = self.group.mult, self.group.inv
-            sub = self.subgroups[a]
-            nm = 0
-            for g in range(self.group.order):
-                row = mult[inv[g]]
-                if all(sub.mask >> mult[row[h]][g] & 1 for h in sub.gens):
-                    nm |= 1 << g
-            hit = self.by_mask[nm]
-            self._normalizers[a] = hit
+            via = self._conjugated.get(a)
+            if via is None:
+                sub = self.subgroups[a]
+                nm = _normalizer_mask(self.group, sub.mask, sub.gens)
+            else:
+                r, t = via
+                nm = self.group.conjugate_mask(
+                    self.subgroups[self.normalizer(r)].mask, t)
+            hit = self._normalizers[a] = self.by_mask[nm]
         return hit
 
     def is_normal_in(self, a: int, b: int) -> bool:
@@ -308,52 +317,244 @@ def _lagrange_pins(h_order: int, c_order: int, meet_order: int,
     return q // p * step < h_order * c_order // meet_order
 
 
+def _normalizer_mask(G: FiniteGroup, mask: int, gens: tuple[int, ...]) -> int:
+    """N(H) for H = <gens> with member mask `mask`: the g with g^-1 h g in
+    H for each generator h.  H <= N(H), so a coset Hg lies in N(H) or
+    misses it, and one g per coset is tested."""
+    mult, inv = G.mult, G.inv
+    hrows = [mult[h] for h in set_bits(mask)]
+    nm = tested = 0
+    for g in range(G.order):
+        if tested >> g & 1:
+            continue
+        coset = 0
+        for r in hrows:
+            coset |= 1 << r[g]
+        tested |= coset
+        row = mult[inv[g]]
+        if all(mask >> mult[row[h]][g] & 1 for h in gens):
+            nm |= coset
+    return nm
+
+
+def _generators_of(G: FiniteGroup, mask: int, base: int,
+                   gens: Iterable[int], candidates: Iterable[int]) -> list[int]:
+    """A small generating set of the subgroup `mask`: `gens` (which
+    generate its subgroup `base`), then greedily each of the candidates and
+    then of the members that the closure so far does not hold."""
+    gens = list(gens)
+    for pool in (candidates, range(G.order)):
+        for x in pool:
+            if base == mask:
+                return gens
+            if mask >> x & 1 and not base >> x & 1:
+                gens.append(x)
+                base = G.closure_mask(gens, base)
+    return gens
+
+
 def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
-    """Enumerate every subgroup of G by cyclic extension."""
+    """Enumerate every subgroup of G by cyclic extension of conjugacy class
+    representatives (Neubüser), then give each subgroup the generator tuple
+    the plain extension loop finds first.
+
+    Classes.  A zuppo is a cyclic subgroup of prime-power order.  Starting
+    from the trivial subgroup, each class representative H is extended by
+    one zuppo z outside H from each orbit of N(H) on those zuppos; a new
+    <H, z> adds its whole class (its orbit under G's generators) and becomes
+    a representative.  This finds every subgroup: every K != 1 is generated
+    by its zuppos, so K = <M, z> for a maximal subgroup M < K and a zuppo
+    z of K outside M; M = H^g for a representative H (by induction on |K|),
+    and <H^g, z> = <H, z^(g^-1)>^g; and for n in N(H), <H, z^n> = <H, z>^n,
+    so one zuppo per N(H)-orbit gives K up to conjugacy.  A normal H (tested
+    on generators) has N(H) = G and needs no normalizer scan, and a normal
+    <H, z> is its own class.  Central generators of N(H) fix every zuppo,
+    so when all of them are central there is no orbit walk.  <H, z> is not
+    closed when Lagrange's theorem already names it: if an earlier join
+    j = <H, z'> contains z, then <H, z> <= j, and when no order other than
+    |j| fits between |Hz| and |j| as a multiple of lcm(|H|, |z|) dividing
+    |j|, <H, z> = j (`_lagrange_pins`).
+
+    Generators.  `Subgroup.gens` is the tuple found first by the loop that
+    seeds every cyclic subgroup (by order, then mask) and extends each
+    subgroup, in queue order, by every cyclic subgroup c outside it, giving
+    <h, c> the generators of h plus the least generator of c.  That loop is
+    replayed on the finished lattice with <h, c> = join(h, c), a few integer
+    operations on the up-sets (which depend only on member sets), and stops
+    once every subgroup has its tuple.
+
+    The normalizers computed on the way are handed to the lattice: N(H) for
+    the representatives, G for normal subgroups, and N(H)^t for a conjugate
+    H^t, computed when first asked.
+    """
     if G.order > order_cap():
         raise OrderCapExceeded(f"|{G.name}| = {G.order} exceeds cap {order_cap()}")
     mult = G.mult
     e = G.identity_ordinal
-    n = G.order
-
+    full = G.full_mask()
     cyclic: dict[int, int] = {}  # mask -> least generator ordinal
-    for x in range(n):
+    canon = [0] * G.order  # x -> least generator of <x>
+    for x in range(G.order):
         mask = 1 << e
         y = x
         while y != e:
             mask |= 1 << y
             y = mult[y][x]
-        if mask not in cyclic:
-            cyclic[mask] = x
-    cyc_items = sorted(cyclic.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
+        canon[x] = cyclic.setdefault(mask, x)
+    cyc_items = sorted(cyclic.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
-    mask_gens: dict[int, tuple[int, ...]] = {1 << e: ()}
-    queue: deque[int] = deque()
-    for mask, gen in cyc_items:
-        if mask not in mask_gens:
-            mask_gens[mask] = (gen,)
-            queue.append(mask)
-    while queue:
-        h = queue.popleft()
-        hgens = mask_gens[h]
-        h_order = h.bit_count()
-        joins: list[int] = []  # the distinct <h, c> closed so far, by order
-        for cmask, cgen in cyc_items:
-            if cmask & ~h == 0:
-                continue
-            j = next((x for x in joins if cmask & ~x == 0), None)
-            if j is not None and _lagrange_pins(
-                    h_order, cmask.bit_count(), (cmask & h).bit_count(),
-                    j.bit_count()):
-                continue  # <h, c> = j, which is known
-            j = G.closure_mask(hgens + (cgen,), h)
-            if j not in mask_gens:
-                mask_gens[j] = hgens + (cgen,)
-                queue.append(j)
-            if j not in joins:
-                joins.append(j)
-                joins.sort(key=int.bit_count)
+    if full in cyclic:  # every subgroup of a cyclic group is cyclic, normal
+        known = {mask: (g,) for mask, g in cyclic.items()}
+        normalizers = dict.fromkeys(known, full)
+        conjugated: dict[int, tuple[int, int]] = {}
+    else:
+        known, normalizers, conjugated = _classes(G, cyc_items, canon)
+    L = SubgroupLattice(G, known)
+    ids = L.by_mask
+    for h, nm in normalizers.items():
+        L._normalizers[ids[h]] = ids[nm]
+    L._conjugated = {ids[d]: (ids[k], t) for d, (k, t) in conjugated.items()}
+    _replay_gens(L, cyc_items)
+    return L
+
+
+def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
+             canon: list[int]) -> tuple[dict, dict, dict]:
+    """The class-wise enumeration of `all_subgroups`: every subgroup mask
+    with some generators, the normalizer masks found (class
+    representatives and normal subgroups), and each other conjugate H^t
+    as (H, t)."""
+    mult, inv = G.mult, G.inv
+    e = G.identity_ordinal
     full = G.full_mask()
-    if full not in mask_gens:  # trivial group
-        mask_gens.setdefault(full, ())
-    return SubgroupLattice(G, mask_gens)
+    cyc_mask = {g: mask for mask, g in cyc_items}
+    prime_powers = {o for o in {m.bit_count() for m, _ in cyc_items}
+                    if prime_power(o) is not None}
+    zuppos = [g for mask, g in cyc_items if mask.bit_count() in prime_powers]
+
+    idx = G.element_index
+    seeds = [idx[s] for s in G.generators if s in idx] or [e]
+    ggens = _generators_of(G, full, cyc_mask[canon[seeds[0]]], seeds[:1], seeds)
+    # the generators that are not central: only they move subgroups
+    moving = [g for g in ggens if any(mult[g][s] != mult[s][g] for s in ggens)]
+
+    def conj(x: int, g: int) -> int:
+        return mult[mult[inv[g]][x]][g]
+
+    def central(x: int) -> bool:
+        row = mult[x]
+        return all(row[s] == mult[s][x] for s in moving)
+
+    known: dict[int, tuple[int, ...]] = {}  # mask -> some generators
+    normalizers: dict[int, int] = {}  # representative mask -> N mask
+    conjugated: dict[int, tuple[int, int]] = {}  # mask of H^t -> (H, t)
+    reps: list[int] = []
+
+    def add_class(k: int, kgens: tuple[int, ...]) -> None:
+        known[k] = kgens
+        reps.append(k)
+        if all(k >> conj(x, g) & 1 for g in moving for x in kgens):
+            normalizers[k] = full
+            return
+        frontier = [(k, kgens, e)]
+        size = 1
+        while frontier:
+            new = []
+            for c, cgens, t in frontier:
+                for g in moving:
+                    d = G.conjugate_mask(c, g)
+                    if d not in known:
+                        dgens = tuple(conj(x, g) for x in cgens)
+                        known[d] = dgens
+                        conjugated[d] = (k, mult[t][g])
+                        new.append((d, dgens, mult[t][g]))
+            size += len(new)
+            frontier = new
+        if size * k.bit_count() == G.order:  # |N(K)| = |G|/size = |K|
+            normalizers[k] = k
+
+    add_class(1 << e, ())
+    for h in reps:
+        outside = [z for z in zuppos if not h >> z & 1]
+        if not outside:
+            continue
+        hgens = known[h]
+        nm = normalizers.get(h)
+        if nm is None:
+            nm = normalizers[h] = _normalizer_mask(G, h, hgens)
+        acting = moving if nm == full else [
+            g for g in _generators_of(G, nm, h, hgens, ()) if not central(g)]
+        if acting:  # one zuppo per N(H)-orbit
+            unvisited = set(outside)
+            orbit_reps = []
+            for z in outside:
+                if z not in unvisited:
+                    continue
+                orbit_reps.append(z)
+                unvisited.discard(z)
+                stack = [z]
+                while stack:
+                    x = stack.pop()
+                    for g in acting:
+                        y = canon[conj(x, g)]
+                        if y in unvisited:
+                            unvisited.discard(y)
+                            stack.append(y)
+            outside = orbit_reps
+        h_order = h.bit_count()
+        smallest: dict[int, int] = {}  # zuppo -> least join so far holding it
+        for i, z in enumerate(outside):
+            j = smallest.get(z)
+            zmask = cyc_mask[z]
+            if j is not None and _lagrange_pins(
+                    h_order, zmask.bit_count(), (zmask & h).bit_count(),
+                    j.bit_count()):
+                continue  # <h, z> = j, which is known
+            j = (zmask if h & ~zmask == 0  # h <= <z>
+                 else G.closure_mask(hgens + (z,), h))
+            j_order = j.bit_count()
+            for z2 in outside[i + 1:]:
+                if j >> z2 & 1:
+                    k = smallest.get(z2)
+                    if k is None or j_order < k.bit_count():
+                        smallest[z2] = j
+            if j not in known:
+                add_class(j, hgens + (z,))
+
+    return known, normalizers, conjugated
+
+
+def _replay_gens(L: SubgroupLattice, cyc_items: list[tuple[int, int]]) -> None:
+    """Set each subgroup's gens to the tuple the plain extension loop finds
+    first (see `all_subgroups`), with each closure <h, c> read as join(h, c),
+    the lowest bit of up[h] & up[c].  `todo` holds the ids still without a
+    tuple: h is skipped when none lies above it, and c when none lies above
+    both.  For c <= h the join is h itself, which has its tuple."""
+    cyc = [(L.by_mask[mask], g) for mask, g in cyc_items]
+    up = L.up
+    gens: list[tuple[int, ...] | None] = [None] * len(L)
+    gens[L.bottom.id] = ()
+    queue = []
+    for c, g in cyc:
+        if gens[c] is None:
+            gens[c] = (g,)
+            queue.append(c)
+    todo = sum(1 << a for a, t in enumerate(gens) if t is None)
+    for h in queue:
+        if not todo:
+            break
+        uh, hgens = up[h], gens[h]
+        if not uh & todo:
+            continue
+        for c, g in cyc:
+            u = uh & up[c]
+            if u & todo:
+                j = (u & -u).bit_length() - 1
+                if gens[j] is None:
+                    gens[j] = hgens + (g,)
+                    queue.append(j)
+                    todo ^= 1 << j
+                    if not uh & todo:
+                        break
+    for s, g in zip(L.subgroups, gens):
+        s.gens = g

@@ -1,14 +1,17 @@
 """Property-based fuzzing of the input layer: cycle parsing, group specs and
 the command line.  Every input either succeeds or fails with a typed error;
 the command line exits 0, 1 or 2, never with a traceback, and exits 2 on
-malformed input.  A small order cap keeps each example cheap."""
+malformed input.  A small order cap keeps each example cheap.  The subgroup
+lattices of random permutation groups are checked against the plain
+cyclic-extension loop."""
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from grouplab import (FiniteGroup, GroupError, Permutation, cli,
-                      group_from_spec)
+from grouplab import (FiniteGroup, GroupError, OrderCapExceeded, Permutation,
+                      cli, generate, group_from_spec)
+from test_lattice import assert_matches_unskipped_loop
 
 CAP = "24"
 FUZZ = settings(max_examples=60, deadline=None)
@@ -160,3 +163,23 @@ def test_cli_well_formed_exits_0_or_1(capsys, argv):
 def test_cli_malformed_exits_2(capsys, argv):
     code, _ = _run(capsys, argv)
     assert code == 2, argv
+
+
+two_permutations = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(st.just(d), st.permutations(range(d)),
+                        st.permutations(range(d))))
+
+
+@settings(FUZZ, max_examples=40)
+@given(two_permutations)
+def test_lattice_of_random_group_matches_unskipped_loop(perms):
+    """Masks, ids and generator tuples of the lattice of the group two
+    random permutations of degree <= 6 generate (order <= 120)."""
+    degree, p, q = perms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GROUPLAB_ORDER_CAP", "120")
+        try:
+            G = generate(degree, [Permutation(p), Permutation(q)])
+        except OrderCapExceeded:
+            assume(False)
+        assert_matches_unskipped_loop(G)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from grouplab import GroupError
+from grouplab import GroupError, named_group
 from grouplab import harness
 
 
@@ -37,6 +37,21 @@ def test_corpus_fingerprint_collisions_are_isomorphic_pairs(corpus):
     for names in groups.values():
         if len(names) > 1:
             assert frozenset(names) in known
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_candidate_fingerprint_read_in_host(n):
+    """build_corpus fingerprints each subgroup of S4 and S5 inside the host;
+    that equals the fingerprint of the subgroup built as a group."""
+    host = named_group("sym", [n])
+    L = host.lattice()
+    for s in L.subgroups:
+        spec = {"kind": "generators", "degree": host.degree,
+                "cycles": [host.elements[g].cycle_string()
+                           for g in s.gens or s.members]}
+        assert (harness._fingerprint(host, s.members,
+                                     L.down[s.id].bit_count())
+                == harness.CorpusEntry("c", spec).fingerprint()), s.id
 
 
 def test_corpus_config_validation():

@@ -136,7 +136,16 @@ def test_subgroup_as_group_matches(s4):
 # -- generator-based normalizers, conjugates and cores against the
 #    all-members definitions ---------------------------------------------------
 
-REFERENCE_GROUPS = [("sym", [4]), ("holomorph_cyclic", [5]), ("sym", [5])]
+# ("direct", [...]) is the direct product of the named groups listed
+REFERENCE_GROUPS = [("sym", [4]), ("holomorph_cyclic", [5]), ("sym", [5]),
+                    ("holomorph_cyclic", [19]),
+                    ("direct", [("sym", [4]), ("sym", [3])])]
+
+
+def _reference_group(name, args):
+    if name == "direct":
+        return direct_product(*(named_group(n, a) for n, a in args))
+    return named_group(name, args)
 
 
 def _conjugate_by_permutations(G, mask, g):
@@ -159,7 +168,9 @@ def test_conjugate_mask_matches_permutation_arithmetic(s4):
 
 @pytest.mark.parametrize("name,args", REFERENCE_GROUPS)
 def test_normalizer_conjugates_core_match_definitions(name, args):
-    G = named_group(name, args)
+    """Also checks the normalizers the enumeration hands to the lattice:
+    N(H) of class representatives and N(H)^t of their conjugates H^t."""
+    G = _reference_group(name, args)
     L = G.lattice()
     # conj[a][g] = mask of a^g, for every member g of G
     conj = [[G.conjugate_mask(s.mask, g) for g in range(G.order)]
@@ -337,10 +348,62 @@ def _unskipped_mask_gens(G):
 
 
 def test_enumeration_matches_unskipped_loop(corpus):
-    for G in _order_groups(corpus) + [named_group("holomorph_cyclic", [19])]:
-        expected = _unskipped_mask_gens(G)
-        got = {s.mask: s.gens for s in all_subgroups(G).subgroups}
-        assert got == expected, G.name
+    """Class-wise enumeration and generator replay against the plain loop:
+    same masks, ids and generator tuples."""
+    s4 = named_group("sym", [4])
+    groups = ([e.group for e in corpus]
+              + [direct_product(s4, named_group("sym", [3])),
+                 named_group("elem_abelian", [2, 5]),
+                 named_group("holomorph_cyclic", [19]),
+                 direct_product(s4, named_group("elem_abelian", [2, 2]))])
+    for G in groups:
+        assert_matches_unskipped_loop(G)
+
+
+def assert_matches_unskipped_loop(G):
+    expected = sorted(_unskipped_mask_gens(G).items(),
+                      key=lambda kv: (kv[0].bit_count(),
+                                      G.mask_members(kv[0])))
+    got = [(s.mask, s.gens) for s in all_subgroups(G).subgroups]
+    assert got == expected, G.name
+
+
+def _gaussian_binomial_sum(n, q):
+    """Number of subspaces of GF(q)^n."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= q ** (n - i) - 1
+            den *= q ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+def _tau(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def _sigma(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("name,args,count", [
+    ("cyclic", [30], _tau(30)),
+    ("cyclic", [64], _tau(64)),
+    ("cyclic", [720], _tau(720)),
+    ("dihedral", [10], _tau(10) + _sigma(10)),
+    ("dihedral", [48], _tau(48) + _sigma(48)),
+    ("dihedral", [500], _tau(500) + _sigma(500)),  # order 1000
+    ("elem_abelian", [2, 6], 2825),  # 1 + 63 + 651 + 1395 + 651 + 63 + 1
+    ("elem_abelian", [3, 4], _gaussian_binomial_sum(4, 3)),
+    ("elem_abelian", [5, 3], _gaussian_binomial_sum(3, 5)),
+    ("elem_abelian", [11, 3], _gaussian_binomial_sum(3, 11)),  # order 1331
+])
+def test_subgroup_counts_match_closed_forms(name, args, count):
+    """Counts the enumeration shares no code with: Z_n has tau(n)
+    subgroups, D_n has tau(n) + sigma(n), E_p^n the number of subspaces."""
+    assert len(all_subgroups(named_group(name, args))) == count
 
 
 def test_lagrange_pins_matches_divisor_search():
