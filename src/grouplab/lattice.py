@@ -80,6 +80,7 @@ class SubgroupLattice:
         # a -> (r, t) with a = r^t, from the class enumeration
         self._conjugated: dict[int, tuple[int, int]] = {}
         self._subs_of: dict[int, list[int]] = {}
+        self._memos: dict[str, dict] = {}
         # caches owned by other modules (submodular / classes)
         self.step_kind_cache: dict[tuple[int, int], tuple] = {}
         self.ksub_reach: dict[tuple[int, int], frozenset[int]] = {}
@@ -171,6 +172,15 @@ class SubgroupLattice:
         hit = self._subs_of.get(b)
         if hit is None:
             hit = self._subs_of[b] = set_bits(self.down[b])
+        return hit
+
+    def memo(self, name: str) -> dict:
+        """The dict another module memoises its answers about this lattice
+        in, under a name it owns (its module name); it is freed with the
+        lattice."""
+        hit = self._memos.get(name)
+        if hit is None:
+            hit = self._memos[name] = {}
         return hit
 
     def maximal_in_join(self) -> Iterator[tuple[int, int]]:

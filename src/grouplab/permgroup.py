@@ -248,36 +248,44 @@ class FiniteGroup:
     def mult(self) -> list[list[int]]:
         """Multiplication table over ordinals, left factor first.
 
-        Built from the Cayley graph: each distinct generator s gets its left
-        row [s*b for b], by n permutation products; then a walk from the
-        identity by right multiplication derives row(p*s) from row(p) as
-        row(p)[s*b], since (p*s)*b = p*(s*b).  An element the walk does not
-        reach (a hand-built table whose generators do not generate it) gets
-        its row by direct products.
+        Built from the Cayley graph: a walk from the identity by right
+        multiplication derives row(p*s) from row(p) as row(p)[s*b], since
+        (p*s)*b = p*(s*b), given the left row [s*b for b] of the generator
+        s.  Generators join the walk one at a time, each with a left row of
+        n permutation products; a generator the walk has already reached
+        lies in the subgroup the earlier ones generate and is skipped, and
+        the walk stops once every element has a row.  An element the walk
+        does not reach (a hand-built table whose generators do not generate
+        it) gets its row by direct products.
         """
         if self._mult is None:
             idx = self.element_index
             els = self.elements
             n = len(els)
-            left = {}  # generator ordinal -> its left row
-            for s in self.generators:
-                i = idx.get(s)
-                if i is not None and i not in left:
-                    left[i] = [idx[s * b] for b in els]
             rows: list = [None] * n
             e = self.identity_ordinal
             rows[e] = list(range(n))
-            frontier = [e]
-            while frontier:
-                new = []
-                for p in frontier:
-                    row = rows[p]
-                    for s, left_s in left.items():
-                        q = row[s]
-                        if rows[q] is None:
-                            rows[q] = list(map(row.__getitem__, left_s))
-                            new.append(q)
-                frontier = new
+            reached = [e]
+            left = []  # (generator ordinal, its left row) in the walk
+            for s in self.generators:
+                if len(reached) == n:
+                    break
+                i = idx.get(s)
+                if i is None or rows[i] is not None:
+                    continue
+                left.append((i, [idx[s * b] for b in els]))
+                frontier = reached  # every reached p now also needs p*s
+                while frontier:
+                    new = []
+                    for p in frontier:
+                        row = rows[p]
+                        for g, left_g in left:
+                            q = row[g]
+                            if rows[q] is None:
+                                rows[q] = list(map(row.__getitem__, left_g))
+                                new.append(q)
+                    reached.extend(new)
+                    frontier = new
             for a in range(n):
                 if rows[a] is None:
                     rows[a] = [idx[els[a] * b] for b in els]

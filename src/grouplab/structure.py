@@ -9,6 +9,20 @@ supersolubility of a lattice member is `is_supersoluble_in`, and normality
 is the lattice's `is_normal_in`.  The `_in` forms take a lattice and a
 member id and treat the member as a group in its own right, so no lattice
 is rebuilt for a subgroup.
+
+The six per-member queries `normal_ids_in`, `chief_factor_pairs_in`,
+`chief_factors_in`, `is_supersoluble_in`, `sylow_in` and
+`is_quotient_nilpotent` work out each answer once per lattice.  The answers
+live on the lattice, in the dict this module owns under its own name
+(`SubgroupLattice.memo`), so they are freed with the lattice; a module-level
+table keyed by lattice would keep every lattice alive, since a cached
+`ChiefFactor` holds a `Subgroup`, which holds its group, which holds the
+lattice.  The dict maps a member id to one `_Facts` record of compact
+values: bitsets over ids, bools and ids, never lists of pairs or `Subgroup`
+objects, since the corpus run keeps hundreds of lattices alive at once.  The
+functions that return lists build a fresh one from those values on every
+call, so a caller may change what it gets.  A query that needs another's
+answer calls it, so that answer is read from its memo.
 """
 from __future__ import annotations
 
@@ -33,6 +47,29 @@ class ChiefFactor:
     centralizer: Subgroup
 
 
+@dataclass(slots=True)
+class _Facts:
+    """The memoised answers about one lattice member b."""
+
+    normal: int | None = None  # bitset of the normal subgroups of b
+    # per normal k, ascending: bitset of the h with (k, h) a chief-factor pair
+    pair_tops: tuple[int, ...] | None = None
+    # centralizer ids in pair order, bitset of the complemented pairs' positions
+    chief: tuple[tuple[int, ...], int] | None = None
+    supersoluble: bool | None = None  # cross-checked verdict
+    sylow: tuple[int, ...] | None = None  # least-id Sylow subgroup per prime
+    nilpotent_asked: int = 0  # bitset of the c for which b/c was asked
+    nilpotent: int = 0  # bitset of those c with b/c nilpotent
+
+
+def _facts(L: SubgroupLattice, b: int) -> _Facts:
+    memo = L.memo(__name__)
+    facts = memo.get(b)
+    if facts is None:
+        facts = memo[b] = _Facts()
+    return facts
+
+
 # -- Sylow -------------------------------------------------------------------
 
 
@@ -43,12 +80,25 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
 
 
 def sylow_in(L: SubgroupLattice, b: int, p: int) -> int:
-    order = L.subgroups[b].order
-    target = p ** factorize(order).get(p, 0)
-    for a in L.subs_of(b):
-        if L.subgroups[a].order == target:
+    """The Sylow p-subgroup of member b of least id (the trivial subgroup
+    when p does not divide |b|).  The first call finds one for every prime
+    of |b|; the one for p is the one whose order p divides."""
+    facts = _facts(L, b)
+    if facts.sylow is None:
+        targets = {q**e for q, e in factorize(L.subgroups[b].order).items()}
+        found = []
+        for a in L.subs_of(b):
+            order = L.subgroups[a].order
+            if order in targets:
+                targets.discard(order)
+                found.append(a)
+        if targets:
+            raise AssertionError("Sylow subgroup missing from lattice")
+        facts.sylow = tuple(found)
+    for a in facts.sylow:
+        if L.subgroups[a].order % p == 0:
             return a
-    raise AssertionError("Sylow subgroup missing from lattice")
+    return L.bottom.id
 
 
 def all_sylow(G: FiniteGroup) -> list[Subgroup]:
@@ -105,14 +155,16 @@ def is_quotient_nilpotent(L: SubgroupLattice, c: int, b: int) -> bool:
     prime r | |b/c| some subgroup between c and b, normal in b, realizes the
     full r-part.  With c the trivial subgroup this is nilpotency of b.
     """
-    oc, ob = L.subgroups[c].order, L.subgroups[b].order
-    q = ob // oc
-    for r, m in factorize(q).items():
-        target = oc * r**m
-        if not any(L.subgroups[s].order == target and L.is_normal_in(s, b)
-                   for s in L.interval(c, b)):
-            return False
-    return True
+    facts = _facts(L, b)
+    bit = 1 << c
+    if not facts.nilpotent_asked & bit:
+        oc, ob = L.subgroups[c].order, L.subgroups[b].order
+        if all(any(L.subgroups[s].order == oc * r**m and L.is_normal_in(s, b)
+                   for s in L.interval(c, b))
+               for r, m in factorize(ob // oc).items()):
+            facts.nilpotent |= bit
+        facts.nilpotent_asked |= bit
+    return facts.nilpotent & bit != 0
 
 
 # -- normal structure --------------------------------------------------------
@@ -124,7 +176,15 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 
 def normal_ids_in(L: SubgroupLattice, b: int) -> list[int]:
-    return [a for a in L.subs_of(b) if L.is_normal_in(a, b)]
+    """Ids of the normal subgroups of member b, ascending."""
+    facts = _facts(L, b)
+    if facts.normal is None:
+        bits = 0
+        for a in L.subs_of(b):
+            if L.is_normal_in(a, b):
+                bits |= 1 << a
+        facts.normal = bits
+    return set_bits(facts.normal)
 
 
 def fitting(G: FiniteGroup) -> Subgroup:
@@ -148,38 +208,52 @@ def chief_factor_pairs_in(L: SubgroupLattice, b: int) -> list[tuple[int, int]]:
     """All pairs (k, h) of b-normal subgroups with h/k minimal normal in b/k:
     k < h and the b-normal subgroups of the interval [k, h] are k and h."""
     normals = normal_ids_in(L, b)
-    normal_bits = sum(1 << a for a in normals)
-    pairs = []
-    for k in normals:
-        above = L.up[k] & normal_bits
-        for h in set_bits(above ^ (1 << k)):
-            if L.down[h] & above == (1 << k) | (1 << h):
-                pairs.append((k, h))
-    return pairs
+    facts = _facts(L, b)
+    if facts.pair_tops is None:
+        normal_bits = facts.normal  # filled by normal_ids_in
+        tops = []
+        for k in normals:
+            above = L.up[k] & normal_bits
+            hs = 0
+            for h in set_bits(above ^ (1 << k)):
+                if L.down[h] & above == (1 << k) | (1 << h):
+                    hs |= 1 << h
+            tops.append(hs)
+        facts.pair_tops = tuple(tops)
+    return [(k, h) for k, hs in zip(normals, facts.pair_tops)
+            for h in set_bits(hs)]
 
 
 def chief_factors_in(L: SubgroupLattice, b: int) -> list[ChiefFactor]:
     """Chief factors H/K of b, each with C_b(H/K): the g in b with
     [g, h] in K for every generator h of H.  A complement m of H/K has
     m meet H = K, so it lies in the interval [K, b]."""
-    out = []
-    mult, inv = L.group.mult, L.group.inv
-    for k, h in chief_factor_pairs_in(L, b):
-        sk, sh = L.subgroups[k], L.subgroups[h]
-        kmask = sk.mask
-        cmask = 0
-        for g in L.subgroups[b].members:
-            gi = inv[g]
-            if all(kmask >> mult[mult[gi][inv[x]]][mult[g][x]] & 1
-                   for x in sh.gens):
-                cmask |= 1 << g
-        out.append(ChiefFactor(
-            below=sk, above=sh, order=sh.order // sk.order,
-            complemented=any(L.join(h, m) == b and L.meet(h, m) == k
-                             for m in L.interval(k, b)),
-            centralizer=L.subgroups[L.by_mask[cmask]],
-        ))
-    return out
+    pairs = chief_factor_pairs_in(L, b)
+    facts = _facts(L, b)
+    if facts.chief is None:
+        mult, inv = L.group.mult, L.group.inv
+        cids = []
+        complemented = 0
+        for i, (k, h) in enumerate(pairs):
+            kmask = L.subgroups[k].mask
+            cmask = 0
+            for g in L.subgroups[b].members:
+                gi = inv[g]
+                if all(kmask >> mult[mult[gi][inv[x]]][mult[g][x]] & 1
+                       for x in L.subgroups[h].gens):
+                    cmask |= 1 << g
+            cids.append(L.by_mask[cmask])
+            if any(L.join(h, m) == b and L.meet(h, m) == k
+                   for m in L.interval(k, b)):
+                complemented |= 1 << i
+        facts.chief = tuple(cids), complemented
+    cids, complemented = facts.chief
+    subs = L.subgroups
+    return [ChiefFactor(below=subs[k], above=subs[h],
+                        order=subs[h].order // subs[k].order,
+                        complemented=bool(complemented >> i & 1),
+                        centralizer=subs[c])
+            for i, ((k, h), c) in enumerate(zip(pairs, cids))]
 
 
 # -- supersolubility and dispersivity ---------------------------------------
@@ -187,18 +261,21 @@ def chief_factors_in(L: SubgroupLattice, b: int) -> list[ChiefFactor]:
 
 def is_supersoluble_in(L: SubgroupLattice, b: int) -> bool:
     """Every chief factor of b has prime order; cross-checked against the
-    prime-index-maximal-subgroups criterion."""
-    primary = all(
-        is_prime(L.subgroups[h].order // L.subgroups[k].order)
-        for k, h in chief_factor_pairs_in(L, b))
-    # cross-check: all maximal subgroups of b have prime index (Huppert)
-    ob = L.subgroups[b].order
-    crosscheck = ob == 1 or all(
-        is_prime(ob // L.subgroups[m].order) for m in L.hasse_down[b])
-    if primary != crosscheck:
-        raise InternalInconsistency(
-            f"supersolubility criteria disagree on {L.group.name} member {b}")
-    return primary
+    prime-index-maximal-subgroups criterion when first asked."""
+    facts = _facts(L, b)
+    if facts.supersoluble is None:
+        primary = all(
+            is_prime(L.subgroups[h].order // L.subgroups[k].order)
+            for k, h in chief_factor_pairs_in(L, b))
+        # cross-check: all maximal subgroups of b have prime index (Huppert)
+        ob = L.subgroups[b].order
+        crosscheck = ob == 1 or all(
+            is_prime(ob // L.subgroups[m].order) for m in L.hasse_down[b])
+        if primary != crosscheck:
+            raise InternalInconsistency(
+                f"supersolubility criteria disagree on {L.group.name} member {b}")
+        facts.supersoluble = primary
+    return facts.supersoluble
 
 
 def is_supersoluble(G: FiniteGroup) -> bool:

@@ -65,3 +65,18 @@ def test_normality_and_sylow_counts_match_sympy(corpus):
             if structure.sylow_count(G, p) != P.order() // normalizer:
                 mismatches.append((entry.name, p))
     assert not mismatches
+
+
+@pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5]),
+                                       ("sym", [5])])
+def test_member_normal_subgroups_match_sympy(name, args):
+    """`normal_ids_in(L, b)` for every member b: the subgroups a whose
+    members lie in b and that sympy's `is_normal` finds normal in b."""
+    G = named_group(name, args)
+    L = G.lattice()
+    groups = [_sympy_group(G, s.gens) for s in L.subgroups]
+    for sb in L.subgroups:
+        expected = [sa.id for sa in L.subgroups
+                    if sa.mask & ~sb.mask == 0
+                    and groups[sa.id].is_normal(groups[sb.id])]
+        assert structure.normal_ids_in(L, sb.id) == expected, sb

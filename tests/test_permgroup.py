@@ -239,6 +239,33 @@ def test_mult_with_repeated_and_identity_generators():
     _assert_mult_is_definition(G)
 
 
+def test_mult_matches_definition_on_hol19():
+    # 18 generators, most of them redundant for the Cayley walk
+    _assert_mult_is_definition(named_group("holomorph_cyclic", [19]))
+
+
+def test_mult_builds_rows_only_for_generators_it_needs(monkeypatch):
+    # (1 3)(2 4) is the square of (1 2 3 4), and (1 3) comes after the
+    # first two generators already generate S4: one left row of 24
+    # products each for the first two, none for the others
+    G = group_from_spec({"kind": "generators", "degree": 4,
+                         "cycles": ["(1 2 3 4)", "(1 3)(2 4)", "(1 2)",
+                                    "(1 3)"]})
+    assert G.order == 24
+    products = []
+    mul = Permutation.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    G.mult
+    monkeypatch.undo()
+    assert len(products) == 2 * G.order
+    _assert_mult_is_definition(G)
+
+
 def test_mult_of_table_its_generators_do_not_generate():
     from grouplab import FiniteGroup
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from grouplab import named_group
@@ -145,3 +148,85 @@ def test_chief_factor_pairs_match_definition(corpus):
         for b in range(len(L)):
             assert (structure.chief_factor_pairs_in(L, b)
                     == _chief_factor_pairs_by_definition(L, b)), (G.name, b)
+
+
+# -- the per-lattice memo ----------------------------------------------------
+
+
+def _answers(L, b):
+    """Every memoised query's answer about member b, as plain values."""
+    primes = L.group.prime_divisors()
+    normals = structure.normal_ids_in(L, b)
+    return (
+        normals,
+        structure.chief_factor_pairs_in(L, b),
+        [(cf.below.id, cf.above.id, cf.order, cf.complemented,
+          cf.centralizer.id) for cf in structure.chief_factors_in(L, b)],
+        structure.is_supersoluble_in(L, b),
+        [structure.sylow_in(L, b, p) for p in primes],
+        [structure.is_quotient_nilpotent(L, c, b) for c in normals],
+    )
+
+
+def test_memo_is_freed_with_its_lattice():
+    G = named_group("sym", [4])
+    L = G.lattice()
+    for b in range(len(L)):
+        _answers(L, b)
+    assert len(L.memo(structure.__name__)) == len(L)
+    ref = weakref.ref(L)
+    del G, L
+    gc.collect()
+    assert ref() is None
+
+
+def test_memoised_lists_are_fresh(s4):
+    L = s4.lattice()
+    top = L.top.id
+    for query in (structure.normal_ids_in, structure.chief_factor_pairs_in,
+                  structure.chief_factors_in):
+        first = query(L, top)
+        expected = list(first)
+        first.reverse()
+        first.append(first[0])
+        assert query(L, top) == expected
+    cf = structure.chief_factors_in(L, top)[0]
+    cf.complemented = not cf.complemented
+    assert structure.chief_factors_in(L, top)[0].complemented != cf.complemented
+
+
+def test_memoised_answers_match_a_fresh_lattice(corpus):
+    """On one lattice every query is asked twice, supersolubility first so
+    that the pairs and normal subgroups are filled on its behalf; each
+    answer equals the one a freshly built lattice gives when first asked."""
+    from grouplab.lattice import all_subgroups
+
+    for entry in corpus:
+        if entry.order > 60:
+            continue
+        L = entry.lattice
+        for b in range(len(L)):
+            structure.is_supersoluble_in(L, b)
+            _answers(L, b)
+        fresh = all_subgroups(entry.group)
+        for b in range(len(L)):
+            assert _answers(L, b) == _answers(fresh, b), (entry.name, b)
+
+
+def test_normal_ids_match_conjugation_by_every_element(corpus):
+    """a is normal in b when a <= b and g^-1 x g lies in a for every member
+    x of a and every element g of b: no normalizer, no generators."""
+    for entry in corpus:
+        if entry.order > 60:
+            continue
+        G = entry.group
+        L = entry.lattice
+        mult, inv = G.mult, G.inv
+        for sb in L.subgroups:
+            expected = [
+                sa.id for sa in L.subgroups
+                if sa.mask & ~sb.mask == 0 and all(
+                    sa.mask >> mult[mult[inv[g]][x]][g] & 1
+                    for g in sb.members for x in sa.members)]
+            assert structure.normal_ids_in(L, sb.id) == expected, (
+                entry.name, sb.id)
