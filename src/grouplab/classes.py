@@ -143,6 +143,8 @@ def f_function(k: int) -> Callable[[int], ClassOracle]:
 
 
 # -- residuals ---------------------------------------------------------------
+# Residual masks are memoised under (member id, formation name) and
+# subnormal sets under string keys, both in the lattice's `memo(__name__)`.
 
 
 def residual_mask(G: FiniteGroup, F: ClassOracle) -> int:
@@ -155,7 +157,8 @@ def residual_mask(G: FiniteGroup, F: ClassOracle) -> int:
     if not F.is_formation:
         raise GroupError(f"residual needs a formation, got {F.name}")
     L = G.lattice()
-    hit = L.residual_cache.get((L.top.id, F.name))
+    memo = L.memo(__name__)
+    hit = memo.get((L.top.id, F.name))
     if hit is not None:
         return hit
     result = None
@@ -170,7 +173,7 @@ def residual_mask(G: FiniteGroup, F: ClassOracle) -> int:
             result = sub.mask
             break
     assert result is not None
-    L.residual_cache[(L.top.id, F.name)] = result
+    memo[(L.top.id, F.name)] = result
     return result
 
 
@@ -182,7 +185,8 @@ def residual(G: FiniteGroup, F: ClassOracle) -> Subgroup:
 def residual_in(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
     """Residual of lattice member b (as a group in its own right), returned
     as a bitmask over the *parent* group's ordinals."""
-    hit = L.residual_cache.get((b, F.name))
+    memo = L.memo(__name__)
+    hit = memo.get((b, F.name))
     if hit is None:
         H = L.subgroup_as_group(b)
         if H is L.group:
@@ -194,7 +198,7 @@ def residual_in(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
             for i, m in enumerate(members):
                 if local >> i & 1:
                     hit |= 1 << m
-        L.residual_cache[(b, F.name)] = hit
+        memo[(b, F.name)] = hit
     return hit
 
 
@@ -211,9 +215,10 @@ def p_subnormal_set(L: SubgroupLattice, variant_k: bool = False) -> frozenset[in
     K-P-subnormal (each step of prime index or normal) in the top group."""
     if not variant_k:
         return frozenset(set_bits(L.prime_down[L.top.id]))
-    hit = L.subnormal_cache.get("KP")
+    memo = L.memo(__name__)
+    hit = memo.get("KP")
     if hit is None:
-        hit = L.subnormal_cache["KP"] = frozenset(L.reach_down(
+        hit = memo["KP"] = frozenset(L.reach_down(
             L.top.id, lambda a, b: _prime_index(L, a, b) or L.is_normal_in(a, b)))
     return hit
 
@@ -234,13 +239,13 @@ def f_subnormal_set(L: SubgroupLattice, F: ClassOracle) -> frozenset[int]:
     Residuals are computed lazily per chain node, so only groups actually
     touched by the backward search are materialized.
     """
+    memo = L.memo(__name__)
     key = f"F:{F.name}"
-    hit = L.subnormal_cache.get(key)
+    hit = memo.get(key)
     if hit is None:
-        hit = frozenset(L.reach_down(
+        hit = memo[key] = frozenset(L.reach_down(
             L.top.id,
             lambda a, b: residual_in(L, b, F) & ~L.subgroups[a].mask == 0))
-        L.subnormal_cache[key] = hit
     return hit
 
 

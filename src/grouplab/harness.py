@@ -18,7 +18,7 @@ from functools import partial
 
 from .permgroup import (FiniteGroup, GroupError, direct_product, factorize,
                         group_from_spec, named_order, order_cap,
-                        prime_power, quotient_cached)
+                        prime_power, quotient_cached, set_bits)
 from .lattice import SubgroupLattice
 from . import classes, structure, submodular
 
@@ -266,8 +266,7 @@ def _count_subdirect_pairs(G: FiniteGroup, L: SubgroupLattice,
 def _image_id(Lq: SubgroupLattice, epi, mask: int) -> int:
     """Lattice id (in the quotient lattice) of the image of a subgroup mask."""
     out = 0
-    src = epi.source
-    for x in src.mask_members(mask):
+    for x in set_bits(mask):
         out |= 1 << epi.table[x]
     return Lq.by_mask[out]
 
@@ -455,234 +454,200 @@ def _r3_check(entry: CorpusEntry, k: int, counters: Counter):
 
 
 # -- lemma suite -------------------------------------------------------------
-# Each lemma takes (entry, k_set, counters) and returns its verdict, or None
-# where it does not apply to the entry.
+# A per-k lemma takes (entry, k, counters); a k-list lemma takes
+# (entry, k_set, counters).  Each returns its verdict, or None where it does
+# not apply to the entry.  Every instance is checked and counted: a lemma
+# counts apart from checking and never stops at its first failure, and
+# `_lemma_check` runs every k before it combines the verdicts.
+
+# k modes: one record per k, a single k=1 record, one record for the k list
+_PER_K, _K_ONE, _K_LIST = "per_k", "k_one", "k_list"
+
+
+def _ks(mode: str, k_set: list[int]) -> list:
+    """The k arguments a check is called with in one k mode."""
+    return {_PER_K: k_set, _K_ONE: [1], _K_LIST: [list(k_set)]}[mode]
 
 
 def _lemma_21(entry, k_set, counters):
-    """n-modular embedding transfers to and from quotients by N <= H."""
+    """n-modular embedding transfers to and from quotients by N <= H (for
+    n = 1, 2, 3 whatever the k list)."""
     L = entry.lattice
-    ok = True
+    verdicts = []
     for sub, Q, epi in _quotient_lattices(entry.group):
         Lq = Q.lattice()
         for h in L.interval(sub.id, L.top.id)[:-1]:  # the top is last
             h_img = _image_id(Lq, epi, L.subgroups[h].mask)
             if h_img == Lq.top.id:
                 continue
-            for n in (1, 2, 3):
-                down = submodular.is_n_modularly_embedded(
-                    L, L.top, L.subgroups[h], n)
-                up = submodular.is_n_modularly_embedded(
+            verdicts += [
+                submodular.is_n_modularly_embedded(L, L.top, L.subgroups[h], n)
+                == submodular.is_n_modularly_embedded(
                     Lq, Lq.top, Lq.subgroups[h_img], n)
-                if down != up:
-                    ok = False
-                if not L.is_normal_in(h, L.top.id):
-                    counters["nonvacuous_L2.1"] += 1
-    return ok
+                for n in (1, 2, 3)]
+            counters["nonvacuous_L2.1"] += 3 * (not L.is_normal_in(h, L.top.id))
+    return all(verdicts)
 
 
-def _lemma_22(entry, k_set, counters):
+def _lemma_22(entry, k, counters):
     """Maximal M k-submodular iff the core quotient has the Schmidt-like
     Sylow structure of the lemma."""
-    G = entry.group
     L = entry.lattice
-    ok = True
-    for k in k_set:
-        reach = submodular.ksub_set(L, k)
-        for m in L.hasse_down[L.top.id]:
-            lhs = m in reach
-            if L.is_normal_in(m, L.top.id):
-                rhs = True
-            else:
-                c = L.core(m)
-                Q, epi = quotient_cached(G, L.subgroups[c].mask)
-                m_ord = L.subgroups[m].order // L.subgroups[c].order
-                pp = prime_power(m_ord)
-                facs = factorize(Q.order)
-                rhs = (pp is not None and len(facs) == 2
-                       and not structure.is_nilpotent(Q))
-                if rhs:
-                    q, n = pp
-                    p = Q.order // m_ord
-                    Lq = Q.lattice()
-                    m_img = _image_id(Lq, epi, L.subgroups[m].mask)
-                    p_syl = structure.sylow_in(Lq, Lq.top.id, p)
-                    rhs = (n <= k and p in facs and facs[p] == 1
-                           and Lq.subgroups[p_syl].order == p
-                           and Lq.is_normal_in(p_syl, Lq.top.id)
-                           and Lq.subgroups[m_img].order == q**n
-                           and _is_cyclic_member(Lq, m_img))
-                counters["nonvacuous_L2.2"] += 1
-            if lhs != rhs:
-                ok = False
-    return ok
+    reach = submodular.ksub_set(L, k)
+    maxes = L.hasse_down[L.top.id]
+    counters["nonvacuous_L2.2"] += sum(not L.is_normal_in(m, L.top.id)
+                                       for m in maxes)
+    return all([(m in reach) == _schmidt_like(entry.group, L, m, k)
+                for m in maxes])
 
 
-def _is_cyclic_member(L: SubgroupLattice, a: int) -> bool:
-    sub = L.subgroups[a]
-    orders = L.group.element_orders
-    return any(orders[x] == sub.order for x in sub.members)
+def _schmidt_like(G: FiniteGroup, L: SubgroupLattice, m: int, k: int) -> bool:
+    """The right side of L2.2 for a maximal subgroup m."""
+    if L.is_normal_in(m, L.top.id):
+        return True
+    c = L.core(m)
+    Q, epi = quotient_cached(G, L.subgroups[c].mask)
+    m_ord = L.subgroups[m].order // L.subgroups[c].order
+    pp = prime_power(m_ord)
+    facs = factorize(Q.order)
+    if pp is None or len(facs) != 2 or structure.is_nilpotent(Q):
+        return False
+    q, n = pp
+    p = Q.order // m_ord
+    Lq = Q.lattice()
+    img = Lq.subgroups[_image_id(Lq, epi, L.subgroups[m].mask)]
+    p_syl = structure.sylow_in(Lq, Lq.top.id, p)
+    return (n <= k and facs.get(p) == 1 and Lq.subgroups[p_syl].order == p
+            and Lq.is_normal_in(p_syl, Lq.top.id) and img.order == q**n
+            and any(Q.element_orders[x] == q**n for x in img.members))
 
 
-def _lemma_23(entry, k_set, counters):
+def _lemma_23(entry, k, counters):
+    """All maximal subgroups k-submodular forces supersolubility; each
+    k-submodular maximal subgroup is P- and K-P-subnormal."""
     L = entry.lattice
-    ok = True
-    for k in k_set:
-        reach = submodular.ksub_set(L, k)
-        maxes = L.hasse_down[L.top.id]
-        if all(m in reach for m in maxes):
-            if not structure.is_supersoluble(entry.group):
-                ok = False
-            counters["nonvacuous_L2.3"] += 1
-        psub = classes.p_subnormal_set(L)
-        kpsub = classes.p_subnormal_set(L, variant_k=True)
-        for m in maxes:
-            if m in reach and not (m in psub and m in kpsub):
-                ok = False
-    return ok
+    reach = submodular.ksub_set(L, k)
+    maxes = L.hasse_down[L.top.id]
+    psub = (classes.p_subnormal_set(L)
+            & classes.p_subnormal_set(L, variant_k=True))
+    all_max = reach.issuperset(maxes)
+    counters["nonvacuous_L2.3"] += all_max
+    return ((not all_max or structure.is_supersoluble(entry.group))
+            and reach.intersection(maxes) <= psub)
 
 
-def _lemma_24(entry, k_set, counters):
+def _lemma_24(entry, k, counters):
+    """k-submodularity passes to conjugates and is transitive."""
     L = entry.lattice
-    ok = True
-    for k in k_set:
-        reach = submodular.ksub_set(L, k)
-        for h in reach:
-            for c in L.conjugates(h):
-                if c not in reach:
-                    ok = False
-                if c != h:
-                    counters["nonvacuous_L2.4_conj"] += 1
-        for r in reach:
-            if r == L.top.id:
-                continue
-            for h in submodular.ksub_set(L, k, top=r):
-                if h not in reach:
-                    ok = False
-                if h != r:
-                    counters["nonvacuous_L2.4_trans"] += 1
-    return ok
+    reach = submodular.ksub_set(L, k)
+    conj = [L.conjugates(h) for h in reach]
+    below = [submodular.ksub_set(L, k, top=r) for r in reach if r != L.top.id]
+    counters["nonvacuous_L2.4_conj"] += sum(len(c) - 1 for c in conj)
+    counters["nonvacuous_L2.4_trans"] += sum(len(b) - 1 for b in below)
+    return (all(reach.issuperset(c) for c in conj)
+            and all(b <= reach for b in below))
 
 
-def _lemma_25(entry, k_set, counters):
+def _lemma_25(entry, k, counters):
+    """The meet of a k-submodular H with any U is k-submodular in U, and in
+    G when U is."""
     L = entry.lattice
-    ok = True
-    for k in k_set:
-        reach = submodular.ksub_set(L, k)
-        for h in reach:
-            for u in range(len(L.subgroups)):
-                d = L.meet(h, u)
-                if d not in submodular.ksub_set(L, k, top=u):
-                    ok = False
-                if d != h and d != u:
-                    counters["nonvacuous_L2.5"] += 1
-                if u in reach and d not in reach:
-                    ok = False
-    return ok
+    reach = submodular.ksub_set(L, k)
+    verdicts = []
+    for h in reach:
+        for u in range(len(L.subgroups)):
+            d = L.meet(h, u)
+            verdicts.append(d in submodular.ksub_set(L, k, top=u)
+                            and (u not in reach or d in reach))
+            counters["nonvacuous_L2.5"] += d != h and d != u
+    return all(verdicts)
 
 
-def _lemma_26(entry, k_set, counters):
+def _lemma_26(entry, k, counters):
+    """For N normal: H k-submodular gives HN/N k-submodular (1), the
+    converse holds for N <= H (2), and HN/N is iff HN is (3)."""
     L = entry.lattice
-    ok = True
+    reach = submodular.ksub_set(L, k)
+    verdicts = []
     for sub, Q, epi in _quotient_lattices(entry.group):
         Lq = Q.lattice()
-        for k in k_set:
-            reach = submodular.ksub_set(L, k)
-            reach_q = submodular.ksub_set(Lq, k)
-            for h in range(len(L.subgroups)):
-                hn = L.join(h, sub.id)
-                hn_img = _image_id(Lq, epi, L.subgroups[hn].mask)
-                if h in reach and hn_img not in reach_q:
-                    ok = False  # (1) fails
-                if (hn_img in reach_q) != (hn in reach):
-                    ok = False  # (3) fails
-                if L.leq(sub.id, h) and hn_img in reach_q and h not in reach:
-                    ok = False  # (2) fails
-                if h != hn:
-                    counters["nonvacuous_L2.6"] += 1
-    return ok
+        reach_q = submodular.ksub_set(Lq, k)
+        for h in range(len(L.subgroups)):
+            hn = L.join(h, sub.id)
+            up = _image_id(Lq, epi, L.subgroups[hn].mask) in reach_q
+            verdicts.append((up or h not in reach)
+                            and (h in reach or not (up and L.leq(sub.id, h)))
+                            and up == (hn in reach))
+            counters["nonvacuous_L2.6"] += h != hn
+    return all(verdicts)
 
 
-def _lemma_27(entry, k_set, counters):
+def _lemma_27(entry, k, counters):
     """In a soluble group every k-submodular subgroup is U_k-subnormal."""
     L = entry.lattice
     if not structure.is_soluble(entry.group):
         return None
-    ok = True
-    for k in k_set:
-        reach = submodular.ksub_set(L, k)
-        usub = classes.f_subnormal_set(L, classes.oracle("U_k", k=k))
-        if not reach <= usub:
-            ok = False
-        if usub - reach:
-            counters["L2.7_converse_gap_groups"] += 1
-        counters["nonvacuous_L2.7"] += len(reach) - 1
-    return ok
+    reach = submodular.ksub_set(L, k)
+    usub = classes.f_subnormal_set(L, classes.oracle("U_k", k=k))
+    counters["L2.7_converse_gap_groups"] += bool(usub - reach)
+    counters["nonvacuous_L2.7"] += len(reach) - 1
+    return reach <= usub
 
 
-def _lemma_28(entry, k_set, counters):
+def _lemma_28(entry, k, counters):
     """A k-submodular Sylow subgroup for the largest prime is normal."""
     G = entry.group
     L = entry.lattice
     if G.order == 1:
         return None
     syl = structure.sylow_in(L, L.top.id, max(G.prime_divisors()))
-    ok = True
-    for k in k_set:
-        if syl in submodular.ksub_set(L, k):
-            if not L.is_normal_in(syl, L.top.id):
-                ok = False
-            counters["nonvacuous_L2.8"] += 1
-    return ok
+    if syl not in submodular.ksub_set(L, k):
+        return True
+    counters["nonvacuous_L2.8"] += 1
+    return L.is_normal_in(syl, L.top.id)
 
 
 def _lemma_monotone(entry, k_set, counters):
+    """k-submodular subgroups stay k-submodular for larger k."""
     L = entry.lattice
-    ks = sorted(k_set)
-    ok = True
-    for k1, k2 in zip(ks, ks[1:]):
+    verdicts = []
+    for k1, k2 in zip(k_set, k_set[1:]):
         r1 = submodular.ksub_set(L, k1)
         r2 = submodular.ksub_set(L, k2)
-        if not r1 <= r2:
-            ok = False
+        verdicts.append(r1 <= r2)
         if r2 - r1:
             counters["nonvacuous_monotone_strict"] += 1
         counters["nonvacuous_monotone"] += 1
-    return ok
+    return all(verdicts)
 
 
-def _lemma_31(entry, k_set, counters):
+def _lemma_31(entry, k, counters):
+    """Nilpotent groups lie in F; F members have U-subnormal Sylows and F
+    is closed under quotients, subgroups and subdirect products."""
     G = entry.group
     L = entry.lattice
-    U = classes.oracle("U")
+    in_F = submodular.in_class(L, "F", k)
+    nilpotent = structure.is_nilpotent(G)
+    counters["nonvacuous_L3.1_nilpotent"] += nilpotent
+    counters["nonvacuous_L3.1_members"] += in_F
     nontrivial_normals = [n for n in structure.normal_ids_in(L, L.top.id)
                           if n != L.bottom.id]
-    ok = True
-    for k in k_set:
-        in_F = submodular.in_class(L, "F", k)
-        if structure.is_nilpotent(G):
-            if not in_F:
-                ok = False
-            counters["nonvacuous_L3.1_nilpotent"] += 1
-        if in_F:
-            # (1) Sylows U-subnormal, (2) quotient and (5) subgroup closure
-            if not (classes.in_wF(G, U) and _quotients_in(G, "F", k)
-                    and _subgroups_in(L, "F", k)):
-                ok = False
-            counters["nonvacuous_L3.1_members"] += 1
-        # (3) subdirect closure
-        pairs = _count_subdirect_pairs(G, L, nontrivial_normals, "F", k)
-        if pairs:
-            counters["nonvacuous_L3.1_subdirect"] += pairs
-            if not in_F:
-                ok = False
-    return ok
+    # (3) subdirect closure
+    pairs = _count_subdirect_pairs(G, L, nontrivial_normals, "F", k)
+    counters["nonvacuous_L3.1_subdirect"] += pairs
+    # (1) Sylows U-subnormal, (2) quotient and (5) subgroup closure
+    return ((in_F or not (nilpotent or pairs))
+            and (not in_F or (classes.in_wF(G, classes.oracle("U"))
+                              and _quotients_in(G, "F", k)
+                              and _subgroups_in(L, "F", k))))
 
 
-_LEMMAS = {"L2.1": _lemma_21, "L2.2": _lemma_22, "L2.3": _lemma_23,
-           "L2.4": _lemma_24, "L2.5": _lemma_25, "L2.6": _lemma_26,
-           "L2.7": _lemma_27, "L2.8": _lemma_28, "monotone_k": _lemma_monotone,
-           "L3.1": _lemma_31}
+_LEMMAS = {"L2.1": (_lemma_21, _K_LIST), "L2.2": (_lemma_22, _PER_K),
+           "L2.3": (_lemma_23, _PER_K), "L2.4": (_lemma_24, _PER_K),
+           "L2.5": (_lemma_25, _PER_K), "L2.6": (_lemma_26, _PER_K),
+           "L2.7": (_lemma_27, _PER_K), "L2.8": (_lemma_28, _PER_K),
+           "monotone_k": (_lemma_monotone, _K_LIST),
+           "L3.1": (_lemma_31, _PER_K)}
 
 # every lemma needs at least one non-vacuous instance; these counters are
 # seeded with zero so an untested lemma fails the suite
@@ -697,10 +662,10 @@ _LEMMA_COUNTERS = (
 
 def _lemma_check(entry: CorpusEntry, k_set: list[int], counters: Counter):
     checks = {}
-    for name, lemma in _LEMMAS.items():
-        ok = lemma(entry, k_set, counters)
-        if ok is not None:
-            checks[name] = ok
+    for name, (lemma, mode) in _LEMMAS.items():
+        verdicts = [lemma(entry, k, counters) for k in _ks(mode, k_set)]
+        if None not in verdicts:
+            checks[name] = all(verdicts)
     return _checked(checks)
 
 
@@ -728,9 +693,6 @@ def _lemma_31_products(corpus: list[CorpusEntry], k_set: list[int],
 
 
 # -- suite table and runner --------------------------------------------------
-
-# k modes: one record per k, a single k=1 record, one record for the k list
-_PER_K, _K_ONE, _K_LIST = "per_k", "k_one", "k_list"
 
 _SUITES = {
     "T3.1": (partial(_variants_check, submodular.thm31_characterization,
@@ -761,9 +723,9 @@ def _lemma_corpus(corpus: list[CorpusEntry]) -> list[CorpusEntry]:
 def _eval_entry(suite: str, entry: CorpusEntry, k_set: list[int]):
     """Records of one corpus entry under one suite, and their counters."""
     check, mode = _SUITES[suite]
-    ks = {_PER_K: k_set, _K_ONE: [1], _K_LIST: [list(k_set)]}[mode]
     counters: Counter = Counter()
-    return [_record(entry.name, k, check, entry, counters) for k in ks], counters
+    return ([_record(entry.name, k, check, entry, counters)
+             for k in _ks(mode, k_set)], counters)
 
 
 def _eval_spec(args):
@@ -776,8 +738,8 @@ def run_suite(suite: str, k_set: list[int], corpus: list[CorpusEntry],
               jobs: int = 1) -> VerificationReport:
     if suite not in _SUITES:
         raise GroupError(f"unknown suite {suite!r}")
-    if any(k < 1 for k in k_set):
-        raise GroupError("k values must be >= 1")
+    if not k_set or any(k < 1 for k in k_set):
+        raise GroupError("need one or more k values, each >= 1")
     k_set = sorted(set(k_set))
     entries = _lemma_corpus(corpus) if suite == "L" else corpus
     if jobs > 1:

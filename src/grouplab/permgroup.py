@@ -356,7 +356,7 @@ class FiniteGroup:
             # end as a binary number (ordinal 0 is the last digit)
             self._coset_setup = (
                 base, bin(base)[:1:-1].ljust(self.order, "0").encode("ascii"),
-                [mult[h] for h in self.mask_members(base)])
+                [mult[h] for h in set_bits(base)])
         _, template, hrows = self._coset_setup
         bits = bytearray(template)
         gens = list(gens)
@@ -371,10 +371,6 @@ class FiniteGroup:
                     reps.append(y)
         return int(bits[::-1], 2)
 
-    def mask_members(self, mask: int) -> list[int]:
-        """Ordinals of the members of a mask, ascending."""
-        return set_bits(mask)
-
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
@@ -383,7 +379,7 @@ class FiniteGroup:
         mult = self.mult
         row = mult[self.inv[g]]
         out = 0
-        for x in self.mask_members(mask):
+        for x in set_bits(mask):
             out |= 1 << mult[row[x]][g]
         return out
 
@@ -666,7 +662,7 @@ def quotient(G: FiniteGroup, members) -> tuple[FiniteGroup, Epimorphism]:
         nmask = 0
         for i in members:
             nmask |= 1 << i
-    nmems = G.mask_members(nmask)
+    nmems = set_bits(nmask)
     if not nmems or G.closure_mask(nmems) != nmask:
         raise GroupError("quotient: member set is not a subgroup")
     if any(G.conjugate_mask(nmask, G.element_index[p]) != nmask

@@ -122,7 +122,7 @@ def is_soluble(G: FiniteGroup) -> bool:
     """Derived series reaches the trivial subgroup."""
     mask = G.full_mask()
     while True:
-        members = G.mask_members(mask)
+        members = set_bits(mask)
         if len(members) == 1:
             return True
         nxt = _derived_of_mask(G, members)

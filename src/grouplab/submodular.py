@@ -7,7 +7,7 @@ Conventions:
     k-submodular chain may be any comparable pair, not just a Hasse cover,
     since a normal inclusion of composite index is a legal single step.
   - Every step verdict is intrinsic to the pair (A, B): only B, A and
-    Core_B(A) enter the definition, so per-pair results are cached on the
+    Core_B(A) enter the definition, so per-pair results are cached with the
     lattice and shared by all ambient queries.
   - n starts at 1 everywhere.
 """
@@ -59,6 +59,9 @@ class ChainWitness:
 # -- per-pair step classification --------------------------------------------
 
 
+_MISS = object()  # step_kind caches None for "no legal step"
+
+
 def step_kind(L: SubgroupLattice, a: int, b: int) -> tuple | None:
     """Classify the chain step a -> b (a < b required).
 
@@ -67,8 +70,8 @@ def step_kind(L: SubgroupLattice, a: int, b: int) -> tuple | None:
     unique), and None when the pair is no legal step at all.
     """
     key = (a, b)
-    hit = L.step_kind_cache.get(key)
-    if key in L.step_kind_cache:
+    hit = L.step_kind_cache.get(key, _MISS)
+    if hit is not _MISS:
         return hit
     if L.is_normal_in(a, b):
         out: tuple | None = ("normal",)
@@ -107,8 +110,9 @@ def is_n_modularly_embedded(L: SubgroupLattice, B: Subgroup, H: Subgroup,
 
 def _modular_in(L: SubgroupLattice, m: int, b: int) -> bool:
     """Modularity of m as an element of the subgroup lattice of b."""
+    memo = L.memo(__name__)
     key = (m, b)
-    hit = L.modular_cache.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     subs = L.subs_of(b)
@@ -130,7 +134,7 @@ def _modular_in(L: SubgroupLattice, m: int, b: int) -> bool:
                     break
             if not ok:
                 break
-    L.modular_cache[key] = ok
+    memo[key] = ok
     return ok
 
 

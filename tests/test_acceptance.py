@@ -9,6 +9,7 @@ from itertools import combinations
 
 from grouplab import classes, harness, structure
 from grouplab.classes import oracle, residual
+from grouplab.permgroup import set_bits
 from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  is_n_maximal_with_index,
                                  is_n_modularly_embedded, step_kind)
@@ -167,7 +168,7 @@ def _naive_subgroup_masks(G):
         changed = False
         for a in list(masks):
             for b in list(masks):
-                j = G.closure_mask(G.mask_members(a | b))
+                j = G.closure_mask(set_bits(a | b))
                 if j not in masks:
                     masks.add(j)
                     changed = True

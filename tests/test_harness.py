@@ -3,7 +3,7 @@ import json
 import pytest
 
 from grouplab import GroupError, named_group
-from grouplab import harness
+from grouplab import harness, structure, submodular
 
 
 def test_corpus_size_and_members(corpus):
@@ -73,6 +73,8 @@ def test_unknown_suite(corpus):
         harness.run_suite("T9.9", [1], corpus)
     with pytest.raises(GroupError):
         harness.run_suite("T3.1", [0], corpus)
+    with pytest.raises(GroupError):  # no k would check nothing and pass
+        harness.run_suite("L", [], corpus)
 
 
 def _mini(corpus, *names):
@@ -162,3 +164,56 @@ def test_lemma_corpus_includes_hol7(corpus):
     names = {e.name for e in harness._lemma_corpus(corpus)}
     assert "Hol(Z7)" in names
     assert "S5" not in names
+
+
+# L-suite summaries over the order-42 corpus; a change in any lemma's
+# verdicts or instance counts shows here
+_L_SUMMARY_CAP42 = {
+    (1, 2): {
+        "L2.7_converse_gap_groups": 2, "nonvacuous_L2.1": 642,
+        "nonvacuous_L2.2": 408, "nonvacuous_L2.3": 132,
+        "nonvacuous_L2.4_conj": 6156, "nonvacuous_L2.4_trans": 5040,
+        "nonvacuous_L2.5": 36846, "nonvacuous_L2.6": 15260,
+        "nonvacuous_L2.7": 1790, "nonvacuous_L2.7_converse_falsified": 2,
+        "nonvacuous_L2.8": 134, "nonvacuous_L3.1_members": 134,
+        "nonvacuous_L3.1_nilpotent": 78, "nonvacuous_L3.1_product": 12,
+        "nonvacuous_L3.1_subdirect": 2194, "nonvacuous_monotone": 71,
+        "nonvacuous_monotone_strict": 2},
+    (2,): {
+        "L2.7_converse_gap_groups": 1, "nonvacuous_L2.1": 642,
+        "nonvacuous_L2.2": 204, "nonvacuous_L2.3": 67,
+        "nonvacuous_L2.4_conj": 3098, "nonvacuous_L2.4_trans": 2530,
+        "nonvacuous_L2.5": 18473, "nonvacuous_L2.6": 7630,
+        "nonvacuous_L2.7": 900, "nonvacuous_L2.7_converse_falsified": 1,
+        "nonvacuous_L2.8": 67, "nonvacuous_L3.1_members": 68,
+        "nonvacuous_L3.1_nilpotent": 39, "nonvacuous_L3.1_product": 6,
+        "nonvacuous_L3.1_subdirect": 1097},
+}
+
+
+@pytest.fixture(scope="module")
+def corpus42():
+    return harness.build_corpus(harness.CorpusConfig(cap=42))
+
+
+@pytest.mark.parametrize("ks", sorted(_L_SUMMARY_CAP42))
+def test_lemma_suite_summary_pinned(corpus42, ks):
+    summary = harness.run_suite("L", list(ks), corpus42).summary()
+    assert (summary["total"], summary["failed"], summary["suite_pass"]) == (
+        72, 0, True)
+    assert summary["counters"] == _L_SUMMARY_CAP42[ks]
+
+
+def test_t33_subdirect_law_has_a_nontrivial_instance(corpus):
+    """Some pair of nontrivial normal subgroups meets trivially with both
+    quotients in Y, and its group is in Y.  A pair (1, N) only restates
+    that G = G/1 is in Y, so it is no instance of the law."""
+    for e in corpus:
+        L = e.lattice
+        normals = [n for n in structure.normal_ids_in(L, L.top.id)
+                   if n != L.bottom.id]
+        for k in (1, 2, 3):
+            if harness._count_subdirect_pairs(e.group, L, normals, "Y", k):
+                assert submodular.in_class(L, "Y", k), (e.name, k)
+                return
+    pytest.fail("no subdirect pair of nontrivial normal subgroups")

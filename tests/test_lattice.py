@@ -6,7 +6,7 @@ import pytest
 from grouplab import Permutation, all_subgroups, direct_product, named_group
 from grouplab.classes import p_subnormal_set
 from grouplab.lattice import _lagrange_pins
-from grouplab.permgroup import is_prime, prime_power
+from grouplab.permgroup import is_prime, prime_power, set_bits
 from grouplab.submodular import is_n_maximal_with_index
 
 
@@ -24,7 +24,7 @@ def naive_subgroup_masks(G):
         changed = False
         for a in list(masks):
             for b in list(masks):
-                j = G.closure_mask(G.mask_members(a | b))
+                j = G.closure_mask(set_bits(a | b))
                 if j not in masks:
                     masks.add(j)
                     changed = True
@@ -153,7 +153,7 @@ def _conjugate_by_permutations(G, mask, g):
     p = G.elements[g]
     pi = p.inverse()
     out = 0
-    for x in G.mask_members(mask):
+    for x in set_bits(mask):
         out |= 1 << G.element_index[pi * G.elements[x] * p]
     return out
 
@@ -363,7 +363,7 @@ def test_enumeration_matches_unskipped_loop(corpus):
 def assert_matches_unskipped_loop(G):
     expected = sorted(_unskipped_mask_gens(G).items(),
                       key=lambda kv: (kv[0].bit_count(),
-                                      G.mask_members(kv[0])))
+                                      set_bits(kv[0])))
     got = [(s.mask, s.gens) for s in all_subgroups(G).subgroups]
     assert got == expected, G.name
 
