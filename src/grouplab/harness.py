@@ -14,12 +14,12 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from .permgroup import (FiniteGroup, GroupError, direct_product, factorize,
                         group_from_spec, named_order, order_cap,
-                        prime_power, quotient_cached, set_bits)
-from .lattice import SubgroupLattice
+                        prime_power, quotient_cached)
+from .lattice import Subgroup, SubgroupLattice
 from . import classes, structure, submodular
 
 SCHEMA_VERSION = 1
@@ -253,22 +253,15 @@ def _count_subdirect_pairs(G: FiniteGroup, L: SubgroupLattice,
                            normals: list[int], cls: str, k: int) -> int:
     """Number of pairs n1 < n2 from `normals` that meet trivially and whose
     quotients G/n1 and G/n2 both lie in class cls."""
-    count = 0
-    for i, n1 in enumerate(normals):
-        for n2 in normals[i + 1:]:
-            if (L.meet(n1, n2) == L.bottom.id
-                    and submodular.in_class(_quotient_lattice(G, L, n1), cls, k)
-                    and submodular.in_class(_quotient_lattice(G, L, n2), cls, k)):
-                count += 1
-    return count
+    member = cache(lambda n: submodular.in_class(_quotient_lattice(G, L, n),
+                                                 cls, k))
+    return sum(L.meet(n1, n2) == L.bottom.id and member(n1) and member(n2)
+               for i, n1 in enumerate(normals) for n2 in normals[i + 1:])
 
 
-def _image_id(Lq: SubgroupLattice, epi, mask: int) -> int:
-    """Lattice id (in the quotient lattice) of the image of a subgroup mask."""
-    out = 0
-    for x in set_bits(mask):
-        out |= 1 << epi.table[x]
-    return Lq.by_mask[out]
+def _image_id(Lq: SubgroupLattice, epi, sub: Subgroup) -> int:
+    """Quotient-lattice id of the image of sub: that of its generators."""
+    return Lq.generated(epi.table[g] for g in sub.gens)
 
 
 # -- suite checks ------------------------------------------------------------
@@ -477,7 +470,7 @@ def _lemma_21(entry, k_set, counters):
     for sub, Q, epi in _quotient_lattices(entry.group):
         Lq = Q.lattice()
         for h in L.interval(sub.id, L.top.id)[:-1]:  # the top is last
-            h_img = _image_id(Lq, epi, L.subgroups[h].mask)
+            h_img = _image_id(Lq, epi, L.subgroups[h])
             if h_img == Lq.top.id:
                 continue
             verdicts += [
@@ -515,7 +508,7 @@ def _schmidt_like(G: FiniteGroup, L: SubgroupLattice, m: int, k: int) -> bool:
     q, n = pp
     p = Q.order // m_ord
     Lq = Q.lattice()
-    img = Lq.subgroups[_image_id(Lq, epi, L.subgroups[m].mask)]
+    img = Lq.subgroups[_image_id(Lq, epi, L.subgroups[m])]
     p_syl = structure.sylow_in(Lq, Lq.top.id, p)
     return (n <= k and facs.get(p) == 1 and Lq.subgroups[p_syl].order == p
             and Lq.is_normal_in(p_syl, Lq.top.id) and img.order == q**n
@@ -574,7 +567,7 @@ def _lemma_26(entry, k, counters):
         reach_q = submodular.ksub_set(Lq, k)
         for h in range(len(L.subgroups)):
             hn = L.join(h, sub.id)
-            up = _image_id(Lq, epi, L.subgroups[hn].mask) in reach_q
+            up = _image_id(Lq, epi, L.subgroups[hn]) in reach_q
             verdicts.append((up or h not in reach)
                             and (h in reach or not (up and L.leq(sub.id, h)))
                             and up == (hn in reach))

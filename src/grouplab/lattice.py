@@ -167,8 +167,7 @@ class SubgroupLattice:
         return set_bits(self.down[b] & self.up[a])
 
     def subs_of(self, b: int) -> list[int]:
-        """Ids of the subgroups of b, ascending (kept: chain searches and
-        the modularity test walk the same intervals many times)."""
+        """Ids of the subgroups of b, ascending; kept, as many pairs share b."""
         hit = self._subs_of.get(b)
         if hit is None:
             hit = self._subs_of[b] = set_bits(self.down[b])

@@ -4,6 +4,7 @@ import pytest
 
 from grouplab import GroupError, named_group
 from grouplab import harness, structure, submodular
+from grouplab.permgroup import set_bits
 
 
 def test_corpus_size_and_members(corpus):
@@ -217,3 +218,28 @@ def test_t33_subdirect_law_has_a_nontrivial_instance(corpus):
                 assert submodular.in_class(L, "Y", k), (e.name, k)
                 return
     pytest.fail("no subdirect pair of nontrivial normal subgroups")
+
+
+def _image_by_elements(Lq, epi, sub):
+    """Quotient-lattice id of the image of sub, built element by element."""
+    out = 0
+    for x in set_bits(sub.mask):
+        out |= 1 << epi.table[x]
+    return Lq.by_mask[out]
+
+
+def test_image_from_generators_matches_elementwise(corpus):
+    """Every subgroup under every nontrivial proper quotient of the corpus
+    groups of order <= 60."""
+    checked = 0
+    for entry in corpus:
+        if entry.order > 60:
+            continue
+        L = entry.lattice
+        for _, Q, epi in harness._quotient_lattices(entry.group):
+            Lq = Q.lattice()
+            for sub in L.subgroups:
+                assert (harness._image_id(Lq, epi, sub)
+                        == _image_by_elements(Lq, epi, sub)), entry.name
+                checked += 1
+    assert checked == 9287

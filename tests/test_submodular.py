@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from grouplab import all_subgroups, named_group
-from grouplab import submodular
+from grouplab import (OrderCapExceeded, Permutation, all_subgroups,
+                      direct_product, generate, named_group)
+from grouplab import structure, submodular
+from grouplab.lattice import SubgroupLattice
+from grouplab.permgroup import factorize
 from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  is_modular_subgroup, is_n_maximal_with_index,
                                  is_n_modularly_embedded, is_submodular,
                                  ksub_set, lattice_dot, schmidt_maximal_modular,
                                  step_kind, submodular_set,
                                  thm31_characterization, thm32_characterization)
+from test_fuzz import two_permutations
 
 
 def _by_order(L, order, **kw):
@@ -270,3 +275,143 @@ def test_witnesses_are_shortest_and_reverify(name, args):
 def test_witnesses_reverify_on_corpus(corpus):
     checked = sum(_check_witnesses(e.group) for e in corpus if e.order <= 60)
     assert checked == 3094
+
+
+# -- modularity against Schmidt's two conditions ------------------------------
+
+
+def _modular_oracle(L, m, b):
+    """Schmidt's two conditions for m <= b over all pairs of [1, b]."""
+    subs = L.subs_of(b)
+    # condition (1): <X, m ^ Z> = <X, m> ^ Z for X <= Z
+    for z in subs:
+        for x in L.subs_of(z):
+            if L.join(x, L.meet(m, z)) != L.meet(L.join(x, m), z):
+                return False
+    # condition (2): <m, Y ^ Z> = <m, Y> ^ Z for m <= Z
+    for z in L.interval(m, b):
+        for y in subs:
+            if L.join(m, L.meet(y, z)) != L.meet(L.join(m, y), z):
+                return False
+    return True
+
+
+def _oracle_verdicts(L):
+    """The oracle's verdict on each pair (m, b) the submodular-set search
+    asks about, with the search run on the oracle; the search must find the
+    engine's submodular set."""
+    verdicts = {}
+
+    def pred(m, b):
+        verdicts[m, b] = _modular_oracle(L, m, b)
+        return verdicts[m, b]
+    assert frozenset(L.reach_down(L.top.id, pred)) == submodular_set(L)
+    return verdicts
+
+
+def _modularity_mismatches(L, verdicts):
+    return [(m, b) for (m, b), v in verdicts.items()
+            if submodular._modular_in(L, m, b) != v]
+
+
+def test_modularity_matches_oracle_on_corpus(corpus):
+    """Every (m, b) of the lattices with at most 120 subgroups, and the pairs
+    the submodular-set search asks about on the larger ones."""
+    checked = 0
+    for entry in corpus:
+        L = entry.lattice
+        verdicts = _oracle_verdicts(L)
+        if len(L) <= 120:
+            verdicts.update(((m, b), _modular_oracle(L, m, b))
+                            for b in range(len(L)) for m in L.subs_of(b)
+                            if (m, b) not in verdicts)
+        assert _modularity_mismatches(L, verdicts) == [], entry.name
+        checked += len(verdicts)
+    assert checked == 5725
+
+
+def test_modularity_matches_oracle_on_s4_z2_z2():
+    z2 = named_group("cyclic", [2])
+    L = direct_product(direct_product(named_group("sym", [4]), z2), z2).lattice()
+    verdicts = _oracle_verdicts(L)
+    assert len(L) == 420 and len(submodular_set(L)) == 356
+    assert _modularity_mismatches(L, verdicts) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_permutations)
+def test_modularity_matches_oracle_on_random_groups(perms):
+    """The pairs the submodular-set search asks about in the group two
+    random permutations of degree <= 6 generate (order <= 120)."""
+    degree, p, q = perms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GROUPLAB_ORDER_CAP", "120")
+        try:
+            G = generate(degree, [Permutation(p), Permutation(q)])
+        except OrderCapExceeded:
+            assume(False)
+        L = G.lattice()
+    assert _modularity_mismatches(L, _oracle_verdicts(L)) == []
+
+
+class _SetLattice:
+    """The lattice of an intersection-closed family of sets, ids sorted by
+    size, with the reads of `SubgroupLattice` that `_modular_in` and the
+    oracle make."""
+
+    meet, join, interval, subs_of, memo = (
+        SubgroupLattice.meet, SubgroupLattice.join, SubgroupLattice.interval,
+        SubgroupLattice.subs_of, SubgroupLattice.memo)
+
+    def __init__(self, family):
+        sets = sorted(family, key=lambda s: (len(s), sorted(s)))
+        self.up = [sum(1 << j for j, t in enumerate(sets) if s <= t)
+                   for s in sets]
+        self.down = [sum(1 << j for j, t in enumerate(sets) if t <= s)
+                     for s in sets]
+        self._subs_of, self._memos = {}, {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 4)), max_size=8))
+def test_modularity_matches_oracle_on_abstract_lattices(family):
+    """The interval-size rule is a fact about finite lattices, not only
+    subgroup lattices: every (m, b) of the lattice of the sets, their
+    intersections and the full set."""
+    family = set(family) | {frozenset(range(5))}
+    while True:
+        more = {a & b for a in family for b in family} - family
+        if not more:
+            break
+        family |= more
+    L = _SetLattice(family)
+    assert [(m, b) for b in range(len(family)) for m in L.subs_of(b)
+            if submodular._modular_in(L, m, b) != _modular_oracle(L, m, b)
+            ] == []
+
+
+# -- class membership against every conjugate Sylow subgroup ------------------
+
+
+def _all_sylows_in_reach(L, top, k):
+    """Every conjugate in G of one Sylow p-subgroup of top per prime that
+    lies in top (so every Sylow subgroup of top) is k-submodular in top."""
+    reach = ksub_set(L, k, top=top)
+    return all(c in reach
+               for p in factorize(L.subgroups[top].order)
+               for c in L.conjugates(structure.sylow_in(L, top, p))
+               if L.leq(c, top))
+
+
+def test_one_sylow_per_prime_matches_every_conjugate(corpus):
+    checked = 0
+    for entry in corpus:
+        L = entry.lattice
+        for top in range(len(L)):
+            for k in (1, 2, 3):
+                sylows = _all_sylows_in_reach(L, top, k)
+                assert submodular.in_class(L, "F", k, top=top) == sylows
+                assert submodular.in_class(L, "K", k, top=top) == (
+                    sylows and structure.is_supersoluble_in(L, top))
+                checked += 1
+    assert checked == 4233
