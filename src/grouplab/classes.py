@@ -55,10 +55,11 @@ def _exponent_k_ok(G: FiniteGroup, k: int) -> bool:
 
 
 def _all_sylow_abelian(G: FiniteGroup) -> bool:
+    """Every Sylow subgroup abelian: its generators commute pairwise."""
     mult = G.mult
     for p in G.prime_divisors():
-        members = structure.sylow(G, p).members
-        if not all(mult[x][y] == mult[y][x] for x in members for y in members):
+        gens = structure.sylow(G, p).gens
+        if not all(mult[x][y] == mult[y][x] for x in gens for y in gens):
             return False
     return True
 
@@ -143,8 +144,9 @@ def f_function(k: int) -> Callable[[int], ClassOracle]:
 
 
 # -- residuals ---------------------------------------------------------------
-# Residual masks are memoised under (member id, formation name) and
-# subnormal sets under string keys, both in the lattice's `memo(__name__)`.
+# `residual_in` memoises residual masks under (member id, formation name)
+# and the subnormal sets under string keys, both in the lattice's
+# `memo(__name__)`; `residual_mask` itself keeps nothing.
 
 
 def residual_mask(G: FiniteGroup, F: ClassOracle) -> int:
@@ -157,24 +159,12 @@ def residual_mask(G: FiniteGroup, F: ClassOracle) -> int:
     if not F.is_formation:
         raise GroupError(f"residual needs a formation, got {F.name}")
     L = G.lattice()
-    memo = L.memo(__name__)
-    hit = memo.get((L.top.id, F.name))
-    if hit is not None:
-        return hit
-    result = None
     for a in structure.normal_ids_in(L, L.top.id):
         sub = L.subgroups[a]
-        if sub.order == G.order:
-            ok = True  # trivial quotient is in every non-empty class we build
-        else:
-            Q, _ = quotient_cached(G, sub.mask)
-            ok = F.member(Q)
-        if ok:
-            result = sub.mask
-            break
-    assert result is not None
-    memo[(L.top.id, F.name)] = result
-    return result
+        # the trivial quotient is in every non-empty class we build
+        if sub.order == G.order or F.member(quotient_cached(G, sub.mask)[0]):
+            return sub.mask
+    raise AssertionError("no normal subgroup has its quotient in the class")
 
 
 def residual(G: FiniteGroup, F: ClassOracle) -> Subgroup:

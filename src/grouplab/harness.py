@@ -157,10 +157,9 @@ def build_corpus(config: CorpusConfig | None = None) -> list[CorpusEntry]:
             fp = _fingerprint(host, s.members, L.down[s.id].bit_count())
             if fp in seen:
                 continue
-            gens = s.gens or tuple(s.members)
             spec = {"kind": "generators", "degree": host.degree,
                     "cycles": [host.elements[g].cycle_string()
-                               for g in gens]}
+                               for g in s.gens]}
             cand = CorpusEntry(f"S{n}_sub{s.id}", spec)
             seen[fp] = cand.name
             entries.append(cand)

@@ -39,8 +39,8 @@ class Subgroup:
     parent: FiniteGroup
     members: tuple[int, ...]
     mask: int
-    id: int = -1
-    gens: tuple[int, ...] = ()  # generates members; conjugation tests use it
+    id: int
+    gens: tuple[int, ...]  # generates members; conjugation tests use it
 
     @property
     def order(self) -> int:
@@ -48,8 +48,8 @@ class Subgroup:
 
     def gen_cycles(self) -> list[str]:
         """Cycle strings for a small generating set (for reports)."""
-        gens = self.gens or tuple(self.members[1:2])
-        return [self.parent.elements[g].cycle_string() for g in gens] or ["()"]
+        return [self.parent.elements[g].cycle_string()
+                for g in self.gens] or ["()"]
 
     def __repr__(self) -> str:
         return f"Subgroup(id={self.id}, order={self.order})"
@@ -292,8 +292,7 @@ class SubgroupLattice:
         members = sub.members
         local = {m: i for i, m in enumerate(members)}
         elements = [G.elements[m] for m in members]
-        gens = [G.elements[g] for g in (sub.gens or members[1:2])]
-        H = FiniteGroup(G.degree, elements, gens,
+        H = FiniteGroup(G.degree, elements, [G.elements[g] for g in sub.gens],
                         name=f"{G.name}.sub{a}", _trusted=True)
         mask_gens: dict[int, tuple[int, ...]] = {}
         for c in self.subs_of(a):

@@ -2,33 +2,34 @@
 supersolubility, Ore dispersivity, Fitting subgroup, chief factors.
 
 Each property has one implementation.  Sylow subgroups come from the lattice
-(`sylow_in`), nilpotency is `is_quotient_nilpotent` (with c the trivial
-subgroup for a group or lattice member), solubility is the derived series
-(`is_soluble`), the commutator subgroup is `_derived_of_mask`,
-supersolubility of a lattice member is `is_supersoluble_in`, and normality
-is the lattice's `is_normal_in`.  The `_in` forms take a lattice and a
-member id and treat the member as a group in its own right, so no lattice
-is rebuilt for a subgroup.
+(`sylow_in`).  Nilpotency is `is_quotient_nilpotent` (with c the trivial
+subgroup for a group or lattice member): every maximal subgroup normal.
+Solubility is `is_soluble`: every chief factor of prime-power order, read
+from the memoised chief-factor pairs.  The commutator subgroup is
+`_derived_of_mask`, supersolubility of a lattice member is
+`is_supersoluble_in`, and normality is the lattice's `is_normal_in`.  The
+`_in` forms take a lattice and a member id and treat the member as a group
+in its own right, so no lattice is rebuilt for a subgroup.
 
-The six per-member queries `normal_ids_in`, `chief_factor_pairs_in`,
-`chief_factors_in`, `is_supersoluble_in`, `sylow_in` and
-`is_quotient_nilpotent` work out each answer once per lattice.  The answers
-live on the lattice, in the dict this module owns under its own name
-(`SubgroupLattice.memo`), so they are freed with the lattice; a module-level
-table keyed by lattice would keep every lattice alive, since a cached
-`ChiefFactor` holds a `Subgroup`, which holds its group, which holds the
-lattice.  The dict maps a member id to one `_Facts` record of compact
-values: bitsets over ids, bools and ids, never lists of pairs or `Subgroup`
-objects, since the corpus run keeps hundreds of lattices alive at once.  The
-functions that return lists build a fresh one from those values on every
-call, so a caller may change what it gets.  A query that needs another's
-answer calls it, so that answer is read from its memo.
+The five per-member queries `normal_ids_in`, `chief_factor_pairs_in`,
+`chief_factors_in`, `is_supersoluble_in` and `sylow_in` work out each answer
+once per lattice.  The answers live on the lattice, in the dict this module
+owns under its own name (`SubgroupLattice.memo`), so they are freed with the
+lattice; a module-level table keyed by lattice would keep every lattice
+alive, since a cached `ChiefFactor` holds a `Subgroup`, which holds its
+group, which holds the lattice.  The dict maps a member id to one `_Facts`
+record of compact values: bitsets over ids, bools and ids, never lists of
+pairs or `Subgroup` objects, since the corpus run keeps hundreds of lattices
+alive at once.  The functions that return lists build a fresh one from
+those values on every call, so a caller may change what it gets.  A query
+that needs another's answer calls it, so that answer is read from its memo.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permgroup import FiniteGroup, GroupError, factorize, is_prime, set_bits
+from .permgroup import (FiniteGroup, GroupError, factorize, is_prime,
+                        prime_power, set_bits)
 from .lattice import Subgroup, SubgroupLattice
 
 
@@ -58,8 +59,6 @@ class _Facts:
     chief: tuple[tuple[int, ...], int] | None = None
     supersoluble: bool | None = None  # cross-checked verdict
     sylow: tuple[int, ...] | None = None  # least-id Sylow subgroup per prime
-    nilpotent_asked: int = 0  # bitset of the c for which b/c was asked
-    nilpotent: int = 0  # bitset of those c with b/c nilpotent
 
 
 def _facts(L: SubgroupLattice, b: int) -> _Facts:
@@ -119,16 +118,12 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def is_soluble(G: FiniteGroup) -> bool:
-    """Derived series reaches the trivial subgroup."""
-    mask = G.full_mask()
-    while True:
-        members = set_bits(mask)
-        if len(members) == 1:
-            return True
-        nxt = _derived_of_mask(G, members)
-        if nxt == mask:
-            return False
-        mask = nxt
+    """Every chief factor abelian.  A chief factor is a direct power of a
+    simple group, so it is abelian iff its order is a prime power."""
+    L = G.lattice()
+    subs = L.subgroups
+    return all(prime_power(subs[h].order // subs[k].order) is not None
+               for k, h in chief_factor_pairs_in(L, L.top.id))
 
 
 def _derived_of_mask(G: FiniteGroup, members) -> int:
@@ -143,7 +138,7 @@ def _derived_of_mask(G: FiniteGroup, members) -> int:
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
-    """Every Sylow subgroup normal (the finite-group criterion)."""
+    """Every maximal subgroup normal (the finite-group criterion)."""
     L = G.lattice()
     return is_quotient_nilpotent(L, L.bottom.id, L.top.id)
 
@@ -151,20 +146,11 @@ def is_nilpotent(G: FiniteGroup) -> bool:
 def is_quotient_nilpotent(L: SubgroupLattice, c: int, b: int) -> bool:
     """Nilpotency of b/c for lattice ids c <= b with c normal in b.
 
-    b/c is nilpotent iff each of its Sylows is normal, i.e. iff for every
-    prime r | |b/c| some subgroup between c and b, normal in b, realizes the
-    full r-part.  With c the trivial subgroup this is nilpotency of b.
+    A finite group is nilpotent iff every maximal subgroup is normal, and
+    the maximal subgroups of b/c are the m/c with m maximal in b and c <= m.
+    With c the trivial subgroup this is nilpotency of b.
     """
-    facts = _facts(L, b)
-    bit = 1 << c
-    if not facts.nilpotent_asked & bit:
-        oc, ob = L.subgroups[c].order, L.subgroups[b].order
-        if all(any(L.subgroups[s].order == oc * r**m and L.is_normal_in(s, b)
-                   for s in L.interval(c, b))
-               for r, m in factorize(ob // oc).items()):
-            facts.nilpotent |= bit
-        facts.nilpotent_asked |= bit
-    return facts.nilpotent & bit != 0
+    return all(L.is_normal_in(m, b) for m in L.hasse_down[b] if L.leq(c, m))
 
 
 # -- normal structure --------------------------------------------------------

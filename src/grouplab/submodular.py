@@ -23,7 +23,7 @@ from . import structure
 
 @dataclass
 class EmbeddingEdge:
-    """One verified chain step; kind is 'normal', 'n_modular' or 'modular'."""
+    """One verified chain step; kind is 'normal' or 'n_modular'."""
 
     lower: int
     upper: int
@@ -360,9 +360,10 @@ def schmidt_maximal_modular(L: SubgroupLattice, M: Subgroup) -> bool:
 def lattice_dot(L: SubgroupLattice, k: int | None = None) -> str:
     """Hasse diagram in DOT with per-edge embedding annotations.
 
-    Normal covers are solid, non-normal n-modular covers are dashed and
-    labelled with n, other covers are dotted.  When k is given, nodes
-    k-submodular in the group are shaded.
+    Normal covers are solid and labelled modular too, since Dedekind's law
+    makes every normal subgroup modular; non-normal n-modular covers are
+    dashed and labelled with n, other covers are dotted.  When k is given,
+    nodes k-submodular in the group are shaded.
     """
     reach = ksub_set(L, k) if k is not None else frozenset()
     lines = ["digraph lattice {", "  rankdir=BT;",
@@ -377,8 +378,7 @@ def lattice_dot(L: SubgroupLattice, k: int | None = None) -> str:
             if kind is None:
                 attr = 'style=dotted label="-"'
             elif kind[0] == "normal":
-                mod = ", modular" if _modular_in(L, a, b) else ""
-                attr = f'label="normal{mod}"'
+                attr = 'label="normal, modular"'
             else:
                 attr = f'style=dashed label="n-modular n={kind[1]}"'
             lines.append(f"  n{a} -> n{b} [{attr}];")

@@ -1,9 +1,12 @@
 """Structural predicates against sympy's permutation groups, an oracle that
 shares no code with the engine."""
 import pytest
+from hypothesis import given, settings
 
-from grouplab import named_group
+from grouplab import Permutation, generate, named_group
 from grouplab import structure
+from grouplab.permgroup import quotient_cached
+from test_fuzz import two_permutations
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -41,6 +44,41 @@ def test_member_nilpotency_matches_sympy(name, args):
         assert P.order() == s.order
         assert (structure.is_quotient_nilpotent(L, L.bottom.id, s.id)
                 == P.is_nilpotent), s
+
+
+@pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5]),
+                                       ("holomorph_cyclic", [7])])
+def test_quotient_nilpotency_matches_sympy(name, args):
+    """`is_quotient_nilpotent(L, c, b)` for every member b and every c
+    normal in b, against sympy on the quotient b/c built as a group."""
+    G = named_group(name, args)
+    L = G.lattice()
+    checked = 0
+    for sb in L.subgroups:
+        H = L.subgroup_as_group(sb.id)
+        for c in structure.normal_ids_in(L, sb.id):
+            local = sum(1 << i for i, m in enumerate(sb.members)
+                        if L.subgroups[c].mask >> m & 1)
+            Q, _ = quotient_cached(H, local)
+            P = _sympy_group(Q, [Q.element_index[g] for g in Q.generators])
+            assert P.order() == sb.order // L.subgroups[c].order
+            assert (structure.is_quotient_nilpotent(L, c, sb.id)
+                    == P.is_nilpotent), (sb.id, c)
+            checked += 1
+    assert checked > len(L)
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_permutations.filter(lambda perms: perms[0] <= 5))
+def test_solubility_and_nilpotency_match_sympy_on_random_groups(perms):
+    """The group two random permutations of degree <= 5 generate (degree 6
+    admits S6, whose lattice takes seconds)."""
+    degree, p, q = perms
+    G = generate(degree, [Permutation(p), Permutation(q)])
+    P = combinatorics.PermutationGroup([combinatorics.Permutation(list(p)),
+                                        combinatorics.Permutation(list(q))])
+    assert (structure.is_soluble(G), structure.is_nilpotent(G)) == (
+        P.is_solvable, P.is_nilpotent)
 
 
 def test_normality_and_sylow_counts_match_sympy(corpus):
