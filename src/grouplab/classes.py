@@ -1,7 +1,7 @@
 """Group-class oracles, formation residuals, subnormality predicates, local
 formations and the w-construction.
 
-Class-id vocabulary (CLI-visible):
+Class-id vocabulary (the ids `oracle` takes):
   N          nilpotent groups
   U          supersoluble groups
   S          soluble groups
@@ -19,8 +19,7 @@ which contain every cyclic p-group.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .permgroup import (FiniteGroup, GroupError, factorize, is_prime,
                         quotient_cached, set_bits)
@@ -28,30 +27,17 @@ from .lattice import Subgroup, SubgroupLattice
 from . import structure
 
 
-@dataclass
-class ClassOracle:
-    """Named membership predicate for a class of groups.
-
-    The formation flag is trusted metadata; it is only set where standard
-    theory asserts the closure property.
-    """
+class ClassOracle(NamedTuple):
+    """Named membership predicate for a class of groups; the name keys the
+    residual and F-subnormality memos."""
 
     name: str
-    member_fn: Callable[[FiniteGroup], bool]
-    is_formation: bool = False
-
-    def member(self, G: FiniteGroup) -> bool:
-        key = f"class:{self.name}"
-        hit = G._class_cache.get(key)
-        if hit is None:
-            hit = self.member_fn(G)
-            G._class_cache[key] = hit
-        return hit
+    member: Callable[[FiniteGroup], bool]
 
 
 def _exponent_k_ok(G: FiniteGroup, k: int) -> bool:
     """No prime (k+1)-th power divides exponent(G)."""
-    return all(m <= k for m in factorize(G.exponent()).values()) if G.order > 1 else True
+    return all(m <= k for m in factorize(G.exponent()).values())
 
 
 def _all_sylow_abelian(G: FiniteGroup) -> bool:
@@ -64,72 +50,56 @@ def _all_sylow_abelian(G: FiniteGroup) -> bool:
     return True
 
 
-def _all_sylow_cyclic(G: FiniteGroup) -> bool:
-    # a cyclic Sylow p-subgroup exists iff some element realizes the p-part
-    orders = set(G.element_orders)
-    facs = factorize(G.order) if G.order > 1 else {}
-    return all(p**m in orders for p, m in facs.items())
-
-
 def oracle(class_id: str, m: int | None = None, k: int | None = None) -> ClassOracle:
     """Build a ClassOracle from its class-id and parameters."""
     if class_id == "N":
-        return ClassOracle("N", structure.is_nilpotent, is_formation=True)
+        return ClassOracle("N", structure.is_nilpotent)
     if class_id == "U":
-        return ClassOracle("U", structure.is_supersoluble, is_formation=True)
+        return ClassOracle("U", structure.is_supersoluble)
     if class_id == "S":
-        return ClassOracle("S", structure.is_soluble, is_formation=True)
+        return ClassOracle("S", structure.is_soluble)
     if class_id == "A":
         if m is None:
             raise GroupError("A(m) needs m")
         return ClassOracle(f"A({m})",
-                           lambda G: G.is_abelian() and m % G.exponent() == 0,
-                           is_formation=True)
+                           lambda G: G.is_abelian() and m % G.exponent() == 0)
     if class_id == "A_exp_k":
         if m is None or k is None:
             raise GroupError("A_exp_k(m) needs m and k")
         return ClassOracle(
             f"A({m})_{k}",
             lambda G: (G.is_abelian() and m % G.exponent() == 0
-                       and _exponent_k_ok(G, k)),
-            is_formation=True)
+                       and _exponent_k_ok(G, k)))
     if class_id == "A_k":
         if k is None:
             raise GroupError("A_k needs k")
         return ClassOracle(f"A_{k}",
-                           lambda G: _all_sylow_abelian(G) and _exponent_k_ok(G, k),
-                           is_formation=True)
+                           lambda G: _all_sylow_abelian(G) and _exponent_k_ok(G, k))
     if class_id == "U_k":
         if k is None:
             raise GroupError("U_k needs k")
         return ClassOracle(
             f"U_{k}",
-            lambda G: structure.is_supersoluble(G) and _exponent_k_ok(G, k),
-            is_formation=True)
+            lambda G: structure.is_supersoluble(G) and _exponent_k_ok(G, k))
     if class_id == "cyclic_A":
         if m is None or k is None:
             raise GroupError("cyclic_A(m)_k needs m and k")
         return ClassOracle(
             f"cycA({m})_{k}",
             lambda G: (G.is_abelian() and m % G.exponent() == 0
-                       and _exponent_k_ok(G, k) and G.is_cyclic()),
-            is_formation=True)
+                       and _exponent_k_ok(G, k) and G.is_cyclic()))
     if class_id == "sylA_cyclic":
         if m is None or k is None:
             raise GroupError("sylA(m)_k_cyclic needs m and k")
 
-        def member(G: FiniteGroup, m=m, k=k) -> bool:
-            if G.order == 1:
-                return True
-            if not _all_sylow_cyclic(G):
-                return False
-            for p, a in factorize(G.order).items():
-                # cyclic Sylow p has exponent p^a
-                if m % p**a or a > k:
-                    return False
-            return True
+        def member(G: FiniteGroup) -> bool:
+            # the Sylow p-subgroup, of order p^a, is cyclic iff some element
+            # has order p^a, and then its exponent is p^a
+            orders = set(G.element_orders)
+            return all(p**a in orders and m % p**a == 0 and a <= k
+                       for p, a in factorize(G.order).items())
 
-        return ClassOracle(f"sylA({m})_{k}cyc", member, is_formation=True)
+        return ClassOracle(f"sylA({m})_{k}cyc", member)
     raise GroupError(f"unknown class id {class_id!r}")
 
 
@@ -144,52 +114,41 @@ def f_function(k: int) -> Callable[[int], ClassOracle]:
 
 
 # -- residuals ---------------------------------------------------------------
-# `residual_in` memoises residual masks under (member id, formation name)
-# and the subnormal sets under string keys, both in the lattice's
-# `memo(__name__)`; `residual_mask` itself keeps nothing.
+# Read in the parent lattice; `residual_mask` memoises under (b, F.name) and
+# the subnormal sets under string keys, both in the lattice's memo(__name__).
 
 
-def residual_mask(G: FiniteGroup, F: ClassOracle) -> int:
-    """Bitmask of G^F, the least normal subgroup with quotient in F.
+def residual_mask(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
+    """Bitmask over the parent's ordinals of b^F, the least normal subgroup
+    of member b whose quotient lies in F.
 
-    Scans normal subgroups by ascending order; the formation intersection
-    property makes the first passer the unique minimum, which is exactly the
-    "no smaller normal subgroup has quotient in F" verification.
+    F is assumed to be a formation (every built-in oracle is one): closed
+    under quotients and subdirect products, so the normal subgroups with
+    quotient in F are closed under intersection, and the first passer of
+    the scan by ascending order is the unique minimum.  Each quotient is
+    built from `L.subgroup_as_group(b)`, whose ordinals are b's members in
+    ascending order, so local ids rise with parent ids and the scan meets
+    the normal subgroups in the order b's own lattice would.
     """
-    if not F.is_formation:
-        raise GroupError(f"residual needs a formation, got {F.name}")
-    L = G.lattice()
-    for a in structure.normal_ids_in(L, L.top.id):
-        sub = L.subgroups[a]
-        # the trivial quotient is in every non-empty class we build
-        if sub.order == G.order or F.member(quotient_cached(G, sub.mask)[0]):
-            return sub.mask
-    raise AssertionError("no normal subgroup has its quotient in the class")
-
-
-def residual(G: FiniteGroup, F: ClassOracle) -> Subgroup:
-    L = G.lattice()
-    return L.subgroups[L.by_mask[residual_mask(G, F)]]
-
-
-def residual_in(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
-    """Residual of lattice member b (as a group in its own right), returned
-    as a bitmask over the *parent* group's ordinals."""
     memo = L.memo(__name__)
     hit = memo.get((b, F.name))
     if hit is None:
         H = L.subgroup_as_group(b)
-        if H is L.group:
-            hit = residual_mask(H, F)
-        else:
-            local = residual_mask(H, F)
-            hit = 0
-            members = L.subgroups[b].members
-            for i, m in enumerate(members):
-                if local >> i & 1:
-                    hit |= 1 << m
-        memo[(b, F.name)] = hit
+        members = L.subgroups[b].members
+        for a in structure.normal_ids_in(L, b):
+            hit = L.subgroups[a].mask
+            local = hit if H is L.group else sum(
+                1 << i for i, m in enumerate(members) if hit >> m & 1)
+            # the trivial quotient is in every non-empty class we build
+            if a == b or F.member(quotient_cached(H, local)[0]):
+                break
+        memo[b, F.name] = hit
     return hit
+
+
+def residual(G: FiniteGroup, F: ClassOracle) -> Subgroup:
+    L = G.lattice()
+    return L.subgroups[L.by_mask[residual_mask(L, L.top.id, F)]]
 
 
 # -- subnormality ------------------------------------------------------------
@@ -235,7 +194,7 @@ def f_subnormal_set(L: SubgroupLattice, F: ClassOracle) -> frozenset[int]:
     if hit is None:
         hit = memo[key] = frozenset(L.reach_down(
             L.top.id,
-            lambda a, b: residual_in(L, b, F) & ~L.subgroups[a].mask == 0))
+            lambda a, b: residual_mask(L, b, F) & ~L.subgroups[a].mask == 0))
     return hit
 
 

@@ -342,9 +342,7 @@ def _local_formation_check(cls: str, formation, entry: CorpusEntry, k: int,
 def _K_oracle(k: int) -> classes.ClassOracle:
     """The supersoluble-with-k-submodular-Sylows class as a formation."""
     return classes.ClassOracle(
-        f"Kcls_{k}",
-        lambda G: submodular.in_class(G.lattice(), "K", k),
-        is_formation=True)
+        f"Kcls_{k}", lambda G: submodular.in_class(G.lattice(), "K", k))
 
 
 def _p31_check(entry: CorpusEntry, k: int, counters: Counter):

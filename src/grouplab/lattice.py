@@ -276,34 +276,30 @@ class SubgroupLattice:
     # -- subgroup as standalone group ---------------------------------------
 
     def subgroup_as_group(self, a: int) -> FiniteGroup:
-        """Subgroup a as a FiniteGroup, with its lattice pre-seeded.
-
-        The subgroups of the interval [1, a] are exactly the subgroups of the
-        standalone group, so its lattice is translated rather than
-        re-enumerated.
-        """
-        sub = self.subgroups[a]
+        """Subgroup a as a FiniteGroup (the top is the group itself), built
+        once per member.  Its element ordinals are a's members in ascending
+        order, so local ids rise with parent ids.  Its lattice is built only
+        if asked for, and then translated from the interval [1, a], whose
+        subgroups are exactly those of the standalone group."""
         if a == self.top.id:
             return self.group
         hit = self._as_group.get(a)
-        if hit is not None:
-            return hit
-        G = self.group
-        members = sub.members
-        local = {m: i for i, m in enumerate(members)}
-        elements = [G.elements[m] for m in members]
-        H = FiniteGroup(G.degree, elements, [G.elements[g] for g in sub.gens],
-                        name=f"{G.name}.sub{a}", _trusted=True)
-        mask_gens: dict[int, tuple[int, ...]] = {}
-        for c in self.subs_of(a):
-            sc = self.subgroups[c]
-            mask = 0
-            for m in sc.members:
-                mask |= 1 << local[m]
-            mask_gens[mask] = tuple(local[g] for g in sc.gens)
-        H._lattice = SubgroupLattice(H, mask_gens)
-        self._as_group[a] = H
-        return H
+        if hit is None:
+            G = self.group
+            sub = self.subgroups[a]
+            hit = self._as_group[a] = FiniteGroup(
+                G.degree, [G.elements[m] for m in sub.members],
+                [G.elements[g] for g in sub.gens],
+                name=f"{G.name}.sub{a}", _trusted=True)
+            hit._lattice = lambda: self._interval_lattice(a)
+        return hit
+
+    def _interval_lattice(self, a: int) -> SubgroupLattice:
+        local = {m: i for i, m in enumerate(self.subgroups[a].members)}
+        return SubgroupLattice(self._as_group[a], {
+            sum(1 << local[m] for m in self.subgroups[c].members):
+                tuple(local[g] for g in self.subgroups[c].gens)
+            for c in self.subs_of(a)})
 
 
 def _lagrange_pins(h_order: int, c_order: int, meet_order: int,

@@ -13,6 +13,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .permgroup import (GroupError, factorize, is_prime, prime_power,
@@ -229,15 +230,40 @@ def is_n_maximal_with_index(L: SubgroupLattice, A: Subgroup,
 def is_k_LM_group(L: SubgroupLattice,
                   k: int) -> tuple[bool, tuple[int, int] | None]:
     """Definition check over all ordered pairs (A, B) with A maximal in the
-    join of A and B; returns the first failing pair as counterexample."""
+    join of A and B; returns the first failing pair as counterexample.
+
+    Only the test 1 <= n <= k depends on k, so one scan per lattice serves
+    every k: the first pair failing at k is the first pair at which the n
+    needed so far rises above k.  The memo keeps the rises found so far and
+    the paused scan, resumed only when a larger k needs more."""
     if k < 1:
         raise GroupError("k-LM needs k >= 1")
+    memo = L.memo(__name__)
+    if "LM" not in memo:
+        memo["LM"] = [], _lm_rises(L)
+    seen, scan = memo["LM"]
+    for n, pair in seen:
+        if n > k:
+            return False, pair
+    for n, pair in scan:
+        seen.append((n, pair))
+        if n > k:
+            return False, pair
+    return True, None
+
+
+def _lm_rises(L: SubgroupLattice):
+    """(n, pair) at each pair that needs a larger n than every pair before
+    it; a pair without a prime-power chain needs infinity."""
+    need = 0
     for a, b in L.maximal_in_join():
         d = L.meet(a, b)
         res = is_n_maximal_with_index(L, L.subgroups[d], L.subgroups[b])
-        if res is None or not 1 <= res[0] <= k:
-            return False, (a, b)
-    return True, None
+        # b is not under a, so d < b and n >= 1
+        n = math.inf if res is None else res[0]
+        if n > need:
+            need = n
+            yield n, (a, b)
 
 
 # -- class membership --------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
-from grouplab import named_group
-from grouplab import classes, structure
+from grouplab import direct_product, generate, named_group
+from grouplab import classes, harness, structure
 from grouplab.classes import (f_function, h_function, in_local_formation,
                               in_wF, is_F_subnormal, is_KP_subnormal,
                               is_P_subnormal, oracle, residual)
@@ -64,6 +64,28 @@ def test_residual_is_minimal(s4):
         if n.order < r.order:
             Q, _ = quotient_cached(s4, n.mask)
             assert not U.member(Q)
+
+
+@pytest.mark.parametrize("spec", [("sym", [4]), ("holomorph_cyclic", [5]),
+                                  ("holomorph_cyclic", [7]),
+                                  ("direct", [("sym", [3]), ("sym", [3])])])
+def test_residual_in_parent_lattice_matches_member_lattice(spec):
+    """`residual_mask(L, b, F)`, read in the parent lattice, against the
+    residual of member b generated afresh as a group with its own
+    enumerated lattice, mapped back to parent ordinals."""
+    if spec[0] == "direct":
+        G = direct_product(*(named_group(*part) for part in spec[1]))
+    else:
+        G = named_group(*spec)
+    L = G.lattice()
+    oracles = [oracle("N"), oracle("U"), oracle("U_k", k=1),
+               oracle("U_k", k=2), harness._K_oracle(1)]
+    for sb in L.subgroups:
+        H = generate(G.degree, [G.elements[g] for g in sb.gens])
+        for F in oracles:
+            expect = sum(1 << G.element_index[H.elements[i]]
+                         for i in residual(H, F).members)
+            assert classes.residual_mask(L, sb.id, F) == expect, (sb.id, F.name)
 
 
 def test_p_subnormal(s4):

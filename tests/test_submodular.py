@@ -146,6 +146,39 @@ def test_k_lm_group(hol5):
     assert res is None or not 1 <= res[0] <= 1
 
 
+def _k_lm_by_definition(L, k):
+    """The definition, scanned afresh at each k: the first pair (a, b) with
+    a maximal in the join whose meet is not n-maximal in b for 1 <= n <= k."""
+    for a, b in L.maximal_in_join():
+        d = L.meet(a, b)
+        res = is_n_maximal_with_index(L, L.subgroups[d], L.subgroups[b])
+        if res is None or not 1 <= res[0] <= k:
+            return False, (a, b)
+    return True, None
+
+
+def test_k_lm_group_matches_per_k_scan_on_corpus(corpus, monkeypatch):
+    """One scan per lattice serves every k, with the per-k loop's answer;
+    the k order makes later calls both resume the scan and reuse it."""
+    ks = (2, 1, 4, 3)
+    for e in corpus:
+        L = e.lattice
+        expect = [_k_lm_by_definition(L, k) for k in ks]
+        # other suites may have filled the memo from the session's corpus
+        L.memo(submodular.__name__).pop("LM", None)
+        scans = []
+        scan = L.maximal_in_join
+
+        def counted():
+            scans.append(1)
+            return scan()
+
+        monkeypatch.setattr(L, "maximal_in_join", counted)
+        assert [is_k_LM_group(L, k) for k in ks] == expect, e.name
+        assert len(scans) == 1, e.name
+        monkeypatch.undo()
+
+
 def test_abelian_groups_are_1_lm():
     for spec in (("cyclic", [12]), ("elem_abelian", [2, 3]), ("elem_abelian", [3, 2])):
         L = named_group(*spec).lattice()
@@ -167,9 +200,11 @@ def test_class_membership(hol5, hol7, s4):
 @pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5])])
 def test_member_class_asked_in_parent_lattice(name, args):
     L = named_group(name, args).lattice()
+    G = L.group
     for a in range(len(L.subgroups)):
-        # reference: the member rebuilt as a group with its own lattice
-        La = L.subgroup_as_group(a).lattice()
+        # reference: the member generated afresh, its lattice enumerated
+        La = generate(G.degree,
+                      [G.elements[g] for g in L.subgroups[a].gens]).lattice()
         for c in submodular.CLASS_IDS:
             for k in (1, 2, 3):
                 assert (submodular.in_class(L, c, k, top=a)
