@@ -7,6 +7,7 @@ or suite failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -192,7 +193,14 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused.
+
+    Reuse is safe: `parse_args` fills a fresh namespace, the `append` action
+    copies its default list, and `_Parser.error` raises without keeping
+    state.
+    """
     top = _Parser(
         prog="grouplab",
         description="finite-group engine for submodularity analysis")

@@ -98,7 +98,14 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 class Permutation(tuple):
-    """A bijection on {0..degree-1}, stored as the tuple of images."""
+    """A bijection on {0..degree-1}, stored as the tuple of images.
+
+    Every instance is a bijection.  The check runs where images enter from
+    outside the class: `Permutation(images)`, and through it `parse`,
+    `identity` and the builders.  Products and inverses of bijections are
+    bijections, so `__mul__` and `inverse` inherit the check and build their
+    result without it; `__mul__` takes only a `Permutation` operand.
+    """
 
     def __new__(cls, images: Iterable[int]) -> "Permutation":
         images = tuple(images)
@@ -112,15 +119,17 @@ class Permutation(tuple):
 
     def __mul__(self, other: "Permutation") -> "Permutation":  # type: ignore[override]
         # left factor acts first
+        if not isinstance(other, Permutation):
+            return NotImplemented
         if len(self) != len(other):
             raise GroupError("degree mismatch in composition")
-        return Permutation(other[i] for i in self)
+        return tuple.__new__(Permutation, map(other.__getitem__, self))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self)
         for i, j in enumerate(self):
             inv[j] = i
-        return Permutation(inv)
+        return tuple.__new__(Permutation, inv)
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self))

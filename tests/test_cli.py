@@ -176,3 +176,38 @@ def test_order_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("GROUPLAB_ORDER_CAP", "10")
     code, _, err = run(capsys, "show", "sym:4")
     assert code == 2 and "error" in err
+
+
+def test_main_reuses_one_parser(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # no --gens carries over from one call to the next
+    code, out, _ = run(capsys, "check", "modular", "sym:4",
+                       "--gens", "(1 2)", "--gens", "(1 2 3)")
+    assert code == 1 and "|H|=6" in out  # S3 is not modular in S4
+    code, _, err = run(capsys, "check", "modular", "sym:4")
+    assert code == 2 and "needs --gens" in err
+    # nor does --k: classify falls back to its default 1,2,3
+    assert run(capsys, "show", "sym:3", "--k", "1")[0] == 0
+    code, out, _ = run(capsys, "classify", "sym:3")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == (
+        ["k=1"] * 4 + ["k=2"] * 4 + ["k=3"] * 4)
+    # a usage error leaves the parser usable
+    assert run(capsys, "check", "nosuch", "sym:4")[0] == 2
+    assert run(capsys, "classify", "sym:3", "--k", "2")[0] == 0
+
+
+def test_verify_report_same_for_any_jobs(capsys, tmp_path):
+    def report(jobs):
+        path = tmp_path / f"rep{jobs}.json"
+        code, _, _ = run(capsys, "verify", "--suite", "R1,L", "--k", "1,2",
+                         "--cap", "42", "--jobs", str(jobs),
+                         "--out", str(path))
+        assert code == 0
+        payload = json.loads(path.read_text())
+        for rep in payload["reports"]:
+            for rec in rep["entries"]:
+                del rec["elapsed"]
+        return payload
+
+    assert report(1) == report(2)

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from grouplab import (GroupError, OrderCapExceeded, Permutation, direct_product,
-                      generate, group_from_spec, named_group, quotient)
+from grouplab import (GroupError, OrderCapExceeded, ParseError, Permutation,
+                      direct_product, generate, group_from_spec, named_group,
+                      quotient)
 from grouplab.permgroup import (factorize, is_prime, named_order, order_cap,
                                 prime_power)
 
@@ -275,3 +276,30 @@ def test_mult_of_table_its_generators_do_not_generate():
     _assert_mult_is_definition(G)
     H = FiniteGroup(3, S3.elements, [])
     _assert_mult_is_definition(H)
+
+
+def _perms(degree):
+    return st.permutations(list(range(degree))).map(Permutation)
+
+
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(_perms(n), _perms(n))))
+def test_unchecked_products_are_checked_permutations(pair):
+    a, b = pair
+    ab = a * b
+    assert type(ab) is Permutation and type(a.inverse()) is Permutation
+    assert ab == Permutation(b[i] for i in a)
+    assert a.inverse() * a == Permutation.identity(a.degree)
+
+
+@given(_perms(3), _perms(4))
+def test_products_admit_only_permutations_of_one_degree(a, b):
+    with pytest.raises(GroupError):
+        a * b
+    for plain in [(0, 1, 2), (0, 0, 1)]:
+        with pytest.raises((TypeError, GroupError)):
+            a * plain
+
+
+def test_non_bijection_rejected():
+    with pytest.raises(ParseError):
+        Permutation((0, 0, 1))
