@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import shutil
 import sys
 
 from .permgroup import (FiniteGroup, GroupError, ParseError, Permutation,
@@ -193,18 +194,18 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and then reused.
-
-    Reuse is safe: `parse_args` fills a fresh namespace, the `append` action
-    copies its default list, and `_Parser.error` raises without keeping
-    state.
-    """
+    # a HelpFormatter left to itself looks up the terminal width (less its
+    # 2-column margin), and add_argument builds one per argument: look the
+    # width up once instead
+    fmt = functools.partial(argparse.HelpFormatter,
+                            width=shutil.get_terminal_size().columns - 2)
     top = _Parser(
-        prog="grouplab",
+        prog="grouplab", formatter_class=fmt,
         description="finite-group engine for submodularity analysis")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(_Parser, formatter_class=fmt))
 
     p = sub.add_parser("show", help="summarize a group")
     p.add_argument("group", help="spec: JSON, file path, or builder:args")

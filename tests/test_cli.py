@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -178,8 +179,7 @@ def test_order_cap_env(capsys, monkeypatch):
     assert code == 2 and "error" in err
 
 
-def test_main_reuses_one_parser(capsys):
-    assert cli.build_parser() is cli.build_parser()
+def test_main_keeps_no_state_between_calls(capsys):
     # no --gens carries over from one call to the next
     code, out, _ = run(capsys, "check", "modular", "sym:4",
                        "--gens", "(1 2)", "--gens", "(1 2 3)")
@@ -192,22 +192,19 @@ def test_main_reuses_one_parser(capsys):
     assert code == 0
     assert [line.split()[0] for line in out.splitlines()] == (
         ["k=1"] * 4 + ["k=2"] * 4 + ["k=3"] * 4)
-    # a usage error leaves the parser usable
+    # a usage error leaves later calls unaffected
     assert run(capsys, "check", "nosuch", "sym:4")[0] == 2
     assert run(capsys, "classify", "sym:3", "--k", "2")[0] == 0
 
 
-def test_verify_report_same_for_any_jobs(capsys, tmp_path):
-    def report(jobs):
-        path = tmp_path / f"rep{jobs}.json"
-        code, _, _ = run(capsys, "verify", "--suite", "R1,L", "--k", "1,2",
-                         "--cap", "42", "--jobs", str(jobs),
-                         "--out", str(path))
-        assert code == 0
-        payload = json.loads(path.read_text())
-        for rep in payload["reports"]:
-            for rec in rep["entries"]:
-                del rec["elapsed"]
-        return payload
-
-    assert report(1) == report(2)
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_help_wraps_to_terminal_width(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    top = cli.build_parser()
+    sub = next(a for a in top._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsers = [top, *sub.choices.values()]
+    helps = [p.format_help() for p in parsers]
+    for p in parsers:  # argparse's own formatter, width looked up per use
+        p.formatter_class = argparse.HelpFormatter
+    assert [p.format_help() for p in parsers] == helps
