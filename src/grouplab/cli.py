@@ -144,14 +144,13 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = [s for s in args.suite.split(",") if s]
+    if not suites:
+        raise GroupError("--suite needs one or more suite ids")
     for s in suites:
         if s not in harness.SUITE_IDS:
             raise GroupError(f"unknown suite {s!r}")
-    if args.jobs < 1:
-        raise GroupError("--jobs must be >= 1")
     corpus = harness.build_corpus(harness.CorpusConfig(cap=args.cap))
-    reports = [harness.run_suite(s, _ks(args.k), corpus, jobs=args.jobs)
-               for s in suites]
+    reports = [harness.run_suite(s, _ks(args.k), corpus) for s in suites]
     if args.out:
         harness.report_to_file(reports, args.out)
     all_ok = True
@@ -231,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated suite ids, e.g. T3.1,T3.2")
     p.add_argument("--k", default="1,2,3")
     p.add_argument("--cap", type=int, default=harness.DEFAULT_CORPUS_CAP)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write JSON report to this path")
     p.set_defaults(fn=cmd_verify)
 

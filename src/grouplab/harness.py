@@ -12,7 +12,6 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -710,39 +709,18 @@ def _lemma_corpus(corpus: list[CorpusEntry]) -> list[CorpusEntry]:
             if e.order <= LEMMA_SUITE_MAX_ORDER or e.name in LEMMA_SUITE_EXTRA]
 
 
-def _eval_entry(suite: str, entry: CorpusEntry, k_set: list[int]):
-    """Records of one corpus entry under one suite, and their counters."""
-    check, mode = _SUITES[suite]
-    counters: Counter = Counter()
-    return ([_record(entry.name, k, check, entry, counters)
-             for k in _ks(mode, k_set)], counters)
-
-
-def _eval_spec(args):
-    """_eval_entry in a pool worker, rebuilding the entry from its spec."""
-    suite, name, spec, k_set = args
-    return _eval_entry(suite, CorpusEntry(name, spec), k_set)
-
-
-def run_suite(suite: str, k_set: list[int], corpus: list[CorpusEntry],
-              jobs: int = 1) -> VerificationReport:
+def run_suite(suite: str, k_set: list[int],
+              corpus: list[CorpusEntry]) -> VerificationReport:
     if suite not in _SUITES:
         raise GroupError(f"unknown suite {suite!r}")
     if not k_set or any(k < 1 for k in k_set):
         raise GroupError("need one or more k values, each >= 1")
     k_set = sorted(set(k_set))
     entries = _lemma_corpus(corpus) if suite == "L" else corpus
-    if jobs > 1:
-        work = [(suite, e.name, e.spec, k_set) for e in entries]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_spec, work))
-    else:
-        results = [_eval_entry(suite, e, k_set) for e in entries]
-    records: list[dict] = []
+    check, mode = _SUITES[suite]
     counters: Counter = Counter()
-    for part_records, part in results:
-        records.extend(part_records)
-        counters.update(part)
+    records = [_record(e.name, k, check, e, counters)
+               for e in entries for k in _ks(mode, k_set)]
     records.sort(key=lambda r: (r["group"], str(r["k"])))
     if suite == "L":
         records.append(_record("corpus:direct-products", list(k_set),

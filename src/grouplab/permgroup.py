@@ -594,8 +594,10 @@ def named_group(name: str, args: Sequence[int]) -> FiniteGroup:
         return generate(n, gens, name=f"S{n}")
     if name == "alt":
         (n,) = args
+        if n < 1:
+            raise GroupError("alt(n) needs n >= 1")
         if n < 3:
-            return generate(max(n, 1), [], name=f"A{n}")
+            return generate(n, [], name=f"A{n}")
         three = _perm_from_map({0: 1, 1: 2, 2: 0}, n)
         gens = [three]
         if n > 3:

@@ -143,14 +143,13 @@ def is_modular_subgroup(L: SubgroupLattice, M: Subgroup) -> bool:
     return _modular_in(L, M.id, L.top.id)
 
 
-def submodular_set(L: SubgroupLattice, top: int | None = None) -> frozenset[int]:
-    """Ids submodular in `top` (default: the whole group)."""
-    if top is None:
-        top = L.top.id
-    key = (-1, top)
+def submodular_set(L: SubgroupLattice) -> frozenset[int]:
+    """Ids submodular in the whole group."""
+    key = (-1, L.top.id)
     hit = L.ksub_reach.get(key)
     if hit is None:
-        hit = frozenset(L.reach_down(top, lambda a, b: _modular_in(L, a, b)))
+        hit = frozenset(L.reach_down(L.top.id,
+                                     lambda a, b: _modular_in(L, a, b)))
         L.ksub_reach[key] = hit
     return hit
 

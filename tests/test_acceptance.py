@@ -82,20 +82,20 @@ def test_criterion_03_subnormal_not_submodular_in_holomorph_z7(hol7):
 def test_criterion_04_maximal_chain_characterizations_agree(corpus):
     with _verdict("criterion 4: three-way characterization agreement"):
         t0 = time.perf_counter()
-        rep = harness.run_suite("T3.1", [1, 2, 3], corpus, jobs=1)
+        rep = harness.run_suite("T3.1", [1, 2, 3], corpus)
         assert rep.passed and rep.summary()["failed"] == 0
         assert time.perf_counter() - t0 < 600.0
 
 
 def test_criterion_05_four_way_characterizations_agree(corpus):
     with _verdict("criterion 5: four-way characterization agreement"):
-        rep = harness.run_suite("T3.2", [1, 2, 3], corpus, jobs=1)
+        rep = harness.run_suite("T3.2", [1, 2, 3], corpus)
         assert rep.passed and rep.summary()["failed"] == 0
 
 
 def test_criterion_06_closure_and_frattini_suite(corpus):
     with _verdict("criterion 6: closure laws and Frattini-quotient bridge"):
-        rep = harness.run_suite("T3.3", [1, 2, 3], corpus, jobs=1)
+        rep = harness.run_suite("T3.3", [1, 2, 3], corpus)
         assert rep.passed and rep.summary()["failed"] == 0
         for key in ("nonvacuous_quotient_closure_X",
                     "nonvacuous_primitive_closure_X",
@@ -109,7 +109,7 @@ def test_criterion_06_closure_and_frattini_suite(corpus):
 def test_criterion_07_local_formation_suites(corpus):
     with _verdict("criterion 7: local-formation membership agreement"):
         for suite in ("T3.5", "T3.6"):
-            rep = harness.run_suite(suite, [1, 2, 3], corpus, jobs=1)
+            rep = harness.run_suite(suite, [1, 2, 3], corpus)
             assert rep.passed and rep.summary()["failed"] == 0, suite
             for cls in (("K",) if suite == "T3.5" else ("F",)):
                 assert rep.counters[f"nonvacuous_{cls}_closures"] > 0
@@ -118,7 +118,7 @@ def test_criterion_07_local_formation_suites(corpus):
 
 def test_criterion_08_class_product_identities(corpus):
     with _verdict("criterion 8: class intersection/weakening identities"):
-        rep = harness.run_suite("P3.1", [1, 2, 3], corpus, jobs=1)
+        rep = harness.run_suite("P3.1", [1, 2, 3], corpus)
         assert rep.passed and rep.summary()["failed"] == 0
         assert rep.counters["nonvacuous_K_members"] > 0
         assert rep.counters["nonvacuous_F_members"] > 0
@@ -126,17 +126,17 @@ def test_criterion_08_class_product_identities(corpus):
 
 def test_criterion_09_nilpotent_factorizations(corpus):
     with _verdict("criterion 9: nilpotent factorization consequences"):
-        rep = harness.run_suite("T3.6_1", [1, 2, 3], corpus, jobs=1)
+        rep = harness.run_suite("T3.6_1", [1, 2, 3], corpus)
         assert rep.passed and rep.summary()["failed"] == 0
         assert rep.counters["nonvacuous_nontrivial_factorizations"] > 0
 
 
 def test_criterion_10_collapse_and_inclusion_chain(corpus):
     with _verdict("criterion 10: k=1 collapse and class inclusion chain"):
-        r1 = harness.run_suite("R1", [1], corpus, jobs=1)
+        r1 = harness.run_suite("R1", [1], corpus)
         assert r1.passed and r1.summary()["failed"] == 0
         assert r1.counters["nonvacuous_maximal_checks"] > 0
-        r3 = harness.run_suite("R3", [1, 2, 3], corpus, jobs=1)
+        r3 = harness.run_suite("R3", [1, 2, 3], corpus)
         assert r3.passed and r3.summary()["failed"] == 0
         hit = harness.find_witness("class-diff:X,2,X,1", corpus)
         assert hit is not None
@@ -147,7 +147,7 @@ def test_criterion_10_collapse_and_inclusion_chain(corpus):
 
 def test_criterion_11_lemma_properties(corpus):
     with _verdict("criterion 11: lemma properties non-vacuously verified"):
-        rep = harness.run_suite("L", [1, 2, 3], corpus, jobs=1)
+        rep = harness.run_suite("L", [1, 2, 3], corpus)
         assert rep.passed and rep.summary()["failed"] == 0
         for key, count in rep.counters.items():
             if key.startswith("nonvacuous"):
@@ -185,7 +185,7 @@ def test_criterion_12_engine_oracles(corpus, s4):
                 assert ({s.mask for s in entry.lattice.subgroups}
                         == _naive_subgroup_masks(entry.group)), entry.name
         # quotients built during a suite run re-verify as epimorphisms
-        harness.run_suite("T3.3", [1], corpus, jobs=1)
+        harness.run_suite("T3.3", [1], corpus)
         verified = 0
         for entry in corpus:
             for Q, epi in entry.group._quotients.values():

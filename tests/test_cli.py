@@ -94,13 +94,15 @@ def test_bad_group_spec(capsys):
     ["show", '{"kind": "named", "name": "sym", "args": ["4"]}'],
     ["show", '{"kind": "direct", "parts": 5}'],
     ["show", '{"kind": "generators", "degree": 3, "cycles": [5]}'],
-    ["verify", "--suite", "R1", "--jobs", "0"],
-    ["verify", "--suite", "R1", "--jobs", "-1"],
+    ["verify", "--suite", ","],
+    ["verify", "--suite", ""],
     ["show", '{"kind": "generators", "degree": true}'],
     ["show", '{"kind": "generators", "degree": false}'],
     ["show"],
     ["check"],
     ["verify"],
+    ["show", "alt:-3"],
+    ["show", "alt:0"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -82,6 +82,13 @@ def test_named_group_bad_args():
         named_group("frobenius_metacyclic", [13, 3, 2])  # 9 does not divide 12
     with pytest.raises(GroupError):
         named_group("nosuch", [1])
+    for n in (-3, 0):
+        with pytest.raises(GroupError, match=r"alt\(n\) needs n >= 1"):
+            named_group("alt", [n])
+    # A1 and A2 stay trivial groups of their own degree
+    for n in (1, 2):
+        G = named_group("alt", [n])
+        assert (G.name, G.degree, G.order) == (f"A{n}", n, 1)
 
 
 def test_group_axioms_on_tables():
