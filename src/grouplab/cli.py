@@ -2,7 +2,7 @@
 
 Commands: show, check, classify, verify, corpus list, export-lattice.
 Exit codes: 0 success / predicate true / all suites pass, 1 predicate false
-or suite failure, 2 usage or input error.
+or suite failure, 2 usage or input error, 141 stdout closed early.
 """
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ import sys
 
 from .permgroup import (FiniteGroup, GroupError, ParseError, Permutation,
                         group_from_spec)
-from . import classes, harness, structure, submodular
+from . import classes, structure, submodular
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output ended
 
 
 def _load_spec(text: str) -> dict:
@@ -95,6 +96,8 @@ PREDICATES = ("modular", "submodular", "k-submodular", "n-modular-embedded",
 
 
 def cmd_check(args) -> int:
+    if args.k < 1:
+        raise GroupError("k must be >= 1")
     G = _group(args.group)
     L = G.lattice()
     pred = args.predicate
@@ -143,6 +146,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
     suites = [s for s in args.suite.split(",") if s]
     if not suites:
         raise GroupError("--suite needs one or more suite ids")
@@ -164,6 +168,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import harness
     corpus = harness.build_corpus(harness.CorpusConfig(cap=args.cap))
     for e in corpus:
         print(f"{e.name:24s} {' '.join(e.tags())}")
@@ -193,7 +198,60 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _show_args(p):
+    p.add_argument("group", help="spec: JSON, file path, or builder:args")
+    p.add_argument("--k", default="1,2,3", help="comma-separated k values")
+
+
+def _check_args(p):
+    p.add_argument("predicate", choices=PREDICATES)
+    p.add_argument("group")
+    p.add_argument("--gens", action="append", default=[],
+                   help="subgroup generator in cycle notation (repeatable)")
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--n", type=int, default=1)
+
+
+def _classify_args(p):
+    p.add_argument("group")
+    p.add_argument("--k", default="1,2,3")
+
+
+def _verify_args(p):
+    from . import harness
+    p.add_argument("--suite", required=True,
+                   help="comma-separated suite ids, e.g. T3.1,T3.2")
+    p.add_argument("--k", default="1,2,3")
+    p.add_argument("--cap", type=int, default=harness.DEFAULT_CORPUS_CAP)
+    p.add_argument("--out", help="write JSON report to this path")
+
+
+def _corpus_args(p):
+    from . import harness
+    p.add_argument("action", choices=["list"])
+    p.add_argument("--cap", type=int, default=harness.DEFAULT_CORPUS_CAP)
+
+
+def _export_args(p):
+    p.add_argument("group")
+    p.add_argument("--emit-dot", action="store_true")
+    p.add_argument("--k", type=int, default=None,
+                   help="shade subgroups k-submodular in the group")
+    p.add_argument("--out")
+
+
+COMMANDS = {  # name -> (help, function adding its arguments, command)
+    "show": ("summarize a group", _show_args, cmd_show),
+    "check": ("evaluate a subgroup predicate", _check_args, cmd_check),
+    "classify": ("class memberships of a group", _classify_args, cmd_classify),
+    "verify": ("run verification suites", _verify_args, cmd_verify),
+    "corpus": ("corpus inspection", _corpus_args, cmd_corpus),
+    "export-lattice": ("emit the subgroup lattice", _export_args,
+                       cmd_export_lattice),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     # a HelpFormatter left to itself looks up the terminal width (less its
     # 2-column margin), and add_argument builds one per argument: look the
     # width up once instead
@@ -205,56 +263,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(
         dest="command", required=True,
         parser_class=functools.partial(_Parser, formatter_class=fmt))
-
-    p = sub.add_parser("show", help="summarize a group")
-    p.add_argument("group", help="spec: JSON, file path, or builder:args")
-    p.add_argument("--k", default="1,2,3", help="comma-separated k values")
-    p.set_defaults(fn=cmd_show)
-
-    p = sub.add_parser("check", help="evaluate a subgroup predicate")
-    p.add_argument("predicate", choices=PREDICATES)
-    p.add_argument("group")
-    p.add_argument("--gens", action="append", default=[],
-                   help="subgroup generator in cycle notation (repeatable)")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("classify", help="class memberships of a group")
-    p.add_argument("group")
-    p.add_argument("--k", default="1,2,3")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", required=True,
-                   help="comma-separated suite ids, e.g. T3.1,T3.2")
-    p.add_argument("--k", default="1,2,3")
-    p.add_argument("--cap", type=int, default=harness.DEFAULT_CORPUS_CAP)
-    p.add_argument("--out", help="write JSON report to this path")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("corpus", help="corpus inspection")
-    p.add_argument("action", choices=["list"])
-    p.add_argument("--cap", type=int, default=harness.DEFAULT_CORPUS_CAP)
-    p.set_defaults(fn=cmd_corpus)
-
-    p = sub.add_parser("export-lattice", help="emit the subgroup lattice")
-    p.add_argument("group")
-    p.add_argument("--emit-dot", action="store_true")
-    p.add_argument("--k", type=int, default=None,
-                   help="shade subgroups k-submodular in the group")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_export_lattice)
+    # only the command argv[0] names; all when it names none (-h, --, typos)
+    for name in [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS:
+        help_, add_args, _ = COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_))
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-        if args.command == "check" and args.k < 1:
-            raise GroupError("k must be >= 1")
-        return args.fn(args)
+        args = build_parser(argv).parse_args(argv)
+        code = COMMANDS[args.command][2](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # reader gone: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (GroupError, ParseError, json.JSONDecodeError, UnicodeDecodeError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

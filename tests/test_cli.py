@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +10,10 @@ from grouplab import cli
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # -h prints help and exits
+        code = ("exit", exc.code)
     cap = capsys.readouterr()
     return code, cap.out, cap.err
 
@@ -199,14 +205,84 @@ def test_main_keeps_no_state_between_calls(capsys):
     assert run(capsys, "classify", "sym:3", "--k", "2")[0] == 0
 
 
+def _subparsers(top):
+    return next(a for a in top._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
 @pytest.mark.parametrize("columns", ["40", "200"])
 def test_help_wraps_to_terminal_width(monkeypatch, columns):
     monkeypatch.setenv("COLUMNS", columns)
     top = cli.build_parser()
-    sub = next(a for a in top._actions
-               if isinstance(a, argparse._SubParsersAction))
-    parsers = [top, *sub.choices.values()]
+    parsers = [top, *_subparsers(top).choices.values()]
     helps = [p.format_help() for p in parsers]
     for p in parsers:  # argparse's own formatter, width looked up per use
         p.formatter_class = argparse.HelpFormatter
     assert [p.format_help() for p in parsers] == helps
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["-x"], ["nosuch"], ["SHOW", "sym:3"],
+    ["sh", "sym:3"], ["show", "-h"], ["check", "-h"], ["classify", "-h"],
+    ["verify", "-h"], ["corpus", "-h"], ["export-lattice", "-h"],
+    ["-h", "check"], ["check", "--help", "modular"], ["show"], ["check"],
+    ["check", "modular"], ["check", "nosuch", "sym:3"],
+    ["check", "modular", "sym:3", "--k", "x"], ["verify"], ["corpus"],
+    ["corpus", "lst"], ["export-lattice"], ["--", "show", "sym:3"],
+    ["show", "--", "sym:3"], ["show", "sym:3", "--bogus"],
+    ["show", "sym:3", "extra"], ["check", "k-lm", "sym:3", "--k", "0"],
+    ["check", "modular", "sym:3", "--gens", "(1 2)"],
+    ["show", "--k", "1", "sym:3"], ["classify", "sym:3", "--k", "2"],
+    ["export-lattice", "sym:3", "--emit-dot"],
+    ["corpus", "list", "--cap", "6"], ["verify", "--suite", "T9.9"],
+])
+def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch,
+                                                       argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run(capsys, *argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full())
+    assert run(capsys, *argv) == got
+
+
+def test_parser_for_one_command_builds_only_it():
+    sub = _subparsers(cli.build_parser(["check", "modular", "sym:3"]))
+    assert list(sub.choices) == ["check"]
+    assert [a.dest for a in sub.choices["check"]._actions] == [
+        "help", "predicate", "group", "gens", "k", "n"]
+    assert list(_subparsers(cli.build_parser()).choices) == list(cli.COMMANDS)
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def _python(code, *args):
+    """A fresh isolated interpreter that imports grouplab from SRC."""
+    return subprocess.Popen(
+        [sys.executable, "-I", "-c",
+         f"import sys; sys.path.insert(0, {SRC!r}); {code}", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_show_does_not_import_harness():
+    proc = _python("from grouplab import cli; cli.main(['show', 'sym:3']); "
+                   "assert 'grouplab.harness' not in sys.modules")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()
+    assert out.startswith(b"group S3: order 6")
+
+
+def test_closed_stdout_exits_141():
+    # the DOT of S4xS3 (85 KB) outgrows a pipe buffer, so the command is
+    # still writing when the reader closes the pipe after one line
+    spec = json.dumps({"kind": "direct", "parts": [
+        {"kind": "named", "name": "sym", "args": [4]},
+        {"kind": "named", "name": "sym", "args": [3]}]})
+    proc = _python("from grouplab.cli import main; sys.exit(main())",
+                   "export-lattice", spec, "--emit-dot")
+    assert proc.stdout.readline() == b"digraph lattice {\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
