@@ -42,7 +42,12 @@ def _load_spec(text: str) -> dict:
 
 
 def _group(text: str) -> FiniteGroup:
-    return group_from_spec(_load_spec(text))
+    """Load and build a spec; running out of stack or memory here is bad input."""
+    try:
+        return group_from_spec(_load_spec(text))
+    except (RecursionError, MemoryError) as exc:
+        raise ParseError(f"group spec too deep or too large "
+                         f"({type(exc).__name__})") from None
 
 
 def _subgroup(G: FiniteGroup, gens: list[str]):

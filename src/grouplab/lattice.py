@@ -289,8 +289,7 @@ class SubgroupLattice:
             sub = self.subgroups[a]
             hit = self._as_group[a] = FiniteGroup(
                 G.degree, [G.elements[m] for m in sub.members],
-                [G.elements[g] for g in sub.gens],
-                name=f"{G.name}.sub{a}", _trusted=True)
+                [G.elements[g] for g in sub.gens], name=f"{G.name}.sub{a}")
             hit._lattice = lambda: self._interval_lattice(a)
         return hit
 
@@ -437,7 +436,7 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
     zuppos = [g for mask, g in cyc_items if mask.bit_count() in prime_powers]
 
     idx = G.element_index
-    seeds = [idx[s] for s in G.generators if s in idx] or [e]
+    seeds = [idx[s] for s in G.generators if idx[s] != e] or [e]
     ggens = _generators_of(G, full, cyc_mask[canon[seeds[0]]], seeds[:1], seeds)
     # the generators that are not central: only they move subgroups
     moving = [g for g in ggens if any(mult[g][s] != mult[s][g] for s in ggens)]

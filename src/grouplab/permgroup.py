@@ -131,9 +131,6 @@ class Permutation(tuple):
             inv[j] = i
         return tuple.__new__(Permutation, inv)
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self))
-
     def cycle_string(self) -> str:
         """1-based disjoint cycle notation; "()" for the identity."""
         seen = [False] * len(self)
@@ -199,10 +196,10 @@ class Permutation(tuple):
 
 
 class FiniteGroup:
-    """A concrete finite permutation group with a full element table.
-
-    Immutable after construction; internal tables (multiplication,
-    inverses, element orders, subgroup lattice) are cached lazily.
+    """A concrete finite permutation group with a full element table, the
+    group its generators generate: the constructor builds `mult`, whose walk
+    checks that.  Immutable after construction; the other tables (inverses,
+    element orders, subgroup lattice) are cached lazily.
     """
 
     def __init__(
@@ -211,7 +208,6 @@ class FiniteGroup:
         elements: Sequence[Permutation],
         generators: Sequence[Permutation],
         name: str = "G",
-        _trusted: bool = False,
     ):
         self.degree = degree
         self.elements = list(elements)
@@ -224,8 +220,6 @@ class FiniteGroup:
         if ident not in self.element_index:
             raise GroupError("identity missing from element table")
         self.identity_ordinal = self.element_index[ident]
-        if not _trusted:
-            self._check_closure()
         self._mult: list[list[int]] | None = None
         self._inv: list[int] | None = None
         self._orders: list[int] | None = None
@@ -233,6 +227,7 @@ class FiniteGroup:
         self._quotients: dict[int, tuple["FiniteGroup", "Epimorphism"]] = {}
         # (base mask, membership template, rows of base) of the last closure
         self._coset_setup: tuple[int, bytes, list] = (0, b"", [])
+        self.mult  # the Cayley walk checks that the generators generate it
 
     # -- elementary structure ------------------------------------------------
 
@@ -242,15 +237,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order}, degree={self.degree})"
-
-    def _check_closure(self) -> None:
-        for x in self.elements:
-            if x.inverse() not in self.element_index:
-                raise GroupError(f"element table not inverse-closed at {x}")
-        for x in self.elements:
-            for g in self.generators:
-                if x * g not in self.element_index:
-                    raise GroupError("element table not closed under composition")
 
     @property
     def mult(self) -> list[list[int]]:
@@ -262,14 +248,23 @@ class FiniteGroup:
         s.  Generators join the walk one at a time, each with a left row of
         n permutation products; a generator the walk has already reached
         lies in the subgroup the earlier ones generate and is skipped, and
-        the walk stops once every element has a row.  An element the walk
-        does not reach (a hand-built table whose generators do not generate
-        it) gets its row by direct products.
+        the walk stops once every element has a row.
+
+        The walk is the one check that the table is the group its generators
+        generate.  It raises GroupError if a generator is not an element
+        (all are checked first, as the walk may stop early), if a left-row
+        product s*b leaves the table, or if it ends with a row missing.
+        Otherwise every element is a word in the generators it used, and
+        left multiplication by each of them, hence by every word, maps the
+        table into itself: a finite set of permutations that holds the
+        identity and is closed under products is a group, inverses included.
         """
         if self._mult is None:
             idx = self.element_index
             els = self.elements
             n = len(els)
+            if not idx.keys() >= set(self.generators):
+                raise GroupError("a generator is not in the element table")
             rows: list = [None] * n
             e = self.identity_ordinal
             rows[e] = list(range(n))
@@ -278,10 +273,13 @@ class FiniteGroup:
             for s in self.generators:
                 if len(reached) == n:
                     break
-                i = idx.get(s)
-                if i is None or rows[i] is not None:
+                i = idx[s]
+                if rows[i] is not None:
                     continue
-                left.append((i, [idx[s * b] for b in els]))
+                try:
+                    left.append((i, [idx[s * b] for b in els]))
+                except KeyError:
+                    raise GroupError("table not closed under products") from None
                 frontier = reached  # every reached p now also needs p*s
                 while frontier:
                     new = []
@@ -294,9 +292,9 @@ class FiniteGroup:
                                 new.append(q)
                     reached.extend(new)
                     frontier = new
-            for a in range(n):
-                if rows[a] is None:
-                    rows[a] = [idx[els[a] * b] for b in els]
+            if len(reached) != n:
+                raise GroupError(f"the generators generate {len(reached)} "
+                                 f"of the {n} elements of the table")
             self._mult = rows
         return self._mult
 
@@ -326,9 +324,10 @@ class FiniteGroup:
         return math.lcm(*self.element_orders) if self.order else 1
 
     def is_abelian(self) -> bool:
+        """The generators commute pairwise."""
         mult = self.mult
-        n = self.order
-        return all(mult[i][j] == mult[j][i] for i in range(n) for j in range(i + 1, n))
+        gens = [self.element_index[s] for s in self.generators]
+        return all(mult[x][y] == mult[y][x] for x in gens for y in gens)
 
     def is_cyclic(self) -> bool:
         return self.order in self.element_orders or self.order == 1
@@ -460,7 +459,7 @@ def generate(degree: int, gens: Sequence[Permutation], name: str = "G") -> Finit
                         raise OrderCapExceeded(
                             f"order of {name} exceeds cap {cap}")
         frontier = new
-    return FiniteGroup(degree, elements, gens, name=name, _trusted=True)
+    return FiniteGroup(degree, elements, gens, name=name)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
@@ -702,13 +701,9 @@ def quotient(G: FiniteGroup, members) -> tuple[FiniteGroup, Epimorphism]:
             images[perm] = len(q_elements)
             q_elements.append(perm)
         table.append(images[perm])
-    gen_perms = []
-    for p in G.generators:
-        perm = q_elements[table[G.element_index[p]]]
-        if perm not in gen_perms and not perm.is_identity():
-            gen_perms.append(perm)
+    gen_perms = [q_elements[table[G.element_index[p]]] for p in G.generators]
     Q = FiniteGroup(index, q_elements, gen_perms,
-                    name=f"{G.name}/N{bin(nmask).count('1')}", _trusted=True)
+                    name=f"{G.name}/N{bin(nmask).count('1')}")
     epi = Epimorphism(G, Q, tuple(table))
     epi.verify()
     if epi.kernel_mask() != nmask:

@@ -125,6 +125,24 @@ def test_spec_file_not_utf8_exits_2(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def _nested_spec(depth):
+    """A `direct` spec of one trivial part, nested `depth` times."""
+    return ('{"kind": "direct", "parts": [' * depth
+            + '{"kind": "named", "name": "cyclic", "args": [1]}'
+            + "]}" * depth)
+
+
+def test_spec_deeper_than_recursion_limit_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "show", _nested_spec(1200))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_spec(800))
+    code, _, err = run(capsys, "show", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "alt:5", "--k", "1")
     assert code == 0
@@ -256,12 +274,12 @@ def test_parser_for_one_command_builds_only_it():
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def _python(code, *args):
+def _python(code, *args, **popen_kw):
     """A fresh isolated interpreter that imports grouplab from SRC."""
     return subprocess.Popen(
         [sys.executable, "-I", "-c",
          f"import sys; sys.path.insert(0, {SRC!r}); {code}", *args],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen_kw)
 
 
 def test_show_does_not_import_harness():
@@ -286,3 +304,22 @@ def test_closed_stdout_exits_141():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_degree_too_large_to_allocate_exits_2():
+    # the identity of degree 10**12 needs 8 TB; the child alone gets 2 GB
+    # of address space, so the allocation fails at once
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    spec = json.dumps({"kind": "generators", "degree": 10**12,
+                       "cycles": ["(1 2)"]})
+    proc = _python("from grouplab.cli import main; sys.exit(main())",
+                   "show", spec, preexec_fn=limit_memory)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2, err.decode()
+    assert out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -3,7 +3,7 @@ shares no code with the engine."""
 import pytest
 from hypothesis import given, settings
 
-from grouplab import Permutation, generate, named_group
+from grouplab import Permutation, direct_product, generate, named_group
 from grouplab import structure
 from grouplab.permgroup import quotient_cached
 from test_fuzz import two_permutations
@@ -25,10 +25,12 @@ def test_corpus_structure_matches_sympy(corpus):
         P = _sympy_group(G, [G.element_index[g] for g in G.generators])
         ours = (G.order, structure.is_soluble(G), structure.is_nilpotent(G),
                 structure.derived_subgroup(G).order,
-                [structure.sylow(G, p).order for p in G.prime_divisors()])
+                [structure.sylow(G, p).order for p in G.prime_divisors()],
+                G.is_abelian(), G.is_cyclic())
         theirs = (P.order(), P.is_solvable, P.is_nilpotent,
                   P.derived_subgroup().order(),
-                  [P.sylow_subgroup(p).order() for p in G.prime_divisors()])
+                  [P.sylow_subgroup(p).order() for p in G.prime_divisors()],
+                  P.is_abelian, P.is_cyclic)
         if ours != theirs:
             mismatches.append((entry.name, ours, theirs))
     assert not mismatches
@@ -50,7 +52,9 @@ def test_member_nilpotency_matches_sympy(name, args):
                                        ("holomorph_cyclic", [7])])
 def test_quotient_nilpotency_matches_sympy(name, args):
     """`is_quotient_nilpotent(L, c, b)` for every member b and every c
-    normal in b, against sympy on the quotient b/c built as a group."""
+    normal in b, against sympy on the quotient b/c built as a group, and
+    the quotient's `is_abelian` and `is_cyclic`, which the class oracles
+    A, A_exp_k and cyclic_A read."""
     G = named_group(name, args)
     L = G.lattice()
     checked = 0
@@ -64,8 +68,24 @@ def test_quotient_nilpotency_matches_sympy(name, args):
             assert P.order() == sb.order // L.subgroups[c].order
             assert (structure.is_quotient_nilpotent(L, c, sb.id)
                     == P.is_nilpotent), (sb.id, c)
+            assert (Q.is_abelian(), Q.is_cyclic()) == (
+                P.is_abelian, P.is_cyclic), (sb.id, c)
             checked += 1
     assert checked > len(L)
+
+
+@pytest.mark.parametrize("parts", [
+    [("cyclic", [2]), ("sym", [3])], [("cyclic", [3]), ("cyclic", [2])],
+    [("cyclic", [2]), ("cyclic", [4])], [("cyclic", [5]), ("dihedral", [4])],
+    [("cyclic", [2]), ("cyclic", [3]), ("sym", [3])]])
+def test_abelian_and_cyclic_match_sympy_on_direct_products(parts):
+    """Direct products whose first generators commute: `is_abelian` must
+    test every pair of generators, not the first ones only."""
+    G = named_group(*parts[0])
+    for part in parts[1:]:
+        G = direct_product(G, named_group(*part))
+    P = _sympy_group(G, [G.element_index[g] for g in G.generators])
+    assert (G.is_abelian(), G.is_cyclic()) == (P.is_abelian, P.is_cyclic)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from grouplab import (GroupError, OrderCapExceeded, ParseError, Permutation,
-                      direct_product, generate, group_from_spec, named_group,
-                      quotient)
+from grouplab import (FiniteGroup, GroupError, OrderCapExceeded, ParseError,
+                      Permutation, direct_product, generate, group_from_spec,
+                      named_group, quotient)
 from grouplab.permgroup import (factorize, is_prime, named_order, order_cap,
                                 prime_power)
 
@@ -268,20 +270,61 @@ def test_mult_builds_rows_only_for_generators_it_needs(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(Permutation, "__mul__", counted)
-    G.mult
+    H = FiniteGroup(4, G.elements, G.generators)  # the walk runs here
     monkeypatch.undo()
     assert len(products) == 2 * G.order
-    _assert_mult_is_definition(G)
+    _assert_mult_is_definition(H)
 
 
-def test_mult_of_table_its_generators_do_not_generate():
-    from grouplab import FiniteGroup
+# -- a FiniteGroup is the group its generators generate ----------------------
 
+
+def _cycles(degree, *texts):
+    return [Permutation.parse(t, degree) for t in texts]
+
+
+def test_table_that_is_not_closed_is_rejected():
+    # not a group: (1 2)(1 3) is missing; the walk reaches 1 of 3 rows
+    with pytest.raises(GroupError, match="generate 1 of the 3"):
+        FiniteGroup(3, _cycles(3, "()", "(1 2)", "(1 3)"), [])
+    # with both generators, the left row of (1 2) leaves the table
+    with pytest.raises(GroupError, match="not closed"):
+        FiniteGroup(3, _cycles(3, "()", "(1 2)", "(1 3)"),
+                    _cycles(3, "(1 2)", "(1 3)"))
+
+
+def test_direct_product_of_table_its_generators_do_not_generate():
+    # <(1 2)> is 2 of the 6 elements of S3; the product would have order 4
     S3 = named_group("sym", [3])
-    # generated by one transposition only: the walk reaches 2 of 6 rows
-    G = FiniteGroup(3, S3.elements, [Permutation.parse("(1 2)", 3)])
-    _assert_mult_is_definition(G)
-    H = FiniteGroup(3, S3.elements, [])
+    with pytest.raises(GroupError, match="generate 2 of the 6"):
+        direct_product(FiniteGroup(3, S3.elements, _cycles(3, "(1 2)")),
+                       named_group("cyclic", [2]))
+
+
+def test_quotient_of_table_its_generators_do_not_generate():
+    # <(1 2)> passes a normality test on the generator (1 2) alone
+    S3 = named_group("sym", [3])
+    e, t = _cycles(3, "()", "(1 2)")
+    mask = 1 << S3.element_index[e] | 1 << S3.element_index[t]
+    with pytest.raises(GroupError, match="generate 2 of the 6"):
+        quotient(FiniteGroup(3, S3.elements, [t]), mask)
+
+
+def test_generator_outside_the_table_is_rejected():
+    # (1 2) comes after (1 2 3) has already reached every element of Z3
+    Z3 = named_group("cyclic", [3])
+    with pytest.raises(GroupError, match="not in the element table"):
+        FiniteGroup(3, Z3.elements, _cycles(3, "(1 2 3)", "(1 2)"))
+
+
+def test_shuffled_table_with_redundant_generators_is_accepted():
+    G = named_group("holomorph_cyclic", [7])
+    elements = list(G.elements)
+    random.Random(7).shuffle(elements)
+    a, b = G.generators[:2]
+    gens = G.generators + [a * b, Permutation.identity(G.degree)]
+    H = FiniteGroup(G.degree, elements, gens)
+    assert H.order == G.order and H.elements == elements
     _assert_mult_is_definition(H)
 
 
