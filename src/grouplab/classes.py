@@ -19,7 +19,8 @@ which contain every cyclic p-group.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .permgroup import (FiniteGroup, GroupError, factorize, is_prime,
                         quotient_cached, set_bits)
@@ -27,12 +28,9 @@ from .lattice import Subgroup, SubgroupLattice
 from . import structure
 
 
-class ClassOracle(NamedTuple):
-    """Named membership predicate for a class of groups; the name keys the
-    residual and F-subnormality memos."""
-
-    name: str
-    member: Callable[[FiniteGroup], bool]
+# Named membership predicate for a class of groups, member(G) -> bool; the
+# name keys the residual and F-subnormality memos.
+ClassOracle = namedtuple("ClassOracle", "name member")
 
 
 def _exponent_k_ok(G: FiniteGroup, k: int) -> bool:

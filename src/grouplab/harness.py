@@ -12,7 +12,6 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache, partial
 
 from .permgroup import (FiniteGroup, GroupError, direct_product, factorize,
@@ -31,13 +30,14 @@ LEMMA_SUITE_MAX_ORDER = 48
 LEMMA_SUITE_EXTRA = ("Hol(Z7)",)
 
 
-@dataclass
 class CorpusEntry:
     """One corpus group, rebuildable from its JSON spec."""
 
-    name: str
-    spec: dict
-    _group: FiniteGroup | None = field(default=None, repr=False)
+    __slots__ = ("name", "spec", "_group")
+
+    def __init__(self, name: str, spec: dict):
+        self.name, self.spec = name, spec
+        self._group: FiniteGroup | None = None
 
     @property
     def group(self) -> FiniteGroup:
@@ -87,13 +87,13 @@ def _fingerprint(G: FiniteGroup, members, subgroups: int) -> tuple:
             classes)
 
 
-@dataclass
 class CorpusConfig:
-    cap: int = DEFAULT_CORPUS_CAP
+    __slots__ = ("cap",)
 
-    def __post_init__(self):
-        if self.cap < 2:
+    def __init__(self, cap: int = DEFAULT_CORPUS_CAP):
+        if cap < 2:
             raise GroupError("corpus cap must be at least 2")
+        self.cap = cap
 
 
 def _named(name: str, args: list[int]) -> dict:
@@ -172,12 +172,13 @@ def build_corpus(config: CorpusConfig | None = None) -> list[CorpusEntry]:
 # -- report ------------------------------------------------------------------
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    k_set: list[int]
-    entries: list[dict]
-    counters: dict = field(default_factory=dict)
+    __slots__ = ("suite", "k_set", "entries", "counters")
+
+    def __init__(self, suite: str, k_set: list[int], entries: list[dict],
+                 counters: dict | None = None):
+        self.suite, self.k_set, self.entries = suite, k_set, entries
+        self.counters = {} if counters is None else counters
 
     @property
     def passed(self) -> bool:

@@ -25,22 +25,21 @@ P-subnormality with one bit test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .permgroup import (FiniteGroup, OrderCapExceeded, factorize, order_cap,
                         prime_power, set_bits)
 
 
-@dataclass
 class Subgroup:
     """Element-subset handle inside a parent group's lattice."""
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
-    mask: int
-    id: int
-    gens: tuple[int, ...]  # generates members; conjugation tests use it
+    __slots__ = ("parent", "members", "mask", "id", "gens")
+
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
+                 mask: int, id: int, gens: tuple[int, ...]):
+        self.parent, self.members, self.mask, self.id = parent, members, mask, id
+        self.gens = gens  # generates members; conjugation tests use it
 
     @property
     def order(self) -> int:

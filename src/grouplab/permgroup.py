@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 2000
 ORDER_CAP_ENV = "GROUPLAB_ORDER_CAP"
@@ -401,13 +400,14 @@ class FiniteGroup:
         return self._lattice
 
 
-@dataclass
 class Epimorphism:
     """Surjective homomorphism, stored as a per-element image table."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    table: tuple[int, ...]
+    __slots__ = ("source", "target", "table")
+
+    def __init__(self, source: FiniteGroup, target: FiniteGroup,
+                 table: tuple[int, ...]):
+        self.source, self.target, self.table = source, target, table
 
     def kernel_mask(self) -> int:
         t = self.target.identity_ordinal

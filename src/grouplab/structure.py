@@ -26,8 +26,6 @@ that needs another's answer calls it, so that answer is read from its memo.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .permgroup import (FiniteGroup, GroupError, factorize, is_prime,
                         prime_power, set_bits)
 from .lattice import Subgroup, SubgroupLattice
@@ -37,28 +35,34 @@ class InternalInconsistency(GroupError):
     """Two supposedly equivalent criteria disagreed; indicates an engine bug."""
 
 
-@dataclass
 class ChiefFactor:
     """A pair (K, H) of normal subgroups with H/K minimal normal in G/K."""
 
-    below: Subgroup
-    above: Subgroup
-    order: int
-    complemented: bool
-    centralizer: Subgroup
+    __slots__ = ("below", "above", "order", "complemented", "centralizer")
+
+    def __init__(self, below: Subgroup, above: Subgroup, order: int,
+                 complemented: bool, centralizer: Subgroup):
+        self.below, self.above, self.order = below, above, order
+        self.complemented, self.centralizer = complemented, centralizer
+
+    def __eq__(self, other) -> bool:  # by value: each call builds fresh factors
+        return (isinstance(other, ChiefFactor) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__))
 
 
-@dataclass(slots=True)
 class _Facts:
-    """The memoised answers about one lattice member b."""
+    """The memoised answers about one lattice member b, None until asked."""
 
-    normal: int | None = None  # bitset of the normal subgroups of b
-    # per normal k, ascending: bitset of the h with (k, h) a chief-factor pair
-    pair_tops: tuple[int, ...] | None = None
-    # centralizer ids in pair order, bitset of the complemented pairs' positions
-    chief: tuple[tuple[int, ...], int] | None = None
-    supersoluble: bool | None = None  # cross-checked verdict
-    sylow: tuple[int, ...] | None = None  # least-id Sylow subgroup per prime
+    __slots__ = ("normal", "pair_tops", "chief", "supersoluble", "sylow")
+
+    def __init__(self):
+        self.normal = None  # bitset of the normal subgroups of b
+        # per normal k, ascending: bitset of the h with (k, h) a chief-factor pair
+        self.pair_tops = None
+        # centralizer ids in pair order, bitset of the complemented pairs' positions
+        self.chief = None
+        self.supersoluble = None  # cross-checked verdict
+        self.sylow = None  # least-id Sylow subgroup per prime
 
 
 def _facts(L: SubgroupLattice, b: int) -> _Facts:

@@ -14,7 +14,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .permgroup import (GroupError, factorize, is_prime, prime_power,
                         quotient_cached, set_bits)
@@ -22,14 +21,13 @@ from .lattice import Subgroup, SubgroupLattice
 from . import structure
 
 
-@dataclass
 class EmbeddingEdge:
     """One verified chain step; kind is 'normal' or 'n_modular'."""
 
-    lower: int
-    upper: int
-    kind: str
-    n: int | None = None
+    __slots__ = ("lower", "upper", "kind", "n")
+
+    def __init__(self, lower: int, upper: int, kind: str, n: int | None = None):
+        self.lower, self.upper, self.kind, self.n = lower, upper, kind, n
 
     def to_json(self, L: SubgroupLattice) -> dict:
         return {
@@ -42,12 +40,13 @@ class EmbeddingEdge:
         }
 
 
-@dataclass
 class ChainWitness:
     """A verified chain H = H0 <= ... <= Hm = top with per-step kinds."""
 
-    ids: list[int]
-    steps: list[EmbeddingEdge]
+    __slots__ = ("ids", "steps")
+
+    def __init__(self, ids: list[int], steps: list[EmbeddingEdge]):
+        self.ids, self.steps = ids, steps
 
     def to_json(self, L: SubgroupLattice) -> dict:
         return {

@@ -274,10 +274,10 @@ def test_parser_for_one_command_builds_only_it():
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def _python(code, *args, **popen_kw):
+def _python(code, *args, flags=("-I",), **popen_kw):
     """A fresh isolated interpreter that imports grouplab from SRC."""
     return subprocess.Popen(
-        [sys.executable, "-I", "-c",
+        [sys.executable, *flags, "-c",
          f"import sys; sys.path.insert(0, {SRC!r}); {code}", *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen_kw)
 
@@ -288,6 +288,23 @@ def test_show_does_not_import_harness():
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err.decode()
     assert out.startswith(b"group S3: order 6")
+
+
+def test_one_shot_commands_import_no_heavy_stdlib():
+    # -S keeps the site module out, which on some hosts imports typing itself;
+    # the layers are the benchmark's import probe, the queries two commands
+    proc = _python(
+        "import grouplab.permgroup, grouplab.lattice, grouplab.structure; "
+        "import grouplab.classes, grouplab.submodular, grouplab.harness; "
+        "from grouplab import cli; cli.main(['show', 'sym:3']); "
+        "cli.main(['check', 'k-submodular', 'holomorph_cyclic:5', "
+        "'--gens', '(2 3 5 4)', '--k', '2']); "
+        "heavy = {'dataclasses', 'typing', 'inspect'} & set(sys.modules); "
+        "assert not heavy, sorted(heavy)", flags=("-I", "-S"))
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()
+    assert out.startswith(b"group S3: order 6")
+    assert b"k-submodular(['(2 3 5 4)'], |H|=4) in Hol(Z5): True" in out
 
 
 def test_closed_stdout_exits_141():

@@ -58,8 +58,53 @@ def test_candidate_fingerprint_read_in_host(n):
 def test_corpus_config_validation():
     with pytest.raises(GroupError):
         harness.CorpusConfig(cap=1)
+    assert harness.CorpusConfig().cap == harness.DEFAULT_CORPUS_CAP
     small = harness.build_corpus(harness.CorpusConfig(cap=30))
     assert all(e.order <= 30 for e in small)
+
+
+def test_reports_built_without_counters_do_not_share_them():
+    a = harness.VerificationReport("R1", [1], [])
+    b = harness.VerificationReport("R1", [1], [])
+    a.counters["nonvacuous_x"] = 0
+    assert b.counters == {} and b.passed and not a.passed
+
+
+def test_embedding_edge_n_defaults_to_none():
+    assert submodular.EmbeddingEdge(0, 1, "normal").n is None
+
+
+def test_witness_json_pinned(s4):
+    L = s4.lattice()
+    h = next(s for s in L.subgroups if s.gen_cycles() == ["(1 2)"])
+    ok, witness = submodular.is_k_submodular(L, h, 2)
+    assert ok
+    edge = lambda lo, lo_n, up, up_n, kind, n: {
+        "lower": lo, "lower_order": lo_n, "upper": up, "upper_order": up_n,
+        "kind": kind, "n": n}
+    chain = [["(1 2)"], ["(1 2)", "(3 4)"], ["(1 2)", "(1 3)(2 4)"],
+             ["(1 2)", "(1 3 4)"]]
+    assert witness.to_json(L) == {
+        "subgroups": chain, "orders": [2, 4, 8, 24],
+        "steps": [edge(chain[0], 2, chain[1], 4, "normal", None),
+                  edge(chain[1], 4, chain[2], 8, "normal", None),
+                  edge(chain[2], 8, chain[3], 24, "n_modular", 1)]}
+
+
+def test_report_json_pinned(corpus):
+    rep = harness.run_suite("R1", [1], _mini(corpus, "S4", "Hol(Z5)", "Z12"))
+    summary = {"total": 3, "passed": 3, "failed": 0, "suite_pass": True,
+               "counters": {"nonvacuous_maximal_checks": 16}}
+    assert rep.summary() == summary
+    payload = rep.to_json()
+    for rec in payload["entries"]:
+        del rec["elapsed"]
+    checks = {"maximal_modular_collapse": True,
+              "one_submodular_eq_submodular": True}
+    assert payload == {
+        "schema_version": 1, "suite": "R1", "k": [1], "summary": summary,
+        "entries": [{"group": g, "k": 1, "pass": True, "witness": None,
+                     "checks": checks} for g in ("Hol(Z5)", "S4", "Z12")]}
 
 
 def test_entry_tags(corpus):

@@ -125,6 +125,49 @@ def test_normality_and_sylow_counts_match_sympy(corpus):
     assert not mismatches
 
 
+def test_fitting_order_matches_sympy(corpus):
+    """|F(G)| = prod_p |O_p(G)|, where O_p(G), the largest normal
+    p-subgroup, is the intersection of the conjugates h ^ g of sympy's
+    Sylow p-subgroup over every element g."""
+    mismatches = []
+    for entry in corpus:
+        G = entry.group
+        P = _sympy_group(G, [G.element_index[g] for g in G.generators])
+        elements = list(P.generate())
+        theirs = 1
+        for p in G.prime_divisors():
+            syl = set(P.sylow_subgroup(p).generate())
+            core = set(syl)
+            for g in elements:
+                core = {h for h in core if h ^ g in syl}
+            theirs *= len(core)
+        if structure.fitting(G).order != theirs:
+            mismatches.append((entry.name, structure.fitting(G).order, theirs))
+    assert not mismatches
+
+
+def test_frattini_order_of_p_groups_matches_sympy(corpus):
+    """For a p-group G, the Frattini subgroup is G' G^p: sympy's group
+    generated by the derived subgroup and the p-th power of every element."""
+    mismatches = []
+    checked = 0
+    for entry in corpus:
+        G = entry.group
+        if len(G.prime_divisors()) != 1:
+            continue
+        p, = G.prime_divisors()
+        P = _sympy_group(G, [G.element_index[g] for g in G.generators])
+        gens = P.derived_subgroup().generators + [g ** p for g in P.generate()]
+        theirs = combinatorics.PermutationGroup(gens).order()
+        L = G.lattice()
+        if L.subgroups[L.frattini()].order != theirs:
+            mismatches.append((entry.name, L.subgroups[L.frattini()].order,
+                               theirs))
+        checked += 1
+    assert not mismatches
+    assert checked == 26
+
+
 @pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5]),
                                        ("sym", [5])])
 def test_member_normal_subgroups_match_sympy(name, args):
