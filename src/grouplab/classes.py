@@ -5,12 +5,16 @@ Class-id vocabulary (the ids `oracle` takes):
   N          nilpotent groups
   U          supersoluble groups
   S          soluble groups
-  A(m)       abelian groups of exponent dividing m
-  A_exp_k(m) A(m) with no prime (k+1)-th power dividing the exponent
+  A_exp_k(m) abelian groups of exponent dividing m, with no prime (k+1)-th
+             power dividing the exponent
   A_k        abelian-Sylow groups with the same exponent restriction
   U_k        supersoluble groups with the same exponent restriction
   cyclic_A(m)_k      members of A_exp_k(m) with all Sylow subgroups cyclic
   sylA(m)_k_cyclic   groups whose Sylow subgroups are cyclic and lie in A_exp_k(m)
+
+An oracle answers for a lattice member b, as a group, from the parent
+lattice alone: `structure`'s `_in` forms, whether b's generators commute
+and the element orders of b's members.
 
 "exponents are not divided by the (k+1)th powers of primes" is read as: for
 every prime q, q^(k+1) does not divide exponent(G).  The pi(F) condition of
@@ -19,6 +23,7 @@ which contain every cyclic p-group.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -28,76 +33,81 @@ from .lattice import Subgroup, SubgroupLattice
 from . import structure
 
 
-# Named membership predicate for a class of groups, member(G) -> bool; the
-# name keys the residual and F-subnormality memos.
-ClassOracle = namedtuple("ClassOracle", "name member")
+class ClassOracle(namedtuple("ClassOracle", "name member_in")):
+    """A named class of groups: `member_in(L, b)` says whether lattice
+    member b, as a group, lies in it.  The name keys the residual and
+    F-subnormality memos."""
+
+    __slots__ = ()
+
+    def member(self, G: FiniteGroup) -> bool:
+        L = G.lattice()
+        return self.member_in(L, L.top.id)
 
 
-def _exponent_k_ok(G: FiniteGroup, k: int) -> bool:
-    """No prime (k+1)-th power divides exponent(G)."""
-    return all(m <= k for m in factorize(G.exponent()).values())
+def _commute(L: SubgroupLattice, b: int) -> bool:
+    """Member b is abelian: its generators commute pairwise."""
+    mult, gens = L.group.mult, L.subgroups[b].gens
+    return all(mult[x][y] == mult[y][x] for x in gens for y in gens)
 
 
-def _all_sylow_abelian(G: FiniteGroup) -> bool:
-    """Every Sylow subgroup abelian: its generators commute pairwise."""
-    mult = G.mult
-    for p in G.prime_divisors():
-        gens = structure.sylow(G, p).gens
-        if not all(mult[x][y] == mult[y][x] for x in gens for y in gens):
-            return False
-    return True
+def _orders(L: SubgroupLattice, b: int) -> set[int]:
+    """The element orders of member b, the same in b as in the parent."""
+    orders = L.group.element_orders
+    return {orders[x] for x in L.subgroups[b].members}
+
+
+def _exponent_ok(L: SubgroupLattice, b: int, k: int, m: int = 0) -> bool:
+    """No prime (k+1)-th power divides the exponent of member b, and the
+    exponent divides m (m = 0 leaves it unrestricted)."""
+    exponent = math.lcm(*_orders(L, b))
+    return m % exponent == 0 and all(
+        e <= k for e in factorize(exponent).values())
 
 
 def oracle(class_id: str, m: int | None = None, k: int | None = None) -> ClassOracle:
     """Build a ClassOracle from its class-id and parameters."""
     if class_id == "N":
-        return ClassOracle("N", structure.is_nilpotent)
+        return ClassOracle("N", lambda L, b: structure.is_quotient_nilpotent(
+            L, L.bottom.id, b))
     if class_id == "U":
-        return ClassOracle("U", structure.is_supersoluble)
+        return ClassOracle("U", structure.is_supersoluble_in)
     if class_id == "S":
-        return ClassOracle("S", structure.is_soluble)
-    if class_id == "A":
-        if m is None:
-            raise GroupError("A(m) needs m")
-        return ClassOracle(f"A({m})",
-                           lambda G: G.is_abelian() and m % G.exponent() == 0)
+        return ClassOracle("S", structure.is_soluble_in)
     if class_id == "A_exp_k":
         if m is None or k is None:
             raise GroupError("A_exp_k(m) needs m and k")
-        return ClassOracle(
-            f"A({m})_{k}",
-            lambda G: (G.is_abelian() and m % G.exponent() == 0
-                       and _exponent_k_ok(G, k)))
+        return ClassOracle(f"A({m})_{k}", lambda L, b: (
+            _commute(L, b) and _exponent_ok(L, b, k, m)))
     if class_id == "A_k":
         if k is None:
             raise GroupError("A_k needs k")
-        return ClassOracle(f"A_{k}",
-                           lambda G: _all_sylow_abelian(G) and _exponent_k_ok(G, k))
+        return ClassOracle(f"A_{k}", lambda L, b: all(
+            _commute(L, structure.sylow_in(L, b, p))
+            for p in factorize(L.subgroups[b].order)) and _exponent_ok(L, b, k))
     if class_id == "U_k":
         if k is None:
             raise GroupError("U_k needs k")
-        return ClassOracle(
-            f"U_{k}",
-            lambda G: structure.is_supersoluble(G) and _exponent_k_ok(G, k))
+        return ClassOracle(f"U_{k}", lambda L, b: (
+            structure.is_supersoluble_in(L, b) and _exponent_ok(L, b, k)))
     if class_id == "cyclic_A":
         if m is None or k is None:
             raise GroupError("cyclic_A(m)_k needs m and k")
-        return ClassOracle(
-            f"cycA({m})_{k}",
-            lambda G: (G.is_abelian() and m % G.exponent() == 0
-                       and _exponent_k_ok(G, k) and G.is_cyclic()))
+        return ClassOracle(f"cycA({m})_{k}", lambda L, b: (
+            _commute(L, b) and _exponent_ok(L, b, k, m)
+            and L.subgroups[b].order in _orders(L, b)))
     if class_id == "sylA_cyclic":
         if m is None or k is None:
             raise GroupError("sylA(m)_k_cyclic needs m and k")
 
-        def member(G: FiniteGroup) -> bool:
+        def member_in(L: SubgroupLattice, b: int) -> bool:
             # the Sylow p-subgroup, of order p^a, is cyclic iff some element
             # has order p^a, and then its exponent is p^a
-            orders = set(G.element_orders)
+            orders = _orders(L, b)
             return all(p**a in orders and m % p**a == 0 and a <= k
-                       for p, a in factorize(G.order).items())
+                       for p, a in factorize(L.subgroups[b].order).items())
 
-        return ClassOracle(f"sylA({m})_{k}cyc", member)
+        return ClassOracle(f"sylA({m})_{k}cyc", member_in)
     raise GroupError(f"unknown class id {class_id!r}")
 
 
@@ -123,23 +133,25 @@ def residual_mask(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
     F is assumed to be a formation (every built-in oracle is one): closed
     under quotients and subdirect products, so the normal subgroups with
     quotient in F are closed under intersection, and the first passer of
-    the scan by ascending order is the unique minimum.  Each quotient is
-    built from `L.subgroup_as_group(b)`, whose ordinals are b's members in
-    ascending order, so local ids rise with parent ids and the scan meets
-    the normal subgroups in the order b's own lattice would.
+    the scan by ascending order is the unique minimum.  It asks b = b/1 of
+    the parent lattice first, and only when b is not in F builds the b/N
+    from `L.subgroup_as_group(b)`, whose ordinals are b's members in
+    ascending order, so it meets them in the order b's own lattice would.
     """
     memo = L.memo(__name__)
     hit = memo.get((b, F.name))
     if hit is None:
-        H = L.subgroup_as_group(b)
-        members = L.subgroups[b].members
-        for a in structure.normal_ids_in(L, b):
-            hit = L.subgroups[a].mask
-            local = hit if H is L.group else sum(
-                1 << i for i, m in enumerate(members) if hit >> m & 1)
-            # the trivial quotient is in every non-empty class we build
-            if a == b or F.member(quotient_cached(H, local)[0]):
-                break
+        hit = L.bottom.mask
+        if not F.member_in(L, b):
+            H = L.subgroup_as_group(b)
+            members = L.subgroups[b].members
+            for a in structure.normal_ids_in(L, b)[1:]:
+                hit = L.subgroups[a].mask
+                local = hit if H is L.group else sum(
+                    1 << i for i, m in enumerate(members) if hit >> m & 1)
+                # the trivial quotient is in every non-empty class we build
+                if a == b or F.member(quotient_cached(H, local)[0]):
+                    break
         memo[b, F.name] = hit
     return hit
 

@@ -15,7 +15,7 @@ import sys
 
 from .permgroup import (FiniteGroup, GroupError, ParseError, Permutation,
                         group_from_spec)
-from . import classes, structure, submodular
+from . import structure, submodular
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -133,10 +133,10 @@ def cmd_check(args) -> int:
                 print(f"  |{lo.order}| -> |{up.order}|  [{tag}]")
     elif pred == "n-modular-embedded":
         ok = submodular.is_n_modularly_embedded(L, L.top, H, args.n)
-    elif pred == "p-subnormal":
-        ok = classes.is_P_subnormal(G, H)
-    else:  # "kp-subnormal"; argparse admits only PREDICATES
-        ok = classes.is_KP_subnormal(G, H)
+    else:  # "p-subnormal" or "kp-subnormal"; argparse admits only PREDICATES
+        from . import classes
+        ok = (classes.is_P_subnormal if pred == "p-subnormal"
+              else classes.is_KP_subnormal)(G, H)
     print(f"{pred}({H.gen_cycles()}, |H|={H.order}) in {G.name}: {ok}")
     return EXIT_TRUE if ok else EXIT_FALSE
 

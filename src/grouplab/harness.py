@@ -342,7 +342,7 @@ def _local_formation_check(cls: str, formation, entry: CorpusEntry, k: int,
 def _K_oracle(k: int) -> classes.ClassOracle:
     """The supersoluble-with-k-submodular-Sylows class as a formation."""
     return classes.ClassOracle(
-        f"Kcls_{k}", lambda G: submodular.in_class(G.lattice(), "K", k))
+        f"Kcls_{k}", lambda L, b: submodular.in_class(L, "K", k, top=b))
 
 
 def _p31_check(entry: CorpusEntry, k: int, counters: Counter):
@@ -360,19 +360,13 @@ def _p31_check(entry: CorpusEntry, k: int, counters: Counter):
         "F_eq_wK": in_F == classes.in_wF(G, _K_oracle(k))})
 
 
-def _is_set_product(G: FiniteGroup, L: SubgroupLattice, a: int, b: int) -> bool:
-    sa, sb = L.subgroups[a], L.subgroups[b]
-    d = L.meet(a, b)
-    if sa.order * sb.order != G.order * L.subgroups[d].order:
-        return False
-    # counting passed; confirm the product really covers G
-    mult = G.mult
-    seen = 0
-    for x in sa.members:
-        row = mult[x]
-        for y in sb.members:
-            seen |= 1 << row[y]
-    return seen == G.full_mask()
+def _is_set_product(L: SubgroupLattice, a: int, b: int) -> bool:
+    """G = AB for members a and b.  Any two subgroups have
+    |AB| = |A||B|/|A meet B|, and AB is a subset of G, so G = AB iff
+    |A||B| = |G||A meet B|."""
+    subs = L.subgroups
+    return (subs[a].order * subs[b].order
+            == L.group.order * subs[L.meet(a, b)].order)
 
 
 def _t361_check(entry: CorpusEntry, k: int, counters: Counter):
@@ -385,7 +379,7 @@ def _t361_check(entry: CorpusEntry, k: int, counters: Counter):
     found = nontrivial = 0
     for i, a in enumerate(nilpotent):
         for b in nilpotent[i:]:
-            if _is_set_product(G, L, a, b):
+            if _is_set_product(L, a, b):
                 found += 1
                 if L.subgroups[a].order < G.order and L.subgroups[b].order < G.order:
                     nontrivial += 1

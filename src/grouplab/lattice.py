@@ -277,9 +277,7 @@ class SubgroupLattice:
     def subgroup_as_group(self, a: int) -> FiniteGroup:
         """Subgroup a as a FiniteGroup (the top is the group itself), built
         once per member.  Its element ordinals are a's members in ascending
-        order, so local ids rise with parent ids.  Its lattice is built only
-        if asked for, and then translated from the interval [1, a], whose
-        subgroups are exactly those of the standalone group."""
+        order, so local ids rise with parent ids."""
         if a == self.top.id:
             return self.group
         hit = self._as_group.get(a)
@@ -289,15 +287,7 @@ class SubgroupLattice:
             hit = self._as_group[a] = FiniteGroup(
                 G.degree, [G.elements[m] for m in sub.members],
                 [G.elements[g] for g in sub.gens], name=f"{G.name}.sub{a}")
-            hit._lattice = lambda: self._interval_lattice(a)
         return hit
-
-    def _interval_lattice(self, a: int) -> SubgroupLattice:
-        local = {m: i for i, m in enumerate(self.subgroups[a].members)}
-        return SubgroupLattice(self._as_group[a], {
-            sum(1 << local[m] for m in self.subgroups[c].members):
-                tuple(local[g] for g in self.subgroups[c].gens)
-            for c in self.subs_of(a)})
 
 
 def _lagrange_pins(h_order: int, c_order: int, meet_order: int,

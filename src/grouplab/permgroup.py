@@ -222,7 +222,7 @@ class FiniteGroup:
         self._mult: list[list[int]] | None = None
         self._inv: list[int] | None = None
         self._orders: list[int] | None = None
-        self._lattice = None  # or a thunk: `SubgroupLattice.subgroup_as_group`
+        self._lattice = None
         self._quotients: dict[int, tuple["FiniteGroup", "Epimorphism"]] = {}
         # (base mask, membership template, rows of base) of the last closure
         self._coset_setup: tuple[int, bytes, list] = (0, b"", [])
@@ -395,8 +395,6 @@ class FiniteGroup:
             from .lattice import all_subgroups
 
             self._lattice = all_subgroups(self)
-        elif callable(self._lattice):  # a lattice member's, translated
-            self._lattice = self._lattice()
         return self._lattice
 
 

@@ -4,8 +4,8 @@ supersolubility, Ore dispersivity, Fitting subgroup, chief factors.
 Each property has one implementation.  Sylow subgroups come from the lattice
 (`sylow_in`).  Nilpotency is `is_quotient_nilpotent` (with c the trivial
 subgroup for a group or lattice member): every maximal subgroup normal.
-Solubility is `is_soluble`: every chief factor of prime-power order, read
-from the memoised chief-factor pairs.  The commutator subgroup is
+Solubility is `is_soluble_in`: every chief factor of prime-power order,
+read from the memoised chief-factor pairs.  The commutator subgroup is
 `_derived_of_mask`, supersolubility of a lattice member is
 `is_supersoluble_in`, and normality is the lattice's `is_normal_in`.  The
 `_in` forms take a lattice and a member id and treat the member as a group
@@ -122,12 +122,17 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def is_soluble(G: FiniteGroup) -> bool:
-    """Every chief factor abelian.  A chief factor is a direct power of a
-    simple group, so it is abelian iff its order is a prime power."""
+    """`is_soluble_in` for the whole group."""
     L = G.lattice()
+    return is_soluble_in(L, L.top.id)
+
+
+def is_soluble_in(L: SubgroupLattice, b: int) -> bool:
+    """Every chief factor of member b abelian: a direct power of a simple
+    group, it is abelian iff its order is a prime power."""
     subs = L.subgroups
     return all(prime_power(subs[h].order // subs[k].order) is not None
-               for k, h in chief_factor_pairs_in(L, L.top.id))
+               for k, h in chief_factor_pairs_in(L, b))
 
 
 def _derived_of_mask(G: FiniteGroup, members) -> int:

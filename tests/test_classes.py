@@ -88,6 +88,51 @@ def test_residual_in_parent_lattice_matches_member_lattice(spec):
             assert classes.residual_mask(L, sb.id, F) == expect, (sb.id, F.name)
 
 
+def _interface_oracles():
+    """Every built-in oracle over a few m and k, the h and f values and
+    the harness's K oracle."""
+    out = [oracle("N"), oracle("U"), oracle("S"),
+           harness._K_oracle(1), harness._K_oracle(2)]
+    for k in (1, 2):
+        out += [oracle("A_k", k=k), oracle("U_k", k=k)]
+        for m in (4, 6, 12):
+            out += [oracle("A_exp_k", m=m, k=k), oracle("cyclic_A", m=m, k=k),
+                    oracle("sylA_cyclic", m=m, k=k)]
+        out += [make(k)(p) for make in (h_function, f_function)
+                for p in (2, 3, 5, 7, 13)]
+    return out
+
+
+def test_member_in_matches_member_of_generated_group(corpus, hol7):
+    """`member_in(L, b)`, read in the parent lattice, against `member` of
+    member b generated afresh as a group with its own lattice."""
+    oracles = _interface_oracles()
+    groups = [e.group for e in corpus if e.group.order <= 60] + [hol7]
+    mismatches = []
+    checked = 0
+    for G in groups:
+        L = G.lattice()
+        for sb in L.subgroups:
+            H = generate(G.degree, [G.elements[g] for g in sb.gens])
+            for F in oracles:
+                checked += 1
+                if F.member_in(L, sb.id) != F.member(H):
+                    mismatches.append((G.name, sb.id, F.name))
+    assert checked > 50_000 and not mismatches, mismatches[:10]
+
+
+def test_residual_scan_builds_no_member_lattice():
+    """The scan asks a member about itself in the parent lattice, so the
+    member groups it builds, only to take quotients of, get no lattice."""
+    for G in (named_group("sym", [4]), named_group("holomorph_cyclic", [5])):
+        L = G.lattice()
+        for F in (oracle("U"), oracle("U_k", k=1), harness._K_oracle(1)):
+            for b in range(len(L)):
+                classes.residual_mask(L, b, F)
+        assert L._as_group
+        assert all(H._lattice is None for H in L._as_group.values())
+
+
 def test_p_subnormal(s4):
     L = s4.lattice()
     syl2 = next(s for s in L.subgroups if s.order == 8)

@@ -284,7 +284,8 @@ def _python(code, *args, flags=("-I",), **popen_kw):
 
 def test_show_does_not_import_harness():
     proc = _python("from grouplab import cli; cli.main(['show', 'sym:3']); "
-                   "assert 'grouplab.harness' not in sys.modules")
+                   "assert 'grouplab.harness' not in sys.modules; "
+                   "assert 'grouplab.classes' not in sys.modules")
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err.decode()
     assert out.startswith(b"group S3: order 6")

@@ -291,3 +291,28 @@ def test_image_from_generators_matches_elementwise(corpus):
                         == _image_by_elements(Lq, epi, sub)), entry.name
                 checked += 1
     assert checked == 9287
+
+
+def test_set_product_formula_matches_element_products(corpus):
+    """`_is_set_product` (the product formula) against the element set AB,
+    for every pair of subgroups of the corpus groups of order <= 60.  When
+    |A||B| < |G| the set AB, of at most |A||B| elements, is not G."""
+    mismatches = []
+    for entry in corpus:
+        G, L = entry.group, entry.lattice
+        if G.order > 60:
+            continue
+        mult = G.mult
+        for a in range(len(L)):
+            sa = L.subgroups[a]
+            for b in range(a, len(L)):
+                sb = L.subgroups[b]
+                seen = 0
+                if sa.order * sb.order >= G.order:
+                    for x in sa.members:
+                        row = mult[x]
+                        for y in sb.members:
+                            seen |= 1 << row[y]
+                if harness._is_set_product(L, a, b) != (seen == G.full_mask()):
+                    mismatches.append((entry.name, a, b))
+    assert not mismatches, mismatches[:10]

@@ -1,10 +1,12 @@
 """Structural predicates against sympy's permutation groups, an oracle that
 shares no code with the engine."""
+import math
+
 import pytest
 from hypothesis import given, settings
 
 from grouplab import Permutation, direct_product, generate, named_group
-from grouplab import structure
+from grouplab import classes, structure
 from grouplab.permgroup import quotient_cached
 from test_fuzz import two_permutations
 
@@ -53,8 +55,7 @@ def test_member_nilpotency_matches_sympy(name, args):
 def test_quotient_nilpotency_matches_sympy(name, args):
     """`is_quotient_nilpotent(L, c, b)` for every member b and every c
     normal in b, against sympy on the quotient b/c built as a group, and
-    the quotient's `is_abelian` and `is_cyclic`, which the class oracles
-    A, A_exp_k and cyclic_A read."""
+    the quotient's `is_abelian` and `is_cyclic`."""
     G = named_group(name, args)
     L = G.lattice()
     checked = 0
@@ -72,6 +73,28 @@ def test_quotient_nilpotency_matches_sympy(name, args):
                 P.is_abelian, P.is_cyclic), (sb.id, c)
             checked += 1
     assert checked > len(L)
+
+
+def test_member_facts_match_sympy(corpus):
+    """The member facts the class oracles read, for every member b of every
+    corpus group of order <= 60, against sympy's group on b's generators:
+    generator commutation, abelian with exponent equal to the order, and
+    `is_soluble_in`."""
+    mismatches = []
+    for entry in corpus:
+        G = entry.group
+        if G.order > 60:
+            continue
+        L = G.lattice()
+        for sb in L.subgroups:
+            P = _sympy_group(G, sb.gens)
+            abelian = classes._commute(L, sb.id)
+            cyclic = abelian and math.lcm(*classes._orders(L, sb.id)) == sb.order
+            ours = (abelian, cyclic, structure.is_soluble_in(L, sb.id))
+            theirs = (P.is_abelian, P.is_cyclic, P.is_solvable)
+            if ours != theirs:
+                mismatches.append((entry.name, sb.id, ours, theirs))
+    assert not mismatches, mismatches[:10]
 
 
 @pytest.mark.parametrize("parts", [
