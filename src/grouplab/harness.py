@@ -31,20 +31,14 @@ LEMMA_SUITE_EXTRA = ("Hol(Z7)",)
 
 
 class CorpusEntry:
-    """One corpus group, rebuildable from its JSON spec."""
+    """One corpus group, built from its JSON spec."""
 
-    __slots__ = ("name", "spec", "_group")
+    __slots__ = ("name", "spec", "group")
 
     def __init__(self, name: str, spec: dict):
         self.name, self.spec = name, spec
-        self._group: FiniteGroup | None = None
-
-    @property
-    def group(self) -> FiniteGroup:
-        if self._group is None:
-            self._group = group_from_spec(self.spec)
-            self._group.name = self.name
-        return self._group
+        self.group = group_from_spec(spec)
+        self.group.name = name
 
     @property
     def lattice(self) -> SubgroupLattice:
@@ -64,27 +58,6 @@ class CorpusEntry:
         if structure.is_nilpotent(G):
             out.append("nilpotent")
         return out
-
-    def fingerprint(self) -> tuple:
-        G = self.group
-        return _fingerprint(G, range(G.order), len(G.lattice()))
-
-
-def _fingerprint(G: FiniteGroup, members, subgroups: int) -> tuple:
-    """Isomorphism invariants of the subgroup of G with these members and
-    this many subgroups: order, commutativity, exponent, subgroup count and
-    number of conjugacy classes of elements."""
-    mult, inv = G.mult, G.inv
-    abelian = all(mult[a][b] == mult[b][a] for a in members for b in members)
-    seen: set[int] = set()
-    classes = 0
-    for x in members:
-        if x not in seen:
-            classes += 1
-            seen.update(mult[mult[inv[g]][x]][g] for g in members)
-    return (len(members), abelian,
-            math.lcm(*(G.element_orders[x] for x in members)), subgroups,
-            classes)
 
 
 class CorpusConfig:
@@ -136,37 +109,14 @@ def _spec_order(spec: dict, cap: int) -> int:
 
 
 def build_corpus(config: CorpusConfig | None = None) -> list[CorpusEntry]:
-    """Default corpus: stock families plus every subgroup of S4 and S5 as an
-    independent entry, deduplicated by invariant fingerprint."""
+    """The stock families of order at most the cap, sorted by name.  Every
+    subgroup type of S4 and S5 is among them (a tier-1 test matches each
+    subgroup's isomorphism invariants to an entry), so the corpus needs no
+    entries of its own for those."""
     config = config or CorpusConfig()
-    entries = [CorpusEntry(name, spec) for name, spec in _stock_specs(config.cap)]
-    seen: dict[tuple, str] = {}
-    for e in entries:
-        seen.setdefault(e.fingerprint(), e.name)
-    hosts = {e.name: e.group for e in entries if e.name in ("S4", "S5")}
-    for n in (4, 5):
-        host = hosts.get(f"S{n}")
-        if host is None:  # over the cap
-            continue
-        L = host.lattice()
-        for s in L.subgroups:
-            if s.order < 2:
-                continue
-            # the candidate's invariants, read inside the host
-            fp = _fingerprint(host, s.members, L.down[s.id].bit_count())
-            if fp in seen:
-                continue
-            spec = {"kind": "generators", "degree": host.degree,
-                    "cycles": [host.elements[g].cycle_string()
-                               for g in s.gens]}
-            cand = CorpusEntry(f"S{n}_sub{s.id}", spec)
-            seen[fp] = cand.name
-            entries.append(cand)
-    entries.sort(key=lambda e: e.name)
-    names = [e.name for e in entries]
-    if len(set(names)) != len(names):
-        raise GroupError("corpus names are not unique")
-    return entries
+    return sorted((CorpusEntry(name, spec)
+                   for name, spec in _stock_specs(config.cap)),
+                  key=lambda e: e.name)
 
 
 # -- report ------------------------------------------------------------------

@@ -220,18 +220,14 @@ class SubgroupLattice:
         return sorted(seen)
 
     def normalizer(self, a: int) -> int:
-        """N(a): the g with g^-1 h g in a for each generator h of a, or
-        N(r)^t when the enumeration found a as the conjugate r^t."""
+        """N(a), from the enumeration: `all_subgroups` records N(r) for each
+        class representative r, and a = r^t for every other member, whose
+        normalizer N(r)^t is computed when first asked."""
         hit = self._normalizers[a]
         if hit is None:
-            via = self._conjugated.get(a)
-            if via is None:
-                sub = self.subgroups[a]
-                nm = _normalizer_mask(self.group, sub.mask, sub.gens)
-            else:
-                r, t = via
-                nm = self.group.conjugate_mask(
-                    self.subgroups[self.normalizer(r)].mask, t)
+            r, t = self._conjugated[a]
+            nm = self.group.conjugate_mask(
+                self.subgroups[self.normalizer(r)].mask, t)
             hit = self._normalizers[a] = self.by_mask[nm]
         return hit
 
@@ -376,8 +372,8 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     once every subgroup has its tuple.
 
     The normalizers computed on the way are handed to the lattice: N(H) for
-    the representatives, G for normal subgroups, and N(H)^t for a conjugate
-    H^t, computed when first asked.
+    every representative (one with no zuppo outside it is G, which is
+    normal), and N(H)^t for a conjugate H^t, computed when first asked.
     """
     if G.order > order_cap():
         raise OrderCapExceeded(f"|{G.name}| = {G.order} exceeds cap {order_cap()}")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -26,12 +27,34 @@ def test_corpus_names_unique_and_sorted(corpus):
     assert len(set(names)) == len(names)
 
 
+def _fingerprint(G, members, subgroups):
+    """Isomorphism invariants of the subgroup of G with these members and
+    this many subgroups: order, commutativity, exponent, subgroup count and
+    number of conjugacy classes of elements."""
+    mult, inv = G.mult, G.inv
+    abelian = all(mult[a][b] == mult[b][a] for a in members for b in members)
+    seen = set()
+    classes = 0
+    for x in members:
+        if x not in seen:
+            classes += 1
+            seen.update(mult[mult[inv[g]][x]][g] for g in members)
+    return (len(members), abelian,
+            math.lcm(*(G.element_orders[x] for x in members)), subgroups,
+            classes)
+
+
+def _entry_fingerprint(entry):
+    G = entry.group
+    return _fingerprint(G, range(G.order), len(G.lattice()))
+
+
 def test_corpus_fingerprint_collisions_are_isomorphic_pairs(corpus):
     # a few stock families overlap (D3 = S3 etc.); anything else must be unique
     from collections import defaultdict
     groups = defaultdict(list)
     for e in corpus:
-        groups[e.fingerprint()].append(e.name)
+        groups[_entry_fingerprint(e)].append(e.name)
     known = {frozenset(s) for s in (("D3", "S3"), ("D6", "S3xZ2"),
                                     ("D7", "Frob(7,2^1)"),
                                     ("Frob(5,2^2)", "Hol(Z5)"))}
@@ -41,18 +64,29 @@ def test_corpus_fingerprint_collisions_are_isomorphic_pairs(corpus):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_candidate_fingerprint_read_in_host(n):
-    """build_corpus fingerprints each subgroup of S4 and S5 inside the host;
-    that equals the fingerprint of the subgroup built as a group."""
+def test_subgroups_of_sym_are_corpus_types(corpus, n):
+    """Every nontrivial subgroup of S4 and S5, its invariants read inside
+    the host, matches a corpus entry, which then has the subgroup's order.
+    That is at most 120, so at every cap the corpus needs no entry of its
+    own for a subgroup of S4 or S5."""
+    known = {_entry_fingerprint(e) for e in corpus}
     host = named_group("sym", [n])
     L = host.lattice()
-    for s in L.subgroups:
-        spec = {"kind": "generators", "degree": host.degree,
-                "cycles": [host.elements[g].cycle_string()
-                           for g in s.gens or s.members]}
-        assert (harness._fingerprint(host, s.members,
-                                     L.down[s.id].bit_count())
-                == harness.CorpusEntry("c", spec).fingerprint()), s.id
+    missing = [s.id for s in L.subgroups if s.order > 1
+               and _fingerprint(host, s.members,
+                                L.down[s.id].bit_count()) not in known]
+    assert not missing
+
+
+def test_corpus_is_the_stock_list_at_every_cap(corpus):
+    """76 entries at the default cap; a smaller cap keeps the entries whose
+    built group is within it, so each spec's order read without building
+    it agrees with the built order."""
+    assert len(corpus) == 76
+    for cap in (2, 12, 24, 60, 120):
+        small = harness.build_corpus(harness.CorpusConfig(cap=cap))
+        assert ([(e.name, e.spec) for e in small]
+                == [(e.name, e.spec) for e in corpus if e.order <= cap]), cap
 
 
 def test_corpus_config_validation():

@@ -50,6 +50,55 @@ def test_member_nilpotency_matches_sympy(name, args):
                 == P.is_nilpotent), s
 
 
+def _supersoluble_by_sympy(P):
+    """Whether sympy's group P has a chain 1 = M0 < ... < Mr = P of
+    subgroups normal in P with prime indices, found greedily: from each M
+    move to <M, x> for the first element x that gives a normal subgroup of
+    prime index over M.  A chain found shows P supersoluble.  The search
+    cannot miss one: a quotient of a supersoluble group is supersoluble, and
+    a supersoluble P/M != 1 has a normal subgroup of prime order (the term
+    above 1 of its chain), whose preimage is such an <M, x>."""
+    elements = list(P.generate())
+    M = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(range(P.degree)))])
+    while M.order() < P.order():
+        for x in elements:
+            if M.contains(x):
+                continue
+            N = combinatorics.PermutationGroup(M.generators + [x])
+            q = N.order() // M.order()
+            if all(q % d for d in range(2, q)) and N.is_normal(P):
+                M = N
+                break
+        else:
+            return False
+    return True
+
+
+def test_corpus_supersolubility_matches_sympy(corpus):
+    mismatches, not_supersoluble = [], []
+    for entry in corpus:
+        G = entry.group
+        P = _sympy_group(G, [G.element_index[g] for g in G.generators])
+        ours = structure.is_supersoluble(G)
+        if ours != _supersoluble_by_sympy(P):
+            mismatches.append(entry.name)
+        if not ours:
+            not_supersoluble.append(entry.name)
+    assert not mismatches
+    assert not_supersoluble == ["A4", "A4xZ2", "A5", "S4", "S5"]
+
+
+@pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5]),
+                                       ("holomorph_cyclic", [7]), ("sym", [5])])
+def test_member_supersolubility_matches_sympy(name, args):
+    G = named_group(name, args)
+    L = G.lattice()
+    for s in L.subgroups:
+        assert (structure.is_supersoluble_in(L, s.id)
+                == _supersoluble_by_sympy(_sympy_group(G, s.gens))), s
+
+
 @pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5]),
                                        ("holomorph_cyclic", [7])])
 def test_quotient_nilpotency_matches_sympy(name, args):
