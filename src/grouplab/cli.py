@@ -26,7 +26,7 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output ended
 def _load_spec(text: str) -> dict:
     """Inline JSON, a JSON file path, or builder shorthand like 'sym:4'."""
     text = text.strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         return json.loads(text)
     if os.path.exists(text):
         with open(text, encoding="utf-8") as fh:
@@ -124,13 +124,13 @@ def cmd_check(args) -> int:
     elif pred == "submodular":
         ok = submodular.is_submodular(L, H)
     elif pred == "k-submodular":
-        ok, witness = submodular.is_k_submodular(L, H, args.k)
-        if witness is not None:
+        ok, chain = submodular.is_k_submodular(L, H, args.k)
+        if ok:
             print("witness chain:")
-            for step in witness.steps:
-                lo, up = L.subgroups[step.lower], L.subgroups[step.upper]
-                tag = "normal" if step.kind == "normal" else f"n={step.n}"
-                print(f"  |{lo.order}| -> |{up.order}|  [{tag}]")
+            for a, b in zip(chain, chain[1:]):
+                n = submodular.step_kind(L, a, b)
+                print(f"  |{L.subgroups[a].order}| -> |{L.subgroups[b].order}|"
+                      f"  [{f'n={n}' if n else 'normal'}]")
     elif pred == "n-modular-embedded":
         ok = submodular.is_n_modularly_embedded(L, L.top, H, args.n)
     else:  # "p-subnormal" or "kp-subnormal"; argparse admits only PREDICATES

@@ -84,7 +84,7 @@ class SubgroupLattice:
         self._as_group: dict[int, FiniteGroup] = {}
         # `submodular`'s caches stay attributes: perfbench's tracer reads
         # their sizes; other modules keep their caches in `memo`
-        self.step_kind_cache: dict[tuple[int, int], tuple] = {}
+        self.step_kind_cache: dict[tuple[int, int], int | None] = {}
         self.ksub_reach: dict[tuple[int, int], frozenset[int]] = {}
 
     def __len__(self) -> int:

@@ -657,20 +657,15 @@ def _dicyclic(n: int) -> FiniteGroup:
     return generate(4 * n, [right_mul((1, 0)), right_mul((0, 1))], name=f"Dic{n}")
 
 
-def quotient(G: FiniteGroup, members) -> tuple[FiniteGroup, Epimorphism]:
+def quotient(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
     """Quotient by a normal subgroup, realized as the coset action.
 
-    `members` is a bitmask or iterable of element ordinals of a normal
-    subgroup N.  The quotient acts on the cosets of N (degree = index); the
-    returned epimorphism is verified exhaustively and its kernel checked
-    against N.
+    `nmask` is the bitmask of element ordinals of a normal subgroup N.  The
+    quotient acts on the cosets of N (degree = index), numbered in the order
+    of their least elements; coset c is the permutation of its least
+    element, so `coset_of` is the image table.  The epimorphism is verified
+    exhaustively and its kernel checked against N.
     """
-    if isinstance(members, int):
-        nmask = members
-    else:
-        nmask = 0
-        for i in members:
-            nmask |= 1 << i
     nmems = set_bits(nmask)
     if not nmems or G.closure_mask(nmems) != nmask:
         raise GroupError("quotient: member set is not a subgroup")
@@ -688,21 +683,13 @@ def quotient(G: FiniteGroup, members) -> tuple[FiniteGroup, Epimorphism]:
         reps.append(x)
         for m in nmems:
             coset_of[mult[x][m]] = c
-    index = len(reps)
-
-    images: dict[Permutation, int] = {}
-    q_elements: list[Permutation] = []
-    table = []
-    for g in range(n):
-        perm = Permutation(coset_of[mult[r][g]] for r in reps)
-        if perm not in images:
-            images[perm] = len(q_elements)
-            q_elements.append(perm)
-        table.append(images[perm])
-    gen_perms = [q_elements[table[G.element_index[p]]] for p in G.generators]
-    Q = FiniteGroup(index, q_elements, gen_perms,
+    q_elements = [Permutation(coset_of[mult[r][g]] for r in reps)
+                  for g in reps]
+    gen_perms = [q_elements[coset_of[G.element_index[p]]]
+                 for p in G.generators]
+    Q = FiniteGroup(len(reps), q_elements, gen_perms,
                     name=f"{G.name}/N{bin(nmask).count('1')}")
-    epi = Epimorphism(G, Q, tuple(table))
+    epi = Epimorphism(G, Q, tuple(coset_of))
     epi.verify()
     if epi.kernel_mask() != nmask:
         raise GroupError("quotient: kernel does not match N")

@@ -6,6 +6,10 @@ Conventions:
   - An edge A -> B means A < B comparable in the lattice; a step of a
     k-submodular chain may be any comparable pair, not just a Hasse cover,
     since a normal inclusion of composite index is a legal single step.
+  - A step verdict is one value (`step_kind`): 0 for a normal step, n >= 1
+    for an n-modular one, None for no legal step.  A k-submodular witness
+    is the chain itself, a list of lattice ids; `step_kind` of consecutive
+    ids re-derives each step.
   - Every step verdict is intrinsic to the pair (A, B): only B, A and
     Core_B(A) enter the definition, so per-pair results are cached with the
     lattice and shared by all ambient queries.
@@ -21,71 +25,35 @@ from .lattice import Subgroup, SubgroupLattice
 from . import structure
 
 
-class EmbeddingEdge:
-    """One verified chain step; kind is 'normal' or 'n_modular'."""
-
-    __slots__ = ("lower", "upper", "kind", "n")
-
-    def __init__(self, lower: int, upper: int, kind: str, n: int | None = None):
-        self.lower, self.upper, self.kind, self.n = lower, upper, kind, n
-
-    def to_json(self, L: SubgroupLattice) -> dict:
-        return {
-            "lower": L.subgroups[self.lower].gen_cycles(),
-            "lower_order": L.subgroups[self.lower].order,
-            "upper": L.subgroups[self.upper].gen_cycles(),
-            "upper_order": L.subgroups[self.upper].order,
-            "kind": self.kind,
-            "n": self.n,
-        }
-
-
-class ChainWitness:
-    """A verified chain H = H0 <= ... <= Hm = top with per-step kinds."""
-
-    __slots__ = ("ids", "steps")
-
-    def __init__(self, ids: list[int], steps: list[EmbeddingEdge]):
-        self.ids, self.steps = ids, steps
-
-    def to_json(self, L: SubgroupLattice) -> dict:
-        return {
-            "subgroups": [L.subgroups[i].gen_cycles() for i in self.ids],
-            "orders": [L.subgroups[i].order for i in self.ids],
-            "steps": [e.to_json(L) for e in self.steps],
-        }
-
-
 # -- per-pair step classification --------------------------------------------
 
 
 _MISS = object()  # step_kind caches None for "no legal step"
 
 
-def step_kind(L: SubgroupLattice, a: int, b: int) -> tuple | None:
+def step_kind(L: SubgroupLattice, a: int, b: int) -> int | None:
     """Classify the chain step a -> b (a < b required).
 
-    Returns ("normal",) when a is normal in b, ("nmod", n) when a is
-    n-modularly embedded in b through the non-normal clause (n is then
-    unique), and None when the pair is no legal step at all.
+    Returns 0 when a is normal in b, n >= 1 when a is n-modularly embedded
+    in b through the non-normal clause (n is then unique), and None when the
+    pair is no legal step at all.  0 is falsy: test for None with `is`.
     """
     key = (a, b)
     hit = L.step_kind_cache.get(key, _MISS)
     if hit is not _MISS:
         return hit
+    out = None
     if L.is_normal_in(a, b):
-        out: tuple | None = ("normal",)
+        out = 0
     else:
-        out = None
         p = L.subgroups[b].order // L.subgroups[a].order
         if is_prime(p):
             c = L.core(a, within=b)
             q_order = L.subgroups[b].order // (L.subgroups[c].order * p)
             pp = prime_power(q_order)
-            if pp is not None and pp[0] != p:
-                q, n = pp
-                if not structure.is_quotient_nilpotent(L, c, b):
-                    out = ("nmod", n)
+            if (pp is not None and pp[0] != p
+                    and not structure.is_quotient_nilpotent(L, c, b)):
+                out = pp[1]
     L.step_kind_cache[key] = out
     return out
 
@@ -97,12 +65,7 @@ def is_n_modularly_embedded(L: SubgroupLattice, B: Subgroup, H: Subgroup,
         raise GroupError("n-modular embedding needs n >= 1")
     if not L.leq(H.id, B.id):
         raise GroupError("H must lie in B")
-    if H.id == B.id:
-        return True
-    kind = step_kind(L, H.id, B.id)
-    if kind is None:
-        return False
-    return kind[0] == "normal" or kind[1] == n
+    return H.id == B.id or step_kind(L, H.id, B.id) in (0, n)
 
 
 # -- modularity (lattice conditions) -----------------------------------------
@@ -142,15 +105,19 @@ def is_modular_subgroup(L: SubgroupLattice, M: Subgroup) -> bool:
     return _modular_in(L, M.id, L.top.id)
 
 
-def submodular_set(L: SubgroupLattice) -> frozenset[int]:
-    """Ids submodular in the whole group."""
-    key = (-1, L.top.id)
+def _reach(L: SubgroupLattice, tag: int, top: int, pred) -> frozenset[int]:
+    """The ids of `L.reach_down(top, pred)`, memoised in `L.ksub_reach`
+    under (tag, top): tag -1 for modular steps, k for steps legal at k."""
+    key = (tag, top)
     hit = L.ksub_reach.get(key)
     if hit is None:
-        hit = frozenset(L.reach_down(L.top.id,
-                                     lambda a, b: _modular_in(L, a, b)))
-        L.ksub_reach[key] = hit
+        hit = L.ksub_reach[key] = frozenset(L.reach_down(top, pred))
     return hit
+
+
+def submodular_set(L: SubgroupLattice) -> frozenset[int]:
+    """Ids submodular in the whole group."""
+    return _reach(L, -1, L.top.id, lambda a, b: _modular_in(L, a, b))
 
 
 def is_submodular(L: SubgroupLattice, H: Subgroup) -> bool:
@@ -162,7 +129,7 @@ def is_submodular(L: SubgroupLattice, H: Subgroup) -> bool:
 
 def _step_ok(L: SubgroupLattice, a: int, b: int, k: int) -> bool:
     kind = step_kind(L, a, b)
-    return kind is not None and (kind[0] == "normal" or kind[1] <= k)
+    return kind is not None and kind <= k
 
 
 def ksub_set(L: SubgroupLattice, k: int, top: int | None = None) -> frozenset[int]:
@@ -171,38 +138,26 @@ def ksub_set(L: SubgroupLattice, k: int, top: int | None = None) -> frozenset[in
         raise GroupError("k-submodularity needs k >= 1")
     if top is None:
         top = L.top.id
-    key = (k, top)
-    hit = L.ksub_reach.get(key)
-    if hit is None:
-        hit = frozenset(L.reach_down(top, lambda a, b: _step_ok(L, a, b, k)))
-        L.ksub_reach[key] = hit
-    return hit
-
-
-def _witness(L: SubgroupLattice, h: int, k: int, top: int) -> ChainWitness:
-    """Shortest, then lexicographically least, chain h -> top."""
-    dist = L.reach_down(top, lambda a, b: _step_ok(L, a, b, k))
-    ids = [h]
-    steps = []
-    cur = h
-    while cur != top:
-        nxt = next(b for b in set_bits(L.up[cur] ^ (1 << cur))
-                   if dist.get(b) == dist[cur] - 1 and _step_ok(L, cur, b, k))
-        kind = step_kind(L, cur, nxt)
-        steps.append(EmbeddingEdge(cur, nxt, "normal", None)
-                     if kind[0] == "normal"
-                     else EmbeddingEdge(cur, nxt, "n_modular", kind[1]))
-        ids.append(nxt)
-        cur = nxt
-    return ChainWitness(ids, steps)
+    return _reach(L, k, top, lambda a, b: _step_ok(L, a, b, k))
 
 
 def is_k_submodular(L: SubgroupLattice, H: Subgroup,
-                    k: int) -> tuple[bool, ChainWitness | None]:
-    reach = ksub_set(L, k)
-    if H.id not in reach:
+                    k: int) -> tuple[bool, list[int] | None]:
+    """(True, chain) when H is k-submodular in the group, else (False, None).
+
+    The chain is the shortest, then lexicographically least, list of ids
+    from H up to the top whose every step is legal at k."""
+    if H.id not in ksub_set(L, k):
         return False, None
-    return True, _witness(L, H.id, k, L.top.id)
+    top = L.top.id
+    dist = L.reach_down(top, lambda a, b: _step_ok(L, a, b, k))
+    ids = [H.id]
+    while ids[-1] != top:
+        cur = ids[-1]
+        ids.append(next(b for b in set_bits(L.up[cur] ^ (1 << cur))
+                        if dist.get(b) == dist[cur] - 1
+                        and _step_ok(L, cur, b, k)))
+    return True, ids
 
 
 # -- n-maximality and k-LM groups --------------------------------------------
@@ -401,10 +356,10 @@ def lattice_dot(L: SubgroupLattice, k: int | None = None) -> str:
             kind = step_kind(L, a, b)
             if kind is None:
                 attr = 'style=dotted label="-"'
-            elif kind[0] == "normal":
+            elif kind == 0:
                 attr = 'label="normal, modular"'
             else:
-                attr = f'style=dashed label="n-modular n={kind[1]}"'
+                attr = f'style=dashed label="n-modular n={kind}"'
             lines.append(f"  n{a} -> n{b} [{attr}];")
     lines.append("}")
     return "\n".join(lines)

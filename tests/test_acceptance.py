@@ -40,10 +40,10 @@ def test_criterion_01_embedding_values_in_holomorph_z5(hol5):
         assert not is_n_modularly_embedded(L, L.top, b, 1)
         b2 = next(s for s in L.subgroups
                   if s.order == 2 and L.leq(s.id, b.id))
-        ok, wit = is_k_submodular(L, b2, 2)
-        assert ok and len(wit.steps) == 2
-        for e in wit.steps:
-            assert step_kind(L, e.lower, e.upper) is not None
+        ok, chain = is_k_submodular(L, b2, 2)
+        assert ok and len(chain) == 3
+        for a, b in zip(chain, chain[1:]):
+            assert step_kind(L, a, b) is not None
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -74,8 +74,7 @@ def test_criterion_03_subnormal_not_submodular_in_holomorph_z7(hol7):
         U1 = oracle("U_k", k=1)
         assert residual(hol7, U1).order == 1
         assert classes.is_F_subnormal(hol7, y, U1)
-        ok, wit = is_k_submodular(L, y, 1)
-        assert not ok and wit is None
+        assert is_k_submodular(L, y, 1) == (False, None)
         assert time.perf_counter() - t0 < 5.0
 
 

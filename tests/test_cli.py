@@ -49,6 +49,24 @@ def test_check_k_submodular_true(capsys):
     assert "True" in out
 
 
+@pytest.mark.parametrize("group,gens,expect", [
+    ("sym:4", "(1 2)",
+     "witness chain:\n"
+     "  |2| -> |4|  [normal]\n"
+     "  |4| -> |8|  [normal]\n"
+     "  |8| -> |24|  [n=1]\n"
+     "k-submodular(['(1 2)'], |H|=2) in S4: True\n"),
+    ("holomorph_cyclic:5", "(2 3 5 4)",
+     "witness chain:\n"
+     "  |4| -> |20|  [n=2]\n"
+     "k-submodular(['(2 3 5 4)'], |H|=4) in Hol(Z5): True\n"),
+])
+def test_check_k_submodular_stdout_pinned(capsys, group, gens, expect):
+    code, out, _ = run(capsys, "check", "k-submodular", group,
+                       "--gens", gens, "--k", "2")
+    assert code == 0 and out == expect
+
+
 def test_check_k_submodular_false(capsys):
     # order-6 subgroup of Hol(Z7) is not 1-submodular
     code, out, _ = run(capsys, "check", "submodular", "holomorph_cyclic:7",
@@ -91,6 +109,13 @@ def test_bad_group_spec(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "show", '{"kind": "bogus"}')
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["[]", " [1, 2]"])
+def test_inline_json_not_an_object(capsys, spec):
+    code, out, err = run(capsys, "show", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: group spec must be an object")
 
 
 @pytest.mark.parametrize("argv", [

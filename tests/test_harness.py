@@ -104,27 +104,6 @@ def test_reports_built_without_counters_do_not_share_them():
     assert b.counters == {} and b.passed and not a.passed
 
 
-def test_embedding_edge_n_defaults_to_none():
-    assert submodular.EmbeddingEdge(0, 1, "normal").n is None
-
-
-def test_witness_json_pinned(s4):
-    L = s4.lattice()
-    h = next(s for s in L.subgroups if s.gen_cycles() == ["(1 2)"])
-    ok, witness = submodular.is_k_submodular(L, h, 2)
-    assert ok
-    edge = lambda lo, lo_n, up, up_n, kind, n: {
-        "lower": lo, "lower_order": lo_n, "upper": up, "upper_order": up_n,
-        "kind": kind, "n": n}
-    chain = [["(1 2)"], ["(1 2)", "(3 4)"], ["(1 2)", "(1 3)(2 4)"],
-             ["(1 2)", "(1 3 4)"]]
-    assert witness.to_json(L) == {
-        "subgroups": chain, "orders": [2, 4, 8, 24],
-        "steps": [edge(chain[0], 2, chain[1], 4, "normal", None),
-                  edge(chain[1], 4, chain[2], 8, "normal", None),
-                  edge(chain[2], 8, chain[3], 24, "n_modular", 1)]}
-
-
 def test_report_json_pinned(corpus):
     rep = harness.run_suite("R1", [1], _mini(corpus, "S4", "Hol(Z5)", "Z12"))
     summary = {"total": 3, "passed": 3, "failed": 0, "suite_pass": True,

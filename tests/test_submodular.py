@@ -1,8 +1,11 @@
+import hashlib
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grouplab import (OrderCapExceeded, Permutation, all_subgroups,
-                      direct_product, generate, named_group)
+from grouplab import (OrderCapExceeded, Permutation, direct_product,
+                      generate, named_group)
 from grouplab import structure, submodular
 from grouplab.lattice import SubgroupLattice
 from grouplab.permgroup import factorize
@@ -12,6 +15,7 @@ from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  ksub_set, lattice_dot, schmidt_maximal_modular,
                                  step_kind, submodular_set,
                                  thm31_characterization, thm32_characterization)
+from definitions import step_by_definition, step_table
 from test_fuzz import two_permutations
 
 
@@ -82,8 +86,8 @@ def test_step_kind_unique_n(hol5):
     L = hol5.lattice()
     y = next(s for s in L.subgroups if s.order == 4
              and L.subgroups[L.core(s.id)].order == 1)
-    assert step_kind(L, y.id, L.top.id) == ("nmod", 2)
-    assert step_kind(L, _by_order(L, 5).id, L.top.id) == ("normal",)
+    assert step_kind(L, y.id, L.top.id) == 2
+    assert step_kind(L, _by_order(L, 5).id, L.top.id) == 0
 
 
 def test_k_submodular_witness_chain(hol5):
@@ -91,25 +95,28 @@ def test_k_submodular_witness_chain(hol5):
     y = next(s for s in L.subgroups if s.order == 4
              and L.subgroups[L.core(s.id)].order == 1)
     h = next(s for s in L.subgroups if s.order == 2 and L.leq(s.id, y.id))
-    ok, wit = is_k_submodular(L, h, 2)
-    assert ok
-    assert [L.subgroups[i].order for i in wit.ids][0] == 2
-    assert wit.ids[-1] == L.top.id
+    ok, chain = is_k_submodular(L, h, 2)
+    assert ok and chain[0] == h.id and chain[-1] == L.top.id
+    assert [L.subgroups[i].order for i in chain] == [2, 4, 20]
     # every step re-verifiable
-    for e in wit.steps:
-        kind = step_kind(L, e.lower, e.upper)
-        assert kind is not None
-        if e.kind == "n_modular":
-            assert kind == ("nmod", e.n) and e.n <= 2
-    payload = wit.to_json(L)
-    assert payload["orders"][-1] == 20
+    assert [step_kind(L, a, b) for a, b in zip(chain, chain[1:])] == [0, 2]
+
+
+def test_witness_chain_pinned(s4):
+    L = s4.lattice()
+    h = next(s for s in L.subgroups if s.gen_cycles() == ["(1 2)"])
+    ok, chain = is_k_submodular(L, h, 2)
+    assert ok
+    assert [L.subgroups[i].gen_cycles() for i in chain] == [
+        ["(1 2)"], ["(1 2)", "(3 4)"], ["(1 2)", "(1 3)(2 4)"],
+        ["(1 2)", "(1 3 4)"]]
+    assert [step_kind(L, a, b) for a, b in zip(chain, chain[1:])] == [0, 0, 1]
 
 
 def test_hol7_y_not_1_submodular(hol7):
     L = hol7.lattice()
     y = _by_order(L, 6)
-    ok, wit = is_k_submodular(L, y, 1)
-    assert not ok and wit is None
+    assert is_k_submodular(L, y, 1) == (False, None)
 
 
 def test_subnormal_implies_k_submodular(s4):
@@ -262,42 +269,59 @@ def test_lattice_dot_output(hol5):
     assert dot.count("->") > 10
 
 
+@pytest.mark.parametrize("name,args,k,prefix", [
+    ("sym", [4], None, "8e890a9726634140"),
+    ("sym", [4], 1, "bb13c4d029dc21cf"),
+    ("holomorph_cyclic", [5], 2, "45237bdd87012a02"),
+])
+def test_lattice_dot_pinned(name, args, k, prefix):
+    dot = lattice_dot(named_group(name, args).lattice(), k=k)
+    assert hashlib.sha256(dot.encode()).hexdigest()[:16] == prefix
+
+
+def test_step_kind_matches_definition_on_corpus(corpus):
+    """`step_kind` against the definition on the element sets, on every
+    strict comparable pair of the corpus lattices: the normal, the
+    n-modular and the illegal steps alike."""
+    kinds = Counter()
+    for entry in corpus:
+        L = entry.lattice
+        table = step_table(L)
+        assert [(pair, kind) for pair, kind in table.items()
+                if step_kind(L, *pair) != kind] == [], entry.name
+        kinds.update(table.values())
+    assert kinds == {0: 3578, None: 1737, 1: 823, 2: 103}
+
+
 def _check_witnesses(G):
-    """Witnesses of G's lattice at k = 1..3 are shortest chains, and each
-    step re-verifies on a freshly enumerated lattice; returns their number."""
+    """Witnesses of G's lattice at k = 1..3 are the shortest, then
+    lexicographically least, chains whose steps hold by the definition;
+    returns their number."""
     L = G.lattice()
+    table = step_table(L)
     checked = 0
-    fresh = all_subgroups(G)  # empty step-kind cache: steps are recomputed
-    assert [s.mask for s in fresh.subgroups] == [s.mask for s in L.subgroups]
     for k in (1, 2, 3):
         def legal(a, b):
-            return any(
-                is_n_modularly_embedded(L, L.subgroups[b], L.subgroups[a], n)
-                for n in range(1, k + 1))
+            kind = table.get((a, b))
+            return kind is not None and kind <= k
 
         dist = L.reach_down(L.top.id, legal)
         # independent oracle: ids are sorted by order, so every proper
         # overgroup of a has a larger id and a descending scan sees it first
         shortest = {L.top.id: 0}
         for a in reversed(range(L.top.id)):
-            ups = [d + 1 for b, d in shortest.items()
-                   if L.leq(a, b) and legal(a, b)]
+            ups = [d + 1 for b, d in shortest.items() if legal(a, b)]
             if ups:
                 shortest[a] = min(ups)
         assert dist == shortest
         assert frozenset(dist) == ksub_set(L, k)
         for h in ksub_set(L, k):
-            ok, w = is_k_submodular(L, L.subgroups[h], k)
-            assert ok and w.ids[0] == h and w.ids[-1] == L.top.id
-            assert len(w.steps) == dist[h]
-            for step in w.steps:
-                lo, up = fresh.subgroups[step.lower], fresh.subgroups[step.upper]
-                if step.kind == "normal":
-                    assert is_n_modularly_embedded(fresh, up, lo, 1)
-                    assert fresh.is_normal_in(lo.id, up.id)
-                else:
-                    assert step.kind == "n_modular" and 1 <= step.n <= k
-                    assert is_n_modularly_embedded(fresh, up, lo, step.n)
+            ok, chain = is_k_submodular(L, L.subgroups[h], k)
+            assert ok and chain[0] == h and chain[-1] == L.top.id
+            assert len(chain) - 1 == dist[h]
+            for a, b in zip(chain, chain[1:]):
+                assert b == min(c for c, d in shortest.items()
+                                if d == shortest[a] - 1 and legal(a, c))
             checked += 1
     return checked
 
@@ -312,61 +336,6 @@ def test_witnesses_reverify_on_corpus(corpus):
     assert checked == 3094
 
 
-def _closure(G, gens):
-    """The subgroup of G the element ordinals `gens` generate, as a set,
-    from the multiplication table alone."""
-    mult = G.mult
-    out = {G.identity_ordinal}
-    frontier = list(out)
-    while frontier:
-        frontier = [y for y in {mult[x][g] for x in frontier for g in gens}
-                    if y not in out]
-        out.update(frontier)
-    return out
-
-
-def _quotient_nilpotent_by_lcs(G, upper, core):
-    """Nilpotency of upper/core from its lower central series: the terms
-    <[x, y] : x in upper, y in the last term> core descend to core."""
-    mult, inv = G.mult, G.inv
-    term = set(upper)
-    while True:
-        comms = {mult[mult[inv[x]][inv[y]]][mult[x][y]]
-                 for x in upper for y in term}
-        nxt = _closure(G, comms | core)
-        if nxt == core:
-            return True
-        if nxt == term:
-            return False
-        term = nxt
-
-
-def _step_holds_by_definition(G, lower, upper, kind, n):
-    """A witness step lower -> upper, re-verified on the element sets.
-
-    Normal: each generator of lower conjugated by each element of upper
-    stays in lower.  n-modular: |upper:lower| is a prime p, the core (the
-    intersection of all conjugates of lower in upper) has |upper/core| =
-    p q^n for a prime q != p, and upper/core is not nilpotent.
-    """
-    mult, inv = G.mult, G.inv
-    lo, up = set(lower.members), set(upper.members)
-    assert lo < up
-    if kind == "normal":
-        return all(mult[mult[inv[g]][h]][g] in lo
-                   for h in lower.gens for g in up)
-    p = len(up) // len(lo)
-    if factorize(p) != {p: 1}:
-        return False
-    core = set(lo)
-    for g in up:
-        core &= {mult[mult[inv[g]][h]][g] for h in lo}
-    rest = factorize(len(up) // (len(core) * p))
-    if len(rest) != 1 or p in rest or rest[next(iter(rest))] != n:
-        return False
-    return not _quotient_nilpotent_by_lcs(G, up, core)
-
-
 def test_witness_steps_hold_by_definition_above_order_60(corpus):
     """Every step of every witness at k = 1..3 of the corpus groups of order
     above 60, checked on element sets without the step classifier."""
@@ -378,12 +347,12 @@ def test_witness_steps_hold_by_definition_above_order_60(corpus):
         L = G.lattice()
         for k in (1, 2, 3):
             for h in ksub_set(L, k):
-                _, w = is_k_submodular(L, L.subgroups[h], k)
-                for e in w.steps:
-                    assert e.kind == "normal" or 1 <= e.n <= k
-                    assert _step_holds_by_definition(
-                        G, L.subgroups[e.lower], L.subgroups[e.upper],
-                        e.kind, e.n), (entry.name, k, e)
+                _, chain = is_k_submodular(L, L.subgroups[h], k)
+                for a, b in zip(chain, chain[1:]):
+                    kind = step_by_definition(
+                        G, set(L.subgroups[a].members),
+                        set(L.subgroups[b].members))
+                    assert kind is not None and kind <= k, (entry.name, k, a, b)
                     steps += 1
     assert steps == 754
 
