@@ -16,7 +16,7 @@ from functools import cache, partial
 
 from .permgroup import (FiniteGroup, GroupError, direct_product, factorize,
                         group_from_spec, named_order, order_cap,
-                        prime_power, quotient_cached)
+                        prime_power, quotient_cached, set_bits)
 from .lattice import Subgroup, SubgroupLattice
 from . import classes, structure, submodular
 
@@ -487,14 +487,18 @@ def _lemma_25(entry, k, counters):
     G when U is."""
     L = entry.lattice
     reach = submodular.ksub_set(L, k)
-    verdicts = []
-    for h in reach:
-        for u in range(len(L.subgroups)):
-            d = L.meet(h, u)
-            verdicts.append(d in submodular.ksub_set(L, k, top=u)
-                            and (u not in reach or d in reach))
-            counters["nonvacuous_L2.5"] += d != h and d != u
-    return all(verdicts)
+    reach_bits = sum(1 << h for h in reach)
+    down, up = L.down, L.up
+    ok = True
+    for u in range(len(L.subgroups)):
+        below = submodular.ksub_set(L, k, top=u)
+        meets = {(down[h] & down[u]).bit_length() - 1 for h in reach}
+        ok = ok and meets <= below and (u not in reach or meets <= reach)
+        # the meet d of h and u is h iff h <= u and u iff u <= h, so d is
+        # neither exactly when h and u are incomparable
+        counters["nonvacuous_L2.5"] += (
+            reach_bits & ~down[u] & ~up[u]).bit_count()
+    return ok
 
 
 def _lemma_26(entry, k, counters):
@@ -502,18 +506,22 @@ def _lemma_26(entry, k, counters):
     converse holds for N <= H (2), and HN/N is iff HN is (3)."""
     L = entry.lattice
     reach = submodular.ksub_set(L, k)
-    verdicts = []
+    ok = True
     for sub, Q, epi in _quotient_lattices(entry.group):
         Lq = Q.lattice()
         reach_q = submodular.ksub_set(Lq, k)
+        # HN lies in [N, G]: whether its image HN/N is k-submodular in G/N
+        image_ok = {x: _image_id(Lq, epi, L.subgroups[x]) in reach_q
+                    for x in set_bits(L.up[sub.id])}
         for h in range(len(L.subgroups)):
-            hn = L.join(h, sub.id)
-            up = _image_id(Lq, epi, L.subgroups[hn]) in reach_q
-            verdicts.append((up or h not in reach)
-                            and (h in reach or not (up and L.leq(sub.id, h)))
-                            and up == (hn in reach))
-            counters["nonvacuous_L2.6"] += h != hn
-    return all(verdicts)
+            hn = L.join(h, sub.id)  # hn == h iff N <= h
+            ok = ok and ((image_ok[hn] or h not in reach)
+                         and (h in reach or not (image_ok[hn] and hn == h))
+                         and image_ok[hn] == (hn in reach))
+        # HN != H exactly when N is not under H
+        counters["nonvacuous_L2.6"] += (len(L.subgroups)
+                                        - L.up[sub.id].bit_count())
+    return ok
 
 
 def _lemma_27(entry, k, counters):

@@ -83,14 +83,15 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return q, m
 
 
-_ONE_RE = re.compile("1")
-
-
 def set_bits(bits: int) -> list[int]:
-    """Positions of the set bits of a non-negative int, ascending: the
-    positions of "1" in the reversed binary string, found by the regex
-    engine."""
-    return [m.start() for m in _ONE_RE.finditer(bin(bits)[:1:-1])]
+    """Positions of the set bits of a non-negative int, ascending: each
+    step takes the lowest set bit, bits & -bits, and clears it."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

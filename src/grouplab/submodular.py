@@ -146,11 +146,19 @@ def is_k_submodular(L: SubgroupLattice, H: Subgroup,
     """(True, chain) when H is k-submodular in the group, else (False, None).
 
     The chain is the shortest, then lexicographically least, list of ids
-    from H up to the top whose every step is legal at k."""
-    if H.id not in ksub_set(L, k):
-        return False, None
+    from H up to the top whose every step is legal at k.  The chain
+    lengths of the whole group's search are memoised per k; `ksub_set`
+    keeps only the ids, for every top."""
+    if k < 1:
+        raise GroupError("k-submodularity needs k >= 1")
     top = L.top.id
-    dist = L.reach_down(top, lambda a, b: _step_ok(L, a, b, k))
+    memo = L.memo(__name__)
+    dist = memo.get(("dist", k))
+    if dist is None:
+        dist = memo["dist", k] = L.reach_down(
+            top, lambda a, b: _step_ok(L, a, b, k))
+    if H.id not in dist:
+        return False, None
     ids = [H.id]
     while ids[-1] != top:
         cur = ids[-1]
@@ -302,10 +310,8 @@ def thm32_characterization(L: SubgroupLattice, variant: int, k: int) -> bool:
     if variant == 1:
         return in_class(L, "Y", k)
     if variant == 2:
-        return all(
-            m in ksub_set(L, k, top=a)
-            for a in range(len(L.subgroups))
-            for m in L.hasse_down[a])
+        return all(ksub_set(L, k, top=a).issuperset(L.hasse_down[a])
+                   for a in range(len(L.subgroups)))
     if variant == 3:
         if not structure.is_supersoluble_in(L, top):
             return False

@@ -1,6 +1,9 @@
 """Definitional oracles on element sets, for the tests: they read only a
 group's multiplication table and inverses, never the engine's step
-classifier, cores or nilpotency tests."""
+classifier, cores or nilpotency tests.  The lemma forms at the end are the
+other kind: the L suite's lemmas L2.5 and L2.6 written pair by pair, on the
+engine's k-submodular sets."""
+from grouplab import harness, submodular
 from grouplab.permgroup import factorize
 
 
@@ -64,3 +67,41 @@ def step_table(L):
     return {(a, b): step_by_definition(G, lo, up)
             for a, lo in enumerate(sets) for b, up in enumerate(sets)
             if lo < up}
+
+
+def lemma_25_per_pair(L, k):
+    """(verdict, instances) of L2.5 over every pair (h, u) with h
+    k-submodular in the group: the meet d of h and u is k-submodular in u,
+    and in the group when u is; an instance is a pair with d neither h nor
+    u."""
+    reach = submodular.ksub_set(L, k)
+    verdicts, count = [], 0
+    for h in reach:
+        for u in range(len(L.subgroups)):
+            d = L.meet(h, u)
+            verdicts.append(d in submodular.ksub_set(L, k, top=u)
+                            and (u not in reach or d in reach))
+            count += d != h and d != u
+    return all(verdicts), count
+
+
+def lemma_26_per_pair(G, k):
+    """(verdict, instances) of L2.6 over every subgroup h and every
+    nontrivial proper normal N of G, with HN/N read in G/N's own lattice:
+    (1) h k-submodular gives HN/N k-submodular, (2) the converse when
+    N <= h, (3) HN/N is k-submodular iff HN is; an instance is an h with
+    HN != h."""
+    L = G.lattice()
+    reach = submodular.ksub_set(L, k)
+    verdicts, count = [], 0
+    for sub, Q, epi in harness._quotient_lattices(G):
+        Lq = Q.lattice()
+        reach_q = submodular.ksub_set(Lq, k)
+        for h in range(len(L.subgroups)):
+            hn = L.join(h, sub.id)
+            up = harness._image_id(Lq, epi, L.subgroups[hn]) in reach_q
+            verdicts.append((up or h not in reach)
+                            and (h in reach or not (up and L.leq(sub.id, h)))
+                            and up == (hn in reach))
+            count += h != hn
+    return all(verdicts), count

@@ -1,11 +1,13 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
 from grouplab import GroupError, named_group
 from grouplab import harness, structure, submodular
 from grouplab.permgroup import set_bits
+from definitions import lemma_25_per_pair, lemma_26_per_pair
 
 
 def test_corpus_size_and_members(corpus):
@@ -264,6 +266,66 @@ def test_lemma_suite_summary_pinned(corpus42, ks):
     assert (summary["total"], summary["failed"], summary["suite_pass"]) == (
         72, 0, True)
     assert summary["counters"] == _L_SUMMARY_CAP42[ks]
+
+
+def test_lemmas_25_26_match_per_pair_forms(corpus):
+    """L2.5 and L2.6 read each top's k-submodular set, and each quotient's
+    image table, once; their verdicts and instance counts equal the forms
+    that test every pair, on the 71 lemma-corpus groups (order <= 42)."""
+    checked = 0
+    for entry in harness._lemma_corpus(corpus):
+        for k in (1, 2, 3):
+            counters = Counter()
+            assert ((harness._lemma_25(entry, k, counters),
+                     counters["nonvacuous_L2.5"])
+                    == lemma_25_per_pair(entry.lattice, k)), (entry.name, k)
+            assert ((harness._lemma_26(entry, k, counters),
+                     counters["nonvacuous_L2.6"])
+                    == lemma_26_per_pair(entry.group, k)), (entry.name, k)
+            checked += 1
+    assert checked == 3 * 71
+
+
+def _drop_member(monkeypatch, L, at, victim):
+    """Make `submodular.ksub_set` leave `victim` out of the set of the top
+    `at` in L, and answer every other query as before."""
+    real = submodular.ksub_set
+
+    def doctored(lat, k, top=None):
+        out = real(lat, k, top)
+        if lat is L and (L.top.id if top is None else top) == at:
+            return out - {victim}
+        return out
+
+    monkeypatch.setattr(submodular, "ksub_set", doctored)
+
+
+def test_lemma_25_fails_without_a_member_of_one_top(corpus, monkeypatch):
+    """A member m < u left out of the k-submodular set of one u that is
+    k-submodular in S4 fails L2.5: m is k-submodular in S4 too, and the
+    meet of m and u is m."""
+    entry = next(e for e in corpus if e.name == "S4")
+    L, k = entry.lattice, 1
+    assert harness._lemma_25(entry, k, Counter())
+    below = {u: submodular.ksub_set(L, k, top=u)
+             for u in submodular.ksub_set(L, k) if u != L.top.id}
+    u = next(u for u in sorted(below) if len(below[u]) > 1)
+    _drop_member(monkeypatch, L, u, max(below[u] - {u}))
+    assert not harness._lemma_25(entry, k, Counter())
+
+
+def test_lemma_26_fails_without_a_member_of_a_quotient(corpus, monkeypatch):
+    """A non-top member left out of the k-submodular set of one quotient
+    G/N of Hol(Z5) fails L2.6: it is the image HN/N of some HN in [N, G]
+    that is k-submodular in G."""
+    entry = next(e for e in corpus if e.name == "Hol(Z5)")
+    k = 1
+    assert harness._lemma_26(entry, k, Counter())
+    _, Q, _ = next(harness._quotient_lattices(entry.group))
+    Lq = Q.lattice()
+    _drop_member(monkeypatch, Lq, Lq.top.id,
+                 min(submodular.ksub_set(Lq, k) - {Lq.top.id}))
+    assert not harness._lemma_26(entry, k, Counter())
 
 
 def test_t33_subdirect_law_has_a_nontrivial_instance(corpus):

@@ -7,7 +7,7 @@ from grouplab import (FiniteGroup, GroupError, OrderCapExceeded, ParseError,
                       Permutation, direct_product, generate, group_from_spec,
                       named_group, quotient)
 from grouplab.permgroup import (factorize, is_prime, named_order, order_cap,
-                                prime_power)
+                                prime_power, set_bits)
 
 
 def test_parse_and_cycle_string_roundtrip():
@@ -353,3 +353,17 @@ def test_products_admit_only_permutations_of_one_degree(a, b):
 def test_non_bijection_rejected():
     with pytest.raises(ParseError):
         Permutation((0, 0, 1))
+
+
+def test_set_bits_matches_bit_tests():
+    """The lowest-bit loop against testing each position, on 0, 1, sparse
+    ints and dense 2000-bit ints."""
+    rng = random.Random(7)
+    cases = [0, 1, 2, 1 << 63, 1 << 64 | 1, (1 << 1999) | (1 << 700)]
+    cases += [sum(1 << rng.randrange(2000) for _ in range(5))
+              for _ in range(20)]
+    cases += [rng.getrandbits(2000) for _ in range(20)]
+    cases += [(1 << 2000) - 1]
+    for bits in cases:
+        assert set_bits(bits) == [i for i in range(bits.bit_length())
+                                  if bits >> i & 1]

@@ -113,6 +113,19 @@ def test_witness_chain_pinned(s4):
     assert [step_kind(L, a, b) for a, b in zip(chain, chain[1:])] == [0, 0, 1]
 
 
+def test_witnesses_share_one_search(monkeypatch):
+    """Every witness of one k on a fresh lattice, members and non-members
+    alike, reads one memoised search down from the top."""
+    L = named_group("sym", [4]).lattice()
+    tops = []
+    real = type(L).reach_down
+    monkeypatch.setattr(type(L), "reach_down", lambda self, top, pred: (
+        tops.append(top) or real(self, top, pred)))
+    answers = [is_k_submodular(L, h, 1)[0] for h in L.subgroups]
+    assert tops == [L.top.id]
+    assert [h for h, ok in enumerate(answers) if ok] == sorted(ksub_set(L, 1))
+
+
 def test_hol7_y_not_1_submodular(hol7):
     L = hol7.lattice()
     y = _by_order(L, 6)
