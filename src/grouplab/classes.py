@@ -182,16 +182,6 @@ def p_subnormal_set(L: SubgroupLattice, variant_k: bool = False) -> frozenset[in
     return hit
 
 
-def is_P_subnormal(G: FiniteGroup, H: Subgroup) -> bool:
-    L = G.lattice()
-    return H.id in p_subnormal_set(L)
-
-
-def is_KP_subnormal(G: FiniteGroup, H: Subgroup) -> bool:
-    L = G.lattice()
-    return H.id in p_subnormal_set(L, variant_k=True)
-
-
 def f_subnormal_set(L: SubgroupLattice, F: ClassOracle) -> frozenset[int]:
     """Ids F-subnormal in the lattice's top group.
 
@@ -206,11 +196,6 @@ def f_subnormal_set(L: SubgroupLattice, F: ClassOracle) -> frozenset[int]:
             L.top.id,
             lambda a, b: residual_mask(L, b, F) & ~L.subgroups[a].mask == 0))
     return hit
-
-
-def is_F_subnormal(G: FiniteGroup, H: Subgroup, F: ClassOracle) -> bool:
-    L = G.lattice()
-    return H.id in f_subnormal_set(L, F)
 
 
 # -- local formations and the w-construction ---------------------------------

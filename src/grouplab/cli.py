@@ -120,11 +120,11 @@ def cmd_check(args) -> int:
         raise GroupError(f"predicate {pred!r} needs --gens")
     H = _subgroup(G, args.gens)
     if pred == "modular":
-        ok = submodular.is_modular_subgroup(L, H)
+        ok = submodular.is_modular_subgroup(L, H.id)
     elif pred == "submodular":
-        ok = submodular.is_submodular(L, H)
+        ok = H.id in submodular.submodular_set(L)
     elif pred == "k-submodular":
-        ok, chain = submodular.is_k_submodular(L, H, args.k)
+        ok, chain = submodular.is_k_submodular(L, H.id, args.k)
         if ok:
             print("witness chain:")
             for a, b in zip(chain, chain[1:]):
@@ -132,11 +132,10 @@ def cmd_check(args) -> int:
                 print(f"  |{L.subgroups[a].order}| -> |{L.subgroups[b].order}|"
                       f"  [{f'n={n}' if n else 'normal'}]")
     elif pred == "n-modular-embedded":
-        ok = submodular.is_n_modularly_embedded(L, L.top, H, args.n)
+        ok = submodular.is_n_modularly_embedded(L, H.id, L.top.id, args.n)
     else:  # "p-subnormal" or "kp-subnormal"; argparse admits only PREDICATES
         from . import classes
-        ok = (classes.is_P_subnormal if pred == "p-subnormal"
-              else classes.is_KP_subnormal)(G, H)
+        ok = H.id in classes.p_subnormal_set(L, pred == "kp-subnormal")
     print(f"{pred}({H.gen_cycles()}, |H|={H.order}) in {G.name}: {ok}")
     return EXIT_TRUE if ok else EXIT_FALSE
 

@@ -257,9 +257,8 @@ def _t33_check(entry: CorpusEntry, k: int, counters: Counter):
     checks["X_supersoluble"] = (not in_X) or structure.is_supersoluble(G)
     if k == 1:
         # k=1 corollary, phrased with the modular/submodular predicates
-        all_max_modular = all(
-            submodular.is_modular_subgroup(L, L.subgroups[m])
-            for m in L.hasse_down[top])
+        all_max_modular = all(submodular.is_modular_subgroup(L, m)
+                              for m in L.hasse_down[top])
         all_sub_submodular = (len(submodular.submodular_set(frattini_quotient))
                               == len(frattini_quotient.subgroups))
         checks["c3_modular_frattini"] = all_max_modular == all_sub_submodular
@@ -348,9 +347,8 @@ def _r1_check(entry: CorpusEntry, k: int, counters: Counter):
     one_sub = submodular.ksub_set(L, 1)
     max_ok = True
     for m in L.hasse_down[L.top.id]:
-        M = L.subgroups[m]
-        modular = submodular.is_modular_subgroup(L, M)
-        schmidt = submodular.schmidt_maximal_modular(L, M)
+        modular = submodular.is_modular_subgroup(L, m)
+        schmidt = submodular.schmidt_maximal_modular(L, m)
         if not (modular == (m in one_sub) == schmidt):
             max_ok = False
         counters["nonvacuous_maximal_checks"] += 1
@@ -415,9 +413,8 @@ def _lemma_21(entry, k_set, counters):
             if h_img == Lq.top.id:
                 continue
             verdicts += [
-                submodular.is_n_modularly_embedded(L, L.top, L.subgroups[h], n)
-                == submodular.is_n_modularly_embedded(
-                    Lq, Lq.top, Lq.subgroups[h_img], n)
+                submodular.is_n_modularly_embedded(L, h, L.top.id, n)
+                == submodular.is_n_modularly_embedded(Lq, h_img, Lq.top.id, n)
                 for n in (1, 2, 3)]
             counters["nonvacuous_L2.1"] += 3 * (not L.is_normal_in(h, L.top.id))
     return all(verdicts)

@@ -321,7 +321,7 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         """Least common multiple of the element orders."""
-        return math.lcm(*self.element_orders) if self.order else 1
+        return math.lcm(*self.element_orders)
 
     def is_abelian(self) -> bool:
         """The generators commute pairwise."""
@@ -330,10 +330,10 @@ class FiniteGroup:
         return all(mult[x][y] == mult[y][x] for x in gens for y in gens)
 
     def is_cyclic(self) -> bool:
-        return self.order in self.element_orders or self.order == 1
+        return self.order in self.element_orders
 
     def prime_divisors(self) -> tuple[int, ...]:
-        return tuple(sorted(factorize(self.order))) if self.order > 1 else ()
+        return tuple(sorted(factorize(self.order)))
 
     # -- subgroup masks ------------------------------------------------------
     # Subgroup element sets are bitmasks over element ordinals throughout the

@@ -26,6 +26,8 @@ that needs another's answer calls it, so that answer is read from its memo.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .permgroup import (FiniteGroup, GroupError, factorize, is_prime,
                         prime_power, set_bits)
 from .lattice import Subgroup, SubgroupLattice
@@ -35,19 +37,12 @@ class InternalInconsistency(GroupError):
     """Two supposedly equivalent criteria disagreed; indicates an engine bug."""
 
 
-class ChiefFactor:
-    """A pair (K, H) of normal subgroups with H/K minimal normal in G/K."""
+class ChiefFactor(namedtuple(
+        "ChiefFactor", "below above order complemented centralizer")):
+    """A pair (K, H) of normal subgroups with H/K minimal normal in G/K:
+    `below` and `above` are K and H, `centralizer` is C_G(H/K)."""
 
-    __slots__ = ("below", "above", "order", "complemented", "centralizer")
-
-    def __init__(self, below: Subgroup, above: Subgroup, order: int,
-                 complemented: bool, centralizer: Subgroup):
-        self.below, self.above, self.order = below, above, order
-        self.complemented, self.centralizer = complemented, centralizer
-
-    def __eq__(self, other) -> bool:  # by value: each call builds fresh factors
-        return (isinstance(other, ChiefFactor) and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__))
+    __slots__ = ()
 
 
 class _Facts:

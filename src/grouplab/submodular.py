@@ -21,7 +21,7 @@ import math
 
 from .permgroup import (GroupError, factorize, is_prime, prime_power,
                         quotient_cached, set_bits)
-from .lattice import Subgroup, SubgroupLattice
+from .lattice import SubgroupLattice
 from . import structure
 
 
@@ -58,14 +58,14 @@ def step_kind(L: SubgroupLattice, a: int, b: int) -> int | None:
     return out
 
 
-def is_n_modularly_embedded(L: SubgroupLattice, B: Subgroup, H: Subgroup,
+def is_n_modularly_embedded(L: SubgroupLattice, h: int, b: int,
                             n: int) -> bool:
-    """H n-modularly embedded in B for this exact n (normal H passes any n)."""
+    """h n-modularly embedded in b for this exact n (normal h passes any n)."""
     if n < 1:
         raise GroupError("n-modular embedding needs n >= 1")
-    if not L.leq(H.id, B.id):
-        raise GroupError("H must lie in B")
-    return H.id == B.id or step_kind(L, H.id, B.id) in (0, n)
+    if not L.leq(h, b):
+        raise GroupError("h must lie in b")
+    return h == b or step_kind(L, h, b) in (0, n)
 
 
 # -- modularity (lattice conditions) -----------------------------------------
@@ -100,9 +100,9 @@ def _modular_in(L: SubgroupLattice, m: int, b: int) -> bool:
     return hit
 
 
-def is_modular_subgroup(L: SubgroupLattice, M: Subgroup) -> bool:
-    """Modularity of M in the full lattice (see `_modular_in`)."""
-    return _modular_in(L, M.id, L.top.id)
+def is_modular_subgroup(L: SubgroupLattice, m: int) -> bool:
+    """Modularity of m in the full lattice (see `_modular_in`)."""
+    return _modular_in(L, m, L.top.id)
 
 
 def _reach(L: SubgroupLattice, tag: int, top: int, pred) -> frozenset[int]:
@@ -118,10 +118,6 @@ def _reach(L: SubgroupLattice, tag: int, top: int, pred) -> frozenset[int]:
 def submodular_set(L: SubgroupLattice) -> frozenset[int]:
     """Ids submodular in the whole group."""
     return _reach(L, -1, L.top.id, lambda a, b: _modular_in(L, a, b))
-
-
-def is_submodular(L: SubgroupLattice, H: Subgroup) -> bool:
-    return H.id in submodular_set(L)
 
 
 # -- k-submodularity ---------------------------------------------------------
@@ -141,12 +137,12 @@ def ksub_set(L: SubgroupLattice, k: int, top: int | None = None) -> frozenset[in
     return _reach(L, k, top, lambda a, b: _step_ok(L, a, b, k))
 
 
-def is_k_submodular(L: SubgroupLattice, H: Subgroup,
+def is_k_submodular(L: SubgroupLattice, h: int,
                     k: int) -> tuple[bool, list[int] | None]:
-    """(True, chain) when H is k-submodular in the group, else (False, None).
+    """(True, chain) when h is k-submodular in the group, else (False, None).
 
     The chain is the shortest, then lexicographically least, list of ids
-    from H up to the top whose every step is legal at k.  The chain
+    from h up to the top whose every step is legal at k.  The chain
     lengths of the whole group's search are memoised per k; `ksub_set`
     keeps only the ids, for every top."""
     if k < 1:
@@ -157,9 +153,9 @@ def is_k_submodular(L: SubgroupLattice, H: Subgroup,
     if dist is None:
         dist = memo["dist", k] = L.reach_down(
             top, lambda a, b: _step_ok(L, a, b, k))
-    if H.id not in dist:
+    if h not in dist:
         return False, None
-    ids = [H.id]
+    ids = [h]
     while ids[-1] != top:
         cur = ids[-1]
         ids.append(next(b for b in set_bits(L.up[cur] ^ (1 << cur))
@@ -171,18 +167,18 @@ def is_k_submodular(L: SubgroupLattice, H: Subgroup,
 # -- n-maximality and k-LM groups --------------------------------------------
 
 
-def is_n_maximal_with_index(L: SubgroupLattice, A: Subgroup,
-                            B: Subgroup) -> tuple[int, int | None] | None:
-    """(n, q) with |B:A| = q^n and an n-step maximal chain A -> B, if any:
-    with prime-power index that chain is one of prime-index covers, so A
-    lies in `L.prime_down[B]` (see `SubgroupLattice._build_order`)."""
-    if not L.leq(A.id, B.id):
-        raise GroupError("A must lie in B")
-    index = B.order // A.order
+def is_n_maximal_with_index(L: SubgroupLattice, a: int,
+                            b: int) -> tuple[int, int | None] | None:
+    """(n, q) with |b:a| = q^n and an n-step maximal chain a -> b, if any:
+    with prime-power index that chain is one of prime-index covers, so a
+    lies in `L.prime_down[b]` (see `SubgroupLattice._build_order`)."""
+    if not L.leq(a, b):
+        raise GroupError("a must lie in b")
+    index = L.subgroups[b].order // L.subgroups[a].order
     if index == 1:
         return (0, None)
     pp = prime_power(index)
-    if pp is None or not L.prime_down[B.id] >> A.id & 1:
+    if pp is None or not L.prime_down[b] >> a & 1:
         return None
     q, n = pp
     return (n, q)
@@ -195,36 +191,28 @@ def is_k_LM_group(L: SubgroupLattice,
 
     Only the test 1 <= n <= k depends on k, so one scan per lattice serves
     every k: the first pair failing at k is the first pair at which the n
-    needed so far rises above k.  The memo keeps the rises found so far and
-    the paused scan, resumed only when a larger k needs more."""
+    needed so far rises above k.  The memo keeps the list of those rises."""
     if k < 1:
         raise GroupError("k-LM needs k >= 1")
     memo = L.memo(__name__)
-    if "LM" not in memo:
-        memo["LM"] = [], _lm_rises(L)
-    seen, scan = memo["LM"]
-    for n, pair in seen:
-        if n > k:
-            return False, pair
-    for n, pair in scan:
-        seen.append((n, pair))
-        if n > k:
-            return False, pair
-    return True, None
+    rises = memo.get("LM")
+    if rises is None:
+        rises = memo["LM"] = _lm_rises(L)
+    return next(((False, pair) for n, pair in rises if n > k), (True, None))
 
 
-def _lm_rises(L: SubgroupLattice):
+def _lm_rises(L: SubgroupLattice) -> list[tuple[float, tuple[int, int]]]:
     """(n, pair) at each pair that needs a larger n than every pair before
     it; a pair without a prime-power chain needs infinity."""
-    need = 0
+    need, rises = 0, []
     for a, b in L.maximal_in_join():
-        d = L.meet(a, b)
-        res = is_n_maximal_with_index(L, L.subgroups[d], L.subgroups[b])
-        # b is not under a, so d < b and n >= 1
+        res = is_n_maximal_with_index(L, L.meet(a, b), b)
+        # b is not under a, so the meet is below b and n >= 1
         n = math.inf if res is None else res[0]
         if n > need:
             need = n
-            yield n, (a, b)
+            rises.append((n, (a, b)))
+    return rises
 
 
 # -- class membership --------------------------------------------------------
@@ -294,8 +282,8 @@ def thm31_characterization(L: SubgroupLattice, variant: int, k: int) -> bool:
         for i, m1 in enumerate(maxes):
             for m2 in maxes[i + 1:]:
                 d = L.meet(m1, m2)
-                r1 = is_n_maximal_with_index(L, L.subgroups[d], L.subgroups[m1])
-                r2 = is_n_maximal_with_index(L, L.subgroups[d], L.subgroups[m2])
+                r1 = is_n_maximal_with_index(L, d, m1)
+                r2 = is_n_maximal_with_index(L, d, m2)
                 if (r1 is None or r2 is None or r1[0] != r2[0]
                         or not 1 <= r1[0] <= k):
                     return False
@@ -322,15 +310,15 @@ def thm32_characterization(L: SubgroupLattice, variant: int, k: int) -> bool:
     raise GroupError(f"unknown variant {variant}")
 
 
-def schmidt_maximal_modular(L: SubgroupLattice, M: Subgroup) -> bool:
-    """Independent oracle for modularity of a maximal subgroup: M normal, or
-    the quotient by the core of M non-abelian of order pq."""
+def schmidt_maximal_modular(L: SubgroupLattice, m: int) -> bool:
+    """Independent oracle for modularity of a maximal subgroup: m normal, or
+    the quotient by the core of m non-abelian of order pq."""
     top = L.top.id
-    if M.id not in L.hasse_down[top]:
-        raise GroupError("M must be maximal")
-    if L.is_normal_in(M.id, top):
+    if m not in L.hasse_down[top]:
+        raise GroupError("m must be maximal")
+    if L.is_normal_in(m, top):
         return True
-    c = L.core(M.id)
+    c = L.core(m)
     q_order = L.group.order // L.subgroups[c].order
     facs = factorize(q_order)
     if sorted(facs.values()) != [1, 1]:

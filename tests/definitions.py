@@ -1,8 +1,9 @@
 """Definitional oracles on element sets, for the tests: they read only a
-group's multiplication table and inverses, never the engine's step
-classifier, cores or nilpotency tests.  The lemma forms at the end are the
-other kind: the L suite's lemmas L2.5 and L2.6 written pair by pair, on the
-engine's k-submodular sets."""
+group's multiplication table and inverses and a lattice's list of members,
+never the engine's step classifier, cores, nilpotency tests, covers or
+reach sets.  The lemma forms at the end are the other kind: the L suite's
+lemmas L2.5 and L2.6 written pair by pair, on the engine's k-submodular
+sets."""
 from grouplab import harness, submodular
 from grouplab.permgroup import factorize
 
@@ -67,6 +68,35 @@ def step_table(L):
     return {(a, b): step_by_definition(G, lo, up)
             for a, lo in enumerate(sets) for b, up in enumerate(sets)
             if lo < up}
+
+
+def ksub_by_definition(L, table, k):
+    """The ids of L with a chain up to the top whose every step is legal at
+    k by `table` (a `step_table`).  Pairs are taken by descending order of
+    their lower member, so each upper member is decided before it is read."""
+    reach = {L.top.id}
+    for a, b in sorted(table, key=lambda pair: -L.subgroups[pair[0]].order):
+        kind = table[a, b]
+        if kind is not None and kind <= k and b in reach:
+            reach.add(a)
+    return frozenset(reach)
+
+
+def classes_by_definition(L, table, k, supersoluble):
+    """Membership of L's group in X, Y, K and F at k, by their definitions
+    on `ksub_by_definition`: X when every maximal subgroup (proper, and in
+    no other proper subgroup by `table`) is k-submodular, Y when every
+    subgroup is, F when every Sylow subgroup (every member of a full
+    prime-power order) is, and K when F holds and `supersoluble`."""
+    reach = ksub_by_definition(L, table, k)
+    top = L.top.id
+    proper = {a for a, b in table if b == top}
+    maximal = {a for a in proper if not any((a, b) in table for b in proper)}
+    sylow_orders = {p**e for p, e in factorize(L.group.order).items()}
+    sylows_ok = all(s.id in reach for s in L.subgroups
+                    if s.order in sylow_orders)
+    return {"X": maximal <= reach, "Y": len(reach) == len(L.subgroups),
+            "K": supersoluble and sylows_ok, "F": sylows_ok}
 
 
 def lemma_25_per_pair(L, k):

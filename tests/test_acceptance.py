@@ -36,11 +36,11 @@ def test_criterion_01_embedding_values_in_holomorph_z5(hol5):
         L = hol5.lattice()
         b = _noncore_order4(L)
         assert L.subgroups[L.core(b.id)].order == 1
-        assert is_n_modularly_embedded(L, L.top, b, 2)
-        assert not is_n_modularly_embedded(L, L.top, b, 1)
+        assert is_n_modularly_embedded(L, b.id, L.top.id, 2)
+        assert not is_n_modularly_embedded(L, b.id, L.top.id, 1)
         b2 = next(s for s in L.subgroups
                   if s.order == 2 and L.leq(s.id, b.id))
-        ok, chain = is_k_submodular(L, b2, 2)
+        ok, chain = is_k_submodular(L, b2.id, 2)
         assert ok and len(chain) == 3
         for a, b in zip(chain, chain[1:]):
             assert step_kind(L, a, b) is not None
@@ -61,8 +61,8 @@ def test_criterion_02_lm_group_values_in_holomorph_z5(hol5):
                 pair = b_id
                 break
         assert pair is not None
-        meet = L.subgroups[L.meet(a.id, pair)]
-        assert is_n_maximal_with_index(L, meet, L.subgroups[pair]) == (2, 2)
+        meet = L.meet(a.id, pair)
+        assert is_n_maximal_with_index(L, meet, pair) == (2, 2)
         assert time.perf_counter() - t0 < 5.0
 
 
@@ -73,8 +73,8 @@ def test_criterion_03_subnormal_not_submodular_in_holomorph_z7(hol7):
         y = next(s for s in L.subgroups if s.order == 6)
         U1 = oracle("U_k", k=1)
         assert residual(hol7, U1).order == 1
-        assert classes.is_F_subnormal(hol7, y, U1)
-        assert is_k_submodular(L, y, 1) == (False, None)
+        assert y.id in classes.f_subnormal_set(L, U1)
+        assert is_k_submodular(L, y.id, 1) == (False, None)
         assert time.perf_counter() - t0 < 5.0
 
 

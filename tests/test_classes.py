@@ -3,8 +3,7 @@ import pytest
 from grouplab import direct_product, generate, named_group
 from grouplab import classes, harness, structure
 from grouplab.classes import (f_function, h_function, in_local_formation,
-                              in_wF, is_F_subnormal, is_KP_subnormal,
-                              is_P_subnormal, oracle, residual)
+                              in_wF, oracle, residual)
 
 
 def test_oracle_basic_classes(s4):
@@ -137,9 +136,10 @@ def test_p_subnormal(s4):
     L = s4.lattice()
     syl2 = next(s for s in L.subgroups if s.order == 8)
     syl3 = next(s for s in L.subgroups if s.order == 3)
-    assert is_P_subnormal(s4, syl2)
-    assert not is_P_subnormal(s4, syl3)
-    assert is_P_subnormal(s4, L.subgroups[L.top.id])
+    p = classes.p_subnormal_set(L)
+    assert syl2.id in p
+    assert syl3.id not in p
+    assert L.top.id in p
 
 
 def test_kp_subnormal_extends_p(s4):
@@ -149,14 +149,14 @@ def test_kp_subnormal_extends_p(s4):
     assert p <= kp
     v4 = next(s for s in L.subgroups if s.order == 4
               and L.normalizer(s.id) == L.top.id)
-    assert is_KP_subnormal(s4, v4)
+    assert v4.id in kp
 
 
 def test_f_subnormal(hol7):
     L = hol7.lattice()
     U1 = oracle("U_k", k=1)
     y = next(s for s in L.subgroups if s.order == 6)
-    assert is_F_subnormal(hol7, y, U1)
+    assert y.id in classes.f_subnormal_set(L, U1)
 
 
 def test_f_subnormal_residual_containment(s4):
@@ -164,9 +164,10 @@ def test_f_subnormal_residual_containment(s4):
     U = oracle("U")
     L = s4.lattice()
     r = residual(s4, U)
+    reach = classes.f_subnormal_set(L, U)
     for s in L.subgroups:
         if L.leq(L.by_mask[r.mask], s.id):
-            assert is_F_subnormal(s4, s, U)
+            assert s.id in reach
 
 
 def test_local_formation_membership(hol5, s4):

@@ -111,10 +111,10 @@ def test_intersect_and_maximal(s4):
 def test_n_maximal_chains(hol5):
     L = hol5.lattice()
     four = next(s for s in L.subgroups if s.order == 4)
-    n, q = is_n_maximal_with_index(L, L.bottom, four)
+    n, q = is_n_maximal_with_index(L, L.bottom.id, four.id)
     assert (n, q) == (2, 2)  # a 2-step maximal chain 1 < Z2 < Z4
     assert n != 1  # and no 1-step one
-    assert is_n_maximal_with_index(L, L.top, L.top) == (0, None)
+    assert is_n_maximal_with_index(L, L.top.id, L.top.id) == (0, None)
 
 
 def test_frattini():
@@ -311,7 +311,7 @@ def test_prime_chains_and_intervals_match_definitions(corpus):
                 if pp is not None:
                     q, n = pp
                     chain = n in _chain_lengths(L, a, b, memo)
-                    assert is_n_maximal_with_index(L, subs[a], subs[b]) == (
+                    assert is_n_maximal_with_index(L, a, b) == (
                         (n, q) if chain else None), (G.name, a, b)
         prime_step = lambda a, b: is_prime(subs[b].order // subs[a].order)
         assert p_subnormal_set(L) == frozenset(L.reach_down(L.top.id, prime_step))

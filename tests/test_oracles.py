@@ -1,13 +1,15 @@
 """Structural predicates against sympy's permutation groups, an oracle that
 shares no code with the engine."""
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from grouplab import Permutation, direct_product, generate, named_group
-from grouplab import classes, structure
+from grouplab import classes, structure, submodular
 from grouplab.permgroup import quotient_cached
+from definitions import classes_by_definition, step_table
 from test_fuzz import two_permutations
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -87,6 +89,27 @@ def test_corpus_supersolubility_matches_sympy(corpus):
             not_supersoluble.append(entry.name)
     assert not mismatches
     assert not_supersoluble == ["A4", "A4xZ2", "A5", "S4", "S5"]
+
+
+def test_corpus_classes_match_definitions(corpus):
+    """`in_class` of every corpus group at k = 1..3 against the definitions
+    of X, Y, K and F on the definitional step table, with K's
+    supersolubility from sympy."""
+    mismatches, members = [], Counter()
+    for entry in corpus:
+        G, L = entry.group, entry.lattice
+        table = step_table(L)
+        supersoluble = _supersoluble_by_sympy(
+            _sympy_group(G, [G.element_index[g] for g in G.generators]))
+        for k in (1, 2, 3):
+            theirs = classes_by_definition(L, table, k, supersoluble)
+            ours = {c: submodular.in_class(L, c, k)
+                    for c in submodular.CLASS_IDS}
+            if ours != theirs:
+                mismatches.append((entry.name, k, ours, theirs))
+            members.update(c for c, member in theirs.items() if member)
+    assert not mismatches
+    assert members == {"X": 206, "Y": 206, "K": 209, "F": 209}
 
 
 @pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5]),

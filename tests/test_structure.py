@@ -190,9 +190,10 @@ def test_memoised_lists_are_fresh(s4):
         first.reverse()
         first.append(first[0])
         assert query(L, top) == expected
+    # a chief factor is an immutable record, so no caller can change a memo
     cf = structure.chief_factors_in(L, top)[0]
-    cf.complemented = not cf.complemented
-    assert structure.chief_factors_in(L, top)[0].complemented != cf.complemented
+    with pytest.raises(AttributeError):
+        cf.complemented = not cf.complemented
 
 
 def test_memoised_answers_match_a_fresh_lattice(corpus):

@@ -11,11 +11,11 @@ from grouplab.lattice import SubgroupLattice
 from grouplab.permgroup import factorize
 from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  is_modular_subgroup, is_n_maximal_with_index,
-                                 is_n_modularly_embedded, is_submodular,
+                                 is_n_modularly_embedded,
                                  ksub_set, lattice_dot, schmidt_maximal_modular,
                                  step_kind, submodular_set,
                                  thm31_characterization, thm32_characterization)
-from definitions import step_by_definition, step_table
+from definitions import ksub_by_definition, step_by_definition, step_table
 from test_fuzz import two_permutations
 
 
@@ -25,38 +25,37 @@ def _by_order(L, order, **kw):
 
 def test_modular_in_abelian_group():
     L = named_group("cyclic", [12]).lattice()
-    assert all(is_modular_subgroup(L, s) for s in L.subgroups)
+    assert all(is_modular_subgroup(L, s.id) for s in L.subgroups)
 
 
 def test_normal_implies_modular(s4):
     L = s4.lattice()
     v4 = next(s for s in L.subgroups if s.order == 4
               and L.normalizer(s.id) == L.top.id)
-    assert is_modular_subgroup(L, v4)
+    assert is_modular_subgroup(L, v4.id)
 
 
 def test_point_stabilizer_not_modular_in_s4(s4):
     L = s4.lattice()
-    assert not is_modular_subgroup(L, _by_order(L, 6))
+    assert not is_modular_subgroup(L, _by_order(L, 6).id)
 
 
 def test_schmidt_oracle_agrees_on_maximals(s4, hol5):
     for G in (s4, hol5, named_group("dihedral", [6])):
         L = G.lattice()
         for m in L.hasse_down[L.top.id]:
-            M = L.subgroups[m]
-            assert (schmidt_maximal_modular(L, M)
-                    == is_modular_subgroup(L, M))
+            assert (schmidt_maximal_modular(L, m)
+                    == is_modular_subgroup(L, m))
 
 
 def test_submodular_basics(s4):
     L = s4.lattice()
-    assert is_submodular(L, L.subgroups[L.top.id])
+    assert L.top.id in submodular_set(L)
     # subnormal subgroups are submodular: V4 < D8 < S4
     v4_normal = next(s for s in L.subgroups if s.order == 4
                      and L.normalizer(s.id) == L.top.id)
-    assert is_submodular(L, v4_normal)
-    assert not is_submodular(L, _by_order(L, 6))
+    assert v4_normal.id in submodular_set(L)
+    assert _by_order(L, 6).id not in submodular_set(L)
 
 
 def test_k1_chains_collapse_to_submodular(s4, hol5, hol7):
@@ -69,17 +68,17 @@ def test_n_modular_embedding_hol5(hol5):
     L = hol5.lattice()
     y = next(s for s in L.subgroups if s.order == 4
              and L.subgroups[L.core(s.id)].order == 1)
-    assert is_n_modularly_embedded(L, L.top, y, 2)
-    assert not is_n_modularly_embedded(L, L.top, y, 1)
+    assert is_n_modularly_embedded(L, y.id, L.top.id, 2)
+    assert not is_n_modularly_embedded(L, y.id, L.top.id, 1)
     with pytest.raises(Exception):
-        is_n_modularly_embedded(L, L.top, y, 0)
+        is_n_modularly_embedded(L, y.id, L.top.id, 0)
 
 
 def test_normal_is_n_modularly_embedded_for_all_n(hol5):
     L = hol5.lattice()
     five = _by_order(L, 5)
     for n in (1, 2, 3):
-        assert is_n_modularly_embedded(L, L.top, five, n)
+        assert is_n_modularly_embedded(L, five.id, L.top.id, n)
 
 
 def test_step_kind_unique_n(hol5):
@@ -95,7 +94,7 @@ def test_k_submodular_witness_chain(hol5):
     y = next(s for s in L.subgroups if s.order == 4
              and L.subgroups[L.core(s.id)].order == 1)
     h = next(s for s in L.subgroups if s.order == 2 and L.leq(s.id, y.id))
-    ok, chain = is_k_submodular(L, h, 2)
+    ok, chain = is_k_submodular(L, h.id, 2)
     assert ok and chain[0] == h.id and chain[-1] == L.top.id
     assert [L.subgroups[i].order for i in chain] == [2, 4, 20]
     # every step re-verifiable
@@ -105,7 +104,7 @@ def test_k_submodular_witness_chain(hol5):
 def test_witness_chain_pinned(s4):
     L = s4.lattice()
     h = next(s for s in L.subgroups if s.gen_cycles() == ["(1 2)"])
-    ok, chain = is_k_submodular(L, h, 2)
+    ok, chain = is_k_submodular(L, h.id, 2)
     assert ok
     assert [L.subgroups[i].gen_cycles() for i in chain] == [
         ["(1 2)"], ["(1 2)", "(3 4)"], ["(1 2)", "(1 3)(2 4)"],
@@ -121,7 +120,7 @@ def test_witnesses_share_one_search(monkeypatch):
     real = type(L).reach_down
     monkeypatch.setattr(type(L), "reach_down", lambda self, top, pred: (
         tops.append(top) or real(self, top, pred)))
-    answers = [is_k_submodular(L, h, 1)[0] for h in L.subgroups]
+    answers = [is_k_submodular(L, h, 1)[0] for h in range(len(L))]
     assert tops == [L.top.id]
     assert [h for h, ok in enumerate(answers) if ok] == sorted(ksub_set(L, 1))
 
@@ -129,7 +128,7 @@ def test_witnesses_share_one_search(monkeypatch):
 def test_hol7_y_not_1_submodular(hol7):
     L = hol7.lattice()
     y = _by_order(L, 6)
-    assert is_k_submodular(L, y, 1) == (False, None)
+    assert is_k_submodular(L, y.id, 1) == (False, None)
 
 
 def test_subnormal_implies_k_submodular(s4):
@@ -145,12 +144,11 @@ def test_n_maximal_with_index(hol5):
     L = hol5.lattice()
     b = next(s for s in L.subgroups if s.order == 4
              and L.subgroups[L.core(s.id)].order == 1)
-    bottom = L.subgroups[L.bottom.id]
-    assert is_n_maximal_with_index(L, bottom, b) == (2, 2)
-    assert is_n_maximal_with_index(L, b, b) == (0, None)
+    assert is_n_maximal_with_index(L, L.bottom.id, b.id) == (2, 2)
+    assert is_n_maximal_with_index(L, b.id, b.id) == (0, None)
     s3L = named_group("sym", [3]).lattice()
     z2 = next(s for s in s3L.subgroups if s.order == 2)
-    assert is_n_maximal_with_index(s3L, z2, s3L.subgroups[s3L.top.id]) == (1, 3)
+    assert is_n_maximal_with_index(s3L, z2.id, s3L.top.id) == (1, 3)
 
 
 def test_k_lm_group(hol5):
@@ -162,7 +160,7 @@ def test_k_lm_group(hol5):
     a, b = cex1
     # counterexample is re-verifiable
     d = L.meet(a, b)
-    res = is_n_maximal_with_index(L, L.subgroups[d], L.subgroups[b])
+    res = is_n_maximal_with_index(L, d, b)
     assert res is None or not 1 <= res[0] <= 1
 
 
@@ -171,15 +169,15 @@ def _k_lm_by_definition(L, k):
     a maximal in the join whose meet is not n-maximal in b for 1 <= n <= k."""
     for a, b in L.maximal_in_join():
         d = L.meet(a, b)
-        res = is_n_maximal_with_index(L, L.subgroups[d], L.subgroups[b])
+        res = is_n_maximal_with_index(L, d, b)
         if res is None or not 1 <= res[0] <= k:
             return False, (a, b)
     return True, None
 
 
 def test_k_lm_group_matches_per_k_scan_on_corpus(corpus, monkeypatch):
-    """One scan per lattice serves every k, with the per-k loop's answer;
-    the k order makes later calls both resume the scan and reuse it."""
+    """One scan per lattice serves every k, in any order of k, with the
+    per-k loop's answer."""
     ks = (2, 1, 4, 3)
     for e in corpus:
         L = e.lattice
@@ -271,7 +269,7 @@ def test_degenerate_group():
     L = named_group("cyclic", [1]).lattice()
     assert submodular.in_class(L, "Y", 1)
     assert is_k_LM_group(L, 1)[0]
-    assert is_submodular(L, L.subgroups[0])
+    assert 0 in submodular_set(L)
 
 
 def test_lattice_dot_output(hol5):
@@ -329,7 +327,7 @@ def _check_witnesses(G):
         assert dist == shortest
         assert frozenset(dist) == ksub_set(L, k)
         for h in ksub_set(L, k):
-            ok, chain = is_k_submodular(L, L.subgroups[h], k)
+            ok, chain = is_k_submodular(L, h, k)
             assert ok and chain[0] == h and chain[-1] == L.top.id
             assert len(chain) - 1 == dist[h]
             for a, b in zip(chain, chain[1:]):
@@ -360,7 +358,7 @@ def test_witness_steps_hold_by_definition_above_order_60(corpus):
         L = G.lattice()
         for k in (1, 2, 3):
             for h in ksub_set(L, k):
-                _, chain = is_k_submodular(L, L.subgroups[h], k)
+                _, chain = is_k_submodular(L, h, k)
                 for a, b in zip(chain, chain[1:]):
                     kind = step_by_definition(
                         G, set(L.subgroups[a].members),
@@ -368,6 +366,23 @@ def test_witness_steps_hold_by_definition_above_order_60(corpus):
                     assert kind is not None and kind <= k, (entry.name, k, a, b)
                     steps += 1
     assert steps == 754
+
+
+def test_ksub_set_matches_definition_above_order_60(corpus):
+    """`ksub_set` at k = 1..3 of the corpus groups of order above 60, the
+    ones `_check_witnesses` leaves out, rebuilt from the definitional step
+    table."""
+    members = 0
+    for entry in corpus:
+        if entry.order <= 60:
+            continue
+        L = entry.lattice
+        table = step_table(L)
+        for k in (1, 2, 3):
+            reach = ksub_set(L, k)
+            assert reach == ksub_by_definition(L, table, k), (entry.name, k)
+            members += len(reach)
+    assert members == 355
 
 
 # -- modularity against Schmidt's two conditions ------------------------------
