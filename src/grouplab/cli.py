@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import os
-import shutil
 import sys
 
 from .permgroup import (FiniteGroup, GroupError, ParseError, Permutation,
@@ -54,8 +53,7 @@ def _subgroup(G: FiniteGroup, gens: list[str]):
     L = G.lattice()
     ordinals = []
     for cyc in gens:
-        p = Permutation.parse(cyc, G.degree)
-        idx = G.element_index.get(p)
+        idx = G.element_index.get(Permutation.parse(cyc, G.degree))
         if idx is None:
             raise GroupError(f"generator {cyc!r} is not an element of {G.name}")
         ordinals.append(idx)
@@ -73,7 +71,7 @@ def _ks(raw: str) -> list[int]:
 
 
 def cmd_show(args) -> int:
-    G = _group(args.group)
+    ks, G = _ks(args.k), _group(args.group)  # a bad k list prints nothing
     L = G.lattice()
     print(f"group {G.name}: order {G.order}, primes {list(G.prime_divisors())}")
     print(f"  abelian={G.is_abelian()} cyclic={G.is_cyclic()} "
@@ -90,7 +88,7 @@ def cmd_show(args) -> int:
         print(f"  chief factor {cf.above.order}/{cf.below.order}: order "
               f"{cf.order}, complemented={cf.complemented}, "
               f"|centralizer|={cf.centralizer.order}")
-    for k in _ks(args.k):
+    for k in ks:
         marks = {c: submodular.in_class(L, c, k) for c in submodular.CLASS_IDS}
         print(f"  k={k}: " + " ".join(f"{c}={v}" for c, v in marks.items()))
     return EXIT_TRUE
@@ -110,11 +108,9 @@ def cmd_check(args) -> int:
         ok, cex = submodular.is_k_LM_group(L, args.k)
         print(f"{G.name} is {'' if ok else 'not '}a {args.k}-LM group")
         if cex is not None:
-            a, b = cex
-            print(f"  counterexample pair: orders "
-                  f"{L.subgroups[a].order}, {L.subgroups[b].order}; "
-                  f"generators {L.subgroups[a].gen_cycles()} / "
-                  f"{L.subgroups[b].gen_cycles()}")
+            A, B = (L.subgroups[i] for i in cex)
+            print(f"  counterexample pair: orders {A.order}, {B.order}; "
+                  f"generators {A.gen_cycles()} / {B.gen_cycles()}")
         return EXIT_TRUE if ok else EXIT_FALSE
     if not args.gens:
         raise GroupError(f"predicate {pred!r} needs --gens")
@@ -141,9 +137,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    G = _group(args.group)
-    L = G.lattice()
-    for k in _ks(args.k):
+    ks, L = _ks(args.k), _group(args.group).lattice()
+    for k in ks:
         for c in submodular.CLASS_IDS:
             print(f"k={k} class {c}: {submodular.in_class(L, c, k)}")
     return EXIT_TRUE
@@ -151,24 +146,22 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import harness
-    suites = [s for s in args.suite.split(",") if s]
+    suites, ks = [s for s in args.suite.split(",") if s], _ks(args.k)
     if not suites:
         raise GroupError("--suite needs one or more suite ids")
     for s in suites:
         if s not in harness.SUITE_IDS:
             raise GroupError(f"unknown suite {s!r}")
     corpus = harness.build_corpus(harness.CorpusConfig(cap=args.cap))
-    reports = [harness.run_suite(s, _ks(args.k), corpus) for s in suites]
+    reports = [harness.run_suite(s, ks, corpus) for s in suites]
     if args.out:
         harness.report_to_file(reports, args.out)
-    all_ok = True
     for rep in reports:
         s = rep.summary()
         print(f"suite {rep.suite} k={rep.k_set}: "
               f"{s['passed']}/{s['total']} records pass, "
               f"suite_pass={rep.passed}")
-        all_ok = all_ok and rep.passed
-    return EXIT_TRUE if all_ok else EXIT_FALSE
+    return EXIT_TRUE if all(rep.passed for rep in reports) else EXIT_FALSE
 
 
 def cmd_corpus(args) -> int:
@@ -181,10 +174,9 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_export_lattice(args) -> int:
-    G = _group(args.group)
     if not args.emit_dot:
         raise GroupError("export-lattice requires --emit-dot")
-    dot = submodular.lattice_dot(G.lattice(), k=args.k)
+    dot = submodular.lattice_dot(_group(args.group).lattice(), k=args.k)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dot + "\n")
@@ -193,10 +185,28 @@ def cmd_export_lattice(args) -> int:
     return EXIT_TRUE
 
 
+def _columns() -> int:
+    """`shutil.get_terminal_size().columns`, without importing shutil."""
+    try:
+        cols = int(os.environ.get("COLUMNS", 0))
+    except ValueError:
+        cols = 0
+    try:  # stdout may be None, closed or not a terminal
+        return cols if cols > 0 else os.get_terminal_size(
+            sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):
+        return 80
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ParseError, so `main` reports them on one `error:`
     line and returns 2 instead of argparse printing usage and exiting.
-    Subparsers are built from the same class."""
+    Help wraps to `_columns()` less argparse's 2-column margin, looked up
+    once per parser: a HelpFormatter would import shutil, once per argument."""
+
+    def __init__(self, **kw):
+        super().__init__(formatter_class=functools.partial(
+            argparse.HelpFormatter, width=_columns() - 2), **kw)
 
     def error(self, message: str):
         raise ParseError(f"{self.prog}: {message}")
@@ -255,29 +265,34 @@ COMMANDS = {  # name -> (help, function adding its arguments, command)
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    # a HelpFormatter left to itself looks up the terminal width (less its
-    # 2-column margin), and add_argument builds one per argument: look the
-    # width up once instead
-    fmt = functools.partial(argparse.HelpFormatter,
-                            width=shutil.get_terminal_size().columns - 2)
-    top = _Parser(
-        prog="grouplab", formatter_class=fmt,
-        description="finite-group engine for submodularity analysis")
-    sub = top.add_subparsers(
-        dest="command", required=True,
-        parser_class=functools.partial(_Parser, formatter_class=fmt))
-    # only the command argv[0] names; all when it names none (-h, --, typos)
-    for name in [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS:
-        help_, add_args, _ = COMMANDS[name]
-        add_args(sub.add_parser(name, help=help_))
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """Command `name`'s parser alone, or with no name all six as subparsers."""
+    if name:
+        p = _Parser(prog=f"grouplab {name}")
+        COMMANDS[name][1](p)
+        return p
+    top = _Parser(prog="grouplab",
+                  description="finite-group engine for submodularity analysis")
+    sub = top.add_subparsers(dest="command", required=True)
+    for cmd, (help_, add_args, _) in COMMANDS.items():
+        add_args(sub.add_parser(cmd, help=help_))
     return top
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    if not argv or argv[0] not in COMMANDS:  # help, typos: the full parser
+        return build_parser().parse_args(argv)
+    args, extra = build_parser(argv[0]).parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:  # worded as the top-level parser words them
+        raise ParseError(f"grouplab: unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_args(argv)
         code = COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code

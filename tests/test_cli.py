@@ -134,10 +134,13 @@ def test_inline_json_not_an_object(capsys, spec):
     ["verify"],
     ["show", "alt:-3"],
     ["show", "alt:0"],
+    # a bad k list is rejected before the summary is printed
+    ["show", "sym:3", "--k", "1,a"], ["show", "sym:3", "--k", "0"],
+    ["show", "sym:3", "--k", ","], ["classify", "sym:3", "--k", "x"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert code == 2
+    assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
@@ -200,6 +203,16 @@ def test_verify_lemma_suite_single_k(capsys, tmp_path):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "T9.9")
     assert code == 2 and "unknown suite" in err
+
+
+def test_verify_bad_k_list_builds_no_corpus(capsys, monkeypatch):
+    from grouplab import harness
+
+    def build_corpus(config):
+        raise AssertionError("corpus built before the k list was checked")
+    monkeypatch.setattr(harness, "build_corpus", build_corpus)
+    code, out, err = run(capsys, "verify", "--suite", "R1", "--k", "x")
+    assert (code, out, err) == (2, "", "error: bad k list 'x'\n")
 
 
 def test_corpus_list(capsys):
@@ -278,22 +291,39 @@ def test_help_wraps_to_terminal_width(monkeypatch, columns):
     ["show", "--k", "1", "sym:3"], ["classify", "sym:3", "--k", "2"],
     ["export-lattice", "sym:3", "--emit-dot"],
     ["corpus", "list", "--cap", "6"], ["verify", "--suite", "T9.9"],
+    ["check", "modular", "sym:3", "--ge", "(1 2)"], ["show", "sym:3", "--k=2"],
+    ["check", "modular", "sym:3", "--gens"], ["show", "sym:3", "-k", "2"],
+    ["check", "k-submodular", "sym:4", "--gens", "(1 2)", "--k", "2",
+     "--bogus", "x"],
 ])
 def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch,
                                                        argv):
     monkeypatch.setenv("COLUMNS", "80")
     got = run(capsys, *argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv: full())
+    # the reference: the top-level parser with all six commands, whole argv
+    monkeypatch.setattr(cli, "parse_args",
+                        lambda argv: cli.build_parser().parse_args(argv))
     assert run(capsys, *argv) == got
 
 
 def test_parser_for_one_command_builds_only_it():
-    sub = _subparsers(cli.build_parser(["check", "modular", "sym:3"]))
-    assert list(sub.choices) == ["check"]
-    assert [a.dest for a in sub.choices["check"]._actions] == [
+    p = cli.build_parser("check")
+    assert p.prog == "grouplab check"
+    assert not any(isinstance(a, argparse._SubParsersAction)
+                   for a in p._actions)
+    assert [a.dest for a in p._actions] == [
         "help", "predicate", "group", "gens", "k", "n"]
     assert list(_subparsers(cli.build_parser()).choices) == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("columns", [None, "0", "-5", "abc", "120"])
+def test_columns_as_shutil_reads_them(monkeypatch, columns):
+    import shutil
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._columns() == shutil.get_terminal_size().columns
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -325,7 +355,8 @@ def test_one_shot_commands_import_no_heavy_stdlib():
         "from grouplab import cli; cli.main(['show', 'sym:3']); "
         "cli.main(['check', 'k-submodular', 'holomorph_cyclic:5', "
         "'--gens', '(2 3 5 4)', '--k', '2']); "
-        "heavy = {'dataclasses', 'typing', 'inspect'} & set(sys.modules); "
+        "heavy = {'dataclasses', 'typing', 'inspect', 'shutil'} "
+        "& set(sys.modules); "
         "assert not heavy, sorted(heavy)", flags=("-I", "-S"))
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err.decode()
