@@ -54,7 +54,7 @@ def _commute(L: SubgroupLattice, b: int) -> bool:
 def _orders(L: SubgroupLattice, b: int) -> set[int]:
     """The element orders of member b, the same in b as in the parent."""
     orders = L.group.element_orders
-    return {orders[x] for x in L.subgroups[b].members}
+    return {orders[x] for x in set_bits(L.subgroups[b].mask)}
 
 
 def _exponent_ok(L: SubgroupLattice, b: int, k: int, m: int = 0) -> bool:
@@ -122,8 +122,8 @@ def f_function(k: int) -> Callable[[int], ClassOracle]:
 
 
 # -- residuals ---------------------------------------------------------------
-# Read in the parent lattice; `residual_mask` memoises under (b, F.name) and
-# the subnormal sets under string keys, both in the lattice's memo(__name__).
+# Read in the parent lattice and kept by `SubgroupLattice.memo`; the keys
+# that depend on F hold F.name, since oracles are rebuilt on every call.
 
 
 def residual_mask(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
@@ -138,22 +138,22 @@ def residual_mask(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
     from `L.subgroup_as_group(b)`, whose ordinals are b's members in
     ascending order, so it meets them in the order b's own lattice would.
     """
-    memo = L.memo(__name__)
-    hit = memo.get((b, F.name))
-    if hit is None:
-        hit = L.bottom.mask
-        if not F.member_in(L, b):
-            H = L.subgroup_as_group(b)
-            members = L.subgroups[b].members
-            for a in structure.normal_ids_in(L, b)[1:]:
-                hit = L.subgroups[a].mask
-                local = hit if H is L.group else sum(
-                    1 << i for i, m in enumerate(members) if hit >> m & 1)
-                # the trivial quotient is in every non-empty class we build
-                if a == b or F.member(quotient_cached(H, local)[0]):
-                    break
-        memo[b, F.name] = hit
-    return hit
+    return L.memo((residual_mask, b, F.name), lambda: _residual(L, b, F))
+
+
+def _residual(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
+    if F.member_in(L, b):
+        return L.bottom.mask
+    H = L.subgroup_as_group(b)
+    members = set_bits(L.subgroups[b].mask)
+    for a in structure.normal_ids_in(L, b)[1:]:
+        mask = L.subgroups[a].mask
+        local = mask if H is L.group else sum(
+            1 << i for i, m in enumerate(members) if mask >> m & 1)
+        # the trivial quotient is in every non-empty class we build
+        if a == b or F.member(quotient_cached(H, local)[0]):
+            return mask
+    return L.bottom.mask  # b is trivial
 
 
 def residual(G: FiniteGroup, F: ClassOracle) -> Subgroup:
@@ -174,12 +174,8 @@ def p_subnormal_set(L: SubgroupLattice, variant_k: bool = False) -> frozenset[in
     K-P-subnormal (each step of prime index or normal) in the top group."""
     if not variant_k:
         return frozenset(set_bits(L.prime_down[L.top.id]))
-    memo = L.memo(__name__)
-    hit = memo.get("KP")
-    if hit is None:
-        hit = memo["KP"] = frozenset(L.reach_down(
-            L.top.id, lambda a, b: _prime_index(L, a, b) or L.is_normal_in(a, b)))
-    return hit
+    return L.memo((p_subnormal_set,), lambda: frozenset(L.reach_down(
+        L.top.id, lambda a, b: _prime_index(L, a, b) or L.is_normal_in(a, b))))
 
 
 def f_subnormal_set(L: SubgroupLattice, F: ClassOracle) -> frozenset[int]:
@@ -188,14 +184,9 @@ def f_subnormal_set(L: SubgroupLattice, F: ClassOracle) -> frozenset[int]:
     Residuals are computed lazily per chain node, so only groups actually
     touched by the backward search are materialized.
     """
-    memo = L.memo(__name__)
-    key = f"F:{F.name}"
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = frozenset(L.reach_down(
-            L.top.id,
-            lambda a, b: residual_mask(L, b, F) & ~L.subgroups[a].mask == 0))
-    return hit
+    return L.memo((f_subnormal_set, F.name), lambda: frozenset(L.reach_down(
+        L.top.id,
+        lambda a, b: residual_mask(L, b, F) & ~L.subgroups[a].mask == 0)))
 
 
 # -- local formations and the w-construction ---------------------------------

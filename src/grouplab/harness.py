@@ -450,7 +450,7 @@ def _schmidt_like(G: FiniteGroup, L: SubgroupLattice, m: int, k: int) -> bool:
     p_syl = structure.sylow_in(Lq, Lq.top.id, p)
     return (n <= k and facs.get(p) == 1 and Lq.subgroups[p_syl].order == p
             and Lq.is_normal_in(p_syl, Lq.top.id) and img.order == q**n
-            and any(Q.element_orders[x] == q**n for x in img.members))
+            and any(Q.element_orders[x] == q**n for x in set_bits(img.mask)))
 
 
 def _lemma_23(entry, k, counters):

@@ -25,7 +25,7 @@ P-subnormality with one bit test.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .permgroup import (FiniteGroup, OrderCapExceeded, factorize, order_cap,
                         prime_power, set_bits)
@@ -34,16 +34,13 @@ from .permgroup import (FiniteGroup, OrderCapExceeded, factorize, order_cap,
 class Subgroup:
     """Element-subset handle inside a parent group's lattice."""
 
-    __slots__ = ("parent", "members", "mask", "id", "gens")
+    __slots__ = ("parent", "mask", "order", "id", "gens")
 
-    def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
-                 mask: int, id: int, gens: tuple[int, ...]):
-        self.parent, self.members, self.mask, self.id = parent, members, mask, id
-        self.gens = gens  # generates members; conjugation tests use it
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
+    def __init__(self, parent: FiniteGroup, mask: int, id: int,
+                 gens: tuple[int, ...]):
+        self.parent, self.mask, self.id = parent, mask, id
+        self.order = mask.bit_count()
+        self.gens = gens  # generates the members; conjugation tests use it
 
     def gen_cycles(self) -> list[str]:
         """Cycle strings for a small generating set (for reports)."""
@@ -60,14 +57,12 @@ class SubgroupLattice:
     def __init__(self, group: FiniteGroup, mask_gens: dict[int, tuple[int, ...]]):
         self.group = group
         n = group.order
-        items = []
-        for mask, gens in mask_gens.items():
-            members = tuple(set_bits(mask))
-            items.append((len(members), members, mask, gens))
-        items.sort(key=lambda t: (t[0], t[1]))
+        # ids in (order, member list) order; the lists are dropped after
+        items = sorted((mask.bit_count(), set_bits(mask), mask, gens)
+                       for mask, gens in mask_gens.items())
         self.subgroups: list[Subgroup] = [
-            Subgroup(group, members, mask, id=i, gens=gens)
-            for i, (_, members, mask, gens) in enumerate(items)
+            Subgroup(group, mask, id=i, gens=gens)
+            for i, (_, _, mask, gens) in enumerate(items)
         ]
         self.by_mask: dict[int, int] = {s.mask: s.id for s in self.subgroups}
         self.bottom = self.subgroups[0]
@@ -80,10 +75,10 @@ class SubgroupLattice:
         # a -> (r, t) with a = r^t, from the class enumeration
         self._conjugated: dict[int, tuple[int, int]] = {}
         self._subs_of: dict[int, list[int]] = {}
-        self._memos: dict[str, dict] = {}
+        self._memos: dict[tuple, object] = {}
         self._as_group: dict[int, FiniteGroup] = {}
-        # `submodular`'s caches stay attributes: perfbench's tracer reads
-        # their sizes; other modules keep their caches in `memo`
+        # `submodular`'s per-pair caches stay attributes: perfbench's tracer
+        # reads their sizes; every other module answer is kept by `memo`
         self.step_kind_cache: dict[tuple[int, int], int | None] = {}
         self.ksub_reach: dict[tuple[int, int], frozenset[int]] = {}
 
@@ -110,7 +105,7 @@ class SubgroupLattice:
         holders: list[int] = [0] * self.group.order
         for s in subs:
             bit = 1 << s.id
-            for x in s.members:
+            for x in set_bits(s.mask):
                 holders[x] |= bit
         up: list[int] = []
         for s in subs:
@@ -172,13 +167,14 @@ class SubgroupLattice:
             hit = self._subs_of[b] = set_bits(self.down[b])
         return hit
 
-    def memo(self, name: str) -> dict:
-        """The dict another module memoises its answers about this lattice
-        in, under a name it owns (its module name); it is freed with the
-        lattice."""
-        hit = self._memos.get(name)
+    def memo(self, key: tuple, compute: Callable[[], object]):
+        """compute(), worked out on the first call with `key` and kept with
+        the lattice, so it is freed with it.  A key is a tuple led by the
+        function that owns it, such as (normal_ids_in, b); an answer is
+        never None and is kept as the immutable value callers read."""
+        hit = self._memos.get(key)
         if hit is None:
-            hit = self._memos[name] = {}
+            hit = self._memos[key] = compute()
         return hit
 
     def maximal_in_join(self) -> Iterator[tuple[int, int]]:
@@ -281,7 +277,7 @@ class SubgroupLattice:
             G = self.group
             sub = self.subgroups[a]
             hit = self._as_group[a] = FiniteGroup(
-                G.degree, [G.elements[m] for m in sub.members],
+                G.degree, [G.elements[m] for m in set_bits(sub.mask)],
                 [G.elements[g] for g in sub.gens], name=f"{G.name}.sub{a}")
         return hit
 

@@ -727,11 +727,14 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         cycles = spec.get("cycles", [])
         if type(degree) is not int or degree < 0:
             raise ParseError("generators spec needs an integer 'degree'")
+        name = spec.get("name", f"gen{degree}")
         if not isinstance(cycles, list) or not all(isinstance(c, str)
                                                    for c in cycles):
             raise ParseError("generators spec needs a list of cycle strings")
+        if not isinstance(name, str):
+            raise ParseError("generators spec 'name' must be a string")
         gens = [Permutation.parse(c, degree) for c in cycles]
-        return generate(degree, gens, name=spec.get("name", f"gen{degree}"))
+        return generate(degree, gens, name=name)
     if kind == "named":
         return named_group(spec.get("name", ""), spec.get("args", []))
     if kind == "direct":

@@ -13,16 +13,13 @@ in its own right, so no lattice is rebuilt for a subgroup.
 
 The five per-member queries `normal_ids_in`, `chief_factor_pairs_in`,
 `chief_factors_in`, `is_supersoluble_in` and `sylow_in` work out each answer
-once per lattice.  The answers live on the lattice, in the dict this module
-owns under its own name (`SubgroupLattice.memo`), so they are freed with the
+once per lattice, through `SubgroupLattice.memo`, so it is freed with the
 lattice; a module-level table keyed by lattice would keep every lattice
-alive, since a cached `ChiefFactor` holds a `Subgroup`, which holds its
-group, which holds the lattice.  The dict maps a member id to one `_Facts`
-record of compact values: bitsets over ids, bools and ids, never lists of
-pairs or `Subgroup` objects, since the corpus run keeps hundreds of lattices
-alive at once.  The functions that return lists build a fresh one from
-those values on every call, so a caller may change what it gets.  A query
-that needs another's answer calls it, so that answer is read from its memo.
+alive, since a `ChiefFactor` holds a `Subgroup`, which holds its group,
+which holds the lattice.  Each answer is kept as the immutable value the
+caller reads, a tuple or a bool, and returned as kept (`sylow_in` keeps
+one tuple for all primes and reads its prime's id from it).  A query that
+needs another's answer calls it, so that answer is read from its memo.
 """
 from __future__ import annotations
 
@@ -45,29 +42,6 @@ class ChiefFactor(namedtuple(
     __slots__ = ()
 
 
-class _Facts:
-    """The memoised answers about one lattice member b, None until asked."""
-
-    __slots__ = ("normal", "pair_tops", "chief", "supersoluble", "sylow")
-
-    def __init__(self):
-        self.normal = None  # bitset of the normal subgroups of b
-        # per normal k, ascending: bitset of the h with (k, h) a chief-factor pair
-        self.pair_tops = None
-        # centralizer ids in pair order, bitset of the complemented pairs' positions
-        self.chief = None
-        self.supersoluble = None  # cross-checked verdict
-        self.sylow = None  # least-id Sylow subgroup per prime
-
-
-def _facts(L: SubgroupLattice, b: int) -> _Facts:
-    memo = L.memo(__name__)
-    facts = memo.get(b)
-    if facts is None:
-        facts = memo[b] = _Facts()
-    return facts
-
-
 # -- Sylow -------------------------------------------------------------------
 
 
@@ -81,22 +55,23 @@ def sylow_in(L: SubgroupLattice, b: int, p: int) -> int:
     """The Sylow p-subgroup of member b of least id (the trivial subgroup
     when p does not divide |b|).  The first call finds one for every prime
     of |b|; the one for p is the one whose order p divides."""
-    facts = _facts(L, b)
-    if facts.sylow is None:
-        targets = {q**e for q, e in factorize(L.subgroups[b].order).items()}
-        found = []
-        for a in L.subs_of(b):
-            order = L.subgroups[a].order
-            if order in targets:
-                targets.discard(order)
-                found.append(a)
-        if targets:
-            raise AssertionError("Sylow subgroup missing from lattice")
-        facts.sylow = tuple(found)
-    for a in facts.sylow:
+    for a in L.memo((sylow_in, b), lambda: _sylows(L, b)):
         if L.subgroups[a].order % p == 0:
             return a
     return L.bottom.id
+
+
+def _sylows(L: SubgroupLattice, b: int) -> tuple[int, ...]:
+    targets = {q**e for q, e in factorize(L.subgroups[b].order).items()}
+    found = []
+    for a in L.subs_of(b):
+        order = L.subgroups[a].order
+        if order in targets:
+            targets.discard(order)
+            found.append(a)
+    if targets:
+        raise AssertionError("Sylow subgroup missing from lattice")
+    return tuple(found)
 
 
 def all_sylow(G: FiniteGroup) -> list[Subgroup]:
@@ -165,16 +140,10 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return [L.subgroups[i] for i in normal_ids_in(L, L.top.id)]
 
 
-def normal_ids_in(L: SubgroupLattice, b: int) -> list[int]:
+def normal_ids_in(L: SubgroupLattice, b: int) -> tuple[int, ...]:
     """Ids of the normal subgroups of member b, ascending."""
-    facts = _facts(L, b)
-    if facts.normal is None:
-        bits = 0
-        for a in L.subs_of(b):
-            if L.is_normal_in(a, b):
-                bits |= 1 << a
-        facts.normal = bits
-    return set_bits(facts.normal)
+    return L.memo((normal_ids_in, b), lambda: tuple(
+        a for a in L.subs_of(b) if L.is_normal_in(a, b)))
 
 
 def fitting(G: FiniteGroup) -> Subgroup:
@@ -189,61 +158,57 @@ def fitting(G: FiniteGroup) -> Subgroup:
     return L.subgroups[acc]
 
 
-def chief_factors(G: FiniteGroup) -> list[ChiefFactor]:
+def chief_factors(G: FiniteGroup) -> tuple[ChiefFactor, ...]:
     L = G.lattice()
     return chief_factors_in(L, L.top.id)
 
 
-def chief_factor_pairs_in(L: SubgroupLattice, b: int) -> list[tuple[int, int]]:
+def chief_factor_pairs_in(L: SubgroupLattice,
+                          b: int) -> tuple[tuple[int, int], ...]:
     """All pairs (k, h) of b-normal subgroups with h/k minimal normal in b/k:
     k < h and the b-normal subgroups of the interval [k, h] are k and h."""
+    return L.memo((chief_factor_pairs_in, b), lambda: _chief_pairs(L, b))
+
+
+def _chief_pairs(L: SubgroupLattice, b: int) -> tuple[tuple[int, int], ...]:
     normals = normal_ids_in(L, b)
-    facts = _facts(L, b)
-    if facts.pair_tops is None:
-        normal_bits = facts.normal  # filled by normal_ids_in
-        tops = []
-        for k in normals:
-            above = L.up[k] & normal_bits
-            hs = 0
-            for h in set_bits(above ^ (1 << k)):
-                if L.down[h] & above == (1 << k) | (1 << h):
-                    hs |= 1 << h
-            tops.append(hs)
-        facts.pair_tops = tuple(tops)
-    return [(k, h) for k, hs in zip(normals, facts.pair_tops)
-            for h in set_bits(hs)]
+    normal_bits = sum(1 << a for a in normals)
+    pairs = []
+    for k in normals:
+        above = L.up[k] & normal_bits
+        for h in set_bits(above ^ (1 << k)):
+            if L.down[h] & above == (1 << k) | (1 << h):
+                pairs.append((k, h))
+    return tuple(pairs)
 
 
-def chief_factors_in(L: SubgroupLattice, b: int) -> list[ChiefFactor]:
+def chief_factors_in(L: SubgroupLattice, b: int) -> tuple[ChiefFactor, ...]:
     """Chief factors H/K of b, each with C_b(H/K): the g in b with
     [g, h] in K for every generator h of H.  A complement m of H/K has
     m meet H = K, so it lies in the interval [K, b]."""
-    pairs = chief_factor_pairs_in(L, b)
-    facts = _facts(L, b)
-    if facts.chief is None:
-        mult, inv = L.group.mult, L.group.inv
-        cids = []
-        complemented = 0
-        for i, (k, h) in enumerate(pairs):
-            kmask = L.subgroups[k].mask
-            cmask = 0
-            for g in L.subgroups[b].members:
-                gi = inv[g]
-                if all(kmask >> mult[mult[gi][inv[x]]][mult[g][x]] & 1
-                       for x in L.subgroups[h].gens):
-                    cmask |= 1 << g
-            cids.append(L.by_mask[cmask])
-            if any(L.join(h, m) == b and L.meet(h, m) == k
-                   for m in L.interval(k, b)):
-                complemented |= 1 << i
-        facts.chief = tuple(cids), complemented
-    cids, complemented = facts.chief
+    return L.memo((chief_factors_in, b), lambda: _chief_factors(L, b))
+
+
+def _chief_factors(L: SubgroupLattice, b: int) -> tuple[ChiefFactor, ...]:
+    mult, inv = L.group.mult, L.group.inv
     subs = L.subgroups
-    return [ChiefFactor(below=subs[k], above=subs[h],
-                        order=subs[h].order // subs[k].order,
-                        complemented=bool(complemented >> i & 1),
-                        centralizer=subs[c])
-            for i, ((k, h), c) in enumerate(zip(pairs, cids))]
+    members = set_bits(subs[b].mask)
+    factors = []
+    for k, h in chief_factor_pairs_in(L, b):
+        kmask = subs[k].mask
+        cmask = 0
+        for g in members:
+            gi = inv[g]
+            if all(kmask >> mult[mult[gi][inv[x]]][mult[g][x]] & 1
+                   for x in subs[h].gens):
+                cmask |= 1 << g
+        factors.append(ChiefFactor(
+            below=subs[k], above=subs[h],
+            order=subs[h].order // subs[k].order,
+            complemented=any(L.join(h, m) == b and L.meet(h, m) == k
+                             for m in L.interval(k, b)),
+            centralizer=subs[L.by_mask[cmask]]))
+    return tuple(factors)
 
 
 # -- supersolubility and dispersivity ---------------------------------------
@@ -252,20 +217,20 @@ def chief_factors_in(L: SubgroupLattice, b: int) -> list[ChiefFactor]:
 def is_supersoluble_in(L: SubgroupLattice, b: int) -> bool:
     """Every chief factor of b has prime order; cross-checked against the
     prime-index-maximal-subgroups criterion when first asked."""
-    facts = _facts(L, b)
-    if facts.supersoluble is None:
-        primary = all(
-            is_prime(L.subgroups[h].order // L.subgroups[k].order)
-            for k, h in chief_factor_pairs_in(L, b))
-        # cross-check: all maximal subgroups of b have prime index (Huppert)
-        ob = L.subgroups[b].order
-        crosscheck = ob == 1 or all(
-            is_prime(ob // L.subgroups[m].order) for m in L.hasse_down[b])
-        if primary != crosscheck:
-            raise InternalInconsistency(
-                f"supersolubility criteria disagree on {L.group.name} member {b}")
-        facts.supersoluble = primary
-    return facts.supersoluble
+    return L.memo((is_supersoluble_in, b), lambda: _supersoluble(L, b))
+
+
+def _supersoluble(L: SubgroupLattice, b: int) -> bool:
+    primary = all(is_prime(L.subgroups[h].order // L.subgroups[k].order)
+                  for k, h in chief_factor_pairs_in(L, b))
+    # cross-check: all maximal subgroups of b have prime index (Huppert)
+    ob = L.subgroups[b].order
+    crosscheck = ob == 1 or all(
+        is_prime(ob // L.subgroups[m].order) for m in L.hasse_down[b])
+    if primary != crosscheck:
+        raise InternalInconsistency(
+            f"supersolubility criteria disagree on {L.group.name} member {b}")
+    return primary
 
 
 def is_supersoluble(G: FiniteGroup) -> bool:

@@ -90,14 +90,10 @@ def _modular_in(L: SubgroupLattice, m: int, b: int) -> bool:
     injective, hence onto as the sizes match, and phi psi = id too; so (1)
     needs no test of its own.
     """
-    memo = L.memo(__name__)
-    hit = memo.get((m, b))
-    if hit is None:
-        up, down, meet, join = L.up, L.down, L.meet, L.join
-        hit = memo[m, b] = all(
-            (down[y] & up[meet(y, m)]).bit_count()
-            == (down[join(y, m)] & up[m]).bit_count() for y in L.subs_of(b))
-    return hit
+    up, down, meet, join = L.up, L.down, L.meet, L.join
+    return L.memo((_modular_in, m, b), lambda: all(
+        (down[y] & up[meet(y, m)]).bit_count()
+        == (down[join(y, m)] & up[m]).bit_count() for y in L.subs_of(b)))
 
 
 def is_modular_subgroup(L: SubgroupLattice, m: int) -> bool:
@@ -148,11 +144,8 @@ def is_k_submodular(L: SubgroupLattice, h: int,
     if k < 1:
         raise GroupError("k-submodularity needs k >= 1")
     top = L.top.id
-    memo = L.memo(__name__)
-    dist = memo.get(("dist", k))
-    if dist is None:
-        dist = memo["dist", k] = L.reach_down(
-            top, lambda a, b: _step_ok(L, a, b, k))
+    dist = L.memo((is_k_submodular, k), lambda: L.reach_down(
+        top, lambda a, b: _step_ok(L, a, b, k)))
     if h not in dist:
         return False, None
     ids = [h]
@@ -194,14 +187,11 @@ def is_k_LM_group(L: SubgroupLattice,
     needed so far rises above k.  The memo keeps the list of those rises."""
     if k < 1:
         raise GroupError("k-LM needs k >= 1")
-    memo = L.memo(__name__)
-    rises = memo.get("LM")
-    if rises is None:
-        rises = memo["LM"] = _lm_rises(L)
+    rises = L.memo((is_k_LM_group,), lambda: _lm_rises(L))
     return next(((False, pair) for n, pair in rises if n > k), (True, None))
 
 
-def _lm_rises(L: SubgroupLattice) -> list[tuple[float, tuple[int, int]]]:
+def _lm_rises(L: SubgroupLattice) -> tuple[tuple[float, tuple[int, int]], ...]:
     """(n, pair) at each pair that needs a larger n than every pair before
     it; a pair without a prime-power chain needs infinity."""
     need, rises = 0, []
@@ -212,7 +202,7 @@ def _lm_rises(L: SubgroupLattice) -> list[tuple[float, tuple[int, int]]]:
         if n > need:
             need = n
             rises.append((n, (a, b)))
-    return rises
+    return tuple(rises)
 
 
 # -- class membership --------------------------------------------------------

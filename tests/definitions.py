@@ -1,11 +1,11 @@
 """Definitional oracles on element sets, for the tests: they read only a
-group's multiplication table and inverses and a lattice's list of members,
+group's multiplication table and inverses and a lattice's member masks,
 never the engine's step classifier, cores, nilpotency tests, covers or
 reach sets.  The lemma forms at the end are the other kind: the L suite's
 lemmas L2.5 and L2.6 written pair by pair, on the engine's k-submodular
 sets."""
 from grouplab import harness, submodular
-from grouplab.permgroup import factorize
+from grouplab.permgroup import factorize, set_bits
 
 
 def closure(G, gens):
@@ -64,7 +64,7 @@ def step_table(L):
     """`step_by_definition` of every pair (a, b) of L's ids whose element
     sets are strictly included, a in b."""
     G = L.group
-    sets = [set(s.members) for s in L.subgroups]
+    sets = [set(set_bits(s.mask)) for s in L.subgroups]
     return {(a, b): step_by_definition(G, lo, up)
             for a, lo in enumerate(sets) for b, up in enumerate(sets)
             if lo < up}

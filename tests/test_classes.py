@@ -4,6 +4,7 @@ from grouplab import direct_product, generate, named_group
 from grouplab import classes, harness, structure
 from grouplab.classes import (f_function, h_function, in_local_formation,
                               in_wF, oracle, residual)
+from grouplab.permgroup import set_bits
 
 
 def test_oracle_basic_classes(s4):
@@ -83,7 +84,7 @@ def test_residual_in_parent_lattice_matches_member_lattice(spec):
         H = generate(G.degree, [G.elements[g] for g in sb.gens])
         for F in oracles:
             expect = sum(1 << G.element_index[H.elements[i]]
-                         for i in residual(H, F).members)
+                         for i in set_bits(residual(H, F).mask))
             assert classes.residual_mask(L, sb.id, F) == expect, (sb.id, F.name)
 
 

@@ -129,6 +129,8 @@ def test_inline_json_not_an_object(capsys, spec):
     ["verify", "--suite", ""],
     ["show", '{"kind": "generators", "degree": true}'],
     ["show", '{"kind": "generators", "degree": false}'],
+    ["show", '{"kind": "generators", "degree": 3, "cycles": ["(1 2)"], '
+             '"name": [1]}'],
     ["show"],
     ["check"],
     ["verify"],

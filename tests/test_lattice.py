@@ -187,13 +187,14 @@ def test_normalizer_conjugates_core_match_definitions(name, args):
             if not L.leq(a, b):
                 continue
             core = s.mask
-            for g in L.subgroups[b].members:
+            members = set_bits(L.subgroups[b].mask)
+            for g in members:
                 core &= conj[a][g]
             assert L.subgroups[L.core(a, within=b)].mask == core
             assert ({L.subgroups[c].mask for c in L.conjugates(a, within=b)}
-                    == {conj[a][g] for g in L.subgroups[b].members})
+                    == {conj[a][g] for g in members})
             assert L.is_normal_in(a, b) == all(
-                conj[a][g] == s.mask for g in L.subgroups[b].members)
+                conj[a][g] == s.mask for g in members)
 
 
 def _closure_by_permutations(G, gens):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from grouplab import Permutation, direct_product, generate, named_group
 from grouplab import classes, structure, submodular
-from grouplab.permgroup import quotient_cached
+from grouplab.permgroup import quotient_cached, set_bits
 from definitions import classes_by_definition, step_table
 from test_fuzz import two_permutations
 
@@ -112,6 +112,33 @@ def test_corpus_classes_match_definitions(corpus):
     assert members == {"X": 206, "Y": 206, "K": 209, "F": 209}
 
 
+def test_member_classes_match_definitions(corpus):
+    """`in_class(L, c, k, top=b)` for every member b of five corpus groups,
+    asked in the parent lattice, against the definitions of X, Y, K and F
+    on b's own lattice and step table, with K's supersolubility from
+    sympy."""
+    mismatches, members, checked = [], Counter(), 0
+    for entry in corpus:
+        if entry.name not in ("S4", "Hol(Z5)", "Hol(Z7)", "A4xZ2", "S3xS3"):
+            continue
+        G, L = entry.group, entry.lattice
+        for sb in L.subgroups:
+            Lb = L.subgroup_as_group(sb.id).lattice()
+            table = step_table(Lb)
+            supersoluble = _supersoluble_by_sympy(_sympy_group(G, sb.gens))
+            for k in (1, 2, 3):
+                theirs = classes_by_definition(Lb, table, k, supersoluble)
+                ours = {c: submodular.in_class(L, c, k, top=sb.id)
+                        for c in submodular.CLASS_IDS}
+                if ours != theirs:
+                    mismatches.append((entry.name, sb.id, k, ours, theirs))
+                members.update(c for c, member in theirs.items() if member)
+                checked += 1
+    assert not mismatches
+    assert checked == 468
+    assert members == {"X": 452, "Y": 452, "K": 455, "F": 455}
+
+
 @pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5]),
                                        ("holomorph_cyclic", [7]), ("sym", [5])])
 def test_member_supersolubility_matches_sympy(name, args):
@@ -133,8 +160,9 @@ def test_quotient_nilpotency_matches_sympy(name, args):
     checked = 0
     for sb in L.subgroups:
         H = L.subgroup_as_group(sb.id)
+        members = set_bits(sb.mask)
         for c in structure.normal_ids_in(L, sb.id):
-            local = sum(1 << i for i, m in enumerate(sb.members)
+            local = sum(1 << i for i, m in enumerate(members)
                         if L.subgroups[c].mask >> m & 1)
             Q, _ = quotient_cached(H, local)
             P = _sympy_group(Q, [Q.element_index[g] for g in Q.generators])
@@ -272,7 +300,7 @@ def test_member_normal_subgroups_match_sympy(name, args):
     L = G.lattice()
     groups = [_sympy_group(G, s.gens) for s in L.subgroups]
     for sb in L.subgroups:
-        expected = [sa.id for sa in L.subgroups
-                    if sa.mask & ~sb.mask == 0
-                    and groups[sa.id].is_normal(groups[sb.id])]
+        expected = tuple(sa.id for sa in L.subgroups
+                         if sa.mask & ~sb.mask == 0
+                         and groups[sa.id].is_normal(groups[sb.id]))
         assert structure.normal_ids_in(L, sb.id) == expected, sb

@@ -5,6 +5,7 @@ import pytest
 
 from grouplab import named_group
 from grouplab import structure
+from grouplab.permgroup import set_bits
 from grouplab.structure import (all_sylow, chief_factors, derived_subgroup,
                                 fitting, is_nilpotent, is_ore_dispersive,
                                 is_soluble, is_supersoluble, normal_subgroups,
@@ -117,9 +118,10 @@ def test_chief_factor_centralizers_match_definition(name, args):
     for b in range(len(L)):
         for cf in structure.chief_factors_in(L, b):
             cmask = 0
-            for g in L.subgroups[b].members:
+            above = set_bits(cf.above.mask)
+            for g in set_bits(L.subgroups[b].mask):
                 if all(cf.below.mask >> mult[mult[inv[g]][inv[x]]][mult[g][x]] & 1
-                       for x in cf.above.members):
+                       for x in above):
                     cmask |= 1 << g
             assert cf.centralizer.mask == cmask
 
@@ -147,7 +149,8 @@ def test_chief_factor_pairs_match_definition(corpus):
         L = G.lattice()
         for b in range(len(L)):
             assert (structure.chief_factor_pairs_in(L, b)
-                    == _chief_factor_pairs_by_definition(L, b)), (G.name, b)
+                    == tuple(_chief_factor_pairs_by_definition(L, b))), (
+                        G.name, b)
 
 
 # -- the per-lattice memo ----------------------------------------------------
@@ -168,28 +171,38 @@ def _answers(L, b):
     )
 
 
+_MEMOISED = (structure.normal_ids_in, structure.chief_factor_pairs_in,
+             structure.chief_factors_in, structure.is_supersoluble_in,
+             structure.sylow_in)
+
+
 def test_memo_is_freed_with_its_lattice():
     G = named_group("sym", [4])
     L = G.lattice()
     for b in range(len(L)):
         _answers(L, b)
-    assert len(L.memo(structure.__name__)) == len(L)
+    # every query keeps one answer per member; a missing one would be
+    # computed here as None
+    kept = sum(L.memo((query, b), lambda: None) is not None
+               for query in _MEMOISED for b in range(len(L)))
+    assert kept == len(_MEMOISED) * len(L)
     ref = weakref.ref(L)
     del G, L
     gc.collect()
     assert ref() is None
 
 
-def test_memoised_lists_are_fresh(s4):
+def test_memoised_answers_are_immutable(s4):
     L = s4.lattice()
     top = L.top.id
     for query in (structure.normal_ids_in, structure.chief_factor_pairs_in,
                   structure.chief_factors_in):
         first = query(L, top)
-        expected = list(first)
-        first.reverse()
-        first.append(first[0])
-        assert query(L, top) == expected
+        with pytest.raises(TypeError):
+            first[0] = first[-1]
+        with pytest.raises(AttributeError):
+            first.append(first[0])
+        assert query(L, top) is first
     # a chief factor is an immutable record, so no caller can change a memo
     cf = structure.chief_factors_in(L, top)[0]
     with pytest.raises(AttributeError):
@@ -223,11 +236,12 @@ def test_normal_ids_match_conjugation_by_every_element(corpus):
         G = entry.group
         L = entry.lattice
         mult, inv = G.mult, G.inv
+        members = [set_bits(s.mask) for s in L.subgroups]
         for sb in L.subgroups:
-            expected = [
+            expected = tuple(
                 sa.id for sa in L.subgroups
                 if sa.mask & ~sb.mask == 0 and all(
                     sa.mask >> mult[mult[inv[g]][x]][g] & 1
-                    for g in sb.members for x in sa.members)]
+                    for g in members[sb.id] for x in members[sa.id]))
             assert structure.normal_ids_in(L, sb.id) == expected, (
                 entry.name, sb.id)

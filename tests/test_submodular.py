@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from grouplab import (OrderCapExceeded, Permutation, direct_product,
                       generate, named_group)
 from grouplab import structure, submodular
-from grouplab.lattice import SubgroupLattice
-from grouplab.permgroup import factorize
+from grouplab.lattice import SubgroupLattice, all_subgroups
+from grouplab.permgroup import factorize, set_bits
 from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  is_modular_subgroup, is_n_maximal_with_index,
                                  is_n_modularly_embedded,
@@ -180,10 +180,10 @@ def test_k_lm_group_matches_per_k_scan_on_corpus(corpus, monkeypatch):
     per-k loop's answer."""
     ks = (2, 1, 4, 3)
     for e in corpus:
-        L = e.lattice
+        # a fresh lattice: other tests may have filled the memo of the
+        # session's one
+        L = all_subgroups(e.group)
         expect = [_k_lm_by_definition(L, k) for k in ks]
-        # other suites may have filled the memo from the session's corpus
-        L.memo(submodular.__name__).pop("LM", None)
         scans = []
         scan = L.maximal_in_join
 
@@ -361,8 +361,8 @@ def test_witness_steps_hold_by_definition_above_order_60(corpus):
                 _, chain = is_k_submodular(L, h, k)
                 for a, b in zip(chain, chain[1:]):
                     kind = step_by_definition(
-                        G, set(L.subgroups[a].members),
-                        set(L.subgroups[b].members))
+                        G, set(set_bits(L.subgroups[a].mask)),
+                        set(set_bits(L.subgroups[b].mask)))
                     assert kind is not None and kind <= k, (entry.name, k, a, b)
                     steps += 1
     assert steps == 754
