@@ -359,6 +359,11 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     |j| fits between |Hz| and |j| as a multiple of lcm(|H|, |z|) dividing
     |j|, <H, z> = j (`_lagrange_pins`).
 
+    Cyclic subgroups.  One power walk per cyclic subgroup: in ordinal order
+    the first x not yet known to generate an earlier cyclic subgroup is the
+    least generator of <x>, its powers give the mask, and each x^i with
+    gcd(i, |x|) = 1 is marked as generating <x> with least generator x.
+
     Generators.  `Subgroup.gens` is the tuple found first by the loop that
     seeds every cyclic subgroup (by order, then mask) and extends each
     subgroup, in queue order, by every cyclic subgroup c outside it, giving
@@ -377,14 +382,22 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     e = G.identity_ordinal
     full = G.full_mask()
     cyclic: dict[int, int] = {}  # mask -> least generator ordinal
-    canon = [0] * G.order  # x -> least generator of <x>
+    canon = [-1] * G.order  # x -> least generator of <x>
     for x in range(G.order):
-        mask = 1 << e
+        if canon[x] >= 0:  # x generates an earlier cyclic subgroup
+            continue
+        powers = [e]
         y = x
         while y != e:
-            mask |= 1 << y
+            powers.append(y)
             y = mult[y][x]
-        canon[x] = cyclic.setdefault(mask, x)
+        o = len(powers)
+        mask = 0
+        for i, y in enumerate(powers):
+            mask |= 1 << y
+            if math.gcd(i, o) == 1:  # x^i generates <x>; e is i = 0, o = 1
+                canon[y] = x
+        cyclic[mask] = x
     cyc_items = sorted(cyclic.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
     if full in cyclic:  # every subgroup of a cyclic group is cyclic, normal

@@ -23,6 +23,7 @@ import math
 import os
 import re
 from collections.abc import Iterable, Sequence
+from operator import itemgetter
 
 DEFAULT_ORDER_CAP = 2000
 ORDER_CAP_ENV = "GROUPLAB_ORDER_CAP"
@@ -105,6 +106,11 @@ class Permutation(tuple):
     `identity` and the builders.  Products and inverses of bijections are
     bijections, so `__mul__` and `inverse` inherit the check and build their
     result without it; `__mul__` takes only a `Permutation` operand.
+
+    A product is one C call: ``(p * q)(i) == q[p[i]]`` for every i is
+    ``itemgetter(*p)(q)``.  With fewer than two points the only permutation
+    is the identity, and itemgetter would return a bare item (one index) or
+    fail (none), so that case returns ``p``.
     """
 
     def __new__(cls, images: Iterable[int]) -> "Permutation":
@@ -123,7 +129,9 @@ class Permutation(tuple):
             return NotImplemented
         if len(self) != len(other):
             raise GroupError("degree mismatch in composition")
-        return tuple.__new__(Permutation, map(other.__getitem__, self))
+        if len(self) < 2:
+            return self
+        return tuple.__new__(Permutation, itemgetter(*self)(other))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self)
@@ -246,9 +254,12 @@ class FiniteGroup:
         multiplication derives row(p*s) from row(p) as row(p)[s*b], since
         (p*s)*b = p*(s*b), given the left row [s*b for b] of the generator
         s.  Generators join the walk one at a time, each with a left row of
-        n permutation products; a generator the walk has already reached
-        lies in the subgroup the earlier ones generate and is skipped, and
-        the walk stops once every element has a row.
+        n permutation products, kept as one ``itemgetter`` over it, so each
+        other row is a single C call on a known row.  A generator the walk
+        has already reached lies in the subgroup the earlier ones generate
+        and is skipped, and the walk stops once every element has a row.
+        A left row is built only while a row is missing, so n >= 2 and
+        itemgetter returns a tuple.
 
         The walk is the one check that the table is the group its generators
         generate.  It raises GroupError if a generator is not an element
@@ -277,7 +288,7 @@ class FiniteGroup:
                 if rows[i] is not None:
                     continue
                 try:
-                    left.append((i, [idx[s * b] for b in els]))
+                    left.append((i, itemgetter(*[idx[s * b] for b in els])))
                 except KeyError:
                     raise GroupError("table not closed under products") from None
                 frontier = reached  # every reached p now also needs p*s
@@ -288,7 +299,7 @@ class FiniteGroup:
                         for g, left_g in left:
                             q = row[g]
                             if rows[q] is None:
-                                rows[q] = list(map(row.__getitem__, left_g))
+                                rows[q] = list(left_g(row))
                                 new.append(q)
                     reached.extend(new)
                     frontier = new
@@ -435,7 +446,12 @@ class Epimorphism:
 def generate(degree: int, gens: Sequence[Permutation], name: str = "G") -> FiniteGroup:
     """Closure of the generators: BFS from the identity, generator order fixed.
 
-    The element ordering is deterministic for a fixed generator list.
+    The element ordering is deterministic for a fixed generator list.  Each
+    element x takes one ``itemgetter(*x)``, whose call on a generator g is
+    the product x*g as a plain tuple; it is looked up in `seen` (a tuple
+    and a `Permutation` with the same images are equal), and only a new
+    element is wrapped.  Below degree 2 the group is trivial and no walk
+    runs.
     """
     for g in gens:
         if g.degree != degree:
@@ -444,13 +460,13 @@ def generate(degree: int, gens: Sequence[Permutation], name: str = "G") -> Finit
     ident = Permutation.identity(degree)
     elements = [ident]
     seen = {ident}
-    frontier = [ident]
+    frontier = [ident] if degree >= 2 else []
     while frontier:
         new = []
         for x in frontier:
-            for g in gens:
-                y = x * g
+            for y in map(itemgetter(*x), gens):
                 if y not in seen:
+                    y = tuple.__new__(Permutation, y)
                     seen.add(y)
                     elements.append(y)
                     new.append(y)
@@ -712,16 +728,31 @@ def quotient_cached(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphis
 # -- group-spec files --------------------------------------------------------
 
 
+# the keys each kind of group spec may hold
+_SPEC_KEYS = {
+    "generators": {"kind", "degree", "cycles", "name"},
+    "named": {"kind", "name", "args"},
+    "direct": {"kind", "parts"},
+}
+
+
 def group_from_spec(spec: dict) -> FiniteGroup:
     """Build a group from a JSON group-spec.
 
-    Forms: {"kind": "generators", "degree": n, "cycles": [...]},
-    {"kind": "named", "name": ..., "args": [...]},
-    {"kind": "direct", "parts": [<spec>, <spec>, ...]}.
+    Forms: {"kind": "generators", "degree": n, "cycles": [...]} with an
+    optional "name", {"kind": "named", "name": ..., "args": [...]},
+    {"kind": "direct", "parts": [<spec>, <spec>, ...]}.  A key the kind
+    does not list is a ParseError, so a misspelt key is never ignored.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError("group spec must be an object with a 'kind'")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ParseError(f"unknown group spec kind {kind!r}")
+    unknown = spec.keys() - _SPEC_KEYS[kind]
+    if unknown:
+        raise ParseError(f"{kind} spec has unknown key(s) "
+                         f"{', '.join(sorted(map(repr, unknown)))}")
     if kind == "generators":
         degree = spec.get("degree")
         cycles = spec.get("cycles", [])
@@ -737,12 +768,10 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         return generate(degree, gens, name=name)
     if kind == "named":
         return named_group(spec.get("name", ""), spec.get("args", []))
-    if kind == "direct":
-        parts = spec.get("parts", [])
-        if not isinstance(parts, list) or not parts:
-            raise ParseError("direct spec needs a non-empty list of parts")
-        G = group_from_spec(parts[0])
-        for sub in parts[1:]:
-            G = direct_product(G, group_from_spec(sub))
-        return G
-    raise ParseError(f"unknown group spec kind {kind!r}")
+    parts = spec.get("parts", [])  # a direct spec
+    if not isinstance(parts, list) or not parts:
+        raise ParseError("direct spec needs a non-empty list of parts")
+    G = group_from_spec(parts[0])
+    for sub in parts[1:]:
+        G = direct_product(G, group_from_spec(sub))
+    return G

@@ -131,6 +131,9 @@ def test_inline_json_not_an_object(capsys, spec):
     ["show", '{"kind": "generators", "degree": false}'],
     ["show", '{"kind": "generators", "degree": 3, "cycles": ["(1 2)"], '
              '"name": [1]}'],
+    # a key the spec's kind does not list: a typo, or an extra key
+    ["show", '{"kind": "generators", "degree": 3, "cycle": ["(1 2)"]}'],
+    ["show", '{"kind": "named", "name": "sym", "args": [3], "extra": 1}'],
     ["show"],
     ["check"],
     ["verify"],
@@ -145,6 +148,15 @@ def test_malformed_input_exits_2(capsys, argv):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind": "generators", "degree": 0, "cycles": []}',
+    '{"kind": "generators", "degree": 1, "cycles": ["(1)"]}',
+    "cyclic:1", "sym:1", "alt:2"])
+def test_show_order_one_groups(capsys, spec):
+    code, out, _ = run(capsys, "show", spec)
+    assert code == 0 and ": order 1," in out and "subgroups: 1" in out
 
 
 def test_spec_file_not_utf8_exits_2(capsys, tmp_path):

@@ -348,6 +348,20 @@ def _unskipped_mask_gens(G):
     return mask_gens
 
 
+def test_cyclic_subgroup_gens_are_least_generators(corpus):
+    """Brute force: <x> is closed for every x; a nontrivial cyclic
+    subgroup's gens is the least ordinal generating it, alone."""
+    for entry in corpus:
+        G = entry.group
+        least = {}
+        for x in range(G.order):
+            least.setdefault(G.closure_mask([x]), x)
+        L = G.lattice()
+        for mask, x in least.items():
+            gens = L.subgroups[L.by_mask[mask]].gens
+            assert gens == (() if x == G.identity_ordinal else (x,)), G.name
+
+
 def test_enumeration_matches_unskipped_loop(corpus):
     """Class-wise enumeration and generator replay against the plain loop:
     same masks, ids and generator tuples."""

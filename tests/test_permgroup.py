@@ -27,6 +27,26 @@ def test_composition_left_factor_first():
     assert (a * b)[0] == b[a[0]]
 
 
+def _product(a, b):
+    """The loop form of a * b, left factor first: i -> b[a[i]]."""
+    return tuple(b[a[i]] for i in range(len(a)))
+
+
+def test_product_matches_loop_form():
+    # itemgetter returns a bare item for one index and fails for none, so
+    # degrees 0 and 1 are in the sample
+    s3 = named_group("sym", [3]).elements
+    pairs = [(a, b) for a in s3 for b in s3]
+    rng = random.Random(0)
+    for degree in range(7):
+        for _ in range(20):
+            pairs.append(tuple(Permutation(rng.sample(range(degree), degree))
+                               for _ in range(2)))
+    for a, b in pairs:
+        p = a * b
+        assert type(p) is Permutation and p == _product(a, b)
+
+
 def test_inverse():
     p = Permutation.parse("(1 2 3 4)", 5)
     assert p * p.inverse() == Permutation.identity(5)
@@ -206,6 +226,57 @@ def test_named_order_stays_near_cap():
                        ("elem_abelian", [2, 1000]),
                        ("frobenius_metacyclic", [3, 2, 1000])]:
         assert 50 < named_order(name, args, 50) < 10**4
+
+
+# -- group construction against its loop form -------------------------------
+
+
+def _bfs_elements(degree, gens):
+    """`generate`'s element list by a plain BFS over loop-form products."""
+    ident = tuple(range(degree))
+    elements, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = _product(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    elements.append(y)
+                    new.append(y)
+        frontier = new
+    return elements
+
+
+def test_generate_matches_plain_bfs(corpus):
+    groups = [entry.group for entry in corpus]
+    groups += [group_from_spec({"kind": "generators", "degree": d,
+                                "cycles": cycles})
+               for d, cycles in [(0, []), (1, []), (1, ["(1)", "()"]), (2, []),
+                                 (2, ["(1 2)"]), (2, ["()", "(1 2)", "(1 2)"])]]
+    for G in groups:
+        assert G.elements == _bfs_elements(G.degree, G.generators), G.name
+        assert all(type(x) is Permutation for x in G.elements)
+
+
+# below degree 2 itemgetter takes one index or none; alt:2 has degree 2 and
+# no generators
+ORDER_ONE_SPECS = [
+    {"kind": "generators", "degree": 0, "cycles": []},
+    {"kind": "generators", "degree": 1, "cycles": ["(1)"]},
+    {"kind": "named", "name": "cyclic", "args": [1]},
+    {"kind": "named", "name": "sym", "args": [1]},
+    {"kind": "named", "name": "alt", "args": [2]},
+]
+
+
+@pytest.mark.parametrize("spec", ORDER_ONE_SPECS)
+def test_order_one_groups(spec):
+    G = group_from_spec(spec)
+    assert G.order == 1 and G.mult == [[0]]
+    assert G.elements == [Permutation.identity(G.degree)]
+    L = G.lattice()
+    assert len(L) == 1 and L.bottom is L.top and L.top.gens == ()
 
 
 # -- the Cayley-graph multiplication table against its definition ------------
