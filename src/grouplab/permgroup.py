@@ -23,6 +23,7 @@ import math
 import os
 import re
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from operator import itemgetter
 
 DEFAULT_ORDER_CAP = 2000
@@ -55,8 +56,11 @@ def order_cap() -> int:
     return cap
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: multiplicity}."""
+@lru_cache(maxsize=1024)
+def _factor_items(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as ((prime, multiplicity), ...),
+    primes ascending; kept per n, as callers ask about a few dozen orders
+    many times."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
@@ -68,20 +72,25 @@ def factorize(n: int) -> dict[int, int]:
         d += 1
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return tuple(out.items())
 
 
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: multiplicity}, a new dict
+    on every call, so the caller may change it."""
+    return dict(_factor_items(n))
+
+
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    return n >= 2 and list(factorize(n)) == [n]
+    return n >= 2 and _factor_items(n) == ((n, 1),)
 
 
+@lru_cache(maxsize=1024)
 def prime_power(n: int) -> tuple[int, int] | None:
     """(q, m) with n == q**m for a prime q and m >= 1, else None."""
-    f = factorize(n) if n > 1 else {}
-    if len(f) != 1:
-        return None
-    [(q, m)] = f.items()
-    return q, m
+    f = _factor_items(n) if n > 1 else ()
+    return f[0] if len(f) == 1 else None
 
 
 def set_bits(bits: int) -> list[int]:
@@ -253,13 +262,15 @@ class FiniteGroup:
         Built from the Cayley graph: a walk from the identity by right
         multiplication derives row(p*s) from row(p) as row(p)[s*b], since
         (p*s)*b = p*(s*b), given the left row [s*b for b] of the generator
-        s.  Generators join the walk one at a time, each with a left row of
-        n permutation products, kept as one ``itemgetter`` over it, so each
-        other row is a single C call on a known row.  A generator the walk
-        has already reached lies in the subgroup the earlier ones generate
-        and is skipped, and the walk stops once every element has a row.
-        A left row is built only while a row is missing, so n >= 2 and
-        itemgetter returns a tuple.
+        s.  Generators join the walk one at a time.  A left row takes one
+        ``itemgetter(*s)``, whose call on b is s*b as a plain tuple, looked
+        up in `element_index`; the row is kept as one ``itemgetter`` over
+        its ordinals, so each other row is a single C call on a known row.
+        A generator the walk has already reached lies in the subgroup the
+        earlier ones generate and is skipped, and the walk stops once every
+        element has a row.  A left row is built only while a row is
+        missing, so n >= 2, the degree is at least 2, and both getters
+        return tuples.
 
         The walk is the one check that the table is the group its generators
         generate.  It raises GroupError if a generator is not an element
@@ -288,7 +299,8 @@ class FiniteGroup:
                 if rows[i] is not None:
                     continue
                 try:
-                    left.append((i, itemgetter(*[idx[s * b] for b in els])))
+                    left.append((i, itemgetter(*map(
+                        idx.__getitem__, map(itemgetter(*s), els)))))
                 except KeyError:
                     raise GroupError("table not closed under products") from None
                 frontier = reached  # every reached p now also needs p*s
@@ -311,22 +323,33 @@ class FiniteGroup:
 
     @property
     def inv(self) -> list[int]:
+        """Inverse ordinals, read from the table: x^-1 is the column of the
+        identity in row x."""
         if self._inv is None:
-            self._inv = [self.element_index[e.inverse()] for e in self.elements]
+            e = self.identity_ordinal
+            self._inv = [row.index(e) for row in self.mult]
         return self._inv
 
     @property
     def element_orders(self) -> list[int]:
+        """Order of each element, one power walk per cyclic subgroup: in
+        ordinal order, an x whose order is not yet known has its powers
+        walked, and each x^i of the o powers gets order o / gcd(i, o)."""
         if self._orders is None:
             mult = self.mult
             e = self.identity_ordinal
-            orders = []
+            orders = [0] * self.order
             for x in range(self.order):
-                y, n = x, 1
+                if orders[x]:
+                    continue
+                powers = [e]
+                y = x
                 while y != e:
+                    powers.append(y)
                     y = mult[y][x]
-                    n += 1
-                orders.append(n)
+                o = len(powers)
+                for i, y in enumerate(powers):
+                    orders[y] = o // math.gcd(i, o)
             self._orders = orders
         return self._orders
 
@@ -428,14 +451,26 @@ class Epimorphism:
         return out
 
     def verify(self) -> None:
-        """Exhaustive homomorphism and surjectivity check."""
-        sm, tm, t = self.source.mult, self.target.mult, self.table
-        n = self.source.order
-        for i in range(n):
-            ti = t[i]
-            for j in range(n):
-                if t[sm[i][j]] != tm[ti][t[j]]:
-                    raise GroupError("image table is not a homomorphism")
+        """Check that the image table is a surjective homomorphism.
+
+        The homomorphism check runs on the source's generators: t(e) = e,
+        and t(x*s) = t(x)*t(s) for every element x and every generator s,
+        n*r products for r generators.  That is enough.  The source's
+        table was built by its Cayley walk, which reached every row, so
+        every element is a word in the generators.  By induction on the
+        length of a word w, t(x*w) = t(x)*t(w) for every x: for the empty
+        word t(x*e) = t(x) = t(x)*t(e), and for w*s,
+        t(x*w*s) = t(x*w)*t(s) = t(x)*t(w)*t(s) = t(x)*t(w*s).
+        Surjectivity is checked on the whole table.
+        """
+        src, tm, t = self.source, self.target.mult, self.table
+        sm, idx = src.mult, src.element_index
+        if t[src.identity_ordinal] != self.target.identity_ordinal:
+            raise GroupError("image table is not a homomorphism")
+        for g in {idx[s] for s in src.generators}:
+            ts = t[g]
+            if [t[row[g]] for row in sm] != [tm[tx][ts] for tx in t]:
+                raise GroupError("image table is not a homomorphism")
         if len(set(t)) != self.target.order:
             raise GroupError("image table is not surjective")
 
@@ -681,7 +716,8 @@ def quotient(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
     quotient acts on the cosets of N (degree = index), numbered in the order
     of their least elements; coset c is the permutation of its least
     element, so `coset_of` is the image table.  The epimorphism is verified
-    exhaustively and its kernel checked against N.
+    on G's generators (`Epimorphism.verify`) and its kernel checked
+    against N.
     """
     nmems = set_bits(nmask)
     if not nmems or G.closure_mask(nmems) != nmask:

@@ -1,7 +1,7 @@
 """Definitional oracles on element sets, for the tests: they read only a
 group's multiplication table and inverses and a lattice's member masks,
-never the engine's step classifier, cores, nilpotency tests, covers or
-reach sets.  The lemma forms at the end are the other kind: the L suite's
+never the engine's step classifier, cores, nilpotency tests, covers,
+reach sets, generator-wise homomorphism check or power walks.  The lemma forms at the end are the other kind: the L suite's
 lemmas L2.5 and L2.6 written pair by pair, on the engine's k-submodular
 sets."""
 from grouplab import harness, submodular
@@ -19,6 +19,28 @@ def closure(G, gens):
                     if y not in out]
         out.update(frontier)
     return out
+
+
+def is_epimorphism_by_definition(epi):
+    """t(x*y) = t(x)*t(y) for every pair x, y of the source, and every
+    element of the target is an image."""
+    sm, tm, t = epi.source.mult, epi.target.mult, epi.table
+    return (all(t[xy] == tm[t[x]][t[y]]
+                for x, row in enumerate(sm) for y, xy in enumerate(row))
+            and set(t) == set(range(epi.target.order)))
+
+
+def element_orders_by_definition(G):
+    """The order of each element, by walking its own powers."""
+    mult, e = G.mult, G.identity_ordinal
+    orders = []
+    for x in range(G.order):
+        y, n = x, 1
+        while y != e:
+            y = mult[y][x]
+            n += 1
+        orders.append(n)
+    return orders
 
 
 def quotient_nilpotent_by_lcs(G, upper, core):

@@ -13,6 +13,7 @@ from grouplab.permgroup import set_bits
 from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  is_n_maximal_with_index,
                                  is_n_modularly_embedded, step_kind)
+from definitions import is_epimorphism_by_definition
 
 
 @contextmanager
@@ -183,12 +184,14 @@ def test_criterion_12_engine_oracles(corpus, s4):
             if entry.order <= 60:
                 assert ({s.mask for s in entry.lattice.subgroups}
                         == _naive_subgroup_masks(entry.group)), entry.name
-        # quotients built during a suite run re-verify as epimorphisms
+        # quotients built during a suite run re-verify as epimorphisms,
+        # by the engine's check on generators and by the definition
         harness.run_suite("T3.3", [1], corpus)
         verified = 0
         for entry in corpus:
             for Q, epi in entry.group._quotients.values():
                 epi.verify()
+                assert is_epimorphism_by_definition(epi), Q.name
                 verified += 1
         assert verified > 0
         for entry in corpus:

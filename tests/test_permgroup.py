@@ -1,13 +1,16 @@
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from grouplab import (FiniteGroup, GroupError, OrderCapExceeded, ParseError,
                       Permutation, direct_product, generate, group_from_spec,
-                      named_group, quotient)
-from grouplab.permgroup import (factorize, is_prime, named_order, order_cap,
-                                prime_power, set_bits)
+                      named_group, permgroup, quotient)
+from grouplab.permgroup import (Epimorphism, factorize, is_prime, named_order,
+                                order_cap, prime_power, set_bits)
+from definitions import (element_orders_by_definition,
+                         is_epimorphism_by_definition)
 
 
 def test_parse_and_cycle_string_roundtrip():
@@ -142,11 +145,15 @@ def test_direct_product_order_and_commuting_factors():
     assert P.exponent() == 12
 
 
-def test_quotient_epimorphism_verified():
+def _v4_in_s4():
     G = named_group("sym", [4])
     gens = [G.element_index[Permutation.parse(c, 4)]
             for c in ("(1 2)(3 4)", "(1 3)(2 4)")]
-    nmask = G.closure_mask(gens)
+    return G, G.closure_mask(gens)
+
+
+def test_quotient_epimorphism_verified():
+    G, nmask = _v4_in_s4()
     Q, epi = quotient(G, nmask)
     assert Q.order == 6
     assert epi.kernel_mask() == nmask
@@ -188,6 +195,15 @@ def test_factorize_reconstructs(n):
         assert is_prime(p)
         prod *= p**m
     assert prod == n
+
+
+def test_factorize_returns_a_dict_the_caller_may_change():
+    facs = factorize(360)
+    facs[2] = 99
+    facs[7] = 1
+    del facs[3]
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert list(factorize(360)) == [2, 3, 5]
 
 
 def test_prime_power():
@@ -327,24 +343,65 @@ def test_mult_matches_definition_on_hol19():
 
 def test_mult_builds_rows_only_for_generators_it_needs(monkeypatch):
     # (1 3)(2 4) is the square of (1 2 3 4), and (1 3) comes after the
-    # first two generators already generate S4: one left row of 24
-    # products each for the first two, none for the others
+    # first two generators already generate S4: one left row, a getter
+    # over 24 ordinals, each for the first two, none for the others
     G = group_from_spec({"kind": "generators", "degree": 4,
                          "cycles": ["(1 2 3 4)", "(1 3)(2 4)", "(1 2)",
                                     "(1 3)"]})
     assert G.order == 24
-    products = []
-    mul = Permutation.__mul__
+    getters = []
 
-    def counted(a, b):
-        products.append(1)
-        return mul(a, b)
+    def counted(*items):
+        getters.append(len(items))
+        return itemgetter(*items)
 
-    monkeypatch.setattr(Permutation, "__mul__", counted)
+    monkeypatch.setattr(permgroup, "itemgetter", counted)
     H = FiniteGroup(4, G.elements, G.generators)  # the walk runs here
     monkeypatch.undo()
-    assert len(products) == 2 * G.order
+    assert getters.count(G.order) == 2
     _assert_mult_is_definition(H)
+
+
+def test_inverses_and_element_orders_match_definition(corpus):
+    groups = [entry.group for entry in corpus] + [
+        named_group("cyclic", [300]), named_group("holomorph_cyclic", [19])]
+    for G in groups:
+        idx = G.element_index
+        assert G.inv == [idx[x.inverse()] for x in G.elements], G.name
+        assert G.element_orders == element_orders_by_definition(G), G.name
+
+
+def test_epimorphism_with_one_image_changed_is_rejected():
+    Q, epi = quotient(*_v4_in_s4())
+    G = epi.source
+    assert is_epimorphism_by_definition(epi)
+    gens = {G.element_index[s] for s in G.generators}
+    changed = 0
+    for x in range(G.order):
+        if x in gens:
+            continue
+        for img in range(Q.order):
+            if img == epi.table[x]:
+                continue
+            table = list(epi.table)
+            table[x] = img
+            bad = Epimorphism(G, Q, tuple(table))
+            assert not is_epimorphism_by_definition(bad)
+            with pytest.raises(GroupError, match="not a homomorphism"):
+                bad.verify()
+            changed += 1
+    assert changed == (G.order - len(gens)) * (Q.order - 1)
+
+
+def test_epimorphism_from_order_one_checks_the_identity():
+    # Z1 has no generator, so only the check t(e) = e is left
+    Z1, Z2 = named_group("cyclic", [1]), named_group("cyclic", [2])
+    assert Z1.generators == []
+    Epimorphism(Z1, Z1, (0,)).verify()
+    bad = Epimorphism(Z1, Z2, (1 - Z2.identity_ordinal,))
+    assert not is_epimorphism_by_definition(bad)
+    with pytest.raises(GroupError, match="not a homomorphism"):
+        bad.verify()
 
 
 # -- a FiniteGroup is the group its generators generate ----------------------
