@@ -9,14 +9,13 @@ fixed corpus and k set; only the elapsed fields vary between runs.
 from __future__ import annotations
 
 import json
-import math
 import time
 from collections import Counter
 from functools import cache, partial
 
 from .permgroup import (FiniteGroup, GroupError, direct_product, factorize,
-                        group_from_spec, named_order, order_cap,
-                        prime_power, quotient_cached, set_bits)
+                        group_from_spec, order_cap, prime_power,
+                        quotient_cached, set_bits, spec_order)
 from .lattice import Subgroup, SubgroupLattice
 from . import classes, structure, submodular
 
@@ -98,14 +97,7 @@ def _stock_specs(cap: int) -> list[tuple[str, dict]]:
     out += [(name, {"kind": "direct",
                     "parts": [_named(n1, a1), _named(n2, a2)]})
             for name, (n1, a1), (n2, a2) in pairs]
-    return [(n, s) for n, s in out if _spec_order(s, cap) <= cap]
-
-
-def _spec_order(spec: dict, cap: int) -> int:
-    """Order of a named/direct spec if at most cap, else a number above cap."""
-    if spec["kind"] == "direct":
-        return math.prod(_spec_order(p, cap) for p in spec["parts"])
-    return named_order(spec["name"], spec["args"], cap)
+    return [(n, s) for n, s in out if spec_order(s, cap) <= cap]
 
 
 def build_corpus(config: CorpusConfig | None = None) -> list[CorpusEntry]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import itemgetter
@@ -513,23 +514,32 @@ def generate(degree: int, gens: Sequence[Permutation], name: str = "G") -> Finit
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    """External direct product acting on disjoint point sets."""
-    if G.order * H.order > order_cap():
+    """External direct product acting on disjoint point sets.  Its order
+    and its degree are checked against the order cap before any
+    permutation of that degree is built."""
+    cap = order_cap()
+    if G.order * H.order > cap:
         raise OrderCapExceeded(
             f"|{G.name} x {H.name}| = {G.order * H.order} exceeds cap")
     d = G.degree + H.degree
+    if d > cap:
+        raise GroupError(f"direct product of degree {d} is above the "
+                         f"order cap {cap}")
     gens = [Permutation(tuple(p) + tuple(range(G.degree, d))) for p in G.generators]
     gens += [Permutation(tuple(range(G.degree)) + tuple(q + G.degree for q in p))
              for p in H.generators]
     return generate(d, gens, name=f"{G.name}x{H.name}")
 
 
-def _perm_from_map(images: dict[int, int], degree: int) -> Permutation:
-    return Permutation(images.get(i, i) for i in range(degree))
-
-
-def _cyclic_gen(n: int) -> Permutation:
-    return Permutation([(i + 1) % n for i in range(n)])
+def _cycles(n: int, k: int = 1) -> list[Permutation]:
+    """One n-cycle on each of k consecutive blocks of n points, in block
+    order: the generators `direct_product` gives k copies of Z_n.  None
+    when n = 1, as Z_1 is trivial."""
+    if n < 2:
+        return []
+    d = n * k
+    return [Permutation([*range(b), *range(b + 1, b + n), b, *range(b + n, d)])
+            for b in range(0, d, n)]
 
 
 def _unit_perms(m: int) -> list[Permutation]:
@@ -559,154 +569,127 @@ def _power_to(cap: int, p: int, k: int) -> int:
     return p ** min(max(k, 0), cap.bit_length())
 
 
-# Stock builders: name -> (argument count, order(cap, *args)).  For valid
-# arguments `order` is the order of the built group when that is at most
-# cap, and a number above cap otherwise; powers and factorials stop growing
-# once past cap, so no huge intermediate is formed.
+def _dihedral(n: int) -> tuple[int, list[Permutation]]:
+    """D1 and D2 = Z2 x Z2 as one and two blocks of two points, each larger
+    D_n as the rotation and a reflection of the n-gon."""
+    if n < 3:
+        return 2 * n, _cycles(2, n)
+    return n, [*_cycles(n), Permutation([(-i) % n for i in range(n)])]
+
+
+def _dicyclic(n: int) -> tuple[int, list[Permutation]]:
+    """Dicyclic group of order 4n, <a, b | a^2n, b^2 = a^n, a^b = a^-1>, by
+    right multiplication on its elements a^i b^j, the point j*2n + i:
+    a^i*a = a^(i+1), a^i b*a = a^(i-1) b, a^i*b = a^i b, a^i b*b = a^(i+n)."""
+    m = 2 * n
+    a = [(i + 1) % m for i in range(m)] + [m + (i - 1) % m for i in range(m)]
+    b = [m + i for i in range(m)] + [(i + n) % m for i in range(m)]
+    return 2 * m, [Permutation(a), Permutation(b)]
+
+
+def _sym(n: int) -> tuple[int, list[Permutation]]:
+    """S_n by the transposition (1 2) and the n-cycle; S1 by nothing."""
+    if n == 1:
+        return 1, []
+    return n, [Permutation([1, 0, *range(2, n)]), *_cycles(n)]
+
+
+def _alt(n: int) -> tuple[int, list[Permutation]]:
+    """A_n by the 3-cycle (1 2 3) and, above 3, an even n- or (n-1)-cycle;
+    A1 and A2 by nothing."""
+    if n < 3:
+        return n, []
+    gens = [Permutation([1, 2, 0, *range(3, n)])]
+    if n > 3:
+        if n % 2:  # the n-cycle is even
+            gens += _cycles(n)
+        else:  # use the (n-1)-cycle fixing point 1
+            gens.append(Permutation([0, *range(2, n), 1]))
+    return n, gens
+
+
+def _frobenius(p: int, q: int, n: int) -> tuple[int, list[Permutation]]:
+    """Z_p by multiplication with the least unit u of order d = q^n mod p,
+    which exists as d | p - 1; as q is prime, u has order d exactly when
+    u^d = 1 and u^(d/q) != 1."""
+    d = q**n
+    u = next(u for u in range(2, p)
+             if pow(u, d, p) == 1 and pow(u, d // q, p) != 1)
+    return p, [*_cycles(p), Permutation([(u * i) % p for i in range(p)])]
+
+
+# Stock builders, one row each: parameter names, the arguments' condition
+# and its wording, order(cap, *args), build(*args) -> (degree, generators)
+# and the name format.  For arguments that meet the condition, `order` is
+# the group's order if at most cap, else a number above cap; powers and
+# factorials stop growing once past cap, so no huge number is formed.
+_Builder = namedtuple("_Builder", "params ok needs order build name")
+
 _BUILDERS = {
-    "cyclic": (1, lambda cap, n: n),
-    "elem_abelian": (2, _power_to),
-    "dihedral": (1, lambda cap, n: 2 * n),
-    "dicyclic": (1, lambda cap, n: 4 * n),
-    "sym": (1, lambda cap, n: _product_to(cap, range(2, n + 1))),
-    "alt": (1, lambda cap, n: _product_to(cap, range(3, n + 1))),
-    "holomorph_cyclic": (1, lambda cap, m: m * _totient(m) if 1 <= m <= cap
-                         else m),
-    "frobenius_metacyclic": (3, lambda cap, p, q, n: p * _power_to(cap, q, n)),
+    "cyclic": _Builder(
+        ("n",), lambda n: n >= 1, "n >= 1",
+        lambda cap, n: n, lambda n: (n, _cycles(n)), "Z{}"),
+    # k >= 1 first: with it the cap check has bounded p, so is_prime is cheap
+    "elem_abelian": _Builder(
+        ("p", "k"), lambda p, k: k >= 1 and is_prime(p), "prime p and k >= 1",
+        _power_to, lambda p, k: (p * k, _cycles(p, k)), "E{}^{}"),
+    "dihedral": _Builder(
+        ("n",), lambda n: n >= 1, "n >= 1",
+        lambda cap, n: 2 * n, _dihedral, "D{}"),
+    "dicyclic": _Builder(
+        ("n",), lambda n: n >= 2, "n >= 2",
+        lambda cap, n: 4 * n, _dicyclic, "Dic{}"),
+    "sym": _Builder(
+        ("n",), lambda n: n >= 1, "n >= 1",
+        lambda cap, n: _product_to(cap, range(2, n + 1)), _sym, "S{}"),
+    "alt": _Builder(
+        ("n",), lambda n: n >= 1, "n >= 1",
+        lambda cap, n: _product_to(cap, range(3, n + 1)), _alt, "A{}"),
+    "holomorph_cyclic": _Builder(
+        ("m",), lambda m: m >= 2, "m >= 2",
+        lambda cap, m: m * _totient(m) if 1 <= m <= cap else m,
+        lambda m: (m, _cycles(m) + _unit_perms(m)), "Hol(Z{})"),
+    # the ranges first: with them the cap check has bounded p and q
+    "frobenius_metacyclic": _Builder(
+        ("p", "q", "n"),
+        lambda p, q, n: (n >= 1 and min(p, q) >= 2 and is_prime(p)
+                         and is_prime(q) and (p - 1) % q**n == 0),
+        "primes p, q and n >= 1 with q^n dividing p - 1",
+        lambda cap, p, q, n: p * _power_to(cap, q, n), _frobenius,
+        "F({},{}^{})"),
 }
-
-
-def named_order(name: str, args: Sequence[int], cap: int) -> int:
-    """Order of `named_group(name, args)` if at most cap, else a number above
-    cap; nothing is built."""
-    return _BUILDERS[name][1](cap, *args)
 
 
 def named_group(name: str, args: Sequence[int]) -> FiniteGroup:
     """Builders for the stock families used throughout the corpus.
 
-    The order cap is checked on the builder's order before anything is
-    built, so an over-cap request fails at once."""
-    if not isinstance(name, str) or name not in _BUILDERS:
+    The arguments are checked in this order: their number, the order cap
+    on the builder's order, then the builder's condition; the cap check
+    comes before anything is built, so an over-cap request fails at once."""
+    row = _BUILDERS.get(name) if isinstance(name, str) else None
+    if row is None:
         raise GroupError(f"unknown builder {name!r}")
-    arity = _BUILDERS[name][0]
+    arity = len(row.params)
     if (not isinstance(args, (list, tuple)) or len(args) != arity
             or not all(type(a) is int for a in args)):
         raise ParseError(f"builder {name!r} needs {arity} integer "
                          f"argument(s), got {args!r}")
-    args = list(args)
     cap = order_cap()
-    if named_order(name, args, cap) > cap:
+    if row.order(cap, *args) > cap:
         raise OrderCapExceeded(f"{name}({', '.join(map(str, args))}) has "
                                f"order above cap {cap}")
-    if name == "cyclic":
-        (n,) = args
-        if n < 1:
-            raise GroupError("cyclic(n) needs n >= 1")
-        if n == 1:
-            return generate(1, [], name="Z1")
-        return generate(n, [_cyclic_gen(n)], name=f"Z{n}")
-    if name == "elem_abelian":
-        p, k = args
-        if not is_prime(p) or k < 1:
-            raise GroupError("elem_abelian(p, k) needs prime p and k >= 1")
-        G = named_group("cyclic", [p])
-        for _ in range(k - 1):
-            G = direct_product(G, named_group("cyclic", [p]))
-        G.name = f"E{p}^{k}"
-        return G
-    if name == "dihedral":
-        (n,) = args
-        if n < 1:
-            raise GroupError("dihedral(n) needs n >= 1")
-        if n == 1:
-            return generate(2, [Permutation([1, 0])], name="D1")
-        if n == 2:
-            G = direct_product(named_group("cyclic", [2]), named_group("cyclic", [2]))
-            G.name = "D2"
-            return G
-        rot = _cyclic_gen(n)
-        refl = Permutation([(-i) % n for i in range(n)])
-        return generate(n, [rot, refl], name=f"D{n}")
-    if name == "dicyclic":
-        (n,) = args
-        if n < 2:
-            raise GroupError("dicyclic(n) needs n >= 2")
-        return _dicyclic(n)
-    if name == "sym":
-        (n,) = args
-        if n < 1:
-            raise GroupError("sym(n) needs n >= 1")
-        if n == 1:
-            return generate(1, [], name="S1")
-        gens = [Permutation([1, 0] + list(range(2, n))), _cyclic_gen(n)]
-        return generate(n, gens, name=f"S{n}")
-    if name == "alt":
-        (n,) = args
-        if n < 1:
-            raise GroupError("alt(n) needs n >= 1")
-        if n < 3:
-            return generate(n, [], name=f"A{n}")
-        three = _perm_from_map({0: 1, 1: 2, 2: 0}, n)
-        gens = [three]
-        if n > 3:
-            if n % 2:  # the n-cycle is even
-                gens.append(_cyclic_gen(n))
-            else:  # use the (n-1)-cycle fixing point 1
-                gens.append(_perm_from_map(
-                    {i: 1 + (i % (n - 1)) for i in range(1, n)}, n))
-        return generate(n, gens, name=f"A{n}")
-    if name == "holomorph_cyclic":
-        (m,) = args
-        if m < 2:
-            raise GroupError("holomorph_cyclic(m) needs m >= 2")
-        gens = [_cyclic_gen(m)] + _unit_perms(m)
-        return generate(m, gens, name=f"Hol(Z{m})")
-    if name == "frobenius_metacyclic":
-        p, q, n = args
-        if not is_prime(p) or not is_prime(q) or n < 1:
-            raise GroupError("frobenius_metacyclic(p, q, n) needs primes p, q and n >= 1")
-        qn = q**n
-        if (p - 1) % qn:
-            raise GroupError(f"{q}^{n} does not divide {p - 1}")
-        u = _multiplier_of_order(p, qn)
-        gens = [_cyclic_gen(p), Permutation([(u * i) % p for i in range(p)])]
-        return generate(p, gens, name=f"F({p},{q}^{n})")
+    if not row.ok(*args):
+        raise GroupError(f"{name}({', '.join(row.params)}) needs {row.needs}")
+    degree, gens = row.build(*args)
+    return generate(degree, gens, name=row.name.format(*args))
 
 
-def _multiplier_of_order(p: int, d: int) -> int:
-    """Least unit mod p of multiplicative order exactly d (d | p-1)."""
-    for u in range(2, p):
-        x, n = u, 1
-        while x != 1:
-            x = x * u % p
-            n += 1
-        if n == d:
-            return u
-    raise GroupError(f"no unit of order {d} mod {p}")
-
-
-def _dicyclic(n: int) -> FiniteGroup:
-    """Dicyclic group of order 4n via its right regular representation."""
-    # elements (i, j) = a^i b^j with a^(2n)=1, b^2=a^n, b^-1 a b = a^-1
-    els = [(i, j) for j in range(2) for i in range(2 * n)]
-    pos = {e: x for x, e in enumerate(els)}
-
-    def mul(e1, e2):
-        i1, j1 = e1
-        i2, j2 = e2
-        if j1 == 0:
-            i, j = i1 + i2, j2
-        else:
-            i, j = i1 - i2, 1 + j2
-        if j >= 2:
-            i, j = i + n, j - 2
-        return (i % (2 * n), j)
-
-    def right_mul(g):
-        return Permutation(pos[mul(e, g)] for e in els)
-
-    return generate(4 * n, [right_mul((1, 0)), right_mul((0, 1))], name=f"Dic{n}")
+def spec_order(spec: dict, cap: int) -> int:
+    """Order of a named or direct spec whose arguments meet their builders'
+    conditions if at most cap, else a number above cap; nothing is built."""
+    if spec["kind"] == "direct":
+        return _product_to(cap, (spec_order(p, cap) for p in spec["parts"]))
+    return _BUILDERS[spec["name"]].order(cap, *spec["args"])
 
 
 def quotient(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
@@ -764,11 +747,42 @@ def quotient_cached(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphis
 # -- group-spec files --------------------------------------------------------
 
 
-# the keys each kind of group spec may hold
-_SPEC_KEYS = {
-    "generators": {"kind", "degree", "cycles", "name"},
-    "named": {"kind", "name", "args"},
-    "direct": {"kind", "parts"},
+def _generators_spec(spec: dict) -> FiniteGroup:
+    degree = spec.get("degree")
+    cycles = spec.get("cycles", [])
+    if type(degree) is not int or degree < 0:
+        raise ParseError("generators spec needs an integer 'degree'")
+    cap = order_cap()
+    if degree > cap:  # before any permutation of that degree is allocated
+        raise ParseError(f"generators spec degree {degree} is above the "
+                         f"order cap {cap}")
+    name = spec.get("name", f"gen{degree}")
+    if not isinstance(cycles, list) or not all(isinstance(c, str)
+                                               for c in cycles):
+        raise ParseError("generators spec needs a list of cycle strings")
+    if not isinstance(name, str):
+        raise ParseError("generators spec 'name' must be a string")
+    gens = [Permutation.parse(c, degree) for c in cycles]
+    return generate(degree, gens, name=name)
+
+
+def _direct_spec(spec: dict) -> FiniteGroup:
+    parts = spec.get("parts", [])
+    if not isinstance(parts, list) or not parts:
+        raise ParseError("direct spec needs a non-empty list of parts")
+    G = group_from_spec(parts[0])
+    for sub in parts[1:]:
+        G = direct_product(G, group_from_spec(sub))
+    return G
+
+
+# Group-spec kinds: kind -> (the keys its spec may hold, its parse function)
+_SPEC_KINDS = {
+    "generators": ({"kind", "degree", "cycles", "name"}, _generators_spec),
+    "named": ({"kind", "name", "args"},
+              lambda spec: named_group(spec.get("name", ""),
+                                       spec.get("args", []))),
+    "direct": ({"kind", "parts"}, _direct_spec),
 }
 
 
@@ -778,36 +792,19 @@ def group_from_spec(spec: dict) -> FiniteGroup:
     Forms: {"kind": "generators", "degree": n, "cycles": [...]} with an
     optional "name", {"kind": "named", "name": ..., "args": [...]},
     {"kind": "direct", "parts": [<spec>, <spec>, ...]}.  A key the kind
-    does not list is a ParseError, so a misspelt key is never ignored.
+    does not list is a ParseError, so a misspelt key is never ignored.  No
+    degree may exceed the order cap: a `generators` spec's is checked before
+    its cycles are parsed, a direct product's before its generators are
+    built.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError("group spec must be an object with a 'kind'")
     kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
         raise ParseError(f"unknown group spec kind {kind!r}")
-    unknown = spec.keys() - _SPEC_KEYS[kind]
+    keys, parse = _SPEC_KINDS[kind]
+    unknown = spec.keys() - keys
     if unknown:
         raise ParseError(f"{kind} spec has unknown key(s) "
                          f"{', '.join(sorted(map(repr, unknown)))}")
-    if kind == "generators":
-        degree = spec.get("degree")
-        cycles = spec.get("cycles", [])
-        if type(degree) is not int or degree < 0:
-            raise ParseError("generators spec needs an integer 'degree'")
-        name = spec.get("name", f"gen{degree}")
-        if not isinstance(cycles, list) or not all(isinstance(c, str)
-                                                   for c in cycles):
-            raise ParseError("generators spec needs a list of cycle strings")
-        if not isinstance(name, str):
-            raise ParseError("generators spec 'name' must be a string")
-        gens = [Permutation.parse(c, degree) for c in cycles]
-        return generate(degree, gens, name=name)
-    if kind == "named":
-        return named_group(spec.get("name", ""), spec.get("args", []))
-    parts = spec.get("parts", [])  # a direct spec
-    if not isinstance(parts, list) or not parts:
-        raise ParseError("direct spec needs a non-empty list of parts")
-    G = group_from_spec(parts[0])
-    for sub in parts[1:]:
-        G = direct_product(G, group_from_spec(sub))
-    return G
+    return parse(spec)

@@ -257,6 +257,34 @@ def test_order_cap_env(capsys, monkeypatch):
     assert code == 2 and "error" in err
 
 
+def _trivial_parts(n):
+    """A flat `direct` spec of n trivial parts: order 1, degree n."""
+    return json.dumps({"kind": "direct", "parts": [
+        {"kind": "named", "name": "cyclic", "args": [1]}] * n})
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind": "generators", "degree": 25, "cycles": ["(1 2)"]}',
+    _trivial_parts(25)], ids=["generators", "direct"])
+def test_degree_above_order_cap_exits_2(capsys, monkeypatch, spec):
+    # groups of order 1 and 2, refused on their degree alone
+    monkeypatch.setenv("GROUPLAB_ORDER_CAP", "24")
+    code, out, err = run(capsys, "show", spec)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "degree 25" in lines[0] and "order cap 24" in lines[0]
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind": "generators", "degree": 24, "cycles": ["(1 2)"]}',
+    _trivial_parts(24)], ids=["generators", "direct"])
+def test_degree_at_order_cap_builds(capsys, monkeypatch, spec):
+    monkeypatch.setenv("GROUPLAB_ORDER_CAP", "24")
+    code, out, _ = run(capsys, "show", spec)
+    assert code == 0 and "subgroups:" in out
+
+
 def test_main_keeps_no_state_between_calls(capsys):
     # no --gens carries over from one call to the next
     code, out, _ = run(capsys, "check", "modular", "sym:4",

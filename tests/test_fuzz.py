@@ -45,7 +45,9 @@ group_spec = st.recursive(
                                    st.lists(st.integers(-2, 30), max_size=3),
                                    json_value)}),
         st.fixed_dictionaries({"kind": st.just("generators"),
+                               # past CAP too, where the degree bound refuses
                                "degree": st.one_of(st.integers(-1, 5),
+                                                   st.integers(20, 30),
                                                    json_value),
                                "cycles": st.one_of(st.lists(cycle_text,
                                                             max_size=3),
@@ -82,6 +84,7 @@ def test_group_from_spec_builds_or_typed_error(spec):
     except GroupError:
         return
     assert isinstance(G, FiniteGroup) and 1 <= G.order <= int(CAP)
+    assert G.degree <= int(CAP)
 
 
 def _run(capsys, argv):

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from grouplab import (FiniteGroup, GroupError, OrderCapExceeded, ParseError,
                       Permutation, direct_product, generate, group_from_spec,
                       named_group, permgroup, quotient)
-from grouplab.permgroup import (Epimorphism, factorize, is_prime, named_order,
-                                order_cap, prime_power, set_bits)
+from grouplab.permgroup import (Epimorphism, factorize, is_prime, order_cap,
+                                prime_power, set_bits, spec_order)
 from definitions import (element_orders_by_definition,
                          is_epimorphism_by_definition)
 
@@ -98,8 +98,9 @@ NAMED_ORDERS = [
 @pytest.mark.parametrize("args,order", NAMED_ORDERS)
 def test_named_group_orders(args, order):
     assert named_group(*args).order == order
-    assert named_order(*args, order_cap()) == order
-    assert named_order(*args, order - 1) > order - 1
+    spec = {"kind": "named", "name": args[0], "args": args[1]}
+    assert spec_order(spec, order_cap()) == order
+    assert spec_order(spec, order - 1) > order - 1
 
 
 def test_named_group_bad_args():
@@ -241,7 +242,42 @@ def test_named_order_stays_near_cap():
     for name, args in [("sym", [1000]), ("alt", [1000]),
                        ("elem_abelian", [2, 1000]),
                        ("frobenius_metacyclic", [3, 2, 1000])]:
-        assert 50 < named_order(name, args, 50) < 10**4
+        spec = {"kind": "named", "name": name, "args": args}
+        assert 50 < spec_order(spec, 50) < 10**4
+
+
+def test_builder_conditions_never_factor_a_huge_argument():
+    # over the cap before any check forms q**n
+    with pytest.raises(OrderCapExceeded):
+        named_group("frobenius_metacyclic", [3, 2, 10**9])
+    # 2**61 - 1 is prime, and trial division to its square root would take
+    # minutes; each order is at most the cap, but a range check fails first
+    big = 2**61 - 1
+    for name, args in [("elem_abelian", [big, 0]),
+                       ("frobenius_metacyclic", [big, 0, 1]),
+                       ("frobenius_metacyclic", [2, big, 0]),
+                       ("frobenius_metacyclic", [-1, big, 1])]:
+        with pytest.raises(GroupError, match=rf"{name}\(.*\) needs "):
+            named_group(name, args)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                 (3, 1), (3, 2), (5, 2)])
+def test_elem_abelian_is_its_direct_product_chain(p, k):
+    ref = named_group("cyclic", [p])
+    for _ in range(k - 1):
+        ref = direct_product(ref, named_group("cyclic", [p]))
+    G = named_group("elem_abelian", [p, k])
+    assert G.elements == ref.elements and G.generators == ref.generators
+    assert (G.name, G.degree) == (f"E{p}^{k}", p * k)
+
+
+def test_small_dihedral_groups_are_their_direct_products():
+    z2 = named_group("cyclic", [2])
+    for n, ref in [(1, z2), (2, direct_product(z2, z2))]:
+        G = named_group("dihedral", [n])
+        assert G.elements == ref.elements and G.generators == ref.generators
+        assert (G.name, G.degree) == (f"D{n}", 2 * n)
 
 
 # -- group construction against its loop form -------------------------------
