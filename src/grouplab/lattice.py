@@ -1,17 +1,22 @@
 """Complete subgroup lattices of small finite groups.
 
 Enumeration is by cyclic extension of conjugacy class representatives
-(Neubüser): each representative H is extended by one zuppo (cyclic subgroup
-of prime-power order) from each orbit of N(H) on the zuppos outside H, and
-each new subgroup brings its whole class, its orbit under G's generators.
-Each join <H, z> is enumerated from the known mask of H as a union of cosets
-of H, unless Lagrange's theorem already names it (`_lagrange_pins`).  Each
-subgroup's generator tuple is the one the plain loop (every subgroup
-extended by every cyclic subgroup) finds first, replayed on the finished
-lattice with joins in place of closures, so it does not depend on the
-enumeration order.  Subgroups are canonically identified by their member
-bitmask; lattice ids are assigned in (order, member-set) sort order, so
-reports are deterministic.
+(Neubüser) in two passes over one list of representatives, each new
+subgroup bringing its whole class, its orbit under G's generators.  A
+zuppo is a cyclic subgroup of prime-power order.  The soluble pass extends
+each representative H only by the zuppos z of p-power order that
+normalize H and have z^p in H, each join of index p over H; it finds
+exactly the soluble subgroups, so a soluble group's lattice is complete
+after it.  For any other group the general pass extends each
+representative by one zuppo from each N(H)-orbit of the zuppos outside H.
+Each join <H, z> is enumerated from the known mask of H as a union of
+cosets of H, unless z lies in a join of prime index over H found before,
+which is then <H, z>.  Each subgroup's generator tuple is the one the
+plain loop (every subgroup extended by every cyclic subgroup) finds
+first, replayed on the finished lattice with joins in place of closures,
+so it does not depend on the enumeration order.  Subgroups are
+canonically identified by their member bitmask; lattice ids are assigned
+in (order, member-set) sort order, so reports are deterministic.
 
 The order relation is held as bitsets over ids: up[a] has bit b set when
 a <= b, down[a] when b <= a.  Since ids sort by order, the lowest bit of
@@ -282,25 +287,6 @@ class SubgroupLattice:
         return hit
 
 
-def _lagrange_pins(h_order: int, c_order: int, meet_order: int,
-                   j_order: int) -> bool:
-    """Whether <h, c> <= j has order |j| by Lagrange's theorem alone.
-
-    The order of <h, c> is a multiple of lcm(|h|, |c|), at least the size
-    |h||c|/|h meet c| of the product set hc, and a divisor of |j|.  With
-    q = |j|/lcm, the candidates below |j| are lcm times a proper divisor of
-    q, the largest of which is q over its least prime factor.
-    """
-    step = math.lcm(h_order, c_order)
-    q = j_order // step
-    if q == 1:
-        return True
-    p = 2
-    while q % p:
-        p += 1
-    return q // p * step < h_order * c_order // meet_order
-
-
 def _normalizer_mask(G: FiniteGroup, mask: int, gens: tuple[int, ...]) -> int:
     """N(H) for H = <gens> with member mask `mask`: the g with g^-1 h g in
     H for each generator h.  H <= N(H), so a coset Hg lies in N(H) or
@@ -321,22 +307,6 @@ def _normalizer_mask(G: FiniteGroup, mask: int, gens: tuple[int, ...]) -> int:
     return nm
 
 
-def _generators_of(G: FiniteGroup, mask: int, base: int,
-                   gens: Iterable[int], candidates: Iterable[int]) -> list[int]:
-    """A small generating set of the subgroup `mask`: `gens` (which
-    generate its subgroup `base`), then greedily each of the candidates and
-    then of the members that the closure so far does not hold."""
-    gens = list(gens)
-    for pool in (candidates, range(G.order)):
-        for x in pool:
-            if base == mask:
-                return gens
-            if mask >> x & 1 and not base >> x & 1:
-                gens.append(x)
-                base = G.closure_mask(gens, base)
-    return gens
-
-
 def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     """Enumerate every subgroup of G by cyclic extension of conjugacy class
     representatives (Neubüser), then give each subgroup the generator tuple
@@ -344,20 +314,43 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
 
     Classes.  A zuppo is a cyclic subgroup of prime-power order.  Starting
     from the trivial subgroup, each class representative H is extended by
-    one zuppo z outside H from each orbit of N(H) on those zuppos; a new
-    <H, z> adds its whole class (its orbit under G's generators) and becomes
-    a representative.  This finds every subgroup: every K != 1 is generated
-    by its zuppos, so K = <M, z> for a maximal subgroup M < K and a zuppo
-    z of K outside M; M = H^g for a representative H (by induction on |K|),
-    and <H^g, z> = <H, z^(g^-1)>^g; and for n in N(H), <H, z^n> = <H, z>^n,
-    so one zuppo per N(H)-orbit gives K up to conjugacy.  A normal H (tested
-    on generators) has N(H) = G and needs no normalizer scan, and a normal
-    <H, z> is its own class.  Central generators of N(H) fix every zuppo,
-    so when all of them are central there is no orbit walk.  <H, z> is not
-    closed when Lagrange's theorem already names it: if an earlier join
-    j = <H, z'> contains z, then <H, z> <= j, and when no order other than
-    |j| fits between |Hz| and |j| as a multiple of lcm(|H|, |z|) dividing
-    |j|, <H, z> = j (`_lagrange_pins`).
+    zuppos z outside H; a new <H, z> adds its whole class (its orbit under
+    G's generators) and becomes a representative.  A normal H (tested on
+    generators) has N(H) = G and needs no normalizer scan, and a normal
+    <H, z> is its own class.
+
+    The soluble pass extends H by each zuppo z, of p-power order say,
+    with z in N(H) and z^p in H.  Then <H, z> = H<z> and <z> meets H in
+    <z^p>, so |<H, z> : H| = p.  It finds exactly the soluble subgroups.
+    Each one it finds is soluble, as it has the soluble H as a normal
+    subgroup of prime index.  Conversely a soluble K != 1 has a normal
+    subgroup M of prime index p.  Some x in K lies outside M, and then so
+    does the p-part z of x, since xM has order p; so z is in N(M), z^p is
+    in M and K = M<z>.  M = H^g for a representative H (by induction on
+    |K|), and K^(g^-1) = H<z^(g^-1)> is found from H.  So G is found exactly
+    when G is soluble, and then every subgroup is.
+
+    The general pass runs only when G was not found.  It goes over the
+    same representatives again, and those it adds, and extends H by one
+    zuppo z outside H from each orbit of N(H) on those zuppos.  This finds
+    every subgroup: every K != 1 is generated by its zuppos, so K = <M, z>
+    for a maximal subgroup M < K and a zuppo z of K outside M; M = H^g for
+    a representative H (by induction on |K|), and <H^g, z> =
+    <H, z^(g^-1)>^g; and for n in N(H), <H, z^n> = <H, z>^n, so one zuppo
+    per N(H)-orbit gives K up to conjugacy.  Central generators of N(H) fix
+    every zuppo, so when all of them are central there is no orbit walk.
+
+    Prime-index rule.  In both passes a zuppo z is not joined to H when it
+    lies in a join j found before with |j : H| a prime p: then
+    H < <H, z> <= j, and no subgroup lies strictly between H and j, as its
+    order would be a multiple of |H| properly dividing p|H|, so <H, z> = j,
+    which is known.  The general pass starts from the joins the soluble
+    pass found, and walks no orbit through them: the zuppos outside H
+    that they hold are exactly those in N(H) with z^p in H, a set N(H)
+    maps to itself.  A join of composite index is never used this way:
+    <H, z> may then lie strictly between H and j, and be the K = <M, z>
+    above that no other step reaches, so skipping it could lose a class.
+    Every join of the soluble pass has prime index.
 
     Cyclic subgroups.  One power walk per cyclic subgroup: in ordinal order
     the first x not yet known to generate an earlier cyclic subgroup is the
@@ -383,6 +376,7 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     full = G.full_mask()
     cyclic: dict[int, int] = {}  # mask -> least generator ordinal
     canon = [-1] * G.order  # x -> least generator of <x>
+    zpow: dict[int, int] = {}  # zuppo's least generator z -> z^p
     for x in range(G.order):
         if canon[x] >= 0:  # x generates an earlier cyclic subgroup
             continue
@@ -398,6 +392,9 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
             if math.gcd(i, o) == 1:  # x^i generates <x>; e is i = 0, o = 1
                 canon[y] = x
         cyclic[mask] = x
+        q = prime_power(o)
+        if q is not None:  # <x> is a zuppo: x^p, which is e when o = p
+            zpow[x] = powers[q[0] % o]
     cyc_items = sorted(cyclic.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
     if full in cyclic:  # every subgroup of a cyclic group is cyclic, normal
@@ -405,7 +402,7 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
         normalizers = dict.fromkeys(known, full)
         conjugated: dict[int, tuple[int, int]] = {}
     else:
-        known, normalizers, conjugated = _classes(G, cyc_items, canon)
+        known, normalizers, conjugated = _classes(G, cyc_items, canon, zpow)
     L = SubgroupLattice(G, known)
     ids = L.by_mask
     for h, nm in normalizers.items():
@@ -416,7 +413,7 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
 
 
 def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
-             canon: list[int]) -> tuple[dict, dict, dict]:
+             canon: list[int], zpow: dict[int, int]) -> tuple[dict, dict, dict]:
     """The class-wise enumeration of `all_subgroups`: every subgroup mask
     with some generators, the normalizer masks found (class
     representatives and normal subgroups), and each other conjugate H^t
@@ -425,13 +422,12 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
     e = G.identity_ordinal
     full = G.full_mask()
     cyc_mask = {g: mask for mask, g in cyc_items}
-    prime_powers = {o for o in {m.bit_count() for m, _ in cyc_items}
-                    if prime_power(o) is not None}
-    zuppos = [g for mask, g in cyc_items if mask.bit_count() in prime_powers]
+    zuppos = [g for _, g in cyc_items if g in zpow]
+    primes = set(factorize(G.order))
 
     idx = G.element_index
     seeds = [idx[s] for s in G.generators if idx[s] != e] or [e]
-    ggens = _generators_of(G, full, cyc_mask[canon[seeds[0]]], seeds[:1], seeds)
+    ggens = G.generators_of(full, cyc_mask[canon[seeds[0]]], seeds[:1], seeds)
     # the generators that are not central: only they move subgroups
     moving = [g for g in ggens if any(mult[g][s] != mult[s][g] for s in ggens)]
 
@@ -471,52 +467,55 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
             normalizers[k] = k
 
     add_class(1 << e, ())
-    for h in reps:
-        outside = [z for z in zuppos if not h >> z & 1]
-        if not outside:
-            continue
-        hgens = known[h]
-        nm = normalizers.get(h)
-        if nm is None:
-            nm = normalizers[h] = _normalizer_mask(G, h, hgens)
-        acting = moving if nm == full else [
-            g for g in _generators_of(G, nm, h, hgens, ()) if not central(g)]
-        if acting:  # one zuppo per N(H)-orbit
-            unvisited = set(outside)
-            orbit_reps = []
+    covers: dict[int, int] = {}
+    for soluble in (True, False):
+        if full in known:  # the soluble pass found G: G is soluble
+            break
+        for h in reps:
+            if h == full:
+                continue
+            hgens = known[h]
+            nm = normalizers.get(h)
+            if nm is None:
+                nm = normalizers[h] = _normalizer_mask(G, h, hgens)
+            # H and the joins of prime index over H so far, in either pass
+            covered = covers.get(h, h)
+            if soluble:  # |<H, z> : H| = p for z of p-power order
+                outside = [z for z in zuppos if nm >> z & 1
+                           and not covered >> z & 1 and h >> zpow[z] & 1]
+            else:  # the soluble pass covered whole N(H)-orbits
+                outside = [z for z in zuppos if not covered >> z & 1]
+                acting = moving if nm == full else [
+                    g for g in G.generators_of(nm, h, hgens) if not central(g)]
+                if acting:  # one zuppo per N(H)-orbit
+                    unvisited = set(outside)
+                    orbit_reps = []
+                    for z in outside:
+                        if z not in unvisited:
+                            continue
+                        orbit_reps.append(z)
+                        unvisited.discard(z)
+                        stack = [z]
+                        while stack:
+                            x = stack.pop()
+                            for g in acting:
+                                y = canon[conj(x, g)]
+                                if y in unvisited:
+                                    unvisited.discard(y)
+                                    stack.append(y)
+                    outside = orbit_reps
+            h_order = h.bit_count()
             for z in outside:
-                if z not in unvisited:
-                    continue
-                orbit_reps.append(z)
-                unvisited.discard(z)
-                stack = [z]
-                while stack:
-                    x = stack.pop()
-                    for g in acting:
-                        y = canon[conj(x, g)]
-                        if y in unvisited:
-                            unvisited.discard(y)
-                            stack.append(y)
-            outside = orbit_reps
-        h_order = h.bit_count()
-        smallest: dict[int, int] = {}  # zuppo -> least join so far holding it
-        for i, z in enumerate(outside):
-            j = smallest.get(z)
-            zmask = cyc_mask[z]
-            if j is not None and _lagrange_pins(
-                    h_order, zmask.bit_count(), (zmask & h).bit_count(),
-                    j.bit_count()):
-                continue  # <h, z> = j, which is known
-            j = (zmask if h & ~zmask == 0  # h <= <z>
-                 else G.closure_mask(hgens + (z,), h))
-            j_order = j.bit_count()
-            for z2 in outside[i + 1:]:
-                if j >> z2 & 1:
-                    k = smallest.get(z2)
-                    if k is None or j_order < k.bit_count():
-                        smallest[z2] = j
-            if j not in known:
-                add_class(j, hgens + (z,))
+                if covered >> z & 1:
+                    continue  # <H, z> is the join of prime index holding z
+                zmask = cyc_mask[z]
+                j = (zmask if h & ~zmask == 0  # h <= <z>
+                     else G.closure_mask(hgens + (z,), h))
+                if j.bit_count() // h_order in primes:
+                    covered |= j
+                if j not in known:
+                    add_class(j, hgens + (z,))
+            covers[h] = covered
 
     return known, normalizers, conjugated
 

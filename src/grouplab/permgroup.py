@@ -413,6 +413,26 @@ class FiniteGroup:
                     reps.append(y)
         return int(bits[::-1], 2)
 
+    def generators_of(self, mask: int, base: int | None = None,
+                      gens: Iterable[int] = (),
+                      candidates: Iterable[int] = ()) -> list[int]:
+        """A small generating set of the subgroup `mask`: `gens` (which
+        generate its subgroup `base`, by default the trivial one), then
+        greedily each of the candidates and then of the members that the
+        closure so far does not hold.  If `mask` is not a subgroup, the
+        closure of the result holds every member of `mask` and more."""
+        if base is None:
+            base = 1 << self.identity_ordinal
+        gens = list(gens)
+        for pool in (candidates, range(self.order)):
+            for x in pool:
+                if base == mask:
+                    return gens
+                if mask >> x & 1 and not base >> x & 1:
+                    gens.append(x)
+                    base = self.closure_mask(gens, base)
+        return gens
+
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
@@ -514,21 +534,40 @@ def generate(degree: int, gens: Sequence[Permutation], name: str = "G") -> Finit
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    """External direct product acting on disjoint point sets.  Its order
-    and its degree are checked against the order cap before any
-    permutation of that degree is built."""
+    """External direct product acting on disjoint point sets, its order
+    and degree checked against the order cap first (`_direct_product_of`)."""
+    return _direct_product_of((G, H))
+
+
+def _direct_product_of(factors: Iterable[FiniteGroup]) -> FiniteGroup:
+    """External direct product of the factors, each on its own block of
+    points, from one `generate` on their generators shifted to their
+    blocks; the same group, generators and name as the nested two-factor
+    products.  The order and degree so far are checked against the order
+    cap as each factor is read, so a product above the cap is refused at
+    the first factor that takes it there, before a later factor is built
+    and before any permutation of the product's degree is."""
     cap = order_cap()
-    if G.order * H.order > cap:
-        raise OrderCapExceeded(
-            f"|{G.name} x {H.name}| = {G.order * H.order} exceeds cap")
-    d = G.degree + H.degree
-    if d > cap:
-        raise GroupError(f"direct product of degree {d} is above the "
-                         f"order cap {cap}")
-    gens = [Permutation(tuple(p) + tuple(range(G.degree, d))) for p in G.generators]
-    gens += [Permutation(tuple(range(G.degree)) + tuple(q + G.degree for q in p))
-             for p in H.generators]
-    return generate(d, gens, name=f"{G.name}x{H.name}")
+    blocks: list[tuple[int, FiniteGroup]] = []  # (first point, factor)
+    order, degree = 1, 0
+    for H in factors:
+        if order * H.order > cap:
+            names = " x ".join([F.name for _, F in blocks] + [H.name])
+            raise OrderCapExceeded(
+                f"|{names}| = {order * H.order} exceeds cap")
+        if degree + H.degree > cap:
+            raise GroupError(f"direct product of degree {degree + H.degree} "
+                             f"is above the order cap {cap}")
+        blocks.append((degree, H))
+        order *= H.order
+        degree += H.degree
+    gens = []
+    for start, H in blocks:
+        head = tuple(range(start))
+        tail = tuple(range(start + H.degree, degree))
+        gens += [Permutation(head + tuple(q + start for q in p) + tail)
+                 for p in H.generators]
+    return generate(degree, gens, name="x".join(H.name for _, H in blocks))
 
 
 def _cycles(n: int, k: int = 1) -> list[Permutation]:
@@ -695,16 +734,17 @@ def spec_order(spec: dict, cap: int) -> int:
 def quotient(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
     """Quotient by a normal subgroup, realized as the coset action.
 
-    `nmask` is the bitmask of element ordinals of a normal subgroup N.  The
+    `nmask` is the bitmask of element ordinals of a normal subgroup N,
+    checked to be a subgroup by closing a greedy generating set of it.  The
     quotient acts on the cosets of N (degree = index), numbered in the order
     of their least elements; coset c is the permutation of its least
     element, so `coset_of` is the image table.  The epimorphism is verified
     on G's generators (`Epimorphism.verify`) and its kernel checked
     against N.
     """
-    nmems = set_bits(nmask)
-    if not nmems or G.closure_mask(nmems) != nmask:
+    if G.closure_mask(G.generators_of(nmask)) != nmask:
         raise GroupError("quotient: member set is not a subgroup")
+    nmems = set_bits(nmask)
     if any(G.conjugate_mask(nmask, G.element_index[p]) != nmask
            for p in G.generators):
         raise GroupError("quotient: subgroup is not normal")
@@ -770,10 +810,7 @@ def _direct_spec(spec: dict) -> FiniteGroup:
     parts = spec.get("parts", [])
     if not isinstance(parts, list) or not parts:
         raise ParseError("direct spec needs a non-empty list of parts")
-    G = group_from_spec(parts[0])
-    for sub in parts[1:]:
-        G = direct_product(G, group_from_spec(sub))
-    return G
+    return _direct_product_of(map(group_from_spec, parts))
 
 
 # Group-spec kinds: kind -> (the keys its spec may hold, its parse function)

@@ -1,11 +1,9 @@
-import math
 from itertools import combinations
 
 import pytest
 
 from grouplab import Permutation, all_subgroups, direct_product, named_group
 from grouplab.classes import p_subnormal_set
-from grouplab.lattice import _lagrange_pins
 from grouplab.permgroup import is_prime, prime_power, set_bits
 from grouplab.submodular import is_n_maximal_with_index
 
@@ -365,12 +363,15 @@ def test_cyclic_subgroup_gens_are_least_generators(corpus):
 def test_enumeration_matches_unskipped_loop(corpus):
     """Class-wise enumeration and generator replay against the plain loop:
     same masks, ids and generator tuples."""
-    s4 = named_group("sym", [4])
+    s4, a5 = named_group("sym", [4]), named_group("alt", [5])
     groups = ([e.group for e in corpus]
               + [direct_product(s4, named_group("sym", [3])),
                  named_group("elem_abelian", [2, 5]),
                  named_group("holomorph_cyclic", [19]),
-                 direct_product(s4, named_group("elem_abelian", [2, 2]))])
+                 direct_product(s4, named_group("elem_abelian", [2, 2])),
+                 # not soluble: the general pass runs
+                 direct_product(a5, named_group("cyclic", [2])),
+                 direct_product(a5, named_group("cyclic", [3]))])
     for G in groups:
         assert_matches_unskipped_loop(G)
 
@@ -421,19 +422,42 @@ def test_subgroup_counts_match_closed_forms(name, args, count):
     assert len(all_subgroups(named_group(name, args))) == count
 
 
-def test_lagrange_pins_matches_divisor_search():
-    """The skip test against its definition: the least multiple of
-    lcm(|h|, |c|) dividing |j| and at least |h||c|/|h meet c| is |j|."""
-    for h in range(1, 25):
-        for c in range(1, 25):
-            for meet in (d for d in range(1, min(h, c) + 1)
-                         if h % d == 0 and c % d == 0):
-                step = math.lcm(h, c)
-                lo = h * c // meet
-                for j in range(step, 8 * step + 1, step):
-                    if j < lo:
-                        continue
-                    least = min(d for d in range(step, j + 1, step)
-                                if j % d == 0 and d >= lo)
-                    assert _lagrange_pins(h, c, meet, j) == (least == j), (
-                        h, c, meet, j)
+def metacyclic_counts(cap):
+    """(name, args, count) for F(p, q^n) with p < 260 and q in
+    {2, 3, 5, 7}, then Hol(Z_p) with p < 60, of order at most cap.
+
+    Each is G = P x| C with P = Z_p and C cyclic of order m acting on P by
+    multiplication with units (m = q^n, m = p - 1 for Hol(Z_p)), so every
+    c != 1 in C fixes only 0 in P.  G has 2 + (tau(m) - 1)(p + 1)
+    subgroups, which for m = q^n is 2 + n + pn.  A subgroup K meets P in
+    1 or P, and:
+    - 1 and P are two.
+    - The K > P are P times the tau(m) - 1 subgroups D != 1 of C.
+    - The K != 1 meeting P in 1 are p(tau(m) - 1).  C has p conjugates:
+      x in P normalizing C gives [x, c] in P meet C = 1 for c in C, so
+      N(C) = C.  They meet trivially: the conjugates are C^x for x in P,
+      and c in C meet C^x, x != 1, is c = x^-1 c' x with c' in C equal to
+      c modulo P, so c' = c commutes with x and c = 1.  So they hold
+      p(m - 1) elements other than 1, and with P all |G| = pm; each
+      element outside P lies in exactly one conjugate of C.  K embeds in
+      G/P = C, so it is cyclic, <k> with k outside P, and lies in the one
+      conjugate of C that holds k.  So these K are the nontrivial
+      subgroups of the p conjugates of C, each counted once.
+    """
+    primes = [p for p in range(2, 260) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for q in (2, 3, 5, 7):
+            n = 1
+            while (p - 1) % q**n == 0 and p * q**n <= cap:
+                yield "frobenius_metacyclic", [p, q, n], 2 + n + p * n
+                n += 1
+    for p in primes:
+        if p < 60 and p * (p - 1) <= cap:
+            yield ("holomorph_cyclic", [p],
+                   2 + (_tau(p - 1) - 1) * (p + 1))
+
+
+# CI's "Metacyclic subgroup counts" step runs the whole sweep to order 5000
+@pytest.mark.parametrize("name,args,count", list(metacyclic_counts(400)))
+def test_metacyclic_counts_match_closed_forms(name, args, count):
+    assert len(all_subgroups(named_group(name, args))) == count

@@ -164,8 +164,22 @@ def test_quotient_epimorphism_verified():
 def test_quotient_rejects_non_normal():
     G = named_group("sym", [3])
     mask = G.closure_mask([G.element_index[Permutation.parse("(1 2)", 3)]])
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="not normal"):
         quotient(G, mask)
+
+
+def test_quotient_rejects_non_subgroup():
+    """Member sets that are not subgroups: empty, without the identity,
+    not closed (a 3-cycle without its inverse, two transpositions)."""
+    G = named_group("sym", [4])
+    e = G.identity_ordinal
+    x = {c: G.element_index[Permutation.parse(c, 4)]
+         for c in ("(1 2 3)", "(1 2)", "(3 4)", "(1 3)")}
+    for members in ([], [x["(1 2)"]], [e, x["(1 2 3)"]],
+                    [e, x["(1 2)"], x["(3 4)"]],
+                    [e, x["(1 2)"], x["(1 3)"]]):
+        with pytest.raises(GroupError, match="not a subgroup"):
+            quotient(G, sum(1 << m for m in members))
 
 
 def test_group_from_spec_kinds():
@@ -178,6 +192,37 @@ def test_group_from_spec_kinds():
         {"kind": "named", "name": "cyclic", "args": [2]},
         {"kind": "named", "name": "cyclic", "args": [3]}]})
     assert g3.order == 6 and g3.is_cyclic()
+
+
+def _two_factor_product(G, H):
+    """The direct product by its definition: G's generators fix H's points
+    and H's move only their own, shifted past G's."""
+    d = G.degree + H.degree
+    gens = [Permutation(tuple(p) + tuple(range(G.degree, d)))
+            for p in G.generators]
+    gens += [Permutation(tuple(range(G.degree)) + tuple(q + G.degree for q in p))
+             for p in H.generators]
+    return generate(d, gens, name=f"{G.name}x{H.name}")
+
+
+def test_direct_spec_matches_nested_direct_products():
+    """A flat direct spec is one product of its parts, with the elements,
+    generators and name of the nested two-factor products."""
+    specs = [{"kind": "named", "name": "sym", "args": [3]},
+             {"kind": "named", "name": "cyclic", "args": [1]},
+             {"kind": "generators", "degree": 4, "cycles": ["(1 2 3 4)"],
+              "name": "C4"},
+             {"kind": "named", "name": "dihedral", "args": [5]}]
+    for parts in (specs[:2], specs[1:3], specs[:3], specs[1:]):
+        A, B, *rest = map(group_from_spec, parts)
+        ref, nested = _two_factor_product(A, B), direct_product(A, B)
+        for C in rest:
+            ref = _two_factor_product(ref, C)
+            nested = direct_product(nested, C)
+        G = group_from_spec({"kind": "direct", "parts": parts})
+        for H in (ref, nested):
+            assert (G.elements, G.generators, G.name) == (
+                H.elements, H.generators, H.name)
 
 
 def test_group_from_spec_errors():
