@@ -14,18 +14,19 @@ cosets of H, unless z lies in a join of prime index over H found before,
 which is then <H, z>.  Each subgroup's generator tuple is the one the
 plain loop (every subgroup extended by every cyclic subgroup) finds
 first, replayed on the finished lattice with joins in place of closures,
-so it does not depend on the enumeration order.  Subgroups are
+so it does not depend on the enumeration order.  Each class brings the
+normalizers of its members too: N(c^g) = N(c)^g.  Subgroups are
 canonically identified by their member bitmask; lattice ids are assigned
 in (order, member-set) sort order, so reports are deterministic.
 
-The order relation is held as bitsets over ids: up[a] has bit b set when
-a <= b, down[a] when b <= a.  Since ids sort by order, the lowest bit of
-the common upper bounds of some subgroups is their join and the highest bit
-of their common lower bounds their meet, so join, meet, `generated`,
-intervals and the Hasse covers are a few integer operations each, and
-prime_down[b] holds the subgroups that reach b by a chain of prime-index
-covers, which answers both n-maximality with prime-power index and
-P-subnormality with one bit test.
+The order relation is held as bitsets over ids, built with no walk over
+members: up[a] has bit b set when a <= b, down[a] when b <= a.  Since ids
+sort by order, the lowest bit of the common upper bounds of some
+subgroups is their join and the highest bit of their common lower bounds
+their meet, so join, meet, `generated`, intervals and the Hasse covers
+are a few integer operations each, and prime_down[b] holds the subgroups
+that reach b by a chain of prime-index covers, which answers both
+n-maximality with prime-power index and P-subnormality with one bit test.
 """
 from __future__ import annotations
 
@@ -56,29 +57,36 @@ class Subgroup:
         return f"Subgroup(id={self.id}, order={self.order})"
 
 
+def _id_key(mask: int) -> tuple[int, str]:
+    """Ids run in (order, member list) order, the reverse of this key's:
+    the lowest bit in which two masks of one order differ comes first in
+    the member list and in the reversed binary string of the one holding it."""
+    return -mask.bit_count(), bin(mask)[:1:-1]
+
+
 class SubgroupLattice:
     """All subgroups of a group with Hasse covers and conjugacy data."""
 
-    def __init__(self, group: FiniteGroup, mask_gens: dict[int, tuple[int, ...]]):
+    def __init__(self, group: FiniteGroup, mask_gens: dict[int, tuple[int, ...]],
+                 normalizers: dict[int, int]):
         self.group = group
         n = group.order
-        # ids in (order, member list) order; the lists are dropped after
-        items = sorted((mask.bit_count(), set_bits(mask), mask, gens)
-                       for mask, gens in mask_gens.items())
+        keyed = sorted((_id_key(mask), mask) for mask in mask_gens)
         self.subgroups: list[Subgroup] = [
-            Subgroup(group, mask, id=i, gens=gens)
-            for i, (_, _, mask, gens) in enumerate(items)
+            Subgroup(group, mask, id=i, gens=mask_gens[mask])
+            for i, (_, mask) in enumerate(reversed(keyed))
         ]
         self.by_mask: dict[int, int] = {s.mask: s.id for s in self.subgroups}
         self.bottom = self.subgroups[0]
         self.top = self.subgroups[-1]
         assert self.bottom.order == 1 and self.top.order == n
-        self._build_order()
+        # holders[x]: column x of the member table, one row per id, top first
+        table = "".join(key[1].ljust(n, "0") for key, _ in keyed)
+        self._build_order([int(table[x::n], 2) for x in range(n)])
+        self._normalizers = [self.by_mask[normalizers[s.mask]]
+                             for s in self.subgroups]
         # per subgroup, g -> id of its conjugate by g; made on first use
-        self._conj_cache: list[dict[int, int] | None] = [None] * len(self.subgroups)
-        self._normalizers: list[int | None] = [None] * len(self.subgroups)
-        # a -> (r, t) with a = r^t, from the class enumeration
-        self._conjugated: dict[int, tuple[int, int]] = {}
+        self._conj_cache: list[dict[int, int] | None] = [None] * len(keyed)
         self._subs_of: dict[int, list[int]] = {}
         self._memos: dict[tuple, object] = {}
         self._as_group: dict[int, FiniteGroup] = {}
@@ -90,49 +98,43 @@ class SubgroupLattice:
     def __len__(self) -> int:
         return len(self.subgroups)
 
-    def _build_order(self) -> None:
+    def _build_order(self, holders: list[int]) -> None:
         """holders[x] has bit s set when subgroup s contains element x; b
         holds every generator of a exactly when a <= b, so up[a] is the AND
         of holders over a.gens.  The covers of a are greedy: the lowest bit
         left in up[a] above a is minimal, so take it and clear its up-set.
+        Ids ascend by order, so every cover into a is found before a is
+        processed, and down[a] (a and the down-sets of its maximal
+        subgroups) is complete when it is pushed up; so is prime_down[a].
 
         prime_down[b] has bit a set when a chain a = C0 < ... < Cn = b of
-        covers of prime index exists.  Ids ascend by order, so every cover
-        into a is found before a is processed and prime_down[a] is complete
-        when it is pushed up.  If |b:a| = q^n, such a chain is exactly a
-        maximal chain of length n: in a maximal chain of n covers the
-        indices are powers of q greater than 1 multiplying to q^n, so each
-        is q; conversely a step of prime index is a cover by Lagrange's
+        covers of prime index exists.  If |b:a| = q^n, such a chain is
+        exactly a maximal chain of length n: in a maximal chain of n covers
+        the indices are powers of q greater than 1 multiplying to q^n, so
+        each is q; conversely a step of prime index is a cover by Lagrange's
         theorem, and indices dividing q^n are q, so there are n of them.
         """
         subs = self.subgroups
         m = len(subs)
-        holders: list[int] = [0] * self.group.order
-        for s in subs:
-            bit = 1 << s.id
-            for x in set_bits(s.mask):
-                holders[x] |= bit
         up: list[int] = []
         for s in subs:
             u = (1 << m) - 1
             for g in s.gens:
                 u &= holders[g]
             up.append(u)
-        down: list[int] = [0] * m
-        prime_down: list[int] = [1 << a for a in range(m)]
+        down: list[int] = [1 << a for a in range(m)]
+        prime_down: list[int] = down[:]
         primes = set(factorize(self.group.order))  # a prime index divides |G|
         orders = [s.order for s in subs]
         hasse_down: list[list[int]] = [[] for _ in range(m)]  # maximal subgroups
         hasse_up: list[list[int]] = [[] for _ in range(m)]  # covers
         for a, u in enumerate(up):
-            bit = 1 << a
-            for b in set_bits(u):
-                down[b] |= bit
-            u ^= bit
+            u ^= 1 << a
             while u:
                 b = (u & -u).bit_length() - 1
                 hasse_up[a].append(b)
                 hasse_down[b].append(a)
+                down[b] |= down[a]
                 if orders[b] // orders[a] in primes:
                     prime_down[b] |= prime_down[a]
                 u &= ~up[b]
@@ -221,16 +223,8 @@ class SubgroupLattice:
         return sorted(seen)
 
     def normalizer(self, a: int) -> int:
-        """N(a), from the enumeration: `all_subgroups` records N(r) for each
-        class representative r, and a = r^t for every other member, whose
-        normalizer N(r)^t is computed when first asked."""
-        hit = self._normalizers[a]
-        if hit is None:
-            r, t = self._conjugated[a]
-            nm = self.group.conjugate_mask(
-                self.subgroups[self.normalizer(r)].mask, t)
-            hit = self._normalizers[a] = self.by_mask[nm]
-        return hit
+        """N(a), handed over by `all_subgroups` for every subgroup."""
+        return self._normalizers[a]
 
     def is_normal_in(self, a: int, b: int) -> bool:
         """a normal in b: the package's one normality test."""
@@ -365,9 +359,12 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     operations on the up-sets (which depend only on member sets), and stops
     once every subgroup has its tuple.
 
-    The normalizers computed on the way are handed to the lattice: N(H) for
-    every representative (one with no zuppo outside it is G, which is
-    normal), and N(H)^t for a conjugate H^t, computed when first asked.
+    Normalizers.  N(H) is computed for every representative H (one with no
+    zuppo outside it is G, which is normal), and each member c of a class
+    keeps its images c^g under the moving generators g, a sum of 1 << x^g
+    over its members.  A member d first found as c^g gets N(d) = N(c)^g,
+    the image of N(c), or N(c) itself when N(c) is normal, so the lattice
+    receives every subgroup's normalizer.
     """
     if G.order > order_cap():
         raise OrderCapExceeded(f"|{G.name}| = {G.order} exceeds cap {order_cap()}")
@@ -400,24 +397,17 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     if full in cyclic:  # every subgroup of a cyclic group is cyclic, normal
         known = {mask: (g,) for mask, g in cyclic.items()}
         normalizers = dict.fromkeys(known, full)
-        conjugated: dict[int, tuple[int, int]] = {}
     else:
-        known, normalizers, conjugated = _classes(G, cyc_items, canon, zpow)
-    L = SubgroupLattice(G, known)
-    ids = L.by_mask
-    for h, nm in normalizers.items():
-        L._normalizers[ids[h]] = ids[nm]
-    L._conjugated = {ids[d]: (ids[k], t) for d, (k, t) in conjugated.items()}
+        known, normalizers = _classes(G, cyc_items, canon, zpow)
+    L = SubgroupLattice(G, known, normalizers)
     _replay_gens(L, cyc_items)
     return L
 
 
 def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
-             canon: list[int], zpow: dict[int, int]) -> tuple[dict, dict, dict]:
+             canon: list[int], zpow: dict[int, int]) -> tuple[dict, dict]:
     """The class-wise enumeration of `all_subgroups`: every subgroup mask
-    with some generators, the normalizer masks found (class
-    representatives and normal subgroups), and each other conjugate H^t
-    as (H, t)."""
+    with some generators, and every subgroup's normalizer mask."""
     mult, inv = G.mult, G.inv
     e = G.identity_ordinal
     full = G.full_mask()
@@ -439,9 +429,13 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
         return all(row[s] == mult[s][x] for s in moving)
 
     known: dict[int, tuple[int, ...]] = {}  # mask -> some generators
-    normalizers: dict[int, int] = {}  # representative mask -> N mask
-    conjugated: dict[int, tuple[int, int]] = {}  # mask of H^t -> (H, t)
+    normalizers: dict[int, int] = {}  # mask -> N mask
     reps: list[int] = []
+    # per member of a class of size > 1, its conjugates by the moving
+    # generators; d -> (c, i) when d = c^moving[i] was found from c
+    images: dict[int, list[int]] = {}
+    found: dict[int, tuple[int, int]] = {}
+    tables: list[list[int]] = []  # per moving g: x -> 1 << x^g
 
     def add_class(k: int, kgens: tuple[int, ...]) -> None:
         known[k] = kgens
@@ -449,21 +443,20 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
         if all(k >> conj(x, g) & 1 for g in moving for x in kgens):
             normalizers[k] = full
             return
-        frontier = [(k, kgens, e)]
-        size = 1
-        while frontier:
-            new = []
-            for c, cgens, t in frontier:
-                for g in moving:
-                    d = G.conjugate_mask(c, g)
-                    if d not in known:
-                        dgens = tuple(conj(x, g) for x in cgens)
-                        known[d] = dgens
-                        conjugated[d] = (k, mult[t][g])
-                        new.append((d, dgens, mult[t][g]))
-            size += len(new)
-            frontier = new
-        if size * k.bit_count() == G.order:  # |N(K)| = |G|/size = |K|
+        if not tables:
+            tables.extend([1 << conj(x, g) for x in range(G.order)]
+                          for g in moving)
+        orbit = [k]
+        for c in orbit:  # breadth first: the list grows as it is read
+            members = set_bits(c)
+            images[c] = imgs = [sum(map(t.__getitem__, members))
+                                for t in tables]
+            for i, d in enumerate(imgs):
+                if d not in known:
+                    known[d] = tuple(conj(x, moving[i]) for x in known[c])
+                    found[d] = (c, i)
+                    orbit.append(d)
+        if len(orbit) * k.bit_count() == G.order:  # |N(K)| = |G|/|orbit| = |K|
             normalizers[k] = k
 
     add_class(1 << e, ())
@@ -517,7 +510,11 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
                     add_class(j, hgens + (z,))
             covers[h] = covered
 
-    return known, normalizers, conjugated
+    # N(c^g) = N(c)^g, and a normal N(c), whose class is itself, is N(c)^g
+    for d, (c, i) in found.items():
+        nc = normalizers[c]
+        normalizers[d] = images[nc][i] if nc in images else nc
+    return known, normalizers
 
 
 def _replay_gens(L: SubgroupLattice, cyc_items: list[tuple[int, int]]) -> None:

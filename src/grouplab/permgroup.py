@@ -735,20 +735,23 @@ def quotient(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
     """Quotient by a normal subgroup, realized as the coset action.
 
     `nmask` is the bitmask of element ordinals of a normal subgroup N,
-    checked to be a subgroup by closing a greedy generating set of it.  The
-    quotient acts on the cosets of N (degree = index), numbered in the order
-    of their least elements; coset c is the permutation of its least
-    element, so `coset_of` is the image table.  The epimorphism is verified
-    on G's generators (`Epimorphism.verify`) and its kernel checked
-    against N.
+    checked to be a subgroup by closing a greedy generating set of it, and
+    to be normal by conjugating that set by G's generators: N^p <= N gives
+    N^p = N, as conjugation is a bijection.  The quotient acts on the
+    cosets of N (degree = index), numbered in the order of their least
+    elements; coset c is the permutation of its least element, so
+    `coset_of` is the image table.  The epimorphism is verified on G's
+    generators (`Epimorphism.verify`) and its kernel checked against N.
     """
-    if G.closure_mask(G.generators_of(nmask)) != nmask:
+    ngens = G.generators_of(nmask)
+    if G.closure_mask(ngens) != nmask:
         raise GroupError("quotient: member set is not a subgroup")
+    mult, inv = G.mult, G.inv
+    for p in map(G.element_index.__getitem__, G.generators):
+        row = mult[inv[p]]
+        if not all(nmask >> mult[row[h]][p] & 1 for h in ngens):
+            raise GroupError("quotient: subgroup is not normal")
     nmems = set_bits(nmask)
-    if any(G.conjugate_mask(nmask, G.element_index[p]) != nmask
-           for p in G.generators):
-        raise GroupError("quotient: subgroup is not normal")
-    mult = G.mult
     n = G.order
     coset_of = [-1] * n
     reps = []

@@ -1,9 +1,12 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
-from grouplab import Permutation, all_subgroups, direct_product, named_group
+from grouplab import (FiniteGroup, Permutation, all_subgroups, direct_product,
+                      named_group)
 from grouplab.classes import p_subnormal_set
+from grouplab.lattice import _id_key
 from grouplab.permgroup import is_prime, prime_power, set_bits
 from grouplab.submodular import is_n_maximal_with_index
 
@@ -164,10 +167,38 @@ def test_conjugate_mask_matches_permutation_arithmetic(s4):
                     == _conjugate_by_permutations(s4, s.mask, g))
 
 
+@given(st.integers(1, 12).flatmap(lambda k: st.lists(
+    st.frozensets(st.integers(0, 40), min_size=k, max_size=k),
+    min_size=2, max_size=8, unique=True)))
+def test_id_key_orders_masks_of_one_order_as_their_member_lists(sets):
+    masks = [sum(1 << x for x in s) for s in sets]
+    assert (sorted(masks, key=_id_key, reverse=True)
+            == sorted(masks, key=set_bits))
+
+
+@pytest.mark.parametrize("name,args", REFERENCE_GROUPS + [
+    ("direct", [("alt", [5]), ("cyclic", [2])])])
+def test_normalizers_are_read_without_conjugating(name, args, monkeypatch):
+    """Every normalizer comes with the lattice: once it is built, no
+    normalizer or normality read conjugates a member set (A5 x Z2 reaches
+    the general pass of the enumeration)."""
+    L = _reference_group(name, args).lattice()
+
+    def refuse(*args):
+        raise AssertionError("conjugate_mask called")
+
+    monkeypatch.setattr(FiniteGroup, "conjugate_mask", refuse)
+    for a in range(len(L)):
+        n = L.normalizer(a)
+        assert L.is_normal_in(a, n)
+        assert sum(L.is_normal_in(a, b) for b in range(len(L))) == (
+            L.down[n] & L.up[a]).bit_count()
+
+
 @pytest.mark.parametrize("name,args", REFERENCE_GROUPS)
 def test_normalizer_conjugates_core_match_definitions(name, args):
-    """Also checks the normalizers the enumeration hands to the lattice:
-    N(H) of class representatives and N(H)^t of their conjugates H^t."""
+    """Also checks the normalizer of every subgroup, handed to the lattice
+    by the enumeration."""
     G = _reference_group(name, args)
     L = G.lattice()
     # conj[a][g] = mask of a^g, for every member g of G

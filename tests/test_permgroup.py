@@ -168,6 +168,28 @@ def test_quotient_rejects_non_normal():
         quotient(G, mask)
 
 
+@pytest.mark.parametrize("name,args,normals", [
+    ("sym", [4], 4), ("holomorph_cyclic", [5], 4)])
+def test_quotient_succeeds_exactly_on_normal_subgroups(name, args, normals):
+    """Normality by permutation arithmetic over every element and member
+    (S4: 1, V4, A4, S4; Hol(Z5): 1, Z5, D5, Hol(Z5))."""
+    G = named_group(name, args)
+    els, idx = G.elements, G.element_index
+    found = 0
+    for s in G.lattice().subgroups:
+        members = [els[m] for m in set_bits(s.mask)]
+        if all(s.mask >> idx[g.inverse() * x * g] & 1
+               for g in els for x in members):
+            found += 1
+            Q, epi = quotient(G, s.mask)
+            assert Q.order * s.order == G.order
+            assert epi.kernel_mask() == s.mask
+        else:
+            with pytest.raises(GroupError, match="not normal"):
+                quotient(G, s.mask)
+    assert found == normals
+
+
 def test_quotient_rejects_non_subgroup():
     """Member sets that are not subgroups: empty, without the identity,
     not closed (a 3-cycle without its inverse, two transpositions)."""
