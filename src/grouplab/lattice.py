@@ -90,10 +90,12 @@ class SubgroupLattice:
         self._subs_of: dict[int, list[int]] = {}
         self._memos: dict[tuple, object] = {}
         self._as_group: dict[int, FiniteGroup] = {}
-        # `submodular`'s per-pair caches stay attributes: perfbench's tracer
-        # reads their sizes; every other module answer is kept by `memo`
+        # `submodular`'s caches stay attributes: perfbench's tracer reads
+        # their sizes; every other module answer is kept by `memo`.
+        # ksub_reach[top][j]: the ids with a chain up to top whose every
+        # step has kind at most j, for j = 0 up to the largest needed
         self.step_kind_cache: dict[tuple[int, int], int | None] = {}
-        self.ksub_reach: dict[tuple[int, int], frozenset[int]] = {}
+        self.ksub_reach: dict[int, tuple[frozenset[int], ...]] = {}
 
     def __len__(self) -> int:
         return len(self.subgroups)

@@ -13,7 +13,8 @@ Conventions:
   - Every step verdict is intrinsic to the pair (A, B): only B, A and
     Core_B(A) enter the definition, so per-pair results are cached with the
     lattice and shared by all ambient queries.
-  - n starts at 1 everywhere.
+  - n starts at 1 everywhere.  A step of kind n is legal at every k >= n,
+    so the k-submodular sets of a top are nested in k (`ksub_set`).
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ def step_kind(L: SubgroupLattice, a: int, b: int) -> int | None:
     Returns 0 when a is normal in b, n >= 1 when a is n-modularly embedded
     in b through the non-normal clause (n is then unique), and None when the
     pair is no legal step at all.  0 is falsy: test for None with `is`.
+    A kind n >= 1 has p q^n = |b / Core_b(a)| dividing |b|, so no step in
+    a top has a kind above the largest prime exponent of its order.
     """
     key = (a, b)
     hit = L.step_kind_cache.get(key, _MISS)
@@ -101,19 +104,10 @@ def is_modular_subgroup(L: SubgroupLattice, m: int) -> bool:
     return _modular_in(L, m, L.top.id)
 
 
-def _reach(L: SubgroupLattice, tag: int, top: int, pred) -> frozenset[int]:
-    """The ids of `L.reach_down(top, pred)`, memoised in `L.ksub_reach`
-    under (tag, top): tag -1 for modular steps, k for steps legal at k."""
-    key = (tag, top)
-    hit = L.ksub_reach.get(key)
-    if hit is None:
-        hit = L.ksub_reach[key] = frozenset(L.reach_down(top, pred))
-    return hit
-
-
 def submodular_set(L: SubgroupLattice) -> frozenset[int]:
     """Ids submodular in the whole group."""
-    return _reach(L, -1, L.top.id, lambda a, b: _modular_in(L, a, b))
+    return L.memo((submodular_set,), lambda: frozenset(L.reach_down(
+        L.top.id, lambda a, b: _modular_in(L, a, b))))
 
 
 # -- k-submodularity ---------------------------------------------------------
@@ -125,12 +119,30 @@ def _step_ok(L: SubgroupLattice, a: int, b: int, k: int) -> bool:
 
 
 def ksub_set(L: SubgroupLattice, k: int, top: int | None = None) -> frozenset[int]:
-    """Ids k-submodular in `top` (default: the whole group)."""
+    """Ids k-submodular in `top` (default: the whole group).  One walk per
+    top answers every k: level j takes the steps of kind at most j, leaves a
+    step of kind n > j to level n, and ends as `L.ksub_reach[top][j]`."""
     if k < 1:
         raise GroupError("k-submodularity needs k >= 1")
     if top is None:
         top = L.top.id
-    return _reach(L, k, top, lambda a, b: _step_ok(L, a, b, k))
+    sets = L.ksub_reach.get(top)
+    if sets is None:
+        seen, sets, later = set(), [], {0: {top}}
+        while later:
+            frontier = list(later.pop(len(sets), set()) - seen)
+            seen.update(frontier)
+            for b in frontier:
+                for a in L.subs_of(b):
+                    if a not in seen and (n := step_kind(L, a, b)) is not None:
+                        if n <= len(sets):
+                            seen.add(a)
+                            frontier.append(a)
+                        else:
+                            later.setdefault(n, set()).add(a)
+            sets.append(frozenset(seen))
+        sets = L.ksub_reach[top] = tuple(sets)
+    return sets[min(k, len(sets) - 1)]
 
 
 def is_k_submodular(L: SubgroupLattice, h: int,
@@ -140,7 +152,7 @@ def is_k_submodular(L: SubgroupLattice, h: int,
     The chain is the shortest, then lexicographically least, list of ids
     from h up to the top whose every step is legal at k.  The chain
     lengths of the whole group's search are memoised per k; `ksub_set`
-    keeps only the ids, for every top."""
+    keeps the ids of every k, for every top."""
     if k < 1:
         raise GroupError("k-submodularity needs k >= 1")
     top = L.top.id

@@ -8,7 +8,7 @@ from grouplab import (FiniteGroup, Permutation, all_subgroups, direct_product,
 from grouplab.classes import p_subnormal_set
 from grouplab.lattice import _id_key
 from grouplab.permgroup import is_prime, prime_power, set_bits
-from grouplab.submodular import is_n_maximal_with_index
+from grouplab.submodular import is_n_maximal_with_index, ksub_set
 
 
 def naive_subgroup_masks(G):
@@ -474,6 +474,24 @@ def metacyclic_counts(cap):
       G/P = C, so it is cyclic, <k> with k outside P, and lies in the one
       conjugate of C that holds k.  So these K are the nontrivial
       subgroups of the p conjugates of C, each counted once.
+
+    `metacyclic_ksub_count` gives the k-submodular subgroups:
+    1 + tau(m) + p * (sum of min(k, e) over the prime powers q^e exactly
+    dividing m), which is n + 2 + p * min(k, n) for m = q^n.
+    - The 1 + tau(m) subgroups 1 and K >= P are normal, as G/P is abelian.
+    - Let 1 != K <= C^x with |K| = d.  For y != 1 in P, K^y lies in
+      C^(xy), which meets C^x trivially; so the step K < PK, of prime
+      index p, is not normal and has core 1.  PK is not nilpotent, as K
+      acts without fixed points on P.  So the step has kind j when
+      d = q^j, and is no legal step when d is no prime power.  PK is
+      normal in G, so K is j-submodular.
+    - Conversely, take a chain from K up to G whose steps are legal at k.
+      Its members meet P in 1 or P, so one step A < B has A meeting P in 1
+      and B >= P.  A >= K is not normal in B, as it would centralize P;
+      so |B:A| is prime, B = PA, and by the above |A| = q^i with i <= k.
+      So d = q^j with j <= i <= k.
+    So the k-submodular K != 1 meeting P in 1 are the subgroups of order
+    q^j, j <= k, of the p conjugates of C, each counted once.
     """
     primes = [p for p in range(2, 260) if all(p % d for d in range(2, p))]
     for p in primes:
@@ -488,7 +506,25 @@ def metacyclic_counts(cap):
                    2 + (_tau(p - 1) - 1) * (p + 1))
 
 
+def metacyclic_ksub_count(name, args, k):
+    """The number of k-submodular subgroups of a `metacyclic_counts` group
+    (its docstring has the proof)."""
+    p = args[0]
+    m = args[1] ** args[2] if name == "frobenius_metacyclic" else p - 1
+    total = 1 + _tau(m)
+    for q in range(2, m + 1):
+        if all(q % d for d in range(2, q)):  # q prime
+            e = 0
+            while m % q ** (e + 1) == 0:
+                e += 1
+            total += p * min(k, e)
+    return total
+
+
 # CI's "Metacyclic subgroup counts" step runs the whole sweep to order 5000
 @pytest.mark.parametrize("name,args,count", list(metacyclic_counts(400)))
 def test_metacyclic_counts_match_closed_forms(name, args, count):
-    assert len(all_subgroups(named_group(name, args))) == count
+    L = all_subgroups(named_group(name, args))
+    assert len(L) == count
+    assert [len(ksub_set(L, k)) for k in (1, 2, 3, 4)] == [
+        metacyclic_ksub_count(name, args, k) for k in (1, 2, 3, 4)]

@@ -15,7 +15,8 @@ from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  ksub_set, lattice_dot, schmidt_maximal_modular,
                                  step_kind, submodular_set,
                                  thm31_characterization, thm32_characterization)
-from definitions import ksub_by_definition, step_by_definition, step_table
+from definitions import (classes_by_definition, ksub_by_definition,
+                         step_by_definition, step_table)
 from test_fuzz import two_permutations
 
 
@@ -255,6 +256,70 @@ def test_monotone_in_k(hol5, s4):
     for G in (hol5, s4):
         L = G.lattice()
         assert ksub_set(L, 1) <= ksub_set(L, 2) <= ksub_set(L, 3)
+
+
+@pytest.mark.parametrize("name,args", [("sym", [4]),
+                                       ("holomorph_cyclic", [19])])
+def test_ksub_set_searches_once_per_top(name, args, monkeypatch):
+    """Every k of every top, and every class at every k, reads one record
+    per top, with no breadth-first search."""
+    L = all_subgroups(named_group(name, args))
+
+    def no_search(self, top, pred):
+        raise AssertionError("ksub_set ran reach_down")
+
+    monkeypatch.setattr(type(L), "reach_down", no_search)
+    for top in range(len(L)):
+        for k in (1, 2, 3, 4):
+            ksub_set(L, k, top=top)
+    for cls in submodular.CLASS_IDS:
+        for k in (1, 2, 3, 4):
+            submodular.in_class(L, cls, k)
+    assert len(L.ksub_reach) == len(L)
+
+
+def test_ksub_set_matches_per_k_search_on_corpus(corpus):
+    """`ksub_set` at k = 1..e+1, e the largest prime exponent of |top|,
+    against one `reach_down` per k: every member top of the corpus groups
+    with at most 150 subgroups, the whole group of the others.  No step in
+    top has a kind above e (`step_kind`), so the sets at max(1, e) and
+    e + 1 agree."""
+    pairs = 0
+    for entry in corpus:
+        L = entry.lattice
+        tops = range(len(L)) if len(L) <= 150 else [L.top.id]
+        for top in tops:
+            e = max(factorize(L.subgroups[top].order).values(), default=0)
+            for k in range(1, e + 2):
+                def legal(a, b):
+                    kind = step_kind(L, a, b)
+                    return kind is not None and kind <= k
+
+                assert ksub_set(L, k, top=top) == frozenset(
+                    L.reach_down(top, legal)), (entry.name, top, k)
+                pairs += 1
+            assert ksub_set(L, max(1, e), top=top) == ksub_set(
+                L, e + 1, top=top), (entry.name, top)
+    assert pairs == 3039
+
+
+@pytest.mark.parametrize("p,q,n,sizes,classes_from", [
+    (17, 2, 3, [22, 39, 56], 3),  # Frob(17,2^3), order 136
+    (19, 3, 2, [23, 42, 42], 2),  # Frob(19,3^2), order 171
+])
+def test_ksub_set_separates_k_outside_corpus(p, q, n, sizes, classes_from):
+    """Two Frobenius groups p:q^n outside the corpus against the
+    definitional step table: Frob(17,2^3) has steps of kind 3 and lies in
+    the four classes only from k = 3, which no corpus group needs.  Both
+    are supersoluble: 1 < Z_p < G has cyclic factors."""
+    L = named_group("frobenius_metacyclic", [p, q, n]).lattice()
+    table = step_table(L)
+    for k, size in zip((1, 2, 3), sizes):
+        reach = ksub_set(L, k)
+        assert reach == ksub_by_definition(L, table, k) and len(reach) == size
+        theirs = classes_by_definition(L, table, k, True)
+        ours = {c: submodular.in_class(L, c, k) for c in submodular.CLASS_IDS}
+        assert ours == theirs == dict.fromkeys(ours, k >= classes_from), k
 
 
 def test_conjugation_invariance_of_ksub(s4, hol5):
