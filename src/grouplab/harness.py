@@ -5,6 +5,12 @@ Suites evaluate every variant of an equivalence independently (no
 short-circuiting), so a genuine discrepancy in one characterization is
 observable rather than masked by another.  Reports are deterministic for a
 fixed corpus and k set; only the elapsed fields vary between runs.
+
+Checks on a quotient G/N build it as a group (`_quotient`).  Read on the
+interval [N, G] of G's lattice, T3.3's `quotient_closure_X` and
+`quotient_closure_Y` would hold by construction: a chain from h >= N stays
+above N, and `step_kind` of a pair above N is the same in G/N, so the
+interval's k-submodular set is `ksub_set(L, k) & up[N]`.
 """
 from __future__ import annotations
 
@@ -13,8 +19,8 @@ import time
 from collections import Counter
 from functools import cache, partial
 
-from .permgroup import (FiniteGroup, GroupError, direct_product, factorize,
-                        group_from_spec, order_cap, prime_power,
+from .permgroup import (Epimorphism, FiniteGroup, GroupError, direct_product,
+                        factorize, group_from_spec, order_cap, prime_power,
                         quotient_cached, set_bits, spec_order)
 from .lattice import Subgroup, SubgroupLattice
 from . import classes, structure, submodular
@@ -160,28 +166,25 @@ def _checked(checks: dict[str, bool]):
     return not failures, {"failed_checks": failures}, {"checks": checks}
 
 
-def _quotient_lattice(G: FiniteGroup, L: SubgroupLattice,
-                      n: int) -> SubgroupLattice:
-    """Lattice of G/n for a normal subgroup id n."""
-    return quotient_cached(G, L.subgroups[n].mask)[0].lattice()
+def _proper_normals(L: SubgroupLattice) -> tuple[int, ...]:
+    """Ids of the nontrivial proper normal subgroups, ascending (the first
+    normal id is 1, the last G); G/1 and G/G carry no information for
+    closure checks."""
+    return structure.normal_ids_in(L, L.top.id)[1:-1]
 
 
-def _quotient_lattices(G: FiniteGroup):
-    """(normal Subgroup, quotient, epimorphism) for each nontrivial proper
-    normal subgroup; G/1 and G/G carry no information for closure checks."""
-    L = G.lattice()
-    for n_id in structure.normal_ids_in(L, L.top.id):
-        sub = L.subgroups[n_id]
-        if sub.order in (1, G.order):
-            continue
-        Q, epi = quotient_cached(G, sub.mask)
-        yield sub, Q, epi
+def _quotient(L: SubgroupLattice,
+              n: int) -> tuple[SubgroupLattice, Epimorphism]:
+    """The lattice of G/n for a normal subgroup id n, and the epimorphism
+    from G onto G/n."""
+    Q, epi = quotient_cached(L.group, L.subgroups[n].mask)
+    return Q.lattice(), epi
 
 
-def _quotients_in(G: FiniteGroup, cls: str, k: int) -> bool:
-    """Every nontrivial proper quotient of G lies in class cls."""
-    return all(submodular.in_class(Q.lattice(), cls, k)
-               for _, Q, _ in _quotient_lattices(G))
+def _quotients_in(L: SubgroupLattice, cls: str, k: int) -> bool:
+    """Every nontrivial proper quotient of L's group lies in class cls."""
+    return all(submodular.in_class(_quotient(L, n)[0], cls, k)
+               for n in _proper_normals(L))
 
 
 def _subgroups_in(L: SubgroupLattice, cls: str, k: int) -> bool:
@@ -190,12 +193,11 @@ def _subgroups_in(L: SubgroupLattice, cls: str, k: int) -> bool:
                for a in range(len(L.subgroups)))
 
 
-def _count_subdirect_pairs(G: FiniteGroup, L: SubgroupLattice,
-                           normals: list[int], cls: str, k: int) -> int:
+def _count_subdirect_pairs(L: SubgroupLattice, normals: tuple[int, ...],
+                           cls: str, k: int) -> int:
     """Number of pairs n1 < n2 from `normals` that meet trivially and whose
     quotients G/n1 and G/n2 both lie in class cls."""
-    member = cache(lambda n: submodular.in_class(_quotient_lattice(G, L, n),
-                                                 cls, k))
+    member = cache(lambda n: submodular.in_class(_quotient(L, n)[0], cls, k))
     return sum(L.meet(n1, n2) == L.bottom.id and member(n1) and member(n2)
                for i, n1 in enumerate(normals) for n2 in normals[i + 1:])
 
@@ -219,7 +221,6 @@ def _variants_check(characterization, variants, entry: CorpusEntry, k: int,
 
 
 def _t33_check(entry: CorpusEntry, k: int, counters: Counter):
-    G = entry.group
     L = entry.lattice
     top = L.top.id
     in_X = submodular.in_class(L, "X", k)
@@ -227,26 +228,26 @@ def _t33_check(entry: CorpusEntry, k: int, counters: Counter):
     checks: dict[str, bool] = {}
 
     if in_X:
-        checks["quotient_closure_X"] = _quotients_in(G, "X", k)
+        checks["quotient_closure_X"] = _quotients_in(L, "X", k)
         counters["nonvacuous_quotient_closure_X"] += 1
-    prim = all(submodular.in_class(_quotient_lattice(G, L, L.core(m)), "X", k)
+    prim = all(submodular.in_class(_quotient(L, L.core(m))[0], "X", k)
                for m in L.hasse_down[top])
     checks["primitive_closure_X"] = (not prim) or in_X
     if prim:
         counters["nonvacuous_primitive_closure_X"] += 1
     if in_Y:
-        checks["quotient_closure_Y"] = _quotients_in(G, "Y", k)
+        checks["quotient_closure_Y"] = _quotients_in(L, "Y", k)
         checks["subgroup_closure_Y"] = _subgroups_in(L, "Y", k)
         counters["nonvacuous_Y_closures"] += 1
-    normals = structure.normal_ids_in(L, top)
-    pairs = _count_subdirect_pairs(G, L, normals, "Y", k)
+    pairs = _count_subdirect_pairs(L, structure.normal_ids_in(L, top), "Y", k)
     if pairs:
         counters["nonvacuous_subdirect_Y"] += pairs
     checks["subdirect_closure_Y"] = in_Y or not pairs
-    frattini_quotient = _quotient_lattice(G, L, L.frattini())
+    frattini_quotient = _quotient(L, L.frattini())[0]
     checks["frattini_X_iff_Y"] = (
         in_X == submodular.in_class(frattini_quotient, "Y", k))
-    checks["X_supersoluble"] = (not in_X) or structure.is_supersoluble(G)
+    checks["X_supersoluble"] = ((not in_X)
+                                or structure.is_supersoluble_in(L, top))
     if k == 1:
         # k=1 corollary, phrased with the modular/submodular predicates
         all_max_modular = all(submodular.is_modular_subgroup(L, m)
@@ -269,11 +270,11 @@ def _local_formation_check(cls: str, formation, entry: CorpusEntry, k: int,
               member == classes.in_local_formation(G, formation(k))}
     if member:
         checks["subgroup_closure"] = _subgroups_in(L, cls, k)
-        checks["quotient_closure"] = _quotients_in(G, cls, k)
+        checks["quotient_closure"] = _quotients_in(L, cls, k)
         counters[f"nonvacuous_{cls}_closures"] += 1
     phi = L.frattini()
     if phi != L.bottom.id:
-        quot_member = submodular.in_class(_quotient_lattice(G, L, phi), cls, k)
+        quot_member = submodular.in_class(_quotient(L, phi)[0], cls, k)
         checks["saturation"] = (not quot_member) or member
         if quot_member:
             counters[f"nonvacuous_{cls}_saturation"] += 1
@@ -398,9 +399,9 @@ def _lemma_21(entry, k_set, counters):
     n = 1, 2, 3 whatever the k list)."""
     L = entry.lattice
     verdicts = []
-    for sub, Q, epi in _quotient_lattices(entry.group):
-        Lq = Q.lattice()
-        for h in L.interval(sub.id, L.top.id)[:-1]:  # the top is last
+    for nid in _proper_normals(L):
+        Lq, epi = _quotient(L, nid)
+        for h in L.interval(nid, L.top.id)[:-1]:  # the top is last
             h_img = _image_id(Lq, epi, L.subgroups[h])
             if h_img == Lq.top.id:
                 continue
@@ -420,24 +421,25 @@ def _lemma_22(entry, k, counters):
     maxes = L.hasse_down[L.top.id]
     counters["nonvacuous_L2.2"] += sum(not L.is_normal_in(m, L.top.id)
                                        for m in maxes)
-    return all([(m in reach) == _schmidt_like(entry.group, L, m, k)
-                for m in maxes])
+    return all([(m in reach) == _schmidt_like(L, m, k) for m in maxes])
 
 
-def _schmidt_like(G: FiniteGroup, L: SubgroupLattice, m: int, k: int) -> bool:
+def _schmidt_like(L: SubgroupLattice, m: int, k: int) -> bool:
     """The right side of L2.2 for a maximal subgroup m."""
     if L.is_normal_in(m, L.top.id):
         return True
     c = L.core(m)
-    Q, epi = quotient_cached(G, L.subgroups[c].mask)
     m_ord = L.subgroups[m].order // L.subgroups[c].order
     pp = prime_power(m_ord)
-    facs = factorize(Q.order)
-    if pp is None or len(facs) != 2 or structure.is_nilpotent(Q):
+    facs = factorize(L.group.order // L.subgroups[c].order)
+    if pp is None or len(facs) != 2:
+        return False
+    Lq, epi = _quotient(L, c)
+    Q = Lq.group
+    if structure.is_nilpotent(Q):
         return False
     q, n = pp
     p = Q.order // m_ord
-    Lq = Q.lattice()
     img = Lq.subgroups[_image_id(Lq, epi, L.subgroups[m])]
     p_syl = structure.sylow_in(Lq, Lq.top.id, p)
     return (n <= k and facs.get(p) == 1 and Lq.subgroups[p_syl].order == p
@@ -496,20 +498,19 @@ def _lemma_26(entry, k, counters):
     L = entry.lattice
     reach = submodular.ksub_set(L, k)
     ok = True
-    for sub, Q, epi in _quotient_lattices(entry.group):
-        Lq = Q.lattice()
+    for n in _proper_normals(L):
+        Lq, epi = _quotient(L, n)
         reach_q = submodular.ksub_set(Lq, k)
         # HN lies in [N, G]: whether its image HN/N is k-submodular in G/N
         image_ok = {x: _image_id(Lq, epi, L.subgroups[x]) in reach_q
-                    for x in set_bits(L.up[sub.id])}
+                    for x in set_bits(L.up[n])}
         for h in range(len(L.subgroups)):
-            hn = L.join(h, sub.id)  # hn == h iff N <= h
+            hn = L.join(h, n)  # hn == h iff N <= h
             ok = ok and ((image_ok[hn] or h not in reach)
                          and (h in reach or not (image_ok[hn] and hn == h))
                          and image_ok[hn] == (hn in reach))
         # HN != H exactly when N is not under H
-        counters["nonvacuous_L2.6"] += (len(L.subgroups)
-                                        - L.up[sub.id].bit_count())
+        counters["nonvacuous_L2.6"] += len(L.subgroups) - L.up[n].bit_count()
     return ok
 
 
@@ -561,15 +562,14 @@ def _lemma_31(entry, k, counters):
     nilpotent = structure.is_nilpotent(G)
     counters["nonvacuous_L3.1_nilpotent"] += nilpotent
     counters["nonvacuous_L3.1_members"] += in_F
-    nontrivial_normals = [n for n in structure.normal_ids_in(L, L.top.id)
-                          if n != L.bottom.id]
+    nontrivial_normals = structure.normal_ids_in(L, L.top.id)[1:]
     # (3) subdirect closure
-    pairs = _count_subdirect_pairs(G, L, nontrivial_normals, "F", k)
+    pairs = _count_subdirect_pairs(L, nontrivial_normals, "F", k)
     counters["nonvacuous_L3.1_subdirect"] += pairs
     # (1) Sylows U-subnormal, (2) quotient and (5) subgroup closure
     return ((in_F or not (nilpotent or pairs))
             and (not in_F or (classes.in_wF(G, classes.oracle("U"))
-                              and _quotients_in(G, "F", k)
+                              and _quotients_in(L, "F", k)
                               and _subgroups_in(L, "F", k))))
 
 

@@ -1,11 +1,16 @@
 """Definitional oracles on element sets, for the tests: they read only a
 group's multiplication table and inverses and a lattice's member masks,
 never the engine's step classifier, cores, nilpotency tests, covers,
-reach sets, generator-wise homomorphism check or power walks.  The lemma forms at the end are the other kind: the L suite's
+reach sets, generator-wise homomorphism check or power walks.  The forms
+at the end are the other kind: Schmidt's test on the built quotient group,
+the automizer test on the lattice interval [C, G], and the L suite's
 lemmas L2.5 and L2.6 written pair by pair, on the engine's k-submodular
 sets."""
+from itertools import combinations
+
 from grouplab import harness, submodular
-from grouplab.permgroup import factorize, set_bits
+from grouplab.permgroup import (factorize, prime_power, quotient_cached,
+                                set_bits)
 
 
 def closure(G, gens):
@@ -19,6 +24,64 @@ def closure(G, gens):
                     if y not in out]
         out.update(frontier)
     return out
+
+
+def naive_subgroup_masks(G):
+    """The subgroups of G as masks: closures of all subsets of at most two
+    elements, then the join fixpoint (every subgroup of these small groups
+    arises this way)."""
+    masks = {G.closure_mask([G.identity_ordinal])}
+    for i in range(G.order):
+        masks.add(G.closure_mask([i]))
+    for i, j in combinations(range(G.order), 2):
+        masks.add(G.closure_mask([i, j]))
+    changed = True
+    while changed:
+        changed = False
+        for a in list(masks):
+            for b in list(masks):
+                j = G.closure_mask(set_bits(a | b))
+                if j not in masks:
+                    masks.add(j)
+                    changed = True
+    return masks
+
+
+def generating_pairs(G):
+    """phi_2(G), the number of ordered pairs (x, y) of elements with
+    <x, y> = G, by `closure`.  Conjugation by g maps the pairs of x onto
+    those of x^g, so one x per conjugacy class is closed, weighted by the
+    class size."""
+    mult, inv = G.mult, G.inv
+    seen, count = set(), 0
+    for x in range(G.order):
+        if x in seen:
+            continue
+        conjugates = {mult[mult[inv[g]][x]][g] for g in range(G.order)}
+        seen |= conjugates
+        count += len(conjugates) * sum(len(closure(G, (x, y))) == G.order
+                                       for y in range(G.order))
+    return count
+
+
+def mobius_to_top(L, ids=None):
+    """mu(H, G) for each id H of `ids` (default: every id), on the poset
+    of those ids ordered by the lattice's up-sets: mu(G, G) = 1 and
+    mu(H, G) = -(the sum of mu(K, G) over H < K <= G).  Ids ascend with
+    order, so every K above H is decided before H."""
+    ids = range(len(L.subgroups)) if ids is None else sorted(ids)
+    mu = {}
+    for h in reversed(ids):
+        above = [k for k in set_bits(L.up[h]) if k != h and k in mu]
+        mu[h] = 1 if h == L.top.id else -sum(mu[k] for k in above)
+    return mu
+
+
+def hall_phi2(L, ids=None):
+    """phi_2(G) by Hall's Eulerian formula (Hall 1936): the sum over the
+    subgroups H of mu(H, G) |H|^2, each pair generating exactly one H."""
+    return sum(m * L.subgroups[h].order ** 2
+               for h, m in mobius_to_top(L, ids).items())
 
 
 def is_epimorphism_by_definition(epi):
@@ -121,6 +184,30 @@ def classes_by_definition(L, table, k, supersoluble):
             "K": supersoluble and sylows_ok, "F": sylows_ok}
 
 
+def schmidt_by_quotient(L, m):
+    """Schmidt's test on a maximal subgroup m, on the built quotient: m is
+    normal, or G/Core(m) is non-abelian of order pq for primes p != q."""
+    top = L.top.id
+    if L.is_normal_in(m, top):
+        return True
+    Q, _ = quotient_cached(L.group, L.subgroups[L.core(m)].mask)
+    return (sorted(factorize(Q.order).values()) == [1, 1]
+            and not Q.is_abelian())
+
+
+def automizer_by_interval(L, cf, k):
+    """The automizer test on a chief factor cf, read on the lattice:
+    G/C_G(H/K) is cyclic of order q^n for a prime q, n <= k, exactly when
+    |G : C| = q^n and [C, G], the lattice of G/C, is a chain of n + 1
+    members.  A group of order q^n has a subgroup of each order q^i; with
+    no more, as when cyclic, it has one maximal subgroup, and an element
+    outside it generates the group."""
+    c = cf.centralizer
+    pp = prime_power(L.group.order // c.order)
+    return c.order == L.group.order or (
+        pp is not None and pp[1] <= k and L.up[c.id].bit_count() == pp[1] + 1)
+
+
 def lemma_25_per_pair(L, k):
     """(verdict, instances) of L2.5 over every pair (h, u) with h
     k-submodular in the group: the meet d of h and u is k-submodular in u,
@@ -146,7 +233,11 @@ def lemma_26_per_pair(G, k):
     L = G.lattice()
     reach = submodular.ksub_set(L, k)
     verdicts, count = [], 0
-    for sub, Q, epi in harness._quotient_lattices(G):
+    for sub in L.subgroups:
+        if (sub.order in (1, G.order)
+                or not L.is_normal_in(sub.id, L.top.id)):
+            continue
+        Q, epi = quotient_cached(G, sub.mask)
         Lq = Q.lattice()
         reach_q = submodular.ksub_set(Lq, k)
         for h in range(len(L.subgroups)):

@@ -3,14 +3,14 @@ the command line.  Every input either succeeds or fails with a typed error;
 the command line exits 0, 1 or 2, never with a traceback, and exits 2 on
 malformed input.  A small order cap keeps each example cheap.  The subgroup
 lattices of random permutation groups are checked against the plain
-cyclic-extension loop."""
+cyclic-extension loop, and every suite is run on them."""
 import json
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from grouplab import (FiniteGroup, GroupError, OrderCapExceeded, Permutation,
-                      cli, generate, group_from_spec)
+                      cli, generate, group_from_spec, harness)
 from test_lattice import assert_matches_unskipped_loop
 
 CAP = "24"
@@ -186,3 +186,34 @@ def test_lattice_of_random_group_matches_unskipped_loop(perms):
         except OrderCapExceeded:
             assume(False)
         assert_matches_unskipped_loop(G)
+
+
+generated_group = st.integers(3, 8).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(d)),
+                                             min_size=1, max_size=3)))
+
+
+@FUZZ
+@given(generated_group)
+def test_suites_pass_on_generated_groups(drawn):
+    """Every record of every suite at k = 1, 2, 3 passes on the group 1 to
+    3 random permutations of degree 3 to 8 generate (order <= 60).  The L
+    suite, as on the corpus, takes only groups of order at most
+    `harness.LEMMA_SUITE_MAX_ORDER` (48), so it checks drawn groups of
+    order 49 to 60 for nothing.  Its corpus:direct-products record is a
+    property of a corpus, and the non-vacuity counters are too; neither is
+    required."""
+    degree, perms = drawn
+    spec = {"kind": "generators", "degree": degree,
+            "cycles": [Permutation(p).cycle_string() for p in perms]}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GROUPLAB_ORDER_CAP", "60")
+        try:
+            entry = harness.CorpusEntry("generated", spec)
+        except OrderCapExceeded:
+            assume(False)
+        for suite in harness.SUITE_IDS:
+            report = harness.run_suite(suite, [1, 2, 3], [entry])
+            failed = [r for r in report.entries if not r["pass"]
+                      and r["group"] != "corpus:direct-products"]
+            assert not failed, (spec, suite, failed)

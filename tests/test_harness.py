@@ -321,8 +321,8 @@ def test_lemma_26_fails_without_a_member_of_a_quotient(corpus, monkeypatch):
     entry = next(e for e in corpus if e.name == "Hol(Z5)")
     k = 1
     assert harness._lemma_26(entry, k, Counter())
-    _, Q, _ = next(harness._quotient_lattices(entry.group))
-    Lq = Q.lattice()
+    L = entry.lattice
+    Lq, _ = harness._quotient(L, harness._proper_normals(L)[0])
     _drop_member(monkeypatch, Lq, Lq.top.id,
                  min(submodular.ksub_set(Lq, k) - {Lq.top.id}))
     assert not harness._lemma_26(entry, k, Counter())
@@ -337,7 +337,7 @@ def test_t33_subdirect_law_has_a_nontrivial_instance(corpus):
         normals = [n for n in structure.normal_ids_in(L, L.top.id)
                    if n != L.bottom.id]
         for k in (1, 2, 3):
-            if harness._count_subdirect_pairs(e.group, L, normals, "Y", k):
+            if harness._count_subdirect_pairs(L, normals, "Y", k):
                 assert submodular.in_class(L, "Y", k), (e.name, k)
                 return
     pytest.fail("no subdirect pair of nontrivial normal subgroups")
@@ -359,8 +359,8 @@ def test_image_from_generators_matches_elementwise(corpus):
         if entry.order > 60:
             continue
         L = entry.lattice
-        for _, Q, epi in harness._quotient_lattices(entry.group):
-            Lq = Q.lattice()
+        for n in harness._proper_normals(L):
+            Lq, epi = harness._quotient(L, n)
             for sub in L.subgroups:
                 assert (harness._image_id(Lq, epi, sub)
                         == _image_by_elements(Lq, epi, sub)), entry.name

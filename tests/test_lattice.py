@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,27 +7,8 @@ from grouplab.classes import p_subnormal_set
 from grouplab.lattice import _id_key
 from grouplab.permgroup import is_prime, prime_power, set_bits
 from grouplab.submodular import is_n_maximal_with_index, ksub_set
-
-
-def naive_subgroup_masks(G):
-    """Independent oracle: closures of all <=2-element subsets, then the join
-    fixpoint (every subgroup of these small groups arises this way)."""
-    masks = {G.closure_mask([G.identity_ordinal])}
-    n = G.order
-    for i in range(n):
-        masks.add(G.closure_mask([i]))
-    for i, j in combinations(range(n), 2):
-        masks.add(G.closure_mask([i, j]))
-    changed = True
-    while changed:
-        changed = False
-        for a in list(masks):
-            for b in list(masks):
-                j = G.closure_mask(set_bits(a | b))
-                if j not in masks:
-                    masks.add(j)
-                    changed = True
-    return masks
+from definitions import (generating_pairs, hall_phi2, mobius_to_top,
+                         naive_subgroup_masks)
 
 
 @pytest.mark.parametrize("name,args,count", [
@@ -451,6 +430,37 @@ def test_subgroup_counts_match_closed_forms(name, args, count):
     """Counts the enumeration shares no code with: Z_n has tau(n)
     subgroups, D_n has tau(n) + sigma(n), E_p^n the number of subspaces."""
     assert len(all_subgroups(named_group(name, args))) == count
+
+
+def test_hall_eulerian_function_matches_generating_pairs(corpus):
+    """phi_2(G) = sum over H of mu(H, G) |H|^2 (Hall 1936), with mu from
+    the lattice's up-sets, against a count of the pairs (x, y) with
+    <x, y> = G by plain closure, on the corpus groups of order <= 60."""
+    small = [e for e in corpus if e.order <= 60]
+    assert len(small) == 74
+    for e in small:
+        assert hall_phi2(e.lattice) == generating_pairs(e.group), e.name
+
+
+def test_hall_eulerian_function_of_a5():
+    """Hall's published values: phi_2(A5) = 2280 and mu(1, A5) = -60."""
+    L = named_group("alt", [5]).lattice()
+    assert hall_phi2(L) == 2280
+    assert mobius_to_top(L)[L.bottom.id] == -60
+
+
+@pytest.mark.parametrize("name,args", [("sym", [4]), ("alt", [5])])
+def test_hall_sum_changes_without_a_class(name, args):
+    """With any one proper conjugacy class H^G with mu(H, G) != 0 taken out
+    of the lattice, Hall's sum no longer counts the generating pairs."""
+    G = named_group(name, args)
+    L = G.lattice()
+    mu, pairs = mobius_to_top(L), generating_pairs(G)
+    classes = {frozenset(L.conjugates(a)) for a in range(len(L) - 1)}
+    removable = [c for c in classes if mu[min(c)] != 0]
+    assert len(removable) >= 5
+    for c in removable:
+        assert hall_phi2(L, set(range(len(L))) - c) != pairs, sorted(c)
 
 
 def metacyclic_counts(cap):

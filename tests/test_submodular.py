@@ -5,17 +5,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grouplab import (OrderCapExceeded, Permutation, direct_product,
-                      generate, named_group)
+                      generate, group_from_spec, named_group)
 from grouplab import structure, submodular
 from grouplab.lattice import SubgroupLattice, all_subgroups
-from grouplab.permgroup import factorize, set_bits
+from grouplab.permgroup import factorize, prime_power, set_bits
 from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  is_modular_subgroup, is_n_maximal_with_index,
                                  is_n_modularly_embedded,
                                  ksub_set, lattice_dot, schmidt_maximal_modular,
                                  step_kind, submodular_set,
                                  thm31_characterization, thm32_characterization)
-from definitions import (classes_by_definition, ksub_by_definition,
+from definitions import (automizer_by_interval, classes_by_definition,
+                         ksub_by_definition, schmidt_by_quotient,
                          step_by_definition, step_table)
 from test_fuzz import two_permutations
 
@@ -47,6 +48,38 @@ def test_schmidt_oracle_agrees_on_maximals(s4, hol5):
         for m in L.hasse_down[L.top.id]:
             assert (schmidt_maximal_modular(L, m)
                     == is_modular_subgroup(L, m))
+
+
+# S3 wr Z2 = E3^2 x| D8: the automizer of its chief factor E3^2 is D8, a
+# 2-group of order 2^3 that is not cyclic; no corpus group has such a factor
+S3_WR_Z2 = {"kind": "generators", "degree": 6,
+            "cycles": ["(1 2 3)", "(1 2)", "(1 4)(2 5)(3 6)"]}
+
+
+def test_quotient_and_lattice_forms_agree(corpus):
+    """Schmidt's test on every maximal subgroup, read on the lattice,
+    against its form on the built quotient group; and the automizer test
+    of T3.1/T3.2 on every chief factor at k = 1, 2, 3, on the built
+    quotient, against its read on the interval [C, G]; over the corpus and
+    S3 wr Z2."""
+    verdicts = Counter()
+    for G in [e.group for e in corpus] + [group_from_spec(S3_WR_Z2)]:
+        L = G.lattice()
+        top = L.top.id
+        for m in L.hasse_down[top]:
+            v = schmidt_maximal_modular(L, m)
+            assert v == schmidt_by_quotient(L, m), (G.name, m)
+            verdicts["schmidt", v, L.is_normal_in(m, top)] += 1
+        for cf in structure.chief_factors_in(L, top):
+            pp = prime_power(G.order // cf.centralizer.order)
+            for k in (1, 2, 3):
+                v = submodular._automizer_cyclic_prime_power(L, cf, k)
+                assert v == automizer_by_interval(L, cf, k), (G.name, cf, k)
+                # the group's shape decides when |G : C| = q^n, n <= k
+                verdicts["automizer", v, pp is None or pp[1] > k] += 1
+    # both verdicts occur off the branches that the order alone decides
+    assert all(verdicts[test, v, False] for test in ("schmidt", "automizer")
+               for v in (True, False)), verdicts
 
 
 def test_submodular_basics(s4):
