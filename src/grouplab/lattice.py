@@ -149,9 +149,14 @@ class SubgroupLattice:
     def leq(self, a: int, b: int) -> bool:
         return self.up[a] >> b & 1 == 1
 
-    def meet(self, a: int, b: int) -> int:
-        """The largest common lower bound: the highest bit of down[a] & down[b]."""
-        return (self.down[a] & self.down[b]).bit_length() - 1
+    def meet(self, *ids: int) -> int:
+        """The largest common lower bound of the given ids (the top, the
+        last id, for none): the highest bit of the AND of their down-sets."""
+        down = self.down
+        d = down[-1]
+        for a in ids:
+            d &= down[a]
+        return d.bit_length() - 1
 
     def join(self, a: int, b: int) -> int:
         """The least common upper bound: the lowest bit of up[a] & up[b]."""
@@ -235,23 +240,21 @@ class SubgroupLattice:
     def core(self, a: int, within: int | None = None) -> int:
         """Core of subgroup a inside `within` (default: the whole group): the
         meet of its conjugates under `within`."""
-        mask = self.top.mask
-        for c in self.conjugates(a, within):
-            mask &= self.subgroups[c].mask
-        return self.by_mask[mask]
+        return self.meet(*self.conjugates(a, within))
 
     def frattini(self) -> int:
-        mask = self.top.mask
-        for m in self.hasse_down[self.top.id]:
-            mask &= self.subgroups[m].mask
-        return self.by_mask[mask]
+        """The meet of the maximal subgroups; the trivial group, which has
+        none, is its own."""
+        return self.meet(*self.hasse_down[self.top.id])
 
     def reach_down(self, top: int, pred) -> dict[int, int]:
         """Ids a with a chain a = A0 < ... < Am = top whose every step (A, B)
         satisfies pred(A, B), mapped to the least such m.
 
-        This is the one chain search behind every chain predicate: breadth
-        first from `top`, so the distances also give shortest witnesses.
+        Breadth first from `top`, so the distances also give shortest
+        witnesses.  Submodularity, k-submodular witnesses, K-P- and
+        F-subnormality search with it; the k-submodular sets of every k
+        come from `submodular.ksub_set`'s own walk by levels of step kind.
         """
         dist = {top: 0}
         frontier = [top]
@@ -437,7 +440,8 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
     # generators; d -> (c, i) when d = c^moving[i] was found from c
     images: dict[int, list[int]] = {}
     found: dict[int, tuple[int, int]] = {}
-    tables: list[list[int]] = []  # per moving g: x -> 1 << x^g
+    # per moving g: x -> 1 << x^g
+    tables = [[1 << conj(x, g) for x in range(G.order)] for g in moving]
 
     def add_class(k: int, kgens: tuple[int, ...]) -> None:
         known[k] = kgens
@@ -445,9 +449,6 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
         if all(k >> conj(x, g) & 1 for g in moving for x in kgens):
             normalizers[k] = full
             return
-        if not tables:
-            tables.extend([1 << conj(x, g) for x in range(G.order)]
-                          for g in moving)
         orbit = [k]
         for c in orbit:  # breadth first: the list grows as it is read
             members = set_bits(c)

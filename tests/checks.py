@@ -1,0 +1,64 @@
+"""Checks of one lattice or group, each comparing two forms of one fact.
+Tier-1 tests run them on small groups; CI's "Large lattices" step runs the
+same functions on S4 x S4 and Hol(Z41), too slow for tier-1."""
+from collections import Counter
+
+from grouplab import structure, submodular
+from grouplab.permgroup import prime_power, quotient, set_bits
+from definitions import automizer_by_interval, schmidt_by_quotient
+
+
+def check_ksub_per_k(L, top, ks):
+    """`ksub_set` in `top` at each k of `ks`, read from its one walk per
+    top, against one breadth-first `reach_down` per k over the steps legal
+    at k: `step_kind` at most k, normal steps being 0."""
+    for k in ks:
+        def legal(a, b):
+            kind = submodular.step_kind(L, a, b)
+            return kind is not None and kind <= k
+
+        assert submodular.ksub_set(L, k, top=top) == frozenset(
+            L.reach_down(top, legal)), (L.group.name, top, k)
+
+
+def check_normalizers_and_order(L):
+    """The normalizers the enumeration hands over against orbit sizes,
+    |N(a)| |a^G| = |G|; and the down-sets built from the covers against
+    the up-sets: b >= a in one exactly when a <= b in the other."""
+    n = L.group.order
+    for a in range(len(L)):
+        assert (L.subgroups[L.normalizer(a)].order * len(L.conjugates(a))
+                == n), (L.group.name, a)
+        assert all(L.down[b] >> a & 1 for b in set_bits(L.up[a])), (
+            L.group.name, a)
+    assert sum(map(int.bit_count, L.up)) == sum(map(int.bit_count, L.down))
+
+
+def check_interval_forms(L):
+    """Schmidt's test on every maximal subgroup, read on the lattice,
+    against its form on the built quotient group; and the automizer test of
+    T3.1/T3.2 on every chief factor at k = 1, 2, 3, on the built quotient,
+    against its read on the interval [C, G].  Returns the verdicts counted
+    by (test, verdict, whether the group's shape alone decides it)."""
+    verdicts = Counter()
+    top = L.top.id
+    for m in L.hasse_down[top]:
+        v = submodular.schmidt_maximal_modular(L, m)
+        assert v == schmidt_by_quotient(L, m), (L.group.name, m)
+        verdicts["schmidt", v, L.is_normal_in(m, top)] += 1
+    for cf in structure.chief_factors_in(L, top):
+        pp = prime_power(L.group.order // cf.centralizer.order)
+        for k in (1, 2, 3):
+            v = submodular._automizer_cyclic_prime_power(L, cf, k)
+            assert v == automizer_by_interval(L, cf, k), (L.group.name, cf, k)
+            # |G : C| = q^n with n <= k is decided by the group's shape
+            verdicts["automizer", v, pp is None or pp[1] > k] += 1
+    return verdicts
+
+
+def check_quotient(G, nmask):
+    """The quotient of G by its normal subgroup with member mask `nmask`:
+    its order is the index, and its epimorphism's kernel is that subgroup."""
+    Q, epi = quotient(G, nmask)
+    assert Q.order * nmask.bit_count() == G.order, (G.name, nmask)
+    assert epi.kernel_mask() == nmask, (G.name, nmask)

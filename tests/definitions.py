@@ -1,12 +1,12 @@
 """Definitional oracles on element sets, for the tests: they read only a
 group's multiplication table and inverses and a lattice's member masks,
 never the engine's step classifier, cores, nilpotency tests, covers,
-reach sets, generator-wise homomorphism check or power walks.  The forms
-at the end are the other kind: Schmidt's test on the built quotient group,
-the automizer test on the lattice interval [C, G], and the L suite's
-lemmas L2.5 and L2.6 written pair by pair, on the engine's k-submodular
-sets."""
-from itertools import combinations
+reach sets, generator-wise homomorphism check or power walks; sympy's
+permutation groups give supersolubility.  The forms at the end are the
+other kind: Schmidt's test on the built quotient group, the automizer test
+on the lattice interval [C, G], and the L suite's lemmas L2.5 and L2.6
+written pair by pair, on the engine's k-submodular sets."""
+from itertools import combinations, product
 
 from grouplab import harness, submodular
 from grouplab.permgroup import (factorize, prime_power, quotient_cached,
@@ -45,6 +45,83 @@ def naive_subgroup_masks(G):
                     masks.add(j)
                     changed = True
     return masks
+
+
+def _sections(G):
+    """The quotient tables of the sections A1/A2 of G, A2 normal in A1
+    (every conjugate of a member of A2 by a member of A1 lies in A2), from
+    `naive_subgroup_masks`: coset i of A2 in A1 times coset j is the coset
+    of their representatives' product, coset 0 holding the identity."""
+    mult, inv, e = G.mult, G.inv, G.identity_ordinal
+    masks = naive_subgroup_masks(G)
+    tables = []
+    for a1 in masks:
+        members = [e] + [x for x in set_bits(a1) if x != e]
+        for a2 in masks:
+            if a2 & ~a1 or not all(a2 >> mult[mult[inv[g]][h]][g] & 1
+                                   for g in members for h in set_bits(a2)):
+                continue
+            coset, reps = {}, []
+            for x in members:
+                if x not in coset:
+                    for h in set_bits(a2):
+                        coset[mult[x][h]] = len(reps)
+                    reps.append(x)
+            tables.append([[coset[mult[x][y]] for y in reps] for x in reps])
+    return tables
+
+
+def _isomorphisms(t1, t2):
+    """The number of isomorphisms between two group tables of one order,
+    by brute force on generator images: generators of t1 are taken
+    greedily, each is sent to every element of t2 of its order, and an
+    assignment counts when x*g -> f(x)*f(g) extends it to every element
+    consistently (a homomorphism, by induction on word length) and onto."""
+    def orders(t):
+        out = []
+        for x in range(len(t)):
+            y, n = x, 1
+            while y:
+                y, n = t[y][x], n + 1
+            out.append(n)
+        return out
+
+    def images(target, gens, imgs):
+        f, queue = {0: 0}, [0]
+        for x in queue:  # breadth first: the list grows as it is read
+            for g, h in zip(gens, imgs):
+                y, fy = t1[x][g], target[f[x]][h]
+                if y not in f:
+                    f[y] = fy
+                    queue.append(y)
+                elif f[y] != fy:
+                    return None
+        return f
+
+    gens, span = [], {0}
+    while len(span) < len(t1):  # the identity map's domain is <gens>
+        gens.append(next(x for x in range(len(t1)) if x not in span))
+        span = images(t1, gens, gens)
+    o1, o2 = orders(t1), orders(t2)
+    count = 0
+    for imgs in product(*([y for y in range(len(t2)) if o2[y] == o1[g]]
+                          for g in gens)):
+        f = images(t2, gens, imgs)
+        count += f is not None and len(set(f.values())) == len(t2)
+    return count
+
+
+def goursat_count(A, B):
+    """The number of subgroups of A x B by Goursat's lemma (Goursat 1889):
+    they correspond one to one to the sections A1/A2 of A and B1/B2 of B
+    with an isomorphism A1/A2 -> B1/B2, the subgroup being the pairs (a, b)
+    with a in A1, b in B1 and b B2 the image of a A2.  No lattice of the
+    engine is read."""
+    by_order = {}
+    for t in _sections(B):
+        by_order.setdefault(len(t), []).append(t)
+    return sum(_isomorphisms(t1, t2) for t1 in _sections(A)
+               for t2 in by_order.get(len(t1), ()))
 
 
 def generating_pairs(G):
@@ -182,6 +259,41 @@ def classes_by_definition(L, table, k, supersoluble):
                     if s.order in sylow_orders)
     return {"X": maximal <= reach, "Y": len(reach) == len(L.subgroups),
             "K": supersoluble and sylows_ok, "F": sylows_ok}
+
+
+def sympy_group(G, gens):
+    """sympy's permutation group generated by the given element ordinals of
+    G.  sympy is imported here, so this module loads without it."""
+    from sympy import combinatorics
+    perms = [combinatorics.Permutation(list(G.elements[g])) for g in gens]
+    return combinatorics.PermutationGroup(
+        perms or [combinatorics.Permutation(list(range(G.degree)))])
+
+
+def supersoluble_by_sympy(P):
+    """Whether sympy's group P has a chain 1 = M0 < ... < Mr = P of
+    subgroups normal in P with prime indices, found greedily: from each M
+    move to <M, x> for the first element x that gives a normal subgroup of
+    prime index over M.  A chain found shows P supersoluble.  The search
+    cannot miss one: a quotient of a supersoluble group is supersoluble, and
+    a supersoluble P/M != 1 has a normal subgroup of prime order (the term
+    above 1 of its chain), whose preimage is such an <M, x>."""
+    from sympy import combinatorics
+    elements = list(P.generate())
+    M = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(range(P.degree)))])
+    while M.order() < P.order():
+        for x in elements:
+            if M.contains(x):
+                continue
+            N = combinatorics.PermutationGroup(M.generators + [x])
+            q = N.order() // M.order()
+            if all(q % d for d in range(2, q)) and N.is_normal(P):
+                M = N
+                break
+        else:
+            return False
+    return True
 
 
 def schmidt_by_quotient(L, m):

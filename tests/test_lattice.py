@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grouplab import (FiniteGroup, Permutation, all_subgroups, direct_product,
-                      named_group)
+                      group_from_spec, named_group)
 from grouplab.classes import p_subnormal_set
 from grouplab.lattice import _id_key
 from grouplab.permgroup import is_prime, prime_power, set_bits
 from grouplab.submodular import is_n_maximal_with_index, ksub_set
-from definitions import (generating_pairs, hall_phi2, mobius_to_top,
-                         naive_subgroup_masks)
+from checks import check_normalizers_and_order
+from definitions import (generating_pairs, goursat_count, hall_phi2,
+                         mobius_to_top, naive_subgroup_masks)
 
 
 @pytest.mark.parametrize("name,args,count", [
@@ -102,6 +103,33 @@ def test_frattini():
     assert L.subgroups[L.frattini()].order == 2
     L8 = named_group("dicyclic", [2]).lattice()
     assert L8.subgroups[L8.frattini()].order == 2  # Phi(Q8) = center
+    L1 = named_group("cyclic", [1]).lattice()
+    assert L1.frattini() == L1.bottom.id  # no maximal subgroup: the meet of none
+
+
+def test_meet_of_any_number_of_ids(s4):
+    """The meet of the ids' member sets, the top for none."""
+    L = s4.lattice()
+    assert L.meet() == L.top.id
+    for ids in ([5], [3, 9, 20], L.hasse_down[L.top.id], range(len(L))):
+        mask = L.top.mask
+        for a in ids:
+            mask &= L.subgroups[a].mask
+        assert L.subgroups[L.meet(*ids)].mask == mask
+
+
+def test_goursat_counts_direct_products(corpus):
+    """Subgroups of A x B counted by Goursat's lemma from the sections of
+    A and B, with no engine lattice, against the lattice of A x B: the
+    corpus's direct products, S4 x S3 and D4 x D4."""
+    pairs = [tuple(map(group_from_spec, e.spec["parts"]))
+             for e in corpus if e.spec["kind"] == "direct"]
+    assert len(pairs) == 9
+    pairs += [(named_group("sym", [4]), named_group("sym", [3])),
+              (named_group("dihedral", [4]),) * 2]
+    counts = [len(direct_product(A, B).lattice()) for A, B in pairs]
+    assert counts == [goursat_count(A, B) for A, B in pairs]
+    assert counts[-2:] == [372, 389]
 
 
 def test_subgroup_as_group_matches(s4):
@@ -177,9 +205,10 @@ def test_normalizers_are_read_without_conjugating(name, args, monkeypatch):
 @pytest.mark.parametrize("name,args", REFERENCE_GROUPS)
 def test_normalizer_conjugates_core_match_definitions(name, args):
     """Also checks the normalizer of every subgroup, handed to the lattice
-    by the enumeration."""
+    by the enumeration, and `check_normalizers_and_order`."""
     G = _reference_group(name, args)
     L = G.lattice()
+    check_normalizers_and_order(L)
     # conj[a][g] = mask of a^g, for every member g of G
     conj = [[G.conjugate_mask(s.mask, g) for g in range(G.order)]
             for s in L.subgroups]
@@ -187,8 +216,6 @@ def test_normalizer_conjugates_core_match_definitions(name, args):
         a = s.id
         nm = sum(1 << g for g in range(G.order) if conj[a][g] == s.mask)
         assert L.subgroups[L.normalizer(a)].mask == nm
-        assert (L.subgroups[L.normalizer(a)].order * len(L.conjugates(a))
-                == G.order)
         assert ({L.subgroups[c].mask for c in L.conjugates(a)}
                 == set(conj[a]))
         for b in range(len(L)):

@@ -8,15 +8,15 @@ from grouplab import (OrderCapExceeded, Permutation, direct_product,
                       generate, group_from_spec, named_group)
 from grouplab import structure, submodular
 from grouplab.lattice import SubgroupLattice, all_subgroups
-from grouplab.permgroup import factorize, prime_power, set_bits
+from grouplab.permgroup import factorize, set_bits
 from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  is_modular_subgroup, is_n_maximal_with_index,
                                  is_n_modularly_embedded,
                                  ksub_set, lattice_dot, schmidt_maximal_modular,
                                  step_kind, submodular_set,
                                  thm31_characterization, thm32_characterization)
-from definitions import (automizer_by_interval, classes_by_definition,
-                         ksub_by_definition, schmidt_by_quotient,
+from checks import check_interval_forms, check_ksub_per_k
+from definitions import (classes_by_definition, ksub_by_definition,
                          step_by_definition, step_table)
 from test_fuzz import two_permutations
 
@@ -57,26 +57,11 @@ S3_WR_Z2 = {"kind": "generators", "degree": 6,
 
 
 def test_quotient_and_lattice_forms_agree(corpus):
-    """Schmidt's test on every maximal subgroup, read on the lattice,
-    against its form on the built quotient group; and the automizer test
-    of T3.1/T3.2 on every chief factor at k = 1, 2, 3, on the built
-    quotient, against its read on the interval [C, G]; over the corpus and
-    S3 wr Z2."""
+    """`check_interval_forms` (Schmidt's test and the automizer test, each
+    against its other form) over the corpus and S3 wr Z2."""
     verdicts = Counter()
     for G in [e.group for e in corpus] + [group_from_spec(S3_WR_Z2)]:
-        L = G.lattice()
-        top = L.top.id
-        for m in L.hasse_down[top]:
-            v = schmidt_maximal_modular(L, m)
-            assert v == schmidt_by_quotient(L, m), (G.name, m)
-            verdicts["schmidt", v, L.is_normal_in(m, top)] += 1
-        for cf in structure.chief_factors_in(L, top):
-            pp = prime_power(G.order // cf.centralizer.order)
-            for k in (1, 2, 3):
-                v = submodular._automizer_cyclic_prime_power(L, cf, k)
-                assert v == automizer_by_interval(L, cf, k), (G.name, cf, k)
-                # the group's shape decides when |G : C| = q^n, n <= k
-                verdicts["automizer", v, pp is None or pp[1] > k] += 1
+        verdicts += check_interval_forms(G.lattice())
     # both verdicts occur off the branches that the order alone decides
     assert all(verdicts[test, v, False] for test in ("schmidt", "automizer")
                for v in (True, False)), verdicts
@@ -323,14 +308,8 @@ def test_ksub_set_matches_per_k_search_on_corpus(corpus):
         tops = range(len(L)) if len(L) <= 150 else [L.top.id]
         for top in tops:
             e = max(factorize(L.subgroups[top].order).values(), default=0)
-            for k in range(1, e + 2):
-                def legal(a, b):
-                    kind = step_kind(L, a, b)
-                    return kind is not None and kind <= k
-
-                assert ksub_set(L, k, top=top) == frozenset(
-                    L.reach_down(top, legal)), (entry.name, top, k)
-                pairs += 1
+            check_ksub_per_k(L, top, range(1, e + 2))
+            pairs += e + 1
             assert ksub_set(L, max(1, e), top=top) == ksub_set(
                 L, e + 1, top=top), (entry.name, top)
     assert pairs == 3039
