@@ -194,11 +194,21 @@ def _subgroups_in(L: SubgroupLattice, cls: str, k: int) -> bool:
 
 def _count_subdirect_pairs(L: SubgroupLattice, normals: tuple[int, ...],
                            cls: str, k: int) -> int:
-    """Number of pairs n1 < n2 from `normals` that meet trivially and whose
-    quotients G/n1 and G/n2 both lie in class cls."""
+    """Number of pairs n1 < n2 from `normals`, ascending, that meet
+    trivially and whose quotients G/n1 and G/n2 both lie in class cls.
+    Normal subgroups that meet trivially have |N1 N2| = |N1||N2| <= |G|,
+    and ids ascend with order, so the scan of n2 stops at the first pair
+    with a larger product."""
     member = cache(lambda n: submodular.in_class(_quotient(L, n)[0], cls, k))
-    return sum(L.meet(n1, n2) == L.bottom.id and member(n1) and member(n2)
-               for i, n1 in enumerate(normals) for n2 in normals[i + 1:])
+    subs, bottom = L.subgroups, L.bottom.id
+    count = 0
+    for i, n1 in enumerate(normals):
+        for n2 in normals[i + 1:]:
+            if subs[n1].order * subs[n2].order > L.group.order:
+                break
+            count += (L.meet(n1, n2) == bottom and member(n1)
+                      and member(n2))
+    return count
 
 
 def _image_id(Lq: SubgroupLattice, epi, sub: Subgroup) -> int:
@@ -312,17 +322,22 @@ def _is_set_product(L: SubgroupLattice, a: int, b: int) -> bool:
 
 def _t361_check(entry: CorpusEntry, k: int, counters: Counter):
     """A product G = AB of nilpotent k-submodular subgroups forces G to be
-    supersoluble and in F."""
+    supersoluble and in F.  G = AB needs |A||B| >= |G|, and ids ascend with
+    order, so the scan of b runs down from the largest and stops at the
+    first pair with a smaller product."""
     G = entry.group
     L = entry.lattice
+    subs = L.subgroups
     nilpotent = [a for a in sorted(submodular.ksub_set(L, k))
                  if structure.is_quotient_nilpotent(L, L.bottom.id, a)]
     found = nontrivial = 0
     for i, a in enumerate(nilpotent):
-        for b in nilpotent[i:]:
+        for b in reversed(nilpotent[i:]):
+            if subs[a].order * subs[b].order < G.order:
+                break
             if _is_set_product(L, a, b):
                 found += 1
-                if L.subgroups[a].order < G.order and L.subgroups[b].order < G.order:
+                if subs[a].order < G.order and subs[b].order < G.order:
                     nontrivial += 1
     ok = not found or (structure.is_supersoluble(G)
                        and submodular.in_class(L, "F", k))

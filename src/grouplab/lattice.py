@@ -15,7 +15,8 @@ which is then <H, z>.  Each subgroup's generator tuple is the one the
 plain loop (every subgroup extended by every cyclic subgroup) finds
 first, replayed on the finished lattice with joins in place of closures,
 so it does not depend on the enumeration order.  Each class brings the
-normalizers of its members too: N(c^g) = N(c)^g.  Subgroups are
+normalizers of its members too: N(c^g) = N(c)^g; and the lattice keeps
+each orbit walked, so a whole-group class is a read.  Subgroups are
 canonically identified by their member bitmask; lattice ids are assigned
 in (order, member-set) sort order, so reports are deterministic.
 
@@ -23,10 +24,11 @@ The order relation is held as bitsets over ids, built with no walk over
 members: up[a] has bit b set when a <= b, down[a] when b <= a.  Since ids
 sort by order, the lowest bit of the common upper bounds of some
 subgroups is their join and the highest bit of their common lower bounds
-their meet, so join, meet, `generated`, intervals and the Hasse covers
-are a few integer operations each, and prime_down[b] holds the subgroups
-that reach b by a chain of prime-index covers, which answers both
-n-maximality with prime-power index and P-subnormality with one bit test.
+their meet, so join, meet (one AND for two ids), `generated`, intervals
+and the Hasse covers are a few integer operations each, and prime_down[b]
+holds the subgroups that reach b by a chain of prime-index covers, which
+answers both n-maximality with prime-power index and P-subnormality with
+one bit test.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ class SubgroupLattice:
     """All subgroups of a group with Hasse covers and conjugacy data."""
 
     def __init__(self, group: FiniteGroup, mask_gens: dict[int, tuple[int, ...]],
-                 normalizers: dict[int, int]):
+                 normalizers: dict[int, int], orbits: list[list[int]]):
         self.group = group
         n = group.order
         keyed = sorted((_id_key(mask), mask) for mask in mask_gens)
@@ -85,6 +87,10 @@ class SubgroupLattice:
         self._build_order([int(table[x::n], 2) for x in range(n)])
         self._normalizers = [self.by_mask[normalizers[s.mask]]
                              for s in self.subgroups]
+        # the member masks of each class of more than one subgroup; made
+        # into per-id class lists by the first whole-group `conjugates`
+        self._orbits = orbits
+        self._class_of: list[list[int] | None] | None = None
         # per subgroup, g -> id of its conjugate by g; made on first use
         self._conj_cache: list[dict[int, int] | None] = [None] * len(keyed)
         self._subs_of: dict[int, list[int]] = {}
@@ -149,13 +155,15 @@ class SubgroupLattice:
     def leq(self, a: int, b: int) -> bool:
         return self.up[a] >> b & 1 == 1
 
-    def meet(self, *ids: int) -> int:
+    def meet(self, a: int = -1, b: int = -1, *more: int) -> int:
         """The largest common lower bound of the given ids (the top, the
-        last id, for none): the highest bit of the AND of their down-sets."""
+        last id, for none): the highest bit of the AND of their down-sets.
+        Two ids, the common call, take one AND and no loop."""
         down = self.down
-        d = down[-1]
-        for a in ids:
-            d &= down[a]
+        d = down[a] & down[b]
+        if more:  # cheaper than entering a loop over no ids
+            for c in more:
+                d &= down[c]
         return d.bit_length() - 1
 
     def join(self, a: int, b: int) -> int:
@@ -214,8 +222,15 @@ class SubgroupLattice:
 
     def conjugates(self, a: int, within: int | None = None) -> list[int]:
         """Distinct conjugates of subgroup a under `within` (default: the
-        whole group): the orbit of a under the generators of `within`."""
-        gens = self.subgroups[self.top.id if within is None else within].gens
+        whole group), ascending.  Under the whole group they are a's class,
+        which the enumeration walked as one orbit: a list shared by the
+        class, not to be changed, or [a] for a normal a.  Under a proper
+        `within` they are the orbit of a under its generators."""
+        if within is None or within == self.top.id:
+            if self._class_of is None:
+                self._class_of = self._class_lists()
+            return self._class_of[a] or [a]
+        gens = self.subgroups[within].gens
         seen = {a}
         frontier = [a]
         while frontier:
@@ -228,6 +243,16 @@ class SubgroupLattice:
                         new.append(y)
             frontier = new
         return sorted(seen)
+
+    def _class_lists(self) -> list[list[int] | None]:
+        """Per id, the sorted ids of its class, None for a normal id."""
+        class_of: list[list[int] | None] = [None] * len(self.subgroups)
+        for orbit in self._orbits:
+            ids = sorted(map(self.by_mask.__getitem__, orbit))
+            for a in ids:
+                class_of[a] = ids
+        self._orbits = []
+        return class_of
 
     def normalizer(self, a: int) -> int:
         """N(a), handed over by `all_subgroups` for every subgroup."""
@@ -370,6 +395,11 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     over its members.  A member d first found as c^g gets N(d) = N(c)^g,
     the image of N(c), or N(c) itself when N(c) is normal, so the lattice
     receives every subgroup's normalizer.
+
+    Classes.  The orbit walked for each class of more than one subgroup is
+    its whole class (central generators move nothing), and the lattice
+    keeps the orbits' masks; `SubgroupLattice.conjugates` makes them id
+    lists on its first whole-group call.
     """
     if G.order > order_cap():
         raise OrderCapExceeded(f"|{G.name}| = {G.order} exceeds cap {order_cap()}")
@@ -402,17 +432,19 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     if full in cyclic:  # every subgroup of a cyclic group is cyclic, normal
         known = {mask: (g,) for mask, g in cyclic.items()}
         normalizers = dict.fromkeys(known, full)
+        orbits = []
     else:
-        known, normalizers = _classes(G, cyc_items, canon, zpow)
-    L = SubgroupLattice(G, known, normalizers)
+        known, normalizers, orbits = _classes(G, cyc_items, canon, zpow)
+    L = SubgroupLattice(G, known, normalizers, orbits)
     _replay_gens(L, cyc_items)
     return L
 
 
 def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
-             canon: list[int], zpow: dict[int, int]) -> tuple[dict, dict]:
+             canon: list[int], zpow: dict[int, int]) -> tuple[dict, dict, list]:
     """The class-wise enumeration of `all_subgroups`: every subgroup mask
-    with some generators, and every subgroup's normalizer mask."""
+    with some generators, every subgroup's normalizer mask, and the member
+    masks of each class of more than one subgroup."""
     mult, inv = G.mult, G.inv
     e = G.identity_ordinal
     full = G.full_mask()
@@ -436,6 +468,7 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
     known: dict[int, tuple[int, ...]] = {}  # mask -> some generators
     normalizers: dict[int, int] = {}  # mask -> N mask
     reps: list[int] = []
+    orbits: list[list[int]] = []
     # per member of a class of size > 1, its conjugates by the moving
     # generators; d -> (c, i) when d = c^moving[i] was found from c
     images: dict[int, list[int]] = {}
@@ -459,6 +492,7 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
                     known[d] = tuple(conj(x, moving[i]) for x in known[c])
                     found[d] = (c, i)
                     orbit.append(d)
+        orbits.append(orbit)
         if len(orbit) * k.bit_count() == G.order:  # |N(K)| = |G|/|orbit| = |K|
             normalizers[k] = k
 
@@ -517,7 +551,7 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
     for d, (c, i) in found.items():
         nc = normalizers[c]
         normalizers[d] = images[nc][i] if nc in images else nc
-    return known, normalizers
+    return known, normalizers, orbits
 
 
 def _replay_gens(L: SubgroupLattice, cyc_items: list[tuple[int, int]]) -> None:

@@ -229,6 +229,7 @@ class FiniteGroup:
     ):
         self.degree = degree
         self.elements = list(elements)
+        self.order = len(self.elements)
         self.generators = list(generators)
         self.name = name
         self.element_index = {e: i for i, e in enumerate(self.elements)}
@@ -248,10 +249,6 @@ class FiniteGroup:
         self.mult  # the Cayley walk checks that the generators generate it
 
     # -- elementary structure ------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order}, degree={self.degree})"

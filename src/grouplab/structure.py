@@ -79,8 +79,9 @@ def all_sylow(G: FiniteGroup) -> list[Subgroup]:
 
 
 def sylow_count(G: FiniteGroup, p: int) -> int:
+    """The number of Sylow p-subgroups, |G : N_G(P)| for one of them P."""
     L = G.lattice()
-    return len(L.conjugates(sylow_in(L, L.top.id, p)))
+    return G.order // L.subgroups[L.normalizer(sylow_in(L, L.top.id, p))].order
 
 
 # -- solubility and nilpotency ----------------------------------------------

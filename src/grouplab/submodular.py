@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 
-from .permgroup import (GroupError, factorize, is_prime, prime_power,
-                        quotient_cached, set_bits)
+from .permgroup import (GroupError, _factor_items, factorize, is_prime,
+                        prime_power, quotient_cached, set_bits)
 from .lattice import SubgroupLattice
 from . import structure
 
@@ -205,12 +205,17 @@ def is_k_LM_group(L: SubgroupLattice,
 
 def _lm_rises(L: SubgroupLattice) -> tuple[tuple[float, tuple[int, int]], ...]:
     """(n, pair) at each pair that needs a larger n than every pair before
-    it; a pair without a prime-power chain needs infinity."""
+    it; a pair without a prime-power chain needs infinity.  The need of a
+    pair is `is_n_maximal_with_index` of the meet d in b, read inline: b is
+    not under a, so d < b, and n is the exponent of |b:d| when d lies in
+    `L.prime_down[b]` and that index is a prime power."""
+    meet, prime_down = L.meet, L.prime_down
+    orders = [s.order for s in L.subgroups]
     need, rises = 0, []
     for a, b in L.maximal_in_join():
-        res = is_n_maximal_with_index(L, L.meet(a, b), b)
-        # b is not under a, so the meet is below b and n >= 1
-        n = math.inf if res is None else res[0]
+        d = meet(a, b)
+        pp = prime_down[b] >> d & 1 and prime_power(orders[b] // orders[d])
+        n = pp[1] if pp else math.inf
         if n > need:
             need = n
             rises.append((n, (a, b)))
@@ -242,11 +247,11 @@ def in_class(L: SubgroupLattice, cls: str, k: int,
         top = L.top.id
     reach = ksub_set(L, k, top=top)
     if cls == "X":
-        return all(m in reach for m in L.hasse_down[top])
+        return reach.issuperset(L.hasse_down[top])
     if cls == "Y":
         return len(reach) == len(L.subs_of(top))
     sylows_ok = all(structure.sylow_in(L, top, p) in reach
-                    for p in factorize(L.subgroups[top].order))
+                    for p, _ in _factor_items(L.subgroups[top].order))
     if cls == "F":
         return sylows_ok
     return structure.is_supersoluble_in(L, top) and sylows_ok

@@ -21,14 +21,32 @@ def check_ksub_per_k(L, top, ks):
             L.reach_down(top, legal)), (L.group.name, top, k)
 
 
-def check_normalizers_and_order(L):
-    """The normalizers the enumeration hands over against orbit sizes,
-    |N(a)| |a^G| = |G|; and the down-sets built from the covers against
-    the up-sets: b >= a in one exactly when a <= b in the other."""
-    n = L.group.order
+def check_classes(L):
+    """The whole-group classes the lattice reads from its enumeration: they
+    partition the ids; each is a's orbit under the top's generators, walked
+    with `conjugate_mask`; and |a^G| |N(a)| = |G| with the normalizers the
+    enumeration hands over."""
+    G, top = L.group, L.top.id
     for a in range(len(L)):
-        assert (L.subgroups[L.normalizer(a)].order * len(L.conjugates(a))
-                == n), (L.group.name, a)
+        cls = L.conjugates(a)
+        assert a in cls and all(L.conjugates(c) == cls for c in cls), (
+            G.name, a)
+        if cls[0] == a:  # one orbit walk per class
+            orbit, frontier = {a}, [a]
+            while frontier:
+                frontier = [c for c in {L.by_mask[G.conjugate_mask(
+                    L.subgroups[x].mask, g)] for x in frontier
+                    for g in L.subgroups[top].gens} if c not in orbit]
+                orbit.update(frontier)
+            assert sorted(orbit) == cls, (G.name, a)
+        assert (len(cls) * L.subgroups[L.normalizer(a)].order
+                == G.order), (G.name, a)
+
+
+def check_order(L):
+    """The down-sets built from the covers against the up-sets: b >= a in
+    one exactly when a <= b in the other."""
+    for a in range(len(L)):
         assert all(L.down[b] >> a & 1 for b in set_bits(L.up[a])), (
             L.group.name, a)
     assert sum(map(int.bit_count, L.up)) == sum(map(int.bit_count, L.down))

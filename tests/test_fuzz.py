@@ -15,6 +15,7 @@ from grouplab import (FiniteGroup, GroupError, OrderCapExceeded, Permutation,
 from grouplab.permgroup import factorize
 from definitions import (classes_by_definition, ksub_by_definition,
                          step_table, supersoluble_by_sympy, sympy_group)
+from checks import check_classes
 from test_lattice import assert_matches_unskipped_loop
 
 CAP = "24"
@@ -181,7 +182,8 @@ two_permutations = st.integers(1, 6).flatmap(
 @given(two_permutations)
 def test_lattice_of_random_group_matches_unskipped_loop(perms):
     """Masks, ids and generator tuples of the lattice of the group two
-    random permutations of degree <= 6 generate (order <= 120)."""
+    random permutations of degree <= 6 generate (order <= 120), and its
+    whole-group classes (`check_classes`)."""
     degree, p, q = perms
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("GROUPLAB_ORDER_CAP", "120")
@@ -190,6 +192,7 @@ def test_lattice_of_random_group_matches_unskipped_loop(perms):
         except OrderCapExceeded:
             assume(False)
         assert_matches_unskipped_loop(G)
+        check_classes(G.lattice())
 
 
 generated_group = st.integers(3, 8).flatmap(
@@ -230,7 +233,7 @@ def test_generated_groups_match_definitions(drawn):
     e the largest prime exponent of the order, against `ksub_by_definition`
     on the definitional step table; and X, Y and F at k = 1, 2, 3 against
     `classes_by_definition`, K too when sympy is installed, with
-    supersolubility from sympy as on the corpus."""
+    supersolubility from sympy as on the corpus; and `check_classes`."""
     degree, perms = drawn
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("GROUPLAB_ORDER_CAP", "60")
@@ -239,6 +242,7 @@ def test_generated_groups_match_definitions(drawn):
         except OrderCapExceeded:
             assume(False)
         L = G.lattice()
+    check_classes(L)
     table = step_table(L)
     e = max(factorize(G.order).values(), default=0)
     for k in range(1, e + 2):

@@ -392,3 +392,57 @@ def test_set_product_formula_matches_element_products(corpus):
                 if harness._is_set_product(L, a, b) != (seen == G.full_mask()):
                     mismatches.append((entry.name, a, b))
     assert not mismatches, mismatches[:10]
+
+
+def _factorizations_over_all_pairs(L, k):
+    """(factorizations, nontrivial) of T3.6_1 over every pair a <= b of
+    nilpotent k-submodular ids, G = AB read from the member masks as
+    |A||B| = |G||A & B|."""
+    n, subs = L.group.order, L.subgroups
+    nilpotent = [a for a in sorted(submodular.ksub_set(L, k))
+                 if structure.is_quotient_nilpotent(L, L.bottom.id, a)]
+    found = nontrivial = 0
+    for i, a in enumerate(nilpotent):
+        for b in nilpotent[i:]:
+            A, B = subs[a], subs[b]
+            if A.order * B.order == n * (A.mask & B.mask).bit_count():
+                found += 1
+                nontrivial += A.order < n and B.order < n
+    return found, nontrivial
+
+
+def _subdirect_pairs_over_all_pairs(L, normals, cls, k):
+    """Pairs n1 < n2 of `normals` whose member masks share only the
+    identity and whose quotients both lie in cls."""
+    subs = L.subgroups
+
+    def member(n):
+        return submodular.in_class(harness._quotient(L, n)[0], cls, k)
+
+    return sum((subs[n1].mask & subs[n2].mask).bit_count() == 1
+               and member(n1) and member(n2)
+               for i, n1 in enumerate(normals) for n2 in normals[i + 1:])
+
+
+def test_pruned_pair_scans_match_all_pairs(corpus):
+    """T3.6_1's pair scan skips pairs with |A||B| < |G|, and the subdirect
+    count skips normal pairs with |N1||N2| > |G|; on every corpus group at
+    k = 1, 2, 3 both give the counts of the scans over all pairs, for the
+    normals T3.3 (all of them, class Y) and L3.1 (the nontrivial ones,
+    class F) pass."""
+    totals = Counter()
+    for e in corpus:
+        L = e.lattice
+        normals = structure.normal_ids_in(L, L.top.id)
+        for k in (1, 2, 3):
+            fields = harness._t361_check(e, k, Counter())[2]
+            expected = _factorizations_over_all_pairs(L, k)
+            assert (fields["factorizations"], fields["nontrivial"]) == expected, (
+                e.name, k)
+            totals["factorizations"] += expected[0]
+            for ns, cls in ((normals, "Y"), (normals[1:], "F")):
+                count = harness._count_subdirect_pairs(L, ns, cls, k)
+                assert count == _subdirect_pairs_over_all_pairs(
+                    L, ns, cls, k), (e.name, k, cls)
+                totals[cls] += count
+    assert all(totals[key] for key in ("factorizations", "Y", "F")), totals

@@ -7,7 +7,7 @@ from grouplab.classes import p_subnormal_set
 from grouplab.lattice import _id_key
 from grouplab.permgroup import is_prime, prime_power, set_bits
 from grouplab.submodular import is_n_maximal_with_index, ksub_set
-from checks import check_normalizers_and_order
+from checks import check_classes, check_order
 from definitions import (generating_pairs, goursat_count, hall_phi2,
                          mobius_to_top, naive_subgroup_masks)
 
@@ -149,6 +149,9 @@ REFERENCE_GROUPS = [("sym", [4]), ("holomorph_cyclic", [5]), ("sym", [5]),
                     ("holomorph_cyclic", [19]),
                     ("direct", [("sym", [4]), ("sym", [3])])]
 
+# A5 x Z2 reaches the general pass of the enumeration
+READ_GROUPS = REFERENCE_GROUPS + [("direct", [("alt", [5]), ("cyclic", [2])])]
+
 
 def _reference_group(name, args):
     if name == "direct":
@@ -183,8 +186,7 @@ def test_id_key_orders_masks_of_one_order_as_their_member_lists(sets):
             == sorted(masks, key=set_bits))
 
 
-@pytest.mark.parametrize("name,args", REFERENCE_GROUPS + [
-    ("direct", [("alt", [5]), ("cyclic", [2])])])
+@pytest.mark.parametrize("name,args", READ_GROUPS)
 def test_normalizers_are_read_without_conjugating(name, args, monkeypatch):
     """Every normalizer comes with the lattice: once it is built, no
     normalizer or normality read conjugates a member set (A5 x Z2 reaches
@@ -202,13 +204,48 @@ def test_normalizers_are_read_without_conjugating(name, args, monkeypatch):
             L.down[n] & L.up[a]).bit_count()
 
 
+@pytest.mark.parametrize("name,args", READ_GROUPS)
+def test_whole_group_classes_are_read_without_conjugating(name, args,
+                                                          monkeypatch):
+    """Once the lattice is built, whole-group conjugates and cores are read
+    from the classes the enumeration walked: no member set is conjugated.
+    They match the classes conjugation by every element gives."""
+    G = _reference_group(name, args)
+    L = G.lattice()
+    mult, inv = G.mult, G.inv
+    # maps[g][x] = g^-1 x g
+    maps = [[mult[mult[inv[g]][x]][g] for x in range(G.order)]
+            for g in range(G.order)]
+
+    def refuse(*args):
+        raise AssertionError("conjugate_mask called")
+
+    monkeypatch.setattr(FiniteGroup, "conjugate_mask", refuse)
+    for s in L.subgroups:
+        members = set_bits(s.mask)
+        masks = {sum(1 << m[x] for x in members) for m in maps}
+        cls = sorted(L.by_mask[c] for c in masks)
+        assert L.conjugates(s.id) == cls
+        assert L.conjugates(s.id, within=L.top.id) == cls
+        core = s.mask
+        for c in masks:
+            core &= c
+        assert L.subgroups[L.core(s.id)].mask == core
+
+
+def test_classes_of_the_corpus(corpus):
+    for e in corpus:
+        check_classes(e.lattice)
+
+
 @pytest.mark.parametrize("name,args", REFERENCE_GROUPS)
 def test_normalizer_conjugates_core_match_definitions(name, args):
     """Also checks the normalizer of every subgroup, handed to the lattice
-    by the enumeration, and `check_normalizers_and_order`."""
+    by the enumeration, `check_classes` and `check_order`."""
     G = _reference_group(name, args)
     L = G.lattice()
-    check_normalizers_and_order(L)
+    check_classes(L)
+    check_order(L)
     # conj[a][g] = mask of a^g, for every member g of G
     conj = [[G.conjugate_mask(s.mask, g) for g in range(G.order)]
             for s in L.subgroups]
