@@ -87,10 +87,13 @@ class SubgroupLattice:
         self._build_order([int(table[x::n], 2) for x in range(n)])
         self._normalizers = [self.by_mask[normalizers[s.mask]]
                              for s in self.subgroups]
-        # the member masks of each class of more than one subgroup; made
-        # into per-id class lists by the first whole-group `conjugates`
-        self._orbits = orbits
-        self._class_of: list[list[int] | None] | None = None
+        # per id, the ascending ids of its class: [a] for a normal a, else
+        # one list shared by the class, from the orbit the enumeration walked
+        self._class_of = [[a] for a in range(len(keyed))]
+        for orbit in orbits:
+            ids = sorted(map(self.by_mask.__getitem__, orbit))
+            for a in ids:
+                self._class_of[a] = ids
         # per subgroup, g -> id of its conjugate by g; made on first use
         self._conj_cache: list[dict[int, int] | None] = [None] * len(keyed)
         self._subs_of: dict[int, list[int]] = {}
@@ -158,12 +161,11 @@ class SubgroupLattice:
     def meet(self, a: int = -1, b: int = -1, *more: int) -> int:
         """The largest common lower bound of the given ids (the top, the
         last id, for none): the highest bit of the AND of their down-sets.
-        Two ids, the common call, take one AND and no loop."""
+        Two ids, the common call, take one AND."""
         down = self.down
         d = down[a] & down[b]
-        if more:  # cheaper than entering a loop over no ids
-            for c in more:
-                d &= down[c]
+        for c in more:
+            d &= down[c]
         return d.bit_length() - 1
 
     def join(self, a: int, b: int) -> int:
@@ -223,13 +225,11 @@ class SubgroupLattice:
     def conjugates(self, a: int, within: int | None = None) -> list[int]:
         """Distinct conjugates of subgroup a under `within` (default: the
         whole group), ascending.  Under the whole group they are a's class,
-        which the enumeration walked as one orbit: a list shared by the
-        class, not to be changed, or [a] for a normal a.  Under a proper
+        which the enumeration walked as one orbit, or [a] for a normal a:
+        a list kept by the lattice, not to be changed.  Under a proper
         `within` they are the orbit of a under its generators."""
         if within is None or within == self.top.id:
-            if self._class_of is None:
-                self._class_of = self._class_lists()
-            return self._class_of[a] or [a]
+            return self._class_of[a]
         gens = self.subgroups[within].gens
         seen = {a}
         frontier = [a]
@@ -243,16 +243,6 @@ class SubgroupLattice:
                         new.append(y)
             frontier = new
         return sorted(seen)
-
-    def _class_lists(self) -> list[list[int] | None]:
-        """Per id, the sorted ids of its class, None for a normal id."""
-        class_of: list[list[int] | None] = [None] * len(self.subgroups)
-        for orbit in self._orbits:
-            ids = sorted(map(self.by_mask.__getitem__, orbit))
-            for a in ids:
-                class_of[a] = ids
-        self._orbits = []
-        return class_of
 
     def normalizer(self, a: int) -> int:
         """N(a), handed over by `all_subgroups` for every subgroup."""
@@ -398,8 +388,8 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
 
     Classes.  The orbit walked for each class of more than one subgroup is
     its whole class (central generators move nothing), and the lattice
-    keeps the orbits' masks; `SubgroupLattice.conjugates` makes them id
-    lists on its first whole-group call.
+    turns the orbits into per-id class lists, which whole-group
+    `SubgroupLattice.conjugates` reads.
     """
     if G.order > order_cap():
         raise OrderCapExceeded(f"|{G.name}| = {G.order} exceeds cap {order_cap()}")

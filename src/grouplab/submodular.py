@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 
-from .permgroup import (GroupError, _factor_items, factorize, is_prime,
-                        prime_power, quotient_cached, set_bits)
+from .permgroup import (GroupError, factorize, is_prime, prime_power,
+                        quotient_cached, set_bits)
 from .lattice import SubgroupLattice
 from . import structure
 
@@ -179,14 +179,21 @@ def is_n_maximal_with_index(L: SubgroupLattice, a: int,
     lies in `L.prime_down[b]` (see `SubgroupLattice._build_order`)."""
     if not L.leq(a, b):
         raise GroupError("a must lie in b")
-    index = L.subgroups[b].order // L.subgroups[a].order
-    if index == 1:
+    if a == b:
         return (0, None)
-    pp = prime_power(index)
-    if pp is None or not L.prime_down[b] >> a & 1:
+    pp = _prime_chain(L, a, b)
+    if pp is None:
         return None
     q, n = pp
     return (n, q)
+
+
+def _prime_chain(L: SubgroupLattice, a: int, b: int) -> tuple[int, int] | None:
+    """(q, n) with |b:a| = q^n for a < b joined to b by a chain of
+    prime-index covers, else None; the caller knows a < b."""
+    if L.prime_down[b] >> a & 1:
+        return prime_power(L.subgroups[b].order // L.subgroups[a].order)
+    return None
 
 
 def is_k_LM_group(L: SubgroupLattice,
@@ -205,17 +212,12 @@ def is_k_LM_group(L: SubgroupLattice,
 
 def _lm_rises(L: SubgroupLattice) -> tuple[tuple[float, tuple[int, int]], ...]:
     """(n, pair) at each pair that needs a larger n than every pair before
-    it; a pair without a prime-power chain needs infinity.  The need of a
-    pair is `is_n_maximal_with_index` of the meet d in b, read inline: b is
-    not under a, so d < b, and n is the exponent of |b:d| when d lies in
-    `L.prime_down[b]` and that index is a prime power."""
-    meet, prime_down = L.meet, L.prime_down
-    orders = [s.order for s in L.subgroups]
+    it; a pair without a prime-power chain needs infinity."""
     need, rises = 0, []
     for a, b in L.maximal_in_join():
-        d = meet(a, b)
-        pp = prime_down[b] >> d & 1 and prime_power(orders[b] // orders[d])
-        n = pp[1] if pp else math.inf
+        # b is not under a, so the meet is below b and n >= 1
+        pp = _prime_chain(L, L.meet(a, b), b)
+        n = math.inf if pp is None else pp[1]
         if n > need:
             need = n
             rises.append((n, (a, b)))
@@ -251,7 +253,7 @@ def in_class(L: SubgroupLattice, cls: str, k: int,
     if cls == "Y":
         return len(reach) == len(L.subs_of(top))
     sylows_ok = all(structure.sylow_in(L, top, p) in reach
-                    for p, _ in _factor_items(L.subgroups[top].order))
+                    for p in factorize(L.subgroups[top].order))
     if cls == "F":
         return sylows_ok
     return structure.is_supersoluble_in(L, top) and sylows_ok

@@ -188,49 +188,33 @@ def test_id_key_orders_masks_of_one_order_as_their_member_lists(sets):
 
 @pytest.mark.parametrize("name,args", READ_GROUPS)
 def test_normalizers_are_read_without_conjugating(name, args, monkeypatch):
-    """Every normalizer comes with the lattice: once it is built, no
-    normalizer or normality read conjugates a member set (A5 x Z2 reaches
-    the general pass of the enumeration)."""
+    """Every normalizer, whole-group class and core comes with the lattice:
+    once it is built, none of these reads conjugates a member set (A5 x Z2
+    reaches the general pass of the enumeration).  The classes read are
+    then checked by `check_classes`, and each core is their meet."""
     L = _reference_group(name, args).lattice()
+    top = L.top.id
 
     def refuse(*args):
         raise AssertionError("conjugate_mask called")
 
     monkeypatch.setattr(FiniteGroup, "conjugate_mask", refuse)
+    reads = []
     for a in range(len(L)):
         n = L.normalizer(a)
         assert L.is_normal_in(a, n)
         assert sum(L.is_normal_in(a, b) for b in range(len(L))) == (
             L.down[n] & L.up[a]).bit_count()
-
-
-@pytest.mark.parametrize("name,args", READ_GROUPS)
-def test_whole_group_classes_are_read_without_conjugating(name, args,
-                                                          monkeypatch):
-    """Once the lattice is built, whole-group conjugates and cores are read
-    from the classes the enumeration walked: no member set is conjugated.
-    They match the classes conjugation by every element gives."""
-    G = _reference_group(name, args)
-    L = G.lattice()
-    mult, inv = G.mult, G.inv
-    # maps[g][x] = g^-1 x g
-    maps = [[mult[mult[inv[g]][x]][g] for x in range(G.order)]
-            for g in range(G.order)]
-
-    def refuse(*args):
-        raise AssertionError("conjugate_mask called")
-
-    monkeypatch.setattr(FiniteGroup, "conjugate_mask", refuse)
-    for s in L.subgroups:
-        members = set_bits(s.mask)
-        masks = {sum(1 << m[x] for x in members) for m in maps}
-        cls = sorted(L.by_mask[c] for c in masks)
-        assert L.conjugates(s.id) == cls
-        assert L.conjugates(s.id, within=L.top.id) == cls
-        core = s.mask
-        for c in masks:
-            core &= c
-        assert L.subgroups[L.core(s.id)].mask == core
+        reads.append((L.conjugates(a), L.conjugates(a, within=top),
+                      L.core(a)))
+    monkeypatch.undo()
+    check_classes(L)
+    for a, (cls, cls_top, core) in enumerate(reads):
+        assert cls == cls_top == L.conjugates(a)
+        core_mask = L.group.full_mask()
+        for c in cls:
+            core_mask &= L.subgroups[c].mask
+        assert L.subgroups[core].mask == core_mask
 
 
 def test_classes_of_the_corpus(corpus):
