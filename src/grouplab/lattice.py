@@ -5,20 +5,23 @@ Enumeration is by cyclic extension of conjugacy class representatives
 subgroup bringing its whole class, its orbit under G's generators.  A
 zuppo is a cyclic subgroup of prime-power order.  The soluble pass extends
 each representative H only by the zuppos z of p-power order that
-normalize H and have z^p in H, each join of index p over H; it finds
-exactly the soluble subgroups, so a soluble group's lattice is complete
-after it.  For any other group the general pass extends each
-representative by one zuppo from each N(H)-orbit of the zuppos outside H.
-Each join <H, z> is enumerated from the known mask of H as a union of
-cosets of H, unless z lies in a join of prime index over H found before,
-which is then <H, z>.  Each subgroup's generator tuple is the one the
-plain loop (every subgroup extended by every cyclic subgroup) finds
-first, replayed on the finished lattice with joins in place of closures,
-so it does not depend on the enumeration order.  Each class brings the
-normalizers of its members too: N(c^g) = N(c)^g; and the lattice keeps
-each orbit walked, so a whole-group class is a read.  Subgroups are
-canonically identified by their member bitmask; lattice ids are assigned
-in (order, member-set) sort order, so reports are deterministic.
+normalize H and have z^p in H, each join of index p over H, the union of
+the cosets H z^i for i < p; it finds exactly the soluble subgroups, so a
+soluble group's lattice is complete after it.  For any other group the
+general pass extends each representative by one zuppo from each
+N(H)-orbit of the zuppos outside H, each join <H, z> enumerated from the
+known mask of H as a union of cosets of H.  In both passes z is not
+joined when it lies in a join of prime index over H found before, which
+is then <H, z>.  Each subgroup keeps the generators the enumeration found
+it by.  The tuple reports print is another: the one the plain loop
+(every subgroup extended by every cyclic subgroup) finds first, replayed
+on the finished lattice with joins in place of closures, so it does not
+depend on the enumeration order; it is replayed for the whole lattice
+when a report first prints one.  Each class brings the normalizers of
+its members too: N(c^g) = N(c)^g; and the lattice keeps each orbit
+walked, so a whole-group class is a read.  Subgroups are canonically
+identified by their member bitmask; lattice ids are assigned in (order,
+member-set) sort order, so reports are deterministic.
 
 The order relation is held as bitsets over ids, built with no walk over
 members: up[a] has bit b set when a <= b, down[a] when b <= a.  Since ids
@@ -40,20 +43,34 @@ from .permgroup import (FiniteGroup, OrderCapExceeded, factorize, order_cap,
 
 
 class Subgroup:
-    """Element-subset handle inside a parent group's lattice."""
+    """Element-subset handle inside a parent group's lattice: `gens` are
+    the generators the enumeration found it by, `printed_gens()` the tuple
+    reports print."""
 
-    __slots__ = ("parent", "mask", "order", "id", "gens")
+    __slots__ = ("lattice", "mask", "order", "id", "gens")
 
-    def __init__(self, parent: FiniteGroup, mask: int, id: int,
+    def __init__(self, lattice: SubgroupLattice, mask: int, id: int,
                  gens: tuple[int, ...]):
-        self.parent, self.mask, self.id = parent, mask, id
+        self.lattice, self.mask, self.id = lattice, mask, id
         self.order = mask.bit_count()
-        self.gens = gens  # generates the members; conjugation tests use it
+        # any generating tuple gives the same answers to the order
+        # relation, commutation, centralizer, image and conjugation tests
+        # that read it
+        self.gens = gens
+
+    def printed_gens(self) -> tuple[int, ...]:
+        """The generator tuple reports print: the one the plain extension
+        loop finds first (see `_replay_gens`), replayed for the whole
+        lattice on the first call."""
+        L = self.lattice
+        if L._printed is None:
+            L._printed = _replay_gens(L)
+        return L._printed[self.id]
 
     def gen_cycles(self) -> list[str]:
-        """Cycle strings for a small generating set (for reports)."""
-        return [self.parent.elements[g].cycle_string()
-                for g in self.gens] or ["()"]
+        """Cycle strings of the printed generator tuple (for reports)."""
+        return [self.lattice.group.elements[g].cycle_string()
+                for g in self.printed_gens()] or ["()"]
 
     def __repr__(self) -> str:
         return f"Subgroup(id={self.id}, order={self.order})"
@@ -75,7 +92,7 @@ class SubgroupLattice:
         n = group.order
         keyed = sorted((_id_key(mask), mask) for mask in mask_gens)
         self.subgroups: list[Subgroup] = [
-            Subgroup(group, mask, id=i, gens=mask_gens[mask])
+            Subgroup(self, mask, id=i, gens=mask_gens[mask])
             for i, (_, mask) in enumerate(reversed(keyed))
         ]
         self.by_mask: dict[int, int] = {s.mask: s.id for s in self.subgroups}
@@ -99,6 +116,8 @@ class SubgroupLattice:
         self._subs_of: dict[int, list[int]] = {}
         self._memos: dict[tuple, object] = {}
         self._as_group: dict[int, FiniteGroup] = {}
+        # per id, the printed generator tuple; replayed on first use
+        self._printed: list[tuple[int, ...]] | None = None
         # `submodular`'s caches stay attributes: perfbench's tracer reads
         # their sizes; every other module answer is kept by `memo`.
         # ksub_reach[top][j]: the ids with a chain up to top whose every
@@ -227,7 +246,8 @@ class SubgroupLattice:
         whole group), ascending.  Under the whole group they are a's class,
         which the enumeration walked as one orbit, or [a] for a normal a:
         a list kept by the lattice, not to be changed.  Under a proper
-        `within` they are the orbit of a under its generators."""
+        `within` they are the orbit of a under its generators, each
+        generator that normalizes an orbit member skipped for it."""
         if within is None or within == self.top.id:
             return self._class_of[a]
         gens = self.subgroups[within].gens
@@ -236,7 +256,10 @@ class SubgroupLattice:
         while frontier:
             new = []
             for x in frontier:
+                nx = self.subgroups[self._normalizers[x]].mask
                 for g in gens:
+                    if nx >> g & 1:  # g normalizes x
+                        continue
                     y = self.conjugate(x, g)
                     if y not in seen:
                         seen.add(y)
@@ -323,8 +346,7 @@ def _normalizer_mask(G: FiniteGroup, mask: int, gens: tuple[int, ...]) -> int:
 
 def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     """Enumerate every subgroup of G by cyclic extension of conjugacy class
-    representatives (Neubüser), then give each subgroup the generator tuple
-    the plain extension loop finds first.
+    representatives (Neubüser).
 
     Classes.  A zuppo is a cyclic subgroup of prime-power order.  Starting
     from the trivial subgroup, each class representative H is extended by
@@ -334,8 +356,12 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     <H, z> is its own class.
 
     The soluble pass extends H by each zuppo z, of p-power order say,
-    with z in N(H) and z^p in H.  Then <H, z> = H<z> and <z> meets H in
-    <z^p>, so |<H, z> : H| = p.  It finds exactly the soluble subgroups.
+    with z in N(H) and z^p in H; the candidates are one AND of bitmasks
+    over element ordinals, N(H) & zuppos & ~covered (see below).  Then
+    <H, z> = H<z> and <z> meets H in <z^p>, so |<H, z> : H| = p and the
+    join is the union of the cosets z^i H = H z^i for i < p, each read
+    from row z^i of the multiplication table at H's members, with no
+    closure.  It finds exactly the soluble subgroups.
     Each one it finds is soluble, as it has the soluble H as a normal
     subgroup of prime index.  Conversely a soluble K != 1 has a normal
     subgroup M of prime index p.  Some x in K lies outside M, and then so
@@ -371,13 +397,13 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     least generator of <x>, its powers give the mask, and each x^i with
     gcd(i, |x|) = 1 is marked as generating <x> with least generator x.
 
-    Generators.  `Subgroup.gens` is the tuple found first by the loop that
-    seeds every cyclic subgroup (by order, then mask) and extends each
-    subgroup, in queue order, by every cyclic subgroup c outside it, giving
-    <h, c> the generators of h plus the least generator of c.  That loop is
-    replayed on the finished lattice with <h, c> = join(h, c), a few integer
-    operations on the up-sets (which depend only on member sets), and stops
-    once every subgroup has its tuple.
+    Generators.  `Subgroup.gens` is the tuple the enumeration found the
+    subgroup by: H's generators outside <z> plus z for a join <H, z>,
+    their images under g for a conjugate.  It generates the subgroup,
+    which is all its readers need.  The tuple reports print (`Subgroup.printed_gens`) does
+    not depend on the enumeration: `_replay_gens` makes it for the whole
+    lattice on the first call, and no lattice keeps its cyclic subgroups
+    until then.
 
     Normalizers.  N(H) is computed for every representative H (one with no
     zuppo outside it is G, which is normal), and each member c of a class
@@ -421,13 +447,12 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
 
     if full in cyclic:  # every subgroup of a cyclic group is cyclic, normal
         known = {mask: (g,) for mask, g in cyclic.items()}
+        known[1 << e] = ()
         normalizers = dict.fromkeys(known, full)
         orbits = []
     else:
         known, normalizers, orbits = _classes(G, cyc_items, canon, zpow)
-    L = SubgroupLattice(G, known, normalizers, orbits)
-    _replay_gens(L, cyc_items)
-    return L
+    return SubgroupLattice(G, known, normalizers, orbits)
 
 
 def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
@@ -440,6 +465,8 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
     full = G.full_mask()
     cyc_mask = {g: mask for mask, g in cyc_items}
     zuppos = [g for _, g in cyc_items if g in zpow]
+    zuppo_bits = sum(1 << z for z in zuppos)
+    pow2 = [1 << x for x in range(G.order)]
     primes = set(factorize(G.order))
 
     idx = G.element_index
@@ -500,9 +527,10 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
                 nm = normalizers[h] = _normalizer_mask(G, h, hgens)
             # H and the joins of prime index over H so far, in either pass
             covered = covers.get(h, h)
-            if soluble:  # |<H, z> : H| = p for z of p-power order
-                outside = [z for z in zuppos if nm >> z & 1
-                           and not covered >> z & 1 and h >> zpow[z] & 1]
+            if soluble:  # z in N(H) of p-power order with z^p in H
+                outside = [z for z in set_bits(nm & zuppo_bits & ~covered)
+                           if h >> zpow[z] & 1]
+                hm = set_bits(h)
             else:  # the soluble pass covered whole N(H)-orbits
                 outside = [z for z in zuppos if not covered >> z & 1]
                 acting = moving if nm == full else [
@@ -529,12 +557,20 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
                 if covered >> z & 1:
                     continue  # <H, z> is the join of prime index holding z
                 zmask = cyc_mask[z]
-                j = (zmask if h & ~zmask == 0  # h <= <z>
-                     else G.closure_mask(hgens + (z,), h))
+                if soluble:  # the cosets z^i H = H z^i for i < p
+                    j, w = h, z
+                    while not h >> w & 1:
+                        j |= sum(map(pow2.__getitem__,
+                                     map(mult[w].__getitem__, hm)))
+                        w = mult[w][z]
+                else:
+                    j = (zmask if h & ~zmask == 0  # h <= <z>
+                         else G.closure_mask(hgens + (z,), h))
                 if j.bit_count() // h_order in primes:
                     covered |= j
-                if j not in known:
-                    add_class(j, hgens + (z,))
+                if j not in known:  # H's generators in <z> are not needed
+                    add_class(j, tuple(x for x in hgens if not zmask >> x & 1)
+                              + (z,))
             covers[h] = covered
 
     # N(c^g) = N(c)^g, and a normal N(c), whose class is itself, is N(c)^g
@@ -544,14 +580,24 @@ def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
     return known, normalizers, orbits
 
 
-def _replay_gens(L: SubgroupLattice, cyc_items: list[tuple[int, int]]) -> None:
-    """Set each subgroup's gens to the tuple the plain extension loop finds
-    first (see `all_subgroups`), with each closure <h, c> read as join(h, c),
-    the lowest bit of up[h] & up[c].  `todo` holds the ids still without a
-    tuple: h is skipped when none lies above it, and c when none lies above
-    both.  For c <= h the join is h itself, which has its tuple."""
-    cyc = [(L.by_mask[mask], g) for mask, g in cyc_items]
-    up = L.up
+def _replay_gens(L: SubgroupLattice) -> list[tuple[int, ...]]:
+    """Per id, the generator tuple the plain extension loop finds first.
+    That loop seeds every cyclic subgroup (by order, then mask) with its
+    least generator, and extends each subgroup h, in queue order, by every
+    cyclic subgroup c, giving <h, c> the generators of h plus the least
+    generator of c.  It is replayed here with each closure <h, c> read as
+    join(h, c), the lowest bit of up[h] & up[c], so the tuples depend only
+    on the member sets.  <x> is the least subgroup holding x, the lowest
+    bit of holders[x], and its least generator the first such x.  `todo`
+    holds the ids still without a tuple: h is skipped when none lies above
+    it, and c when none lies above both.  For c <= h the join is h itself,
+    which has its tuple."""
+    subs, up = L.subgroups, L.up
+    least: dict[int, int] = {}
+    for x, u in enumerate(L.holders):
+        least.setdefault((u & -u).bit_length() - 1, x)
+    cyc = sorted(least.items(),
+                 key=lambda cg: (subs[cg[0]].order, subs[cg[0]].mask))
     gens: list[tuple[int, ...] | None] = [None] * len(L)
     gens[L.bottom.id] = ()
     queue = []
@@ -576,5 +622,4 @@ def _replay_gens(L: SubgroupLattice, cyc_items: list[tuple[int, int]]) -> None:
                     todo ^= 1 << j
                     if not uh & todo:
                         break
-    for s, g in zip(L.subgroups, gens):
-        s.gens = g
+    return gens

@@ -172,14 +172,19 @@ def chief_factor_pairs_in(L: SubgroupLattice,
 
 
 def _chief_pairs(L: SubgroupLattice, b: int) -> tuple[tuple[int, int], ...]:
+    """The covers h of each k in the sublattice of b-normal subgroups, by
+    the greedy rule of `SubgroupLattice._build_order`: ids ascend by
+    order, so the lowest id left above k is minimal; take it and clear its
+    up-set.  Each k's covers come out ascending."""
     normals = normal_ids_in(L, b)
     normal_bits = sum(1 << a for a in normals)
     pairs = []
     for k in normals:
-        above = L.up[k] & normal_bits
-        for h in set_bits(above ^ (1 << k)):
-            if L.down[h] & above == (1 << k) | (1 << h):
-                pairs.append((k, h))
+        above = (L.up[k] & normal_bits) ^ (1 << k)
+        while above:
+            h = (above & -above).bit_length() - 1
+            pairs.append((k, h))
+            above &= ~L.up[h]
     return tuple(pairs)
 
 

@@ -43,6 +43,15 @@ def check_classes(L):
                 == G.order), (G.name, a)
 
 
+def check_gens(L):
+    """Each subgroup's two generator tuples, the enumeration's (`gens`) and
+    the printed one, each generate its member mask."""
+    G = L.group
+    for s in L.subgroups:
+        for gens in (s.gens, s.printed_gens()):
+            assert G.closure_mask(gens) == s.mask, (G.name, s.id, gens)
+
+
 def check_order(L):
     """The down-sets built from the covers against the up-sets: b >= a in
     one exactly when a <= b in the other."""

@@ -181,7 +181,7 @@ two_permutations = st.integers(1, 6).flatmap(
 @settings(FUZZ, max_examples=40)
 @given(two_permutations)
 def test_lattice_of_random_group_matches_unskipped_loop(perms):
-    """Masks, ids and generator tuples of the lattice of the group two
+    """Masks, ids and printed generator tuples of the lattice of the group two
     random permutations of degree <= 6 generate (order <= 120), and its
     whole-group classes (`check_classes`)."""
     degree, p, q = perms

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grouplab import (FiniteGroup, Permutation, all_subgroups, direct_product,
-                      group_from_spec, named_group)
+                      group_from_spec, harness, lattice, named_group)
 from grouplab.classes import p_subnormal_set
 from grouplab.lattice import _id_key
 from grouplab.permgroup import is_prime, prime_power, set_bits
-from grouplab.submodular import is_n_maximal_with_index, ksub_set
-from checks import check_classes, check_order
+from grouplab.structure import is_supersoluble
+from grouplab.submodular import (CLASS_IDS, in_class, is_n_maximal_with_index,
+                                 ksub_set)
+from checks import check_classes, check_gens, check_order
 from definitions import (generating_pairs, goursat_count, hall_phi2,
                          mobius_to_top, naive_subgroup_masks)
 
@@ -222,6 +224,47 @@ def test_classes_of_the_corpus(corpus):
         check_classes(e.lattice)
 
 
+def test_gens_of_the_corpus(corpus):
+    for e in corpus:
+        if e.order <= 60:
+            check_gens(e.lattice)
+
+
+def test_printed_gens_are_replayed_only_when_printed(monkeypatch):
+    """The verification run and the scale-ladder's calls (lattice, k-
+    submodular sets and class membership of E2^5 and S4 x S3) never replay
+    the plain extension loop; the first `gen_cycles` call replays it once
+    for the whole lattice."""
+    replay, calls = lattice._replay_gens, []
+
+    def refuse(*args):
+        raise AssertionError("generator replay outside a printed tuple")
+
+    def count(L):
+        calls.append(L)
+        return replay(L)
+
+    monkeypatch.setattr(lattice, "_replay_gens", refuse)
+    corpus = harness.build_corpus(harness.CorpusConfig(cap=24))
+    for suite in harness.SUITE_IDS:  # some counters need the full corpus
+        rep = harness.run_suite(suite, [1, 2, 3], corpus)
+        assert all(r["pass"] for r in rep.entries), suite
+    for G in (named_group("elem_abelian", [2, 5]),
+              direct_product(named_group("sym", [4]), named_group("sym", [3]))):
+        L = G.lattice()
+        for k in (1, 2, 3):
+            ksub_set(L, k)
+            for c in CLASS_IDS:
+                in_class(L, c, k)
+        is_supersoluble(G)
+    monkeypatch.setattr(lattice, "_replay_gens", count)
+    L.subgroups[5].gen_cycles()
+    assert calls == [L]
+    for s in L.subgroups:
+        s.gen_cycles()
+    assert calls == [L]
+
+
 @pytest.mark.parametrize("name,args", REFERENCE_GROUPS)
 def test_normalizer_conjugates_core_match_definitions(name, args):
     """Also checks the normalizer of every subgroup, handed to the lattice
@@ -406,7 +449,7 @@ def _unskipped_mask_gens(G):
 
 def test_cyclic_subgroup_gens_are_least_generators(corpus):
     """Brute force: <x> is closed for every x; a nontrivial cyclic
-    subgroup's gens is the least ordinal generating it, alone."""
+    subgroup's printed tuple is the least ordinal generating it, alone."""
     for entry in corpus:
         G = entry.group
         least = {}
@@ -414,13 +457,13 @@ def test_cyclic_subgroup_gens_are_least_generators(corpus):
             least.setdefault(G.closure_mask([x]), x)
         L = G.lattice()
         for mask, x in least.items():
-            gens = L.subgroups[L.by_mask[mask]].gens
+            gens = L.subgroups[L.by_mask[mask]].printed_gens()
             assert gens == (() if x == G.identity_ordinal else (x,)), G.name
 
 
 def test_enumeration_matches_unskipped_loop(corpus):
     """Class-wise enumeration and generator replay against the plain loop:
-    same masks, ids and generator tuples."""
+    same masks, ids and printed generator tuples."""
     s4, a5 = named_group("sym", [4]), named_group("alt", [5])
     groups = ([e.group for e in corpus]
               + [direct_product(s4, named_group("sym", [3])),
@@ -438,7 +481,7 @@ def assert_matches_unskipped_loop(G):
     expected = sorted(_unskipped_mask_gens(G).items(),
                       key=lambda kv: (kv[0].bit_count(),
                                       set_bits(kv[0])))
-    got = [(s.mask, s.gens) for s in all_subgroups(G).subgroups]
+    got = [(s.mask, s.printed_gens()) for s in all_subgroups(G).subgroups]
     assert got == expected, G.name
 
 
