@@ -51,10 +51,10 @@ def _commute(L: SubgroupLattice, b: int) -> bool:
     return all(mult[x][y] == mult[y][x] for x in gens for y in gens)
 
 
-def _orders(L: SubgroupLattice, b: int) -> set[int]:
+def _orders(L: SubgroupLattice, b: int) -> frozenset[int]:
     """The element orders of member b, the same in b as in the parent."""
-    orders = L.group.element_orders
-    return {orders[x] for x in set_bits(L.subgroups[b].mask)}
+    return L.memo((_orders, b), lambda: frozenset(map(
+        L.group.element_orders.__getitem__, set_bits(L.subgroups[b].mask))))
 
 
 def _exponent_ok(L: SubgroupLattice, b: int, k: int, m: int = 0) -> bool:

@@ -63,9 +63,7 @@ class Subgroup:
         loop finds first (see `_replay_gens`), replayed for the whole
         lattice on the first call."""
         L = self.lattice
-        if L._printed is None:
-            L._printed = _replay_gens(L)
-        return L._printed[self.id]
+        return L.memo((_replay_gens,), lambda: _replay_gens(L))[self.id]
 
     def gen_cycles(self) -> list[str]:
         """Cycle strings of the printed generator tuple (for reports)."""
@@ -111,15 +109,10 @@ class SubgroupLattice:
             ids = sorted(map(self.by_mask.__getitem__, orbit))
             for a in ids:
                 self._class_of[a] = ids
-        # per subgroup, g -> id of its conjugate by g; made on first use
-        self._conj_cache: list[dict[int, int] | None] = [None] * len(keyed)
-        self._subs_of: dict[int, list[int]] = {}
         self._memos: dict[tuple, object] = {}
-        self._as_group: dict[int, FiniteGroup] = {}
-        # per id, the printed generator tuple; replayed on first use
-        self._printed: list[tuple[int, ...]] | None = None
-        # `submodular`'s caches stay attributes: perfbench's tracer reads
-        # their sizes; every other module answer is kept by `memo`.
+        # a plain dict, the hottest read: a third of a `memo` call's cost
+        self._subs_of: dict[int, list[int]] = {}
+        # perfbench's tracer reads the sizes of `submodular`'s two caches;
         # ksub_reach[top][j]: the ids with a chain up to top whose every
         # step has kind at most j, for j = 0 up to the largest needed
         self.step_kind_cache: dict[tuple[int, int], int | None] = {}
@@ -213,8 +206,9 @@ class SubgroupLattice:
     def memo(self, key: tuple, compute: Callable[[], object]):
         """compute(), worked out on the first call with `key` and kept with
         the lattice, so it is freed with it.  A key is a tuple led by the
-        function that owns it, such as (normal_ids_in, b); an answer is
-        never None and is kept as the immutable value callers read."""
+        function that owns it, such as (normal_ids_in, b), or by a method's
+        name, the same when perfbench's tracer rebinds it; answers are never
+        None and are kept as the immutable values callers read."""
         hit = self._memos.get(key)
         if hit is None:
             hit = self._memos[key] = compute()
@@ -232,14 +226,8 @@ class SubgroupLattice:
                 yield a, b
 
     def conjugate(self, a: int, g: int) -> int:
-        cache = self._conj_cache[a]
-        if cache is None:
-            cache = self._conj_cache[a] = {}
-        hit = cache.get(g)
-        if hit is None:
-            hit = cache[g] = self.by_mask[
-                self.group.conjugate_mask(self.subgroups[a].mask, g)]
-        return hit
+        return self.memo(("conjugate", a, g), lambda: self.by_mask[
+            self.group.conjugate_mask(self.subgroups[a].mask, g)])
 
     def conjugates(self, a: int, within: int | None = None) -> list[int]:
         """Distinct conjugates of subgroup a under `within` (default: the
@@ -314,14 +302,11 @@ class SubgroupLattice:
         order, so local ids rise with parent ids."""
         if a == self.top.id:
             return self.group
-        hit = self._as_group.get(a)
-        if hit is None:
-            G = self.group
-            sub = self.subgroups[a]
-            hit = self._as_group[a] = FiniteGroup(
-                G.degree, [G.elements[m] for m in set_bits(sub.mask)],
-                [G.elements[g] for g in sub.gens], name=f"{G.name}.sub{a}")
-        return hit
+        G = self.group
+        sub = self.subgroups[a]
+        return self.memo(("subgroup_as_group", a), lambda: FiniteGroup(
+            G.degree, [G.elements[m] for m in set_bits(sub.mask)],
+            [G.elements[g] for g in sub.gens], name=f"{G.name}.sub{a}"))
 
 
 def _normalizer_mask(G: FiniteGroup, mask: int, gens: tuple[int, ...]) -> int:

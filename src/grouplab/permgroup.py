@@ -24,7 +24,7 @@ import os
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 DEFAULT_ORDER_CAP = 2000
@@ -216,8 +216,8 @@ class Permutation(tuple):
 class FiniteGroup:
     """A concrete finite permutation group with a full element table, the
     group its generators generate: the constructor builds `mult`, whose walk
-    checks that.  Immutable after construction; the other tables (inverses,
-    element orders, subgroup lattice) are cached lazily.
+    checks that.  Immutable after construction; the inverses and element
+    orders are cached properties, the lattice is kept by `lattice()`.
     """
 
     def __init__(
@@ -239,12 +239,11 @@ class FiniteGroup:
         if ident not in self.element_index:
             raise GroupError("identity missing from element table")
         self.identity_ordinal = self.element_index[ident]
+        # kept by hand, as perfbench's tracer wraps `mult` and `lattice`
         self._mult: list[list[int]] | None = None
-        self._inv: list[int] | None = None
-        self._orders: list[int] | None = None
         self._lattice = None
         self._quotients: dict[int, tuple["FiniteGroup", "Epimorphism"]] = {}
-        # (base mask, membership template, rows of base) of the last closure
+        # not an answer: the last closure's (base mask, template, rows of base)
         self._coset_setup: tuple[int, bytes, list] = (0, b"", [])
         self.mult  # the Cayley walk checks that the generators generate it
 
@@ -319,37 +318,33 @@ class FiniteGroup:
             self._mult = rows
         return self._mult
 
-    @property
+    @cached_property
     def inv(self) -> list[int]:
         """Inverse ordinals, read from the table: x^-1 is the column of the
         identity in row x."""
-        if self._inv is None:
-            e = self.identity_ordinal
-            self._inv = [row.index(e) for row in self.mult]
-        return self._inv
+        e = self.identity_ordinal
+        return [row.index(e) for row in self.mult]
 
-    @property
+    @cached_property
     def element_orders(self) -> list[int]:
         """Order of each element, one power walk per cyclic subgroup: in
         ordinal order, an x whose order is not yet known has its powers
         walked, and each x^i of the o powers gets order o / gcd(i, o)."""
-        if self._orders is None:
-            mult = self.mult
-            e = self.identity_ordinal
-            orders = [0] * self.order
-            for x in range(self.order):
-                if orders[x]:
-                    continue
-                powers = [e]
-                y = x
-                while y != e:
-                    powers.append(y)
-                    y = mult[y][x]
-                o = len(powers)
-                for i, y in enumerate(powers):
-                    orders[y] = o // math.gcd(i, o)
-            self._orders = orders
-        return self._orders
+        mult = self.mult
+        e = self.identity_ordinal
+        orders = [0] * self.order
+        for x in range(self.order):
+            if orders[x]:
+                continue
+            powers = [e]
+            y = x
+            while y != e:
+                powers.append(y)
+                y = mult[y][x]
+            o = len(powers)
+            for i, y in enumerate(powers):
+                orders[y] = o // math.gcd(i, o)
+        return orders
 
     def exponent(self) -> int:
         """Least common multiple of the element orders."""

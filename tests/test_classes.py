@@ -4,7 +4,7 @@ from grouplab import direct_product, generate, named_group
 from grouplab import classes, harness, structure
 from grouplab.classes import (f_function, h_function, in_local_formation,
                               in_wF, oracle, residual)
-from grouplab.permgroup import set_bits
+from grouplab.permgroup import FiniteGroup, set_bits
 
 
 def test_oracle_basic_classes(s4):
@@ -129,8 +129,9 @@ def test_residual_scan_builds_no_member_lattice():
         for F in (oracle("U"), oracle("U_k", k=1), harness._K_oracle(1)):
             for b in range(len(L)):
                 classes.residual_mask(L, b, F)
-        assert L._as_group
-        assert all(H._lattice is None for H in L._as_group.values())
+        members = [H for H in L._memos.values() if isinstance(H, FiniteGroup)]
+        assert members
+        assert all(H._lattice is None for H in members)
 
 
 def test_p_subnormal(s4):

@@ -265,6 +265,36 @@ def test_printed_gens_are_replayed_only_when_printed(monkeypatch):
     assert calls == [L]
 
 
+LATTICE_TABLES = {"group", "subgroups", "by_mask", "bottom", "top", "holders",
+                  "up", "down", "prime_down", "hasse_down", "hasse_up",
+                  "_normalizers", "_class_of"}
+
+
+def test_answers_are_kept_by_memo_and_cached_properties():
+    """After the verification run, a printed tuple, conjugates under a
+    proper subgroup and a member built as a group, a lattice holds its
+    tables, `memo`'s store and three plain dicts, and no group holds a
+    hand-rolled inverse or element-order table."""
+    corpus = harness.build_corpus(harness.CorpusConfig(cap=24))
+    for suite in harness.SUITE_IDS:
+        harness.run_suite(suite, [1, 2, 3], corpus)
+    L = named_group("sym", [4]).lattice()
+    L.subgroups[5].gen_cycles()
+    b = next(b for b in range(len(L)) if any(
+        len(L.conjugates(a, within=b)) > 1 for a in L.subs_of(b)))
+    H = L.subgroup_as_group(b)
+    assert H.inv is H.inv and L.subgroup_as_group(b) is H
+    groups = [L.group] + [e.group for e in corpus]
+    for M in [G.lattice() for G in groups]:
+        assert set(vars(M)) - LATTICE_TABLES == {
+            "_memos", "_subs_of", "step_kind_cache", "ksub_reach"}, M.group.name
+        groups += [H for H in M._memos.values() if isinstance(H, FiniteGroup)]
+    groups += [Q for G in groups[:] for Q, _ in G._quotients.values()]
+    assert any("inv" in vars(G) for G in groups)
+    assert any("element_orders" in vars(G) for G in groups)
+    assert not [G.name for G in groups if {"_inv", "_orders"} & set(vars(G))]
+
+
 @pytest.mark.parametrize("name,args", REFERENCE_GROUPS)
 def test_normalizer_conjugates_core_match_definitions(name, args):
     """Also checks the normalizer of every subgroup, handed to the lattice
