@@ -164,18 +164,16 @@ def residual(G: FiniteGroup, F: ClassOracle) -> Subgroup:
 # -- subnormality ------------------------------------------------------------
 
 
-def _prime_index(L: SubgroupLattice, a: int, b: int) -> bool:
-    return is_prime(L.subgroups[b].order // L.subgroups[a].order)
-
-
 def p_subnormal_set(L: SubgroupLattice, variant_k: bool = False) -> frozenset[int]:
     """Ids P-subnormal (chains of prime-index steps, which are the
     prime-index covers in `L.prime_down`) or, with `variant_k`,
     K-P-subnormal (each step of prime index or normal) in the top group."""
     if not variant_k:
         return frozenset(set_bits(L.prime_down[L.top.id]))
+    subs = L.subgroups
     return L.memo((p_subnormal_set,), lambda: frozenset(L.reach_down(
-        L.top.id, lambda a, b: _prime_index(L, a, b) or L.is_normal_in(a, b))))
+        L.top.id, lambda a, b: is_prime(subs[b].order // subs[a].order)
+        or L.is_normal_in(a, b))))
 
 
 def f_subnormal_set(L: SubgroupLattice, F: ClassOracle) -> frozenset[int]:

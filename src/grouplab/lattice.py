@@ -35,7 +35,6 @@ one bit test.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Iterator
 
 from .permgroup import (FiniteGroup, OrderCapExceeded, factorize, order_cap,
@@ -225,10 +224,6 @@ class SubgroupLattice:
             for b in set_bits(below & ~self.down[a]):
                 yield a, b
 
-    def conjugate(self, a: int, g: int) -> int:
-        return self.memo(("conjugate", a, g), lambda: self.by_mask[
-            self.group.conjugate_mask(self.subgroups[a].mask, g)])
-
     def conjugates(self, a: int, within: int | None = None) -> list[int]:
         """Distinct conjugates of subgroup a under `within` (default: the
         whole group), ascending.  Under the whole group they are a's class,
@@ -238,17 +233,19 @@ class SubgroupLattice:
         generator that normalizes an orbit member skipped for it."""
         if within is None or within == self.top.id:
             return self._class_of[a]
-        gens = self.subgroups[within].gens
+        subs, conj = self.subgroups, self.group.conjugate_mask
+        gens = subs[within].gens
         seen = {a}
         frontier = [a]
         while frontier:
             new = []
             for x in frontier:
-                nx = self.subgroups[self._normalizers[x]].mask
+                nx = subs[self._normalizers[x]].mask
                 for g in gens:
                     if nx >> g & 1:  # g normalizes x
                         continue
-                    y = self.conjugate(x, g)
+                    y = self.memo(("conjugates", x, g), lambda: self.by_mask[
+                        conj(subs[x].mask, g)])
                     if y not in seen:
                         seen.add(y)
                         new.append(y)
@@ -377,18 +374,17 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     above that no other step reaches, so skipping it could lose a class.
     Every join of the soluble pass has prime index.
 
-    Cyclic subgroups.  One power walk per cyclic subgroup: in ordinal order
-    the first x not yet known to generate an earlier cyclic subgroup is the
-    least generator of <x>, its powers give the mask, and each x^i with
-    gcd(i, |x|) = 1 is marked as generating <x> with least generator x.
+    Cyclic subgroups.  They come with their least generators from
+    `FiniteGroup.cyclic_subgroups`, and z^p of each zuppo z from p - 1
+    products.  A cyclic G needs no enumeration: its subgroups are its
+    cyclic subgroups, all normal.
 
     Generators.  `Subgroup.gens` is the tuple the enumeration found the
     subgroup by: H's generators outside <z> plus z for a join <H, z>,
     their images under g for a conjugate.  It generates the subgroup,
-    which is all its readers need.  The tuple reports print (`Subgroup.printed_gens`) does
-    not depend on the enumeration: `_replay_gens` makes it for the whole
-    lattice on the first call, and no lattice keeps its cyclic subgroups
-    until then.
+    which is all its readers need.  The tuple reports print
+    (`Subgroup.printed_gens`) does not depend on the enumeration:
+    `_replay_gens` makes it for the whole lattice on the first call.
 
     Normalizers.  N(H) is computed for every representative H (one with no
     zuppo outside it is G, which is normal), and each member c of a class
@@ -404,52 +400,36 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     """
     if G.order > order_cap():
         raise OrderCapExceeded(f"|{G.name}| = {G.order} exceeds cap {order_cap()}")
-    mult = G.mult
-    e = G.identity_ordinal
     full = G.full_mask()
-    cyclic: dict[int, int] = {}  # mask -> least generator ordinal
-    canon = [-1] * G.order  # x -> least generator of <x>
-    zpow: dict[int, int] = {}  # zuppo's least generator z -> z^p
-    for x in range(G.order):
-        if canon[x] >= 0:  # x generates an earlier cyclic subgroup
-            continue
-        powers = [e]
-        y = x
-        while y != e:
-            powers.append(y)
-            y = mult[y][x]
-        o = len(powers)
-        mask = 0
-        for i, y in enumerate(powers):
-            mask |= 1 << y
-            if math.gcd(i, o) == 1:  # x^i generates <x>; e is i = 0, o = 1
-                canon[y] = x
-        cyclic[mask] = x
-        q = prime_power(o)
-        if q is not None:  # <x> is a zuppo: x^p, which is e when o = p
-            zpow[x] = powers[q[0] % o]
-    cyc_items = sorted(cyclic.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
-
-    if full in cyclic:  # every subgroup of a cyclic group is cyclic, normal
-        known = {mask: (g,) for mask, g in cyclic.items()}
-        known[1 << e] = ()
+    cyc_items = G.cyclic_subgroups[1]
+    if cyc_items[-1][0] == full:  # G is cyclic: its subgroups are, all normal
+        known = {mask: (g,) for mask, g in cyc_items}
+        known[1 << G.identity_ordinal] = ()
         normalizers = dict.fromkeys(known, full)
         orbits = []
     else:
-        known, normalizers, orbits = _classes(G, cyc_items, canon, zpow)
+        known, normalizers, orbits = _classes(G)
     return SubgroupLattice(G, known, normalizers, orbits)
 
 
-def _classes(G: FiniteGroup, cyc_items: list[tuple[int, int]],
-             canon: list[int], zpow: dict[int, int]) -> tuple[dict, dict, list]:
+def _classes(G: FiniteGroup) -> tuple[dict, dict, list]:
     """The class-wise enumeration of `all_subgroups`: every subgroup mask
     with some generators, every subgroup's normalizer mask, and the member
     masks of each class of more than one subgroup."""
+    canon, cyc_items = G.cyclic_subgroups
     mult, inv = G.mult, G.inv
     e = G.identity_ordinal
     full = G.full_mask()
     cyc_mask = {g: mask for mask, g in cyc_items}
-    zuppos = [g for _, g in cyc_items if g in zpow]
+    zpow: dict[int, int] = {}  # zuppo's least generator z -> z^p
+    for mask, z in cyc_items:
+        q = prime_power(mask.bit_count())
+        if q is not None:  # z^p by p - 1 products: e when |z| = p
+            w = z
+            for _ in range(q[0] - 1):
+                w = mult[w][z]
+            zpow[z] = w
+    zuppos = list(zpow)
     zuppo_bits = sum(1 << z for z in zuppos)
     pow2 = [1 << x for x in range(G.order)]
     primes = set(factorize(G.order))
@@ -572,17 +552,13 @@ def _replay_gens(L: SubgroupLattice) -> list[tuple[int, ...]]:
     cyclic subgroup c, giving <h, c> the generators of h plus the least
     generator of c.  It is replayed here with each closure <h, c> read as
     join(h, c), the lowest bit of up[h] & up[c], so the tuples depend only
-    on the member sets.  <x> is the least subgroup holding x, the lowest
-    bit of holders[x], and its least generator the first such x.  `todo`
-    holds the ids still without a tuple: h is skipped when none lies above
-    it, and c when none lies above both.  For c <= h the join is h itself,
+    on the member sets.  The cyclic subgroups, with their least generators
+    and in seeding order, are `FiniteGroup.cyclic_subgroups`.  `todo` holds
+    the ids still without a tuple: h is skipped when none lies above it,
+    and c when none lies above both.  For c <= h the join is h itself,
     which has its tuple."""
-    subs, up = L.subgroups, L.up
-    least: dict[int, int] = {}
-    for x, u in enumerate(L.holders):
-        least.setdefault((u & -u).bit_length() - 1, x)
-    cyc = sorted(least.items(),
-                 key=lambda cg: (subs[cg[0]].order, subs[cg[0]].mask))
+    up, by_mask = L.up, L.by_mask
+    cyc = [(by_mask[mask], g) for mask, g in L.group.cyclic_subgroups[1]]
     gens: list[tuple[int, ...] | None] = [None] * len(L)
     gens[L.bottom.id] = ()
     queue = []

@@ -216,8 +216,8 @@ class Permutation(tuple):
 class FiniteGroup:
     """A concrete finite permutation group with a full element table, the
     group its generators generate: the constructor builds `mult`, whose walk
-    checks that.  Immutable after construction; the inverses and element
-    orders are cached properties, the lattice is kept by `lattice()`.
+    checks that.  Immutable after construction; inverses, cyclic subgroups
+    and element orders are cached properties, `lattice()` keeps the lattice.
     """
 
     def __init__(
@@ -326,15 +326,18 @@ class FiniteGroup:
         return [row.index(e) for row in self.mult]
 
     @cached_property
-    def element_orders(self) -> list[int]:
-        """Order of each element, one power walk per cyclic subgroup: in
-        ordinal order, an x whose order is not yet known has its powers
-        walked, and each x^i of the o powers gets order o / gcd(i, o)."""
+    def cyclic_subgroups(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """canon (x -> the least generator of <x>) and the (mask, least
+        generator) pairs of the cyclic subgroups, sorted by (order, mask).
+        One power walk per cyclic subgroup: in ordinal order, an x with no
+        least generator yet is the least generator of <x>, and each x^i
+        with gcd(i, |x|) = 1 generates <x>."""
         mult = self.mult
         e = self.identity_ordinal
-        orders = [0] * self.order
+        canon = [-1] * self.order
+        cyclic = []
         for x in range(self.order):
-            if orders[x]:
+            if canon[x] >= 0:  # x generates an earlier cyclic subgroup
                 continue
             powers = [e]
             y = x
@@ -342,9 +345,21 @@ class FiniteGroup:
                 powers.append(y)
                 y = mult[y][x]
             o = len(powers)
+            mask = 0
             for i, y in enumerate(powers):
-                orders[y] = o // math.gcd(i, o)
-        return orders
+                mask |= 1 << y
+                if math.gcd(i, o) == 1:  # x^i generates <x>; e is i = 0, o = 1
+                    canon[y] = x
+            cyclic.append((mask, x))
+        cyclic.sort(key=lambda kv: (kv[0].bit_count(), kv[0]))
+        return canon, cyclic
+
+    @cached_property
+    def element_orders(self) -> list[int]:
+        """Order of each element: |x| = |<canon[x]>| (`cyclic_subgroups`)."""
+        canon, cyclic = self.cyclic_subgroups
+        order = {x: mask.bit_count() for mask, x in cyclic}
+        return [order[c] for c in canon]
 
     def exponent(self) -> int:
         """Least common multiple of the element orders."""

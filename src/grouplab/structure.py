@@ -6,7 +6,7 @@ Each property has one implementation.  Sylow subgroups come from the lattice
 subgroup for a group or lattice member): every maximal subgroup normal.
 Solubility is `is_soluble_in`: every chief factor of prime-power order,
 read from the memoised chief-factor pairs.  The commutator subgroup is
-`_derived_of_mask`, supersolubility of a lattice member is
+`derived_subgroup`, supersolubility of a lattice member is
 `is_supersoluble_in`, and normality is the lattice's `is_normal_in`.  The
 `_in` forms take a lattice and a member id and treat the member as a group
 in its own right, so no lattice is rebuilt for a subgroup.
@@ -88,8 +88,18 @@ def sylow_count(G: FiniteGroup, p: int) -> int:
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
+    """The commutator subgroup G', the least normal N with G/N abelian.
+    G/N is abelian iff the images of G's generators commute, that is iff N
+    holds the commutator [x, y] of every two generators; so G' is the
+    normal closure of those commutators: the meet of the normal subgroups
+    above the subgroup they generate."""
     L = G.lattice()
-    return L.subgroups[L.by_mask[_derived_of_mask(G, range(G.order))]]
+    mult, inv = G.mult, G.inv
+    gens = [G.element_index[s] for s in G.generators]
+    c = L.generated(mult[mult[inv[x]][inv[y]]][mult[x][y]]
+                    for x in gens for y in gens)
+    return L.subgroups[L.meet(*(a for a in normal_ids_in(L, L.top.id)
+                                if L.leq(c, a)))]
 
 
 def is_soluble(G: FiniteGroup) -> bool:
@@ -104,17 +114,6 @@ def is_soluble_in(L: SubgroupLattice, b: int) -> bool:
     subs = L.subgroups
     return all(prime_power(subs[h].order // subs[k].order) is not None
                for k, h in chief_factor_pairs_in(L, b))
-
-
-def _derived_of_mask(G: FiniteGroup, members) -> int:
-    """Bitmask of the commutator subgroup of the subgroup `members`."""
-    mult, inv = G.mult, G.inv
-    comms = set()
-    for x in members:
-        row = mult[inv[x]]
-        for y in members:
-            comms.add(mult[row[inv[y]]][mult[x][y]])
-    return G.closure_mask(comms)
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:

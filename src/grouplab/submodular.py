@@ -105,9 +105,25 @@ def is_modular_subgroup(L: SubgroupLattice, m: int) -> bool:
 
 
 def submodular_set(L: SubgroupLattice) -> frozenset[int]:
-    """Ids submodular in the whole group."""
+    """Ids submodular in the whole group: joined to it by a chain whose
+    every step is modular.  The chains searched take only two kinds of
+    step, a normal one, or a maximal subgroup that is modular; they find
+    the same ids.
+
+    Every such step is modular: a normal subgroup is modular by Dedekind's
+    law.  Conversely every modular step a < b refines to those kinds.  If a
+    is modular in b and a <= m <= b, then a is modular in m, since joins
+    and meets of subgroups of m are the same in [1, m] as in [1, b], so
+    the identities restrict.  Take m maximal among the proper modular
+    subgroups of b that hold a, a maximal modular subgroup of b; by
+    induction on |b|, a reaches m by steps of the two kinds.  By Schmidt's
+    theorem, m is a maximal normal subgroup of b, or b/Core_b(m) is
+    nonabelian of order pq; then m has prime index, so it is a maximal
+    subgroup of b.  Either way m -> b is a step of one of the kinds.
+    """
     return L.memo((submodular_set,), lambda: frozenset(L.reach_down(
-        L.top.id, lambda a, b: _modular_in(L, a, b))))
+        L.top.id, lambda a, b: L.is_normal_in(a, b) or (
+            a in L.hasse_down[b] and _modular_in(L, a, b)))))
 
 
 # -- k-submodularity ---------------------------------------------------------
@@ -181,19 +197,10 @@ def is_n_maximal_with_index(L: SubgroupLattice, a: int,
         raise GroupError("a must lie in b")
     if a == b:
         return (0, None)
-    pp = _prime_chain(L, a, b)
-    if pp is None:
-        return None
-    q, n = pp
-    return (n, q)
-
-
-def _prime_chain(L: SubgroupLattice, a: int, b: int) -> tuple[int, int] | None:
-    """(q, n) with |b:a| = q^n for a < b joined to b by a chain of
-    prime-index covers, else None; the caller knows a < b."""
-    if L.prime_down[b] >> a & 1:
-        return prime_power(L.subgroups[b].order // L.subgroups[a].order)
-    return None
+    # a prime-index chain whose primes differ has no prime-power index
+    pp = (prime_power(L.subgroups[b].order // L.subgroups[a].order)
+          if L.prime_down[b] >> a & 1 else None)
+    return None if pp is None else (pp[1], pp[0])
 
 
 def is_k_LM_group(L: SubgroupLattice,
@@ -216,8 +223,8 @@ def _lm_rises(L: SubgroupLattice) -> tuple[tuple[float, tuple[int, int]], ...]:
     need, rises = 0, []
     for a, b in L.maximal_in_join():
         # b is not under a, so the meet is below b and n >= 1
-        pp = _prime_chain(L, L.meet(a, b), b)
-        n = math.inf if pp is None else pp[1]
+        nq = is_n_maximal_with_index(L, L.meet(a, b), b)
+        n = math.inf if nq is None else nq[0]
         if n > need:
             need = n
             rises.append((n, (a, b)))

@@ -4,8 +4,9 @@ never the engine's step classifier, cores, nilpotency tests, covers,
 reach sets, generator-wise homomorphism check or power walks; sympy's
 permutation groups give supersolubility.  The forms at the end are the
 other kind: Schmidt's test on the built quotient group, the automizer test
-on the lattice interval [C, G], and the L suite's lemmas L2.5 and L2.6
-written pair by pair, on the engine's k-submodular sets."""
+on the lattice interval [C, G], the submodular set with every modular step
+allowed, and the L suite's lemmas L2.5 and L2.6 written pair by pair, on
+the engine's k-submodular sets."""
 from itertools import combinations, product
 
 from grouplab import harness, submodular
@@ -183,6 +184,15 @@ def element_orders_by_definition(G):
     return orders
 
 
+def derived_by_definition(G):
+    """The mask of the commutator subgroup: the closure of the commutators
+    [x, y] of every pair of elements."""
+    mult, inv = G.mult, G.inv
+    comms = {mult[mult[inv[x]][inv[y]]][mult[x][y]]
+             for x in range(G.order) for y in range(G.order)}
+    return sum(1 << x for x in closure(G, comms))
+
+
 def quotient_nilpotent_by_lcs(G, upper, core):
     """Nilpotency of upper/core from its lower central series: the terms
     <[x, y] : x in upper, y in the last term> core descend to core."""
@@ -318,6 +328,13 @@ def automizer_by_interval(L, cf, k):
     pp = prime_power(L.group.order // c.order)
     return c.order == L.group.order or (
         pp is not None and pp[1] <= k and L.up[c.id].bit_count() == pp[1] + 1)
+
+
+def submodular_by_transposition(L):
+    """The ids submodular in L's top, searched with every modular step: the
+    transposition test `_modular_in` on every pair a <= b reached."""
+    return frozenset(L.reach_down(
+        L.top.id, lambda a, b: submodular._modular_in(L, a, b)))
 
 
 def lemma_25_per_pair(L, k):

@@ -4,7 +4,10 @@ groups; the census is exhaustive for its degree: one `generators` entry per
 class of subgroups of S_n.  Tier-1 runs S6 (non-soluble groups of order up
 to 120 among them), CI runs S7."""
 from grouplab import harness, named_group
+from grouplab.structure import derived_subgroup
+from grouplab.submodular import submodular_set
 from checks import check_classes
+from definitions import derived_by_definition, submodular_by_transposition
 
 # the largest representative the suites take: A6 and S6 are left out
 MAX_ORDER = 200
@@ -25,8 +28,10 @@ def census(n: int):
 
 def check_census(n: int, subgroups: int, classes: int) -> list:
     """Pin S_n's subgroup and class counts (OEIS A005432 and A000638), run
-    every suite at k = 1, 2, 3 on the census and `check_classes` on each
-    representative's lattice; returns the entries."""
+    every suite at k = 1, 2, 3 on the census, and on each representative
+    `check_classes`, the submodular set against the search by every
+    modular step and the commutator subgroup against its definition;
+    returns the entries."""
     L, reps, entries = census(n)
     assert (len(L), len(reps)) == (subgroups, classes)
     for suite in harness.SUITE_IDS:
@@ -38,6 +43,10 @@ def check_census(n: int, subgroups: int, classes: int) -> list:
         assert rep.passed or suite == "L", suite
     for e in entries:
         check_classes(e.lattice)
+        assert submodular_set(e.lattice) == submodular_by_transposition(
+            e.lattice), e.name
+        assert derived_subgroup(e.group).mask == derived_by_definition(
+            e.group), e.name
     return entries
 
 

@@ -478,13 +478,19 @@ def _unskipped_mask_gens(G):
 
 
 def test_cyclic_subgroup_gens_are_least_generators(corpus):
-    """Brute force: <x> is closed for every x; a nontrivial cyclic
-    subgroup's printed tuple is the least ordinal generating it, alone."""
-    for entry in corpus:
-        G = entry.group
-        least = {}
+    """Brute force: <x> is closed for every x; `cyclic_subgroups` lists each
+    <x> once with its least generator, by (order, mask), and canon[x] is
+    that generator; a nontrivial cyclic subgroup's printed tuple is the
+    least ordinal generating it, alone."""
+    for G in [e.group for e in corpus] + [
+            named_group("cyclic", [300]), named_group("holomorph_cyclic", [19])]:
+        least, canon = {}, []
         for x in range(G.order):
-            least.setdefault(G.closure_mask([x]), x)
+            mask = G.closure_mask([x])
+            least.setdefault(mask, x)
+            canon.append(least[mask])
+        assert G.cyclic_subgroups == (canon, sorted(
+            least.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))), G.name
         L = G.lattice()
         for mask, x in least.items():
             gens = L.subgroups[L.by_mask[mask]].printed_gens()

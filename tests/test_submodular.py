@@ -17,7 +17,8 @@ from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  thm31_characterization, thm32_characterization)
 from checks import check_interval_forms, check_ksub_per_k
 from definitions import (classes_by_definition, ksub_by_definition,
-                         step_by_definition, step_table)
+                         step_by_definition, step_table,
+                         submodular_by_transposition)
 from test_fuzz import two_permutations
 
 
@@ -75,6 +76,14 @@ def test_submodular_basics(s4):
                      and L.normalizer(s.id) == L.top.id)
     assert v4_normal.id in submodular_set(L)
     assert _by_order(L, 6).id not in submodular_set(L)
+
+
+def test_submodular_set_matches_every_modular_step(corpus):
+    """The search by normal and maximal modular steps finds the ids that
+    the search by every modular step finds."""
+    for entry in corpus:
+        L = entry.lattice
+        assert submodular_set(L) == submodular_by_transposition(L), entry.name
 
 
 def test_k1_chains_collapse_to_submodular(s4, hol5, hol7):
