@@ -6,9 +6,7 @@ or suite failure, 2 usage or input error, 141 stdout closed early.
 """
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
 
@@ -23,13 +21,21 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output ended
 
 
 def _load_spec(text: str) -> dict:
-    """Inline JSON, a JSON file path, or builder shorthand like 'sym:4'."""
+    """Inline JSON, a JSON file path, or builder shorthand like 'sym:4'.
+    json is imported for the first two alone.  What cannot be read as JSON
+    (bad syntax, bytes that are not UTF-8, an integer past Python's digit
+    limit) raises ParseError with the decoder's text."""
     text = text.strip()
-    if text.startswith(("{", "[")):
-        return json.loads(text)
-    if os.path.exists(text):
-        with open(text, encoding="utf-8") as fh:
-            return json.load(fh)
+    inline = text.startswith(("{", "["))
+    if inline or os.path.exists(text):
+        import json
+        try:
+            if inline:
+                return json.loads(text)
+            with open(text, encoding="utf-8") as fh:
+                return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ParseError(str(exc)) from exc
     name, _, args = text.partition(":")
     if not name:
         raise ParseError(f"cannot interpret group spec {text!r}")
@@ -198,18 +204,22 @@ def _columns() -> int:
         return 80
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ParseError, so `main` reports them on one `error:`
-    line and returns 2 instead of argparse printing usage and exiting.
-    Help wraps to `_columns()` less argparse's 2-column margin, looked up
-    once per parser: a HelpFormatter would import shutil, once per argument."""
+def _parser(**kw):
+    """An ArgumentParser whose usage errors raise ParseError, so `main`
+    reports them on one `error:` line and returns 2 instead of argparse
+    printing usage and exiting.  Help wraps to `_columns()` less argparse's
+    2-column margin, looked up once per parser: a HelpFormatter would import
+    shutil, once per argument.  argparse is imported here, so that importing
+    the module does not load it."""
+    import argparse
+    p = argparse.ArgumentParser(formatter_class=functools.partial(
+        argparse.HelpFormatter, width=_columns() - 2), **kw)
 
-    def __init__(self, **kw):
-        super().__init__(formatter_class=functools.partial(
-            argparse.HelpFormatter, width=_columns() - 2), **kw)
+    def error(message: str):
+        raise ParseError(f"{p.prog}: {message}")
 
-    def error(self, message: str):
-        raise ParseError(f"{self.prog}: {message}")
+    p.error = error
+    return p
 
 
 def _show_args(p):
@@ -265,23 +275,26 @@ COMMANDS = {  # name -> (help, function adding its arguments, command)
 }
 
 
-def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+def build_parser(name: str | None = None):
     """Command `name`'s parser alone, or with no name all six as subparsers."""
     if name:
-        p = _Parser(prog=f"grouplab {name}")
+        p = _parser(prog=f"grouplab {name}")
         COMMANDS[name][1](p)
         return p
-    top = _Parser(prog="grouplab",
+    top = _parser(prog="grouplab",
                   description="finite-group engine for submodularity analysis")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True,
+                             parser_class=_parser)
     for cmd, (help_, add_args, _) in COMMANDS.items():
         add_args(sub.add_parser(cmd, help=help_))
     return top
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
+def parse_args(argv: list[str]):
+    """The argparse.Namespace of `argv`."""
     if not argv or argv[0] not in COMMANDS:  # help, typos: the full parser
         return build_parser().parse_args(argv)
+    import argparse
     args, extra = build_parser(argv[0]).parse_known_args(
         argv[1:], argparse.Namespace(command=argv[0]))
     if extra:  # worded as the top-level parser words them
@@ -299,8 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # reader gone: the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (GroupError, ParseError, json.JSONDecodeError, UnicodeDecodeError,
-            OSError) as exc:
+    except (GroupError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -14,7 +14,6 @@ interval's k-submodular set is `ksub_set(L, k) & up[N]`.
 """
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from functools import cache, partial
@@ -691,6 +690,7 @@ def run_suite(suite: str, k_set: list[int],
 
 
 def report_to_file(reports: list[VerificationReport], path: str) -> None:
+    import json  # here, so that importing the harness does not load it
     payload = {"schema_version": SCHEMA_VERSION,
                "reports": [r.to_json() for r in reports]}
     with open(path, "w", encoding="utf-8") as fh:

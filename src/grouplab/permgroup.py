@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
@@ -105,9 +104,6 @@ def set_bits(bits: int) -> list[int]:
     return out
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
 class Permutation(tuple):
     """A bijection on {0..degree-1}, stored as the tuple of images.
 
@@ -184,11 +180,13 @@ class Permutation(tuple):
         stripped = text.strip()
         if not stripped:
             return cls.identity(degree)
-        leftover = _CYCLE_RE.sub("", stripped)
+        import re  # cycle text alone needs it: the engine loads without re
+        cycle_re = re.compile(r"\(([^()]*)\)")
+        leftover = cycle_re.sub("", stripped)
         if leftover.strip():
             raise ParseError(f"malformed cycle text: {text!r}")
         cycles = []
-        for body in _CYCLE_RE.findall(stripped):
+        for body in cycle_re.findall(stripped):
             tokens = [t for t in re.split(r"[,\s]+", body.strip()) if t]
             points = []
             for tok in tokens:

@@ -239,11 +239,29 @@ CLASS_IDS = ("X", "Y", "K", "F")
 def in_class(L: SubgroupLattice, cls: str, k: int,
              top: int | None = None) -> bool:
     """Membership of `top` (default: the whole group), regarded as a group,
-    in one of the four classes.
+    in one of the four classes at k: k is at least `class_threshold`."""
+    threshold = class_threshold(L, cls, top)
+    if k < 1:
+        raise GroupError("k-submodularity needs k >= 1")
+    return k >= threshold
+
+
+def class_threshold(L: SubgroupLattice, cls: str,
+                    top: int | None = None) -> int | float:
+    """The least k from which `top` (default: the whole group), regarded as
+    a group, is in one of the four classes; math.inf when it is at no k.
 
     X: every maximal subgroup k-submodular.  Y: every subgroup.
     K: supersoluble with every Sylow subgroup k-submodular.
     F: every Sylow subgroup k-submodular.
+
+    Membership is monotone in k, so it holds exactly from the threshold on.
+    X, Y and F each ask that fixed ids lie in the k-submodular set of
+    `top`, and those sets are nested in k: a step of kind n is legal at
+    every k >= n.  They stop growing at the last level of `ksub_set`'s walk,
+    so the search for k ends there, and a class not reached by then is
+    reached at no k.  K is F and supersoluble, and supersolubility does
+    not depend on k, so K's threshold is F's or math.inf.
 
     One Sylow p-subgroup per prime is tested: all are conjugate in `top`,
     and conjugation by an element of `top` is an automorphism of `top`; it
@@ -254,16 +272,27 @@ def in_class(L: SubgroupLattice, cls: str, k: int,
         raise GroupError(f"unknown class {cls!r}")
     if top is None:
         top = L.top.id
-    reach = ksub_set(L, k, top=top)
+    return L.memo((class_threshold, cls, top),
+                  lambda: _least_k(L, cls, top))
+
+
+def _least_k(L: SubgroupLattice, cls: str, top: int) -> int | float:
+    if cls == "K":
+        return (class_threshold(L, "F", top)
+                if structure.is_supersoluble_in(L, top) else math.inf)
     if cls == "X":
-        return reach.issuperset(L.hasse_down[top])
-    if cls == "Y":
-        return len(reach) == len(L.subs_of(top))
-    sylows_ok = all(structure.sylow_in(L, top, p) in reach
-                    for p in factorize(L.subgroups[top].order))
-    if cls == "F":
-        return sylows_ok
-    return structure.is_supersoluble_in(L, top) and sylows_ok
+        need = L.hasse_down[top]
+    elif cls == "Y":
+        need = L.subs_of(top)
+    else:
+        need = [structure.sylow_in(L, top, p)
+                for p in factorize(L.subgroups[top].order)]
+    k = 1
+    while not ksub_set(L, k, top=top).issuperset(need):
+        if k >= len(L.ksub_reach[top]) - 1:  # the walk's last level
+            return math.inf
+        k += 1
+    return k
 
 
 # -- theorem characterizations -----------------------------------------------

@@ -1,11 +1,37 @@
 """Checks of one lattice or group, each comparing two forms of one fact.
 Tier-1 tests run them on small groups; CI's "Large lattices" step runs the
 same functions on S4 x S4 and Hol(Z41), too slow for tier-1."""
+import importlib.util
 from collections import Counter
 
 from grouplab import structure, submodular
-from grouplab.permgroup import prime_power, quotient, set_bits
-from definitions import automizer_by_interval, schmidt_by_quotient
+from grouplab.permgroup import factorize, prime_power, quotient, set_bits
+from definitions import (automizer_by_interval, classes_by_definition,
+                         ksub_by_definition, schmidt_by_quotient, step_table,
+                         supersoluble_by_sympy, sympy_group)
+
+
+def check_definitions(L):
+    """`ksub_set` at k = 1..e+1, e the largest prime exponent of the
+    order, against `ksub_by_definition` on the definitional step table; and
+    X, Y and F at k = 1, 2, 3 against `classes_by_definition`, K too when
+    sympy is installed, with supersolubility from sympy."""
+    G = L.group
+    table = step_table(L)
+    e = max(factorize(G.order).values(), default=0)
+    for k in range(1, e + 2):
+        assert submodular.ksub_set(L, k) == ksub_by_definition(L, table, k), (
+            G.name, k)
+    supersoluble = None
+    if importlib.util.find_spec("sympy") is not None:
+        supersoluble = supersoluble_by_sympy(sympy_group(
+            G, [G.element_index[g] for g in G.generators]))
+    for k in (1, 2, 3):
+        theirs = classes_by_definition(L, table, k, bool(supersoluble))
+        ours = {c: submodular.in_class(L, c, k) for c in submodular.CLASS_IDS}
+        if supersoluble is None:
+            del theirs["K"], ours["K"]
+        assert ours == theirs, (G.name, k)
 
 
 def check_ksub_per_k(L, top, ks):

@@ -6,11 +6,13 @@ to 120 among them), CI runs S7."""
 from grouplab import harness, named_group
 from grouplab.structure import derived_subgroup
 from grouplab.submodular import submodular_set
-from checks import check_classes
+from checks import check_classes, check_definitions
 from definitions import derived_by_definition, submodular_by_transposition
 
 # the largest representative the suites take: A6 and S6 are left out
 MAX_ORDER = 200
+# the largest one the definitions oracle takes, as in tests/test_fuzz.py
+ORACLE_ORDER = 60
 
 
 def census(n: int):
@@ -30,8 +32,8 @@ def check_census(n: int, subgroups: int, classes: int) -> list:
     """Pin S_n's subgroup and class counts (OEIS A005432 and A000638), run
     every suite at k = 1, 2, 3 on the census, and on each representative
     `check_classes`, the submodular set against the search by every
-    modular step and the commutator subgroup against its definition;
-    returns the entries."""
+    modular step and the commutator subgroup against its definition, and
+    `check_definitions` up to ORACLE_ORDER; returns the entries."""
     L, reps, entries = census(n)
     assert (len(L), len(reps)) == (subgroups, classes)
     for suite in harness.SUITE_IDS:
@@ -47,6 +49,8 @@ def check_census(n: int, subgroups: int, classes: int) -> list:
             e.lattice), e.name
         assert derived_subgroup(e.group).mask == derived_by_definition(
             e.group), e.name
+        if e.order <= ORACLE_ORDER:
+            check_definitions(e.lattice)
     return entries
 
 

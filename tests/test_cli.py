@@ -134,6 +134,8 @@ def test_inline_json_not_an_object(capsys, spec):
     # a key the spec's kind does not list: a typo, or an extra key
     ["show", '{"kind": "generators", "degree": 3, "cycle": ["(1 2)"]}'],
     ["show", '{"kind": "named", "name": "sym", "args": [3], "extra": 1}'],
+    # an integer past Python's 4300-digit limit for int()
+    ["show", '{"kind": "named", "name": "sym", "args": [1' + "0" * 5000 + "]}"],
     ["show"],
     ["check"],
     ["verify"],
@@ -165,6 +167,19 @@ def test_spec_file_not_utf8_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "show", str(path))
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec,expect", [
+    ('{"kind": "named", "name": }',
+     "error: Expecting value: line 1 column 27 (char 26)\n"),
+    ("[1, 2", "error: Expecting ',' delimiter: line 1 column 6 (char 5)\n"),
+])
+def test_malformed_json_error_text(capsys, tmp_path, spec, expect):
+    # the decoder's own message, inline and from a spec file
+    assert run(capsys, "show", spec) == (2, "", expect)
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert run(capsys, "show", str(path)) == (2, "", expect)
 
 
 def _nested_spec(depth):
@@ -404,6 +419,26 @@ def test_one_shot_commands_import_no_heavy_stdlib():
     assert proc.returncode == 0, err.decode()
     assert out.startswith(b"group S3: order 6")
     assert b"k-submodular(['(2 3 5 4)'], |H|=4) in Hol(Z5): True" in out
+
+
+def test_engine_imports_no_re_json_or_argparse():
+    # each loads only on the path that uses it: re for cycle text, json for
+    # spec files and reports, argparse (and gettext) for the command line;
+    # re loads enum.  The layers are the benchmark's import probe
+    proc = _python(
+        "lazy = {'re', 'json', 'argparse', 'enum', 'gettext'}; "
+        "import grouplab.permgroup, grouplab.lattice, grouplab.structure; "
+        "import grouplab.classes, grouplab.submodular, grouplab.harness; "
+        "from grouplab import cli, harness; "
+        "assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules)); "
+        "harness.run_suite('R1', [1], harness.build_corpus("
+        "harness.CorpusConfig(cap=12))); "
+        "assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules)); "
+        "cli.main(['show', 'sym:3']); "
+        "assert 'json' not in sys.modules", flags=("-I", "-S"))
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()
+    assert out.startswith(b"group S3: order 6")
 
 
 def test_closed_stdout_exits_141():

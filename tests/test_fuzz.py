@@ -4,18 +4,14 @@ the command line exits 0, 1 or 2, never with a traceback, and exits 2 on
 malformed input.  A small order cap keeps each example cheap.  The subgroup
 lattices of random permutation groups are checked against the plain
 cyclic-extension loop, and every suite is run on them."""
-import importlib.util
 import json
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from grouplab import (FiniteGroup, GroupError, OrderCapExceeded, Permutation,
-                      cli, generate, group_from_spec, harness, submodular)
-from grouplab.permgroup import factorize
-from definitions import (classes_by_definition, ksub_by_definition,
-                         step_table, supersoluble_by_sympy, sympy_group)
-from checks import check_classes
+                      cli, generate, group_from_spec, harness)
+from checks import check_classes, check_definitions
 from test_lattice import assert_matches_unskipped_loop
 
 CAP = "24"
@@ -229,11 +225,9 @@ def test_suites_pass_on_generated_groups(drawn):
 @settings(FUZZ, max_examples=20)
 @given(generated_group)
 def test_generated_groups_match_definitions(drawn):
-    """On the group drawn as above (order <= 60): `ksub_set` at k = 1..e+1,
-    e the largest prime exponent of the order, against `ksub_by_definition`
-    on the definitional step table; and X, Y and F at k = 1, 2, 3 against
-    `classes_by_definition`, K too when sympy is installed, with
-    supersolubility from sympy as on the corpus; and `check_classes`."""
+    """On the group drawn as above (order <= 60): `check_classes` and
+    `check_definitions`, the definitions oracle of the k-submodular sets
+    and the four classes."""
     degree, perms = drawn
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("GROUPLAB_ORDER_CAP", "60")
@@ -243,17 +237,4 @@ def test_generated_groups_match_definitions(drawn):
             assume(False)
         L = G.lattice()
     check_classes(L)
-    table = step_table(L)
-    e = max(factorize(G.order).values(), default=0)
-    for k in range(1, e + 2):
-        assert submodular.ksub_set(L, k) == ksub_by_definition(L, table, k), k
-    supersoluble = None
-    if importlib.util.find_spec("sympy") is not None:
-        supersoluble = supersoluble_by_sympy(sympy_group(
-            G, [G.element_index[g] for g in G.generators]))
-    for k in (1, 2, 3):
-        theirs = classes_by_definition(L, table, k, bool(supersoluble))
-        ours = {c: submodular.in_class(L, c, k) for c in submodular.CLASS_IDS}
-        if supersoluble is None:
-            del theirs["K"], ours["K"]
-        assert ours == theirs, (G.name, k)
+    check_definitions(L)

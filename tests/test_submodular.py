@@ -1,11 +1,12 @@
 import hashlib
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grouplab import (OrderCapExceeded, Permutation, direct_product,
-                      generate, group_from_spec, named_group)
+from grouplab import (GroupError, OrderCapExceeded, Permutation,
+                      direct_product, generate, group_from_spec, named_group)
 from grouplab import structure, submodular
 from grouplab.lattice import SubgroupLattice, all_subgroups
 from grouplab.permgroup import factorize, set_bits
@@ -241,6 +242,14 @@ def test_class_membership(hol5, hol7, s4):
     q8 = named_group("dicyclic", [2]).lattice()
     for c in submodular.CLASS_IDS:
         assert submodular.in_class(q8, c, 1)
+    assert submodular.class_threshold(L5, "Y") == 2
+    assert submodular.class_threshold(L7, "X") == math.inf
+    assert submodular.class_threshold(q8, "K") == 1
+    # the class is checked before k
+    with pytest.raises(GroupError, match="unknown class 'Z'"):
+        submodular.in_class(L5, "Z", 0)
+    with pytest.raises(GroupError, match="needs k >= 1"):
+        submodular.in_class(L5, "X", 0)
 
 
 @pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5])])
