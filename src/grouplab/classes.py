@@ -1,16 +1,17 @@
 """Group-class oracles, formation residuals, subnormality predicates, local
 formations and the w-construction.
 
-Class-id vocabulary (the ids `oracle` takes):
-  N          nilpotent groups
-  U          supersoluble groups
-  S          soluble groups
-  A_exp_k(m) abelian groups of exponent dividing m, with no prime (k+1)-th
-             power dividing the exponent
-  A_k        abelian-Sylow groups with the same exponent restriction
-  U_k        supersoluble groups with the same exponent restriction
-  cyclic_A(m)_k      members of A_exp_k(m) with all Sylow subgroups cyclic
-  sylA(m)_k_cyclic   groups whose Sylow subgroups are cyclic and lie in A_exp_k(m)
+The classes (constants, and constructors named after the class):
+  N              nilpotent groups
+  U              supersoluble groups
+  S              soluble groups
+  A_exp_k(m, k)  abelian groups of exponent dividing m, with no prime
+                 (k+1)-th power dividing the exponent
+  A_k(k)         abelian-Sylow groups with the same exponent restriction
+  U_k(k)         supersoluble groups with the same exponent restriction
+  cyclic_A(m, k)     members of A_exp_k(m, k) with all Sylow subgroups cyclic
+  sylA_cyclic(m, k)  groups whose Sylow subgroups are cyclic and lie in
+                     A_exp_k(m, k)
 
 An oracle answers for a lattice member b, as a group, from the parent
 lattice alone: `structure`'s `_in` forms, whether b's generators commute
@@ -27,8 +28,8 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 
-from .permgroup import (FiniteGroup, GroupError, factorize, is_prime,
-                        quotient_cached, set_bits)
+from .permgroup import (FiniteGroup, factorize, is_prime, quotient_cached,
+                        set_bits)
 from .lattice import Subgroup, SubgroupLattice
 from . import structure
 
@@ -65,65 +66,59 @@ def _exponent_ok(L: SubgroupLattice, b: int, k: int, m: int = 0) -> bool:
         e <= k for e in factorize(exponent).values())
 
 
-def oracle(class_id: str, m: int | None = None, k: int | None = None) -> ClassOracle:
-    """Build a ClassOracle from its class-id and parameters."""
-    if class_id == "N":
-        return ClassOracle("N", lambda L, b: structure.is_quotient_nilpotent(
-            L, L.bottom.id, b))
-    if class_id == "U":
-        return ClassOracle("U", structure.is_supersoluble_in)
-    if class_id == "S":
-        return ClassOracle("S", structure.is_soluble_in)
-    if class_id == "A_exp_k":
-        if m is None or k is None:
-            raise GroupError("A_exp_k(m) needs m and k")
-        return ClassOracle(f"A({m})_{k}", lambda L, b: (
-            _commute(L, b) and _exponent_ok(L, b, k, m)))
-    if class_id == "A_k":
-        if k is None:
-            raise GroupError("A_k needs k")
-        return ClassOracle(f"A_{k}", lambda L, b: all(
-            _commute(L, structure.sylow_in(L, b, p))
-            for p in factorize(L.subgroups[b].order)) and _exponent_ok(L, b, k))
-    if class_id == "U_k":
-        if k is None:
-            raise GroupError("U_k needs k")
-        return ClassOracle(f"U_{k}", lambda L, b: (
-            structure.is_supersoluble_in(L, b) and _exponent_ok(L, b, k)))
-    if class_id == "cyclic_A":
-        if m is None or k is None:
-            raise GroupError("cyclic_A(m)_k needs m and k")
-        return ClassOracle(f"cycA({m})_{k}", lambda L, b: (
-            _commute(L, b) and _exponent_ok(L, b, k, m)
-            and L.subgroups[b].order in _orders(L, b)))
-    if class_id == "sylA_cyclic":
-        if m is None or k is None:
-            raise GroupError("sylA(m)_k_cyclic needs m and k")
+N = ClassOracle("N", lambda L, b: structure.is_quotient_nilpotent(
+    L, L.bottom.id, b))
+U = ClassOracle("U", structure.is_supersoluble_in)
+S = ClassOracle("S", structure.is_soluble_in)
 
-        def member_in(L: SubgroupLattice, b: int) -> bool:
-            # the Sylow p-subgroup, of order p^a, is cyclic iff some element
-            # has order p^a, and then its exponent is p^a
-            orders = _orders(L, b)
-            return all(p**a in orders and m % p**a == 0 and a <= k
-                       for p, a in factorize(L.subgroups[b].order).items())
 
-        return ClassOracle(f"sylA({m})_{k}cyc", member_in)
-    raise GroupError(f"unknown class id {class_id!r}")
+def A_exp_k(m: int, k: int) -> ClassOracle:
+    return ClassOracle(f"A({m})_{k}", lambda L, b: (
+        _commute(L, b) and _exponent_ok(L, b, k, m)))
+
+
+def A_k(k: int) -> ClassOracle:
+    return ClassOracle(f"A_{k}", lambda L, b: all(
+        _commute(L, structure.sylow_in(L, b, p))
+        for p in factorize(L.subgroups[b].order)) and _exponent_ok(L, b, k))
+
+
+def U_k(k: int) -> ClassOracle:
+    return ClassOracle(f"U_{k}", lambda L, b: (
+        structure.is_supersoluble_in(L, b) and _exponent_ok(L, b, k)))
+
+
+def cyclic_A(m: int, k: int) -> ClassOracle:
+    return ClassOracle(f"cycA({m})_{k}", lambda L, b: (
+        _commute(L, b) and _exponent_ok(L, b, k, m)
+        and L.subgroups[b].order in _orders(L, b)))
+
+
+def sylA_cyclic(m: int, k: int) -> ClassOracle:
+    def member_in(L: SubgroupLattice, b: int) -> bool:
+        # the Sylow p-subgroup, of order p^a, is cyclic iff some element
+        # has order p^a, and then its exponent is p^a
+        orders = _orders(L, b)
+        return all(p**a in orders and m % p**a == 0 and a <= k
+                   for p, a in factorize(L.subgroups[b].order).items())
+
+    return ClassOracle(f"sylA({m})_{k}cyc", member_in)
 
 
 def h_function(k: int) -> Callable[[int], ClassOracle]:
     """The formation function h with h(p) = cyclic members of A(p-1)_k."""
-    return lambda p: oracle("cyclic_A", m=p - 1, k=k)
+    return lambda p: cyclic_A(p - 1, k)
 
 
 def f_function(k: int) -> Callable[[int], ClassOracle]:
     """The formation function f with f(p) = cyclic-Sylow members of A(p-1)_k."""
-    return lambda p: oracle("sylA_cyclic", m=p - 1, k=k)
+    return lambda p: sylA_cyclic(p - 1, k)
 
 
 # -- residuals ---------------------------------------------------------------
 # Read in the parent lattice and kept by `SubgroupLattice.memo`; the keys
-# that depend on F hold F.name, since oracles are rebuilt on every call.
+# that depend on F hold F.name, since the constructors build a new oracle
+# on every call.
 
 
 def residual_mask(L: SubgroupLattice, b: int, F: ClassOracle) -> int:

@@ -304,7 +304,7 @@ def _p31_check(entry: CorpusEntry, k: int, counters: Counter):
         counters["nonvacuous_K_members"] += 1
     if in_F:
         counters["nonvacuous_F_members"] += 1
-    w_Uk = classes.in_wF(G, classes.oracle("U_k", k=k))
+    w_Uk = classes.in_wF(G, classes.U_k(k))
     return _checked({
         "K_eq_U_and_wUk": in_K == (structure.is_supersoluble(G) and w_Uk),
         "F_eq_wK": in_F == classes.in_wF(G, _K_oracle(k))})
@@ -531,7 +531,7 @@ def _lemma_27(entry, k, counters):
     if not structure.is_soluble(entry.group):
         return None
     reach = submodular.ksub_set(L, k)
-    usub = classes.f_subnormal_set(L, classes.oracle("U_k", k=k))
+    usub = classes.f_subnormal_set(L, classes.U_k(k))
     counters["L2.7_converse_gap_groups"] += bool(usub - reach)
     counters["nonvacuous_L2.7"] += len(reach) - 1
     return reach <= usub
@@ -579,7 +579,7 @@ def _lemma_31(entry, k, counters):
     counters["nonvacuous_L3.1_subdirect"] += pairs
     # (1) Sylows U-subnormal, (2) quotient and (5) subgroup closure
     return ((in_F or not (nilpotent or pairs))
-            and (not in_F or (classes.in_wF(G, classes.oracle("U"))
+            and (not in_F or (classes.in_wF(G, classes.U)
                               and _quotients_in(L, "F", k)
                               and _subgroups_in(L, "F", k))))
 
@@ -701,44 +701,22 @@ def report_to_file(reports: list[VerificationReport], path: str) -> None:
 # -- witness search ----------------------------------------------------------
 
 
-def find_witness(query: str, corpus: list[CorpusEntry]):
-    """Search the corpus for a separating example.
+def class_diff_witness(corpus: list[CorpusEntry], c1: str, k1: int,
+                       c2: str, k2: int) -> CorpusEntry | None:
+    """The first entry in class c1 at k1 but not in c2 at k2 (classes X, Y,
+    K, F), or None."""
+    return next((e for e in corpus if submodular.in_class(e.lattice, c1, k1)
+                 and not submodular.in_class(e.lattice, c2, k2)), None)
 
-    Query forms:
-      "class-diff:C1,k1,C2,k2"  first entry in class C1 at k1 but not in C2
-                                at k2 (classes X, Y, K, F).
-      "subnormal-not-submodular:k"  first entry owning a subgroup that is
-                                U_k-subnormal but not k-submodular.
-    Returns (entry, detail) or None.
-    """
-    kind, _, rest = query.partition(":")
-    if kind == "class-diff":
-        try:
-            c1, k1, c2, k2 = rest.split(",")
-            k1, k2 = int(k1), int(k2)
-        except ValueError as exc:
-            raise GroupError(f"malformed query {query!r}") from exc
-        if c1 not in submodular.CLASS_IDS or c2 not in submodular.CLASS_IDS:
-            raise GroupError(f"unknown class in query {query!r}")
-        for e in corpus:
-            L = e.lattice
-            if (submodular.in_class(L, c1, k1)
-                    and not submodular.in_class(L, c2, k2)):
-                return e, {"in": f"{c1}(k={k1})", "not_in": f"{c2}(k={k2})"}
-        return None
-    if kind == "subnormal-not-submodular":
-        try:
-            k = int(rest)
-        except ValueError as exc:
-            raise GroupError(f"malformed query {query!r}") from exc
-        Uk = classes.oracle("U_k", k=k)
-        for e in corpus:
-            L = e.lattice
-            gap = (classes.f_subnormal_set(L, Uk)
-                   - submodular.ksub_set(L, k))
-            if gap:
-                a = min(gap)
-                return e, {"subgroup": L.subgroups[a].gen_cycles(),
-                           "subgroup_order": L.subgroups[a].order}
-        return None
-    raise GroupError(f"unknown query kind {kind!r}")
+
+def subnormal_gap_witness(corpus: list[CorpusEntry],
+                          k: int) -> tuple[CorpusEntry, int] | None:
+    """The first entry owning a subgroup that is U_k-subnormal but not
+    k-submodular, with the least id of such a subgroup, or None."""
+    for e in corpus:
+        L = e.lattice
+        gap = (classes.f_subnormal_set(L, classes.U_k(k))
+               - submodular.ksub_set(L, k))
+        if gap:
+            return e, min(gap)
+    return None

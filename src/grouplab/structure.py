@@ -70,7 +70,7 @@ def _sylows(L: SubgroupLattice, b: int) -> tuple[int, ...]:
             targets.discard(order)
             found.append(a)
     if targets:
-        raise AssertionError("Sylow subgroup missing from lattice")
+        raise InternalInconsistency("Sylow subgroup missing from lattice")
     return tuple(found)
 
 

@@ -7,7 +7,7 @@ import time
 from contextlib import contextmanager
 
 from grouplab import classes, harness, structure
-from grouplab.classes import oracle, residual
+from grouplab.classes import residual
 from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  is_n_maximal_with_index,
                                  is_n_modularly_embedded, step_kind)
@@ -70,7 +70,7 @@ def test_criterion_03_subnormal_not_submodular_in_holomorph_z7(hol7):
         t0 = time.perf_counter()
         L = hol7.lattice()
         y = next(s for s in L.subgroups if s.order == 6)
-        U1 = oracle("U_k", k=1)
+        U1 = classes.U_k(1)
         assert residual(hol7, U1).order == 1
         assert y.id in classes.f_subnormal_set(L, U1)
         assert is_k_submodular(L, y.id, 1) == (False, None)
@@ -136,10 +136,10 @@ def test_criterion_10_collapse_and_inclusion_chain(corpus):
         assert r1.counters["nonvacuous_maximal_checks"] > 0
         r3 = harness.run_suite("R3", [1, 2, 3], corpus)
         assert r3.passed and r3.summary()["failed"] == 0
-        hit = harness.find_witness("class-diff:X,2,X,1", corpus)
+        hit = harness.class_diff_witness(corpus, "X", 2, "X", 1)
         assert hit is not None
-        print(f"  strictness witness: {hit[0].name} in X(2) but not X(1)")
-        assert harness.find_witness("class-diff:F,1,K,1", corpus) is None
+        print(f"  strictness witness: {hit.name} in X(2) but not X(1)")
+        assert harness.class_diff_witness(corpus, "F", 1, "K", 1) is None
         print("  no corpus entry separates F(1) from K(1)")
 
 
@@ -151,7 +151,7 @@ def test_criterion_11_lemma_properties(corpus):
             if key.startswith("nonvacuous"):
                 assert count > 0, key
         assert rep.counters["L2.7_converse_gap_groups"] > 0
-        hit = harness.find_witness("subnormal-not-submodular:1", corpus)
+        hit = harness.subnormal_gap_witness(corpus, 1)
         assert hit is not None and hit[0].name == "Hol(Z7)"
 
 

@@ -3,35 +3,40 @@ import pytest
 from grouplab import direct_product, generate, named_group
 from grouplab import classes, harness, structure
 from grouplab.classes import (f_function, h_function, in_local_formation,
-                              in_wF, oracle, residual)
+                              in_wF, residual)
 from grouplab.permgroup import FiniteGroup, set_bits
 
 
 def test_oracle_basic_classes(s4):
-    assert oracle("N").member(named_group("dicyclic", [2]))
-    assert not oracle("N").member(s4)
-    assert oracle("U").member(named_group("dihedral", [7]))
-    assert not oracle("U").member(s4)
-    assert oracle("S").member(s4)
-    assert not oracle("S").member(named_group("alt", [5]))
+    assert classes.N.member(named_group("dicyclic", [2]))
+    assert not classes.N.member(s4)
+    assert classes.U.member(named_group("dihedral", [7]))
+    assert not classes.U.member(s4)
+    assert classes.S.member(s4)
+    assert not classes.S.member(named_group("alt", [5]))
 
 
 def test_oracle_abelian_exponent():
-    A41 = oracle("A_exp_k", m=4, k=1)
+    A41 = classes.A_exp_k(4, 1)
     assert A41.member(named_group("cyclic", [2]))
     assert not A41.member(named_group("cyclic", [4]))  # 2^2 divides exponent
-    A42 = oracle("A_exp_k", m=4, k=2)
+    A42 = classes.A_exp_k(4, 2)
     assert A42.member(named_group("cyclic", [4]))
     assert not A42.member(named_group("sym", [3]))  # not abelian
 
 
 def test_oracle_sylow_conditions():
     S3 = named_group("sym", [3])
-    assert oracle("A_k", k=1).member(S3)  # Sylows Z2, Z3, squarefree exponent
-    assert not oracle("A_k", k=1).member(named_group("dicyclic", [2]))
-    assert oracle("U_k", k=1).member(S3)
-    assert not oracle("U_k", k=1).member(named_group("cyclic", [4]))
-    assert oracle("U_k", k=2).member(named_group("cyclic", [4]))
+    assert classes.A_k(1).member(S3)  # Sylows Z2, Z3, squarefree exponent
+    assert not classes.A_k(1).member(named_group("dicyclic", [2]))
+    assert classes.U_k(1).member(S3)
+    assert not classes.U_k(1).member(named_group("cyclic", [4]))
+    assert classes.U_k(2).member(named_group("cyclic", [4]))
+    # the names key the residual and F-subnormality memos
+    assert [F.name for F in (classes.U_k(1), classes.A_k(1),
+                             classes.A_exp_k(4, 1), classes.cyclic_A(4, 1),
+                             classes.sylA_cyclic(4, 1))] == [
+        "U_1", "A_1", "A(4)_1", "cycA(4)_1", "sylA(4)_1cyc"]
 
 
 def test_h_and_f_values():
@@ -41,23 +46,21 @@ def test_h_and_f_values():
     # f(7) at k=1 contains S3 (cyclic Sylows 2, 3 with orders dividing 6)
     assert f_function(1)(7).member(named_group("sym", [3]))
     assert not h_function(1)(7).member(named_group("sym", [3]))  # not abelian
-    with pytest.raises(Exception):
-        oracle("nosuch")
 
 
 def test_residual_values(s4, hol7):
-    N, U = oracle("N"), oracle("U")
+    N, U = classes.N, classes.U
     assert residual(named_group("sym", [3]), N).order == 3
     assert residual(s4, N).order == 12
     assert residual(s4, U).order == 4
     assert residual(named_group("alt", [5]), U).order == 60
-    assert residual(hol7, oracle("U_k", k=1)).order == 1
+    assert residual(hol7, classes.U_k(1)).order == 1
 
 
 def test_residual_is_minimal(s4):
     # no smaller normal subgroup of S4 gives a supersoluble quotient
     from grouplab.permgroup import quotient_cached
-    U = oracle("U")
+    U = classes.U
     r = residual(s4, U)
     L = s4.lattice()
     for n in structure.normal_subgroups(s4):
@@ -78,8 +81,8 @@ def test_residual_in_parent_lattice_matches_member_lattice(spec):
     else:
         G = named_group(*spec)
     L = G.lattice()
-    oracles = [oracle("N"), oracle("U"), oracle("U_k", k=1),
-               oracle("U_k", k=2), harness._K_oracle(1)]
+    oracles = [classes.N, classes.U, classes.U_k(1),
+               classes.U_k(2), harness._K_oracle(1)]
     for sb in L.subgroups:
         H = generate(G.degree, [G.elements[g] for g in sb.gens])
         for F in oracles:
@@ -91,13 +94,13 @@ def test_residual_in_parent_lattice_matches_member_lattice(spec):
 def _interface_oracles():
     """Every built-in oracle over a few m and k, the h and f values and
     the harness's K oracle."""
-    out = [oracle("N"), oracle("U"), oracle("S"),
+    out = [classes.N, classes.U, classes.S,
            harness._K_oracle(1), harness._K_oracle(2)]
     for k in (1, 2):
-        out += [oracle("A_k", k=k), oracle("U_k", k=k)]
+        out += [classes.A_k(k), classes.U_k(k)]
         for m in (4, 6, 12):
-            out += [oracle("A_exp_k", m=m, k=k), oracle("cyclic_A", m=m, k=k),
-                    oracle("sylA_cyclic", m=m, k=k)]
+            out += [classes.A_exp_k(m, k), classes.cyclic_A(m, k),
+                    classes.sylA_cyclic(m, k)]
         out += [make(k)(p) for make in (h_function, f_function)
                 for p in (2, 3, 5, 7, 13)]
     return out
@@ -126,7 +129,7 @@ def test_residual_scan_builds_no_member_lattice():
     member groups it builds, only to take quotients of, get no lattice."""
     for G in (named_group("sym", [4]), named_group("holomorph_cyclic", [5])):
         L = G.lattice()
-        for F in (oracle("U"), oracle("U_k", k=1), harness._K_oracle(1)):
+        for F in (classes.U, classes.U_k(1), harness._K_oracle(1)):
             for b in range(len(L)):
                 classes.residual_mask(L, b, F)
         members = [H for H in L._memos.values() if isinstance(H, FiniteGroup)]
@@ -156,14 +159,14 @@ def test_kp_subnormal_extends_p(s4):
 
 def test_f_subnormal(hol7):
     L = hol7.lattice()
-    U1 = oracle("U_k", k=1)
+    U1 = classes.U_k(1)
     y = next(s for s in L.subgroups if s.order == 6)
     assert y.id in classes.f_subnormal_set(L, U1)
 
 
 def test_f_subnormal_residual_containment(s4):
     # residual(G) <= H forces H F-subnormal
-    U = oracle("U")
+    U = classes.U
     L = s4.lattice()
     r = residual(s4, U)
     reach = classes.f_subnormal_set(L, U)
@@ -181,16 +184,16 @@ def test_local_formation_membership(hol5, s4):
 
 
 def test_wF(hol5, hol7, s4):
-    U = oracle("U")
-    assert in_wF(hol7, oracle("U_k", k=1))
+    U = classes.U
+    assert in_wF(hol7, classes.U_k(1))
     assert in_wF(hol5, U)
     assert not in_wF(s4, U)
-    assert in_wF(named_group("dicyclic", [2]), oracle("N"))
+    assert in_wF(named_group("dicyclic", [2]), classes.N)
 
 
 def test_conjugation_invariance_of_subnormality(s4):
     L = s4.lattice()
     for key_set in (classes.p_subnormal_set(L),
-                    classes.f_subnormal_set(L, oracle("U"))):
+                    classes.f_subnormal_set(L, classes.U)):
         for a in key_set:
             assert set(L.conjugates(a)) <= key_set

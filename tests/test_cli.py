@@ -144,6 +144,10 @@ def test_inline_json_not_an_object(capsys, spec):
     # a bad k list is rejected before the summary is printed
     ["show", "sym:3", "--k", "1,a"], ["show", "sym:3", "--k", "0"],
     ["show", "sym:3", "--k", ","], ["classify", "sym:3", "--k", "x"],
+    # a builder shorthand with an empty name
+    ["show", ":3"],
+    # a permutation of the right degree outside the group
+    ["check", "modular", "alt:4", "--gens", "(1 2)"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -270,6 +274,13 @@ def test_order_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("GROUPLAB_ORDER_CAP", "10")
     code, _, err = run(capsys, "show", "sym:4")
     assert code == 2 and "error" in err
+    # a cap that is not an integer, or not positive, is an input error
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("GROUPLAB_ORDER_CAP", raw)
+        code, out, err = run(capsys, "show", "sym:3")
+        lines = err.splitlines()
+        assert code == 2 and out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and "GROUPLAB_ORDER_CAP" in lines[0]
 
 
 def _trivial_parts(n):

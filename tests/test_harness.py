@@ -202,26 +202,22 @@ def test_failure_records_carry_witness(corpus):
         assert set(rec) >= {"group", "k", "variants", "pass", "elapsed"}
 
 
-def test_find_witness_queries(corpus):
-    hit = harness.find_witness("subnormal-not-submodular:1", corpus)
+def test_witness_searches(corpus):
+    hit = harness.subnormal_gap_witness(corpus, 1)
     assert hit is not None
-    entry, detail = hit
+    entry, a = hit
     assert entry.name == "Hol(Z7)"
-    assert detail["subgroup_order"] == 6
+    assert entry.lattice.subgroups[a].order == 6
 
-    hit = harness.find_witness("class-diff:X,2,X,1", corpus)
-    assert hit is not None and hit[0].order in (20, 52)
+    hit = harness.class_diff_witness(corpus, "X", 2, "X", 1)
+    assert hit is not None and hit.order in (20, 52)
 
-    assert harness.find_witness("class-diff:F,1,K,1", corpus) is None
+    assert harness.class_diff_witness(corpus, "F", 1, "K", 1) is None
 
 
-def test_find_witness_malformed(corpus):
+def test_class_diff_witness_unknown_class(corpus):
     with pytest.raises(GroupError):
-        harness.find_witness("class-diff:X,notanint,Y,1", corpus)
-    with pytest.raises(GroupError):
-        harness.find_witness("nosuchkind:1", corpus)
-    with pytest.raises(GroupError):
-        harness.find_witness("class-diff:Q,1,X,1", corpus)
+        harness.class_diff_witness(corpus, "Q", 1, "X", 1)
 
 
 def test_lemma_corpus_includes_hol7(corpus):

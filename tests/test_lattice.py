@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from grouplab import (FiniteGroup, Permutation, all_subgroups, direct_product,
-                      group_from_spec, harness, lattice, named_group)
+from grouplab import (FiniteGroup, OrderCapExceeded, Permutation,
+                      all_subgroups, direct_product, group_from_spec, harness,
+                      lattice, named_group)
 from grouplab.classes import p_subnormal_set
 from grouplab.lattice import _id_key
 from grouplab.permgroup import is_prime, prime_power, set_bits
@@ -27,6 +28,17 @@ def test_lattice_matches_naive_oracle(name, args, count):
     L = G.lattice()
     assert len(L) == count
     assert {s.mask for s in L.subgroups} == naive_subgroup_masks(G)
+
+
+def test_lattice_order_cap_check_caches_nothing(monkeypatch):
+    """`all_subgroups` refuses a group above the cap, and the refused call
+    leaves no lattice behind: at the old cap the lattice builds."""
+    G = named_group("sym", [5])
+    monkeypatch.setenv("GROUPLAB_ORDER_CAP", "100")
+    with pytest.raises(OrderCapExceeded):
+        G.lattice()
+    monkeypatch.delenv("GROUPLAB_ORDER_CAP")
+    assert len(G.lattice()) == 156
 
 
 def test_lattice_ids_sorted_by_order():

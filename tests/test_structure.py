@@ -5,7 +5,7 @@ import pytest
 
 from grouplab import named_group
 from grouplab import structure
-from grouplab.permgroup import set_bits
+from grouplab.permgroup import GroupError, set_bits
 from grouplab.structure import (all_sylow, chief_factors, derived_subgroup,
                                 fitting, is_nilpotent, is_ore_dispersive,
                                 is_soluble, is_supersoluble, normal_subgroups,
@@ -245,3 +245,13 @@ def test_normal_ids_match_conjugation_by_every_element(corpus):
                     for g in members[sb.id] for x in members[sa.id]))
             assert structure.normal_ids_in(L, sb.id) == expected, (
                 entry.name, sb.id)
+
+
+def test_missing_sylow_is_an_internal_inconsistency(monkeypatch):
+    """A lattice that lacks a Sylow subgroup fails with the engine's typed
+    self-check error, a GroupError, not a bare AssertionError."""
+    L = named_group("sym", [3]).lattice()
+    monkeypatch.setattr(L, "subs_of", lambda b: [L.bottom.id])
+    assert issubclass(structure.InternalInconsistency, GroupError)
+    with pytest.raises(structure.InternalInconsistency):
+        structure.sylow_in(L, L.top.id, 2)
