@@ -3,12 +3,18 @@
 Commands: show, check, classify, verify, corpus list, export-lattice.
 Exit codes: 0 success / predicate true / all suites pass, 1 predicate false
 or suite failure, 2 usage or input error, 141 stdout closed early.
+
+Each command's grammar is one row of `COMMANDS`.  A well-formed command line
+is read straight from that row (`read_argv`); argparse, built from the same
+rows, answers the rest: help, the forms the reader leaves to it, and every
+usage error, so it alone writes help and error text.
 """
 from __future__ import annotations
 
 import functools
 import os
 import sys
+import types
 
 from .permgroup import (FiniteGroup, GroupError, ParseError, Permutation,
                         group_from_spec)
@@ -222,76 +228,144 @@ def _parser(**kw):
     return p
 
 
-def _show_args(p):
-    p.add_argument("group", help="spec: JSON, file path, or builder:args")
-    p.add_argument("--k", default="1,2,3", help="comma-separated k values")
-
-
-def _check_args(p):
-    p.add_argument("predicate", choices=PREDICATES)
-    p.add_argument("group")
-    p.add_argument("--gens", action="append", default=[],
-                   help="subgroup generator in cycle notation (repeatable)")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
-
-
-def _classify_args(p):
-    p.add_argument("group")
-    p.add_argument("--k", default="1,2,3")
-
-
-def _verify_args(p):
+def _corpus_cap() -> int:
+    """--cap's default, read from harness when a parser or a reading needs it,
+    so that importing the module does not load harness."""
     from . import harness
-    p.add_argument("--suite", required=True,
-                   help="comma-separated suite ids, e.g. T3.1,T3.2")
-    p.add_argument("--k", default="1,2,3")
-    p.add_argument("--cap", type=int, default=harness.DEFAULT_CORPUS_CAP)
-    p.add_argument("--out", help="write JSON report to this path")
+    return harness.DEFAULT_CORPUS_CAP
 
 
-def _corpus_args(p):
-    from . import harness
-    p.add_argument("action", choices=["list"])
-    p.add_argument("--cap", type=int, default=harness.DEFAULT_CORPUS_CAP)
-
-
-def _export_args(p):
-    p.add_argument("group")
-    p.add_argument("--emit-dot", action="store_true")
-    p.add_argument("--k", type=int, default=None,
-                   help="shade subgroups k-submodular in the group")
-    p.add_argument("--out")
-
-
-COMMANDS = {  # name -> (help, function adding its arguments, command)
-    "show": ("summarize a group", _show_args, cmd_show),
-    "check": ("evaluate a subgroup predicate", _check_args, cmd_check),
-    "classify": ("class memberships of a group", _classify_args, cmd_classify),
-    "verify": ("run verification suites", _verify_args, cmd_verify),
-    "corpus": ("corpus inspection", _corpus_args, cmd_corpus),
-    "export-lattice": ("emit the subgroup lattice", _export_args,
-                       cmd_export_lattice),
+# name -> (help, arguments, command).  Each argument is (name or flag, its
+# add_argument keywords), in the parser's order; a callable default is called
+# afresh for every parser and every reading, so no two calls share a --gens
+# list.
+COMMANDS = {
+    "show": ("summarize a group", (
+        ("group", {"help": "spec: JSON, file path, or builder:args"}),
+        ("--k", {"default": "1,2,3", "help": "comma-separated k values"}),
+    ), cmd_show),
+    "check": ("evaluate a subgroup predicate", (
+        ("predicate", {"choices": PREDICATES}),
+        ("group", {}),
+        ("--gens", {"action": "append", "default": list, "help":
+                    "subgroup generator in cycle notation (repeatable)"}),
+        ("--k", {"type": int, "default": 1}),
+        ("--n", {"type": int, "default": 1}),
+    ), cmd_check),
+    "classify": ("class memberships of a group", (
+        ("group", {}),
+        ("--k", {"default": "1,2,3"}),
+    ), cmd_classify),
+    "verify": ("run verification suites", (
+        ("--suite", {"required": True,
+                     "help": "comma-separated suite ids, e.g. T3.1,T3.2"}),
+        ("--k", {"default": "1,2,3"}),
+        ("--cap", {"type": int, "default": _corpus_cap}),
+        ("--out", {"help": "write JSON report to this path"}),
+    ), cmd_verify),
+    "corpus": ("corpus inspection", (
+        ("action", {"choices": ["list"]}),
+        ("--cap", {"type": int, "default": _corpus_cap}),
+    ), cmd_corpus),
+    "export-lattice": ("emit the subgroup lattice", (
+        ("group", {}),
+        ("--emit-dot", {"action": "store_true"}),
+        ("--k", {"type": int, "default": None,
+                 "help": "shade subgroups k-submodular in the group"}),
+        ("--out", {}),
+    ), cmd_export_lattice),
 }
+
+
+def _arguments(name: str):
+    """Command `name`'s (name or flag, keywords) rows, defaults made."""
+    for arg, kw in COMMANDS[name][1]:
+        default = kw.get("default")
+        yield arg, {**kw, "default": default()} if callable(default) else kw
 
 
 def build_parser(name: str | None = None):
     """Command `name`'s parser alone, or with no name all six as subparsers."""
-    if name:
-        p = _parser(prog=f"grouplab {name}")
-        COMMANDS[name][1](p)
+    def add_arguments(p, name):
+        for arg, kw in _arguments(name):
+            p.add_argument(arg, **kw)
         return p
+
+    if name:
+        return add_arguments(_parser(prog=f"grouplab {name}"), name)
     top = _parser(prog="grouplab",
                   description="finite-group engine for submodularity analysis")
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_parser)
-    for cmd, (help_, add_args, _) in COMMANDS.items():
-        add_args(sub.add_parser(cmd, help=help_))
+    for cmd, (help_, _, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(cmd, help=help_), cmd)
     return top
 
 
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _value(kw: dict, text: str):
+    """`text` converted and checked as argparse does; ValueError where
+    argparse would report an error or read `text` as an option."""
+    if text.startswith("-"):
+        raise ValueError(text)
+    value = kw["type"](text) if "type" in kw else text
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValueError(text)
+    return value
+
+
+def read_argv(argv: list[str]):
+    """A well-formed `argv` read straight from `COMMANDS`, without argparse:
+    a namespace with the attributes argparse's would have.  Well formed is a
+    command name, exactly its positionals, and its flags spelled out, each
+    but a store_true flag followed by a value that does not start with '-',
+    every value one that the argument's type and choices accept, every
+    required flag given.  None for anything else (-h, --, --k=2, `--ge` for
+    `--gens`, negative numbers, every error): argparse answers those."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    rows = dict(_arguments(argv[0]))
+    got = {"command": argv[0]}
+    for arg, kw in rows.items():
+        if arg.startswith("-"):
+            got[_dest(arg)] = kw.get(
+                "default", False if kw.get("action") == "store_true" else None)
+    positionals = [arg for arg in rows if not arg.startswith("-")]
+    required = {arg for arg, kw in rows.items() if kw.get("required")}
+    given = []
+    tokens = iter(argv[1:])
+    try:
+        for tok in tokens:
+            if not tok.startswith("-"):
+                given.append(tok)
+                continue
+            kw = rows[tok]  # KeyError: -h, --, --k=2, abbreviations, unknown
+            dest = _dest(tok)
+            required.discard(tok)
+            if kw.get("action") == "store_true":
+                got[dest] = True
+                continue
+            value = _value(kw, next(tokens, "-"))
+            got[dest] = ([*got[dest], value] if kw.get("action") == "append"
+                         else value)
+        if required or len(given) != len(positionals):
+            return None
+        for arg, text in zip(positionals, given):
+            got[arg] = _value(rows[arg], text)
+    except (KeyError, ValueError):
+        return None
+    return types.SimpleNamespace(**got)
+
+
 def parse_args(argv: list[str]):
-    """The argparse.Namespace of `argv`."""
+    """The parsed `argv`: read from `COMMANDS` when it is well formed, else
+    argparse's Namespace, help or usage error."""
+    args = read_argv(argv)
+    if args is not None:
+        return args
     if not argv or argv[0] not in COMMANDS:  # help, typos: the full parser
         return build_parser().parse_args(argv)
     import argparse

@@ -48,6 +48,16 @@ def naive_subgroup_masks(G):
     return masks
 
 
+def frattini_by_nongenerators(G):
+    """The non-generators of G, as a set of element ordinals: the x for which
+    no proper subgroup H has closure(H with x) = G, that subgroup H ranging
+    over `naive_subgroup_masks`.  Together they form the Frattini subgroup."""
+    full = (1 << G.order) - 1
+    proper = [set_bits(m) for m in naive_subgroup_masks(G) if m != full]
+    return {x for x in range(G.order)
+            if all(len(closure(G, [*H, x])) < G.order for H in proper)}
+
+
 def _sections(G):
     """The quotient tables of the sections A1/A2 of G, A2 normal in A1
     (every conjugate of a member of A2 by a member of A1 lies in A2), from

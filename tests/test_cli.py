@@ -374,6 +374,58 @@ def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch,
     assert run(capsys, *argv) == got
 
 
+# the well-formed command lines of CI's "Installed console script" step, and
+# the forms of the benchmark's query pool: each is read without argparse
+POOL_SPEC = '{"args": [5], "kind": "named", "name": "holomorph_cyclic"}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "R1,R2", "--k", "1", "--cap", "24"],
+    ["verify", "--suite", "R1,R2", "--k", "1", "--cap", "24",
+     "--out", "report.json"],
+    ["verify", "--suite", "L", "--k", "1,2", "--cap", "42"],
+    ["verify", "--suite", "P3.1,T3.5,T3.6", "--k", "1,2", "--cap", "60"],
+    ["show", "sym:4"], ["show", "sym:3", "--k", "2"],
+    ["check", "k-lm", "holomorph_cyclic:5", "--k", "2"],
+    ["check", "k-submodular", "holomorph_cyclic:5", "--gens", "(2 3 5 4)",
+     "--k", "2"],
+    ["check", "p-subnormal", "sym:4", "--gens", "(1 2 3)"],
+    ["check", "submodular", "sym:4", "--gens", "(1 2 3)"],
+    ["check", "kp-subnormal", "sym:4", "--gens", "(1 2)(3 4)",
+     "--gens", "(1 3)(2 4)"],
+    ["check", "modular", "sym:4", "--gens", "(1 2)"],
+    ["export-lattice", "sym:4", "--emit-dot", "--k", "1"],
+    ["show", "sym:3", "--k", "1,a"], ["corpus", "list", "--cap", "24"],
+    ["corpus", "list"], ["show", "deep.json"], ["show", "cyclic:1"],
+    ["show", '{"kind": "generators", "degree": 3, "cycles": ["(1 2)"], '
+             '"name": [1]}'],
+    ["check", "k-submodular", POOL_SPEC, "--gens", "(1 2 3 4 5)",
+     "--gens", "(2 3 5 4)", "--k", "3"],
+    ["check", "n-modular-embedded", POOL_SPEC, "--gens", "(2 4)(3 5)",
+     "--n", "2"],
+    ["check", "kp-subnormal", POOL_SPEC, "--gens", "(1 2 3 4 5)"],
+    ["check", "k-lm", POOL_SPEC, "--k", "1"],
+    ["classify", POOL_SPEC, "--k", "1,3"], ["show", POOL_SPEC, "--k", "1,2,3"],
+])
+def test_reader_reads_well_formed_argv(argv):
+    got = cli.read_argv(argv)
+    assert got is not None
+    assert vars(got) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["show", "-h"], ["check", "--help", "modular"],
+    ["SHOW", "sym:3"], ["show", "sym:3", "--k=2"], ["show", "--", "sym:3"],
+    ["check", "modular", "sym:4", "--ge", "(1 2)"],
+    ["check", "n-modular-embedded", "sym:3", "--gens", "(1 2)", "--n", "-1"],
+    ["show"], ["show", "sym:3", "extra"], ["show", "sym:3", "--bogus"],
+    ["show", "sym:3", "--k"], ["check", "nosuch", "sym:3"],
+    ["check", "k-lm", "sym:3", "--k", "x"], ["verify", "--k", "1"],
+])
+def test_reader_leaves_the_rest_to_argparse(argv):
+    assert cli.read_argv(argv) is None
+
+
 def test_parser_for_one_command_builds_only_it():
     p = cli.build_parser("check")
     assert p.prog == "grouplab check"
@@ -434,8 +486,8 @@ def test_one_shot_commands_import_no_heavy_stdlib():
 
 def test_engine_imports_no_re_json_or_argparse():
     # each loads only on the path that uses it: re for cycle text, json for
-    # spec files and reports, argparse (and gettext) for the command line;
-    # re loads enum.  The layers are the benchmark's import probe
+    # spec files and reports, argparse (and gettext) for help and usage
+    # errors; re loads enum.  The layers are the benchmark's import probe
     proc = _python(
         "lazy = {'re', 'json', 'argparse', 'enum', 'gettext'}; "
         "import grouplab.permgroup, grouplab.lattice, grouplab.structure; "
@@ -446,10 +498,16 @@ def test_engine_imports_no_re_json_or_argparse():
         "harness.CorpusConfig(cap=12))); "
         "assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules)); "
         "cli.main(['show', 'sym:3']); "
-        "assert 'json' not in sys.modules", flags=("-I", "-S"))
+        "assert 'json' not in sys.modules; "
+        # a well-formed command line is read without argparse
+        "cli.main(['classify', 'sym:3', '--k', '1,2']); "
+        "assert not {'argparse', 'gettext'} & set(sys.modules); "
+        "sys.exit(cli.main(['show', 'sym:3', '--bogus']))", flags=("-I", "-S"))
     out, err = proc.communicate(timeout=120)
-    assert proc.returncode == 0, err.decode()
+    assert proc.returncode == 2, err.decode()
     assert out.startswith(b"group S3: order 6")
+    assert b"k=2 class F: True" in out
+    assert err == b"error: grouplab: unrecognized arguments: --bogus\n"
 
 
 def test_closed_stdout_exits_141():

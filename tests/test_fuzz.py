@@ -169,6 +169,47 @@ def test_cli_malformed_exits_2(capsys, argv):
     assert code == 2, argv
 
 
+# words and values of all six commands, and tokens that argparse reads but
+# the reader leaves to it: help, --, --k=2, abbreviations, negative numbers
+argv_value = st.one_of(st.sampled_from(["1", "2", "0", "1,2", "x", "",
+                                        "(1 2)", "R1", "-1"]),
+                       st.integers(1, 3).map(str), st.text(max_size=3))
+argv_word = st.sampled_from(["list", "lst", "modular", "k-lm", "sym:3", ""])
+argv_odd = st.sampled_from(["--gens", "--emit-dot", "--suite", "--ge", "--em",
+                            "--k=2", "-k", "-h", "--help", "--", "-1", "-"])
+
+
+@st.composite
+def near_argv(draw):
+    """A command name, then in any order a word per positional (half the
+    time one of its choices, or ""), or one more or fewer, its own flags
+    each with a value, and now and then an odd token."""
+    cmd = draw(st.sampled_from(list(cli.COMMANDS)))
+    rows = cli.COMMANDS[cmd][1]
+    flags = [arg for arg, _ in rows if arg.startswith("-")]
+    pieces = [[draw(st.one_of(st.sampled_from(kw.get("choices", [""])),
+                              argv_word))]
+              for arg, kw in rows if not arg.startswith("-")]
+    pieces = draw(st.sampled_from([pieces, pieces, pieces, pieces[1:],
+                                   pieces + [[draw(argv_word)]]]))
+    pieces += draw(st.lists(st.tuples(st.sampled_from(flags), argv_value).map(
+        list), max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        pieces.append([draw(argv_odd)])
+    return [cmd, *(token for piece in draw(st.permutations(pieces))
+                   for token in piece)]
+
+
+@settings(FUZZ, max_examples=400)
+@given(near_argv())
+def test_reader_agrees_with_argparse(argv):
+    """Whatever argv the reader accepts, argparse accepts with the same
+    attributes (it raises ParseError, or exits on -h, where it would not)."""
+    got = cli.read_argv(argv)
+    if got is not None:
+        assert vars(got) == vars(cli.build_parser().parse_args(argv))
+
+
 two_permutations = st.integers(1, 6).flatmap(
     lambda d: st.tuples(st.just(d), st.permutations(range(d)),
                         st.permutations(range(d))))

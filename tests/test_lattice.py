@@ -11,8 +11,9 @@ from grouplab.structure import is_supersoluble
 from grouplab.submodular import (CLASS_IDS, in_class, is_n_maximal_with_index,
                                  ksub_set)
 from checks import check_classes, check_gens, check_order
-from definitions import (generating_pairs, goursat_count, hall_phi2,
-                         mobius_to_top, naive_subgroup_masks)
+from definitions import (frattini_by_nongenerators, generating_pairs,
+                         goursat_count, hall_phi2, mobius_to_top,
+                         naive_subgroup_masks)
 
 
 @pytest.mark.parametrize("name,args,count", [
@@ -119,6 +120,25 @@ def test_frattini():
     assert L8.subgroups[L8.frattini()].order == 2  # Phi(Q8) = center
     L1 = named_group("cyclic", [1]).lattice()
     assert L1.frattini() == L1.bottom.id  # no maximal subgroup: the meet of none
+
+
+def test_frattini_of_other_groups_is_the_nongenerators(corpus):
+    """`L.frattini()` against the elements that no proper subgroup needs to
+    generate G, on the corpus groups of order at most 60 but the nontrivial
+    p-groups (test_oracles checks those against sympy)."""
+    mismatches = []
+    checked = 0
+    for entry in corpus:
+        G = entry.group
+        if G.order > 60 or len(G.prime_divisors()) == 1:
+            continue
+        L = G.lattice()
+        ours = set(set_bits(L.subgroups[L.frattini()].mask))
+        if ours != frattini_by_nongenerators(G):
+            mismatches.append((entry.name, sorted(ours)))
+        checked += 1
+    assert not mismatches
+    assert checked == 48
 
 
 def test_meet_of_any_number_of_ids(s4):
