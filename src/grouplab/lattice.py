@@ -226,13 +226,19 @@ class SubgroupLattice:
 
     def conjugates(self, a: int, within: int | None = None) -> list[int]:
         """Distinct conjugates of subgroup a under `within` (default: the
-        whole group), ascending.  Under the whole group they are a's class,
-        which the enumeration walked as one orbit, or [a] for a normal a:
-        a list kept by the lattice, not to be changed.  Under a proper
-        `within` they are the orbit of a under its generators, each
-        generator that normalizes an orbit member skipped for it."""
+        whole group), ascending: a list kept by the lattice, not to be
+        changed.  Under the whole group they are a's class, which the
+        enumeration walked as one orbit, or [a] for a normal a.  Under a
+        proper `within` they are the orbit of a under its generators, each
+        generator that normalizes an orbit member skipped for it; each class
+        of `within` is walked once, as the orbit is kept for every member."""
         if within is None or within == self.top.id:
             return self._class_of[a]
+        # a 4-tuple, apart from the ("conjugates", x, g) image entries
+        key = ("conjugates", a, "within", within)
+        hit = self._memos.get(key)
+        if hit is not None:
+            return hit
         subs, conj = self.subgroups, self.group.conjugate_mask
         gens = subs[within].gens
         seen = {a}
@@ -250,15 +256,30 @@ class SubgroupLattice:
                         seen.add(y)
                         new.append(y)
             frontier = new
-        return sorted(seen)
+        orbit = sorted(seen)
+        for y in orbit:
+            self._memos["conjugates", y, "within", within] = orbit
+        return orbit
 
     def normalizer(self, a: int) -> int:
         """N(a), handed over by `all_subgroups` for every subgroup."""
         return self._normalizers[a]
 
     def is_normal_in(self, a: int, b: int) -> bool:
-        """a normal in b: the package's one normality test."""
+        """a normal in b: the package's one normality test, a <= b <= N(a);
+        `normal_bits` is its form over a set of ids."""
         return self.leq(a, b) and self.leq(b, self.normalizer(a))
+
+    def normal_bits(self, b: int, among: int) -> int:
+        """The ids in bitset `among` (~x for the ids outside x) that are
+        normal in b, as a bitset: the a with a <= b <= N(a), as in
+        `is_normal_in`, tested for each a in `among` & down[b]."""
+        up_b, norms = self.up[b], self._normalizers
+        out = 0
+        for a in set_bits(among & self.down[b]):
+            if up_b >> norms[a] & 1:
+                out |= 1 << a
+        return out
 
     def core(self, a: int, within: int | None = None) -> int:
         """Core of subgroup a inside `within` (default: the whole group): the
@@ -306,12 +327,16 @@ class SubgroupLattice:
             [G.elements[g] for g in sub.gens], name=f"{G.name}.sub{a}"))
 
 
-def _normalizer_mask(G: FiniteGroup, mask: int, gens: tuple[int, ...]) -> int:
-    """N(H) for H = <gens> with member mask `mask`: the g with g^-1 h g in
-    H for each generator h.  H <= N(H), so a coset Hg lies in N(H) or
-    misses it, and one g per coset is tested."""
+def _normalizer_mask(G: FiniteGroup, mask: int, gens: tuple[int, ...],
+                     size: int) -> int:
+    """N(H) for H = <gens> with member mask `mask` and a class of `size`
+    subgroups: the g with g^-1 h g in H for each generator h.  H <= N(H),
+    so a coset Hg lies in N(H) or misses it, and one g per coset is tested.
+    By orbit-stabilizer |N(H)| = |G| / size, and the scan only ever adds
+    cosets inside N(H), so it stops once it holds that many members."""
     mult, inv = G.mult, G.inv
     hrows = [mult[h] for h in set_bits(mask)]
+    left = G.order // (size * len(hrows))  # the cosets of H in N(H)
     nm = tested = 0
     for g in range(G.order):
         if tested >> g & 1:
@@ -323,6 +348,9 @@ def _normalizer_mask(G: FiniteGroup, mask: int, gens: tuple[int, ...]) -> int:
         row = mult[inv[g]]
         if all(mask >> mult[row[h]][g] & 1 for h in gens):
             nm |= coset
+            left -= 1
+            if not left:
+                break
     return nm
 
 
@@ -387,11 +415,12 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
     `_replay_gens` makes it for the whole lattice on the first call.
 
     Normalizers.  N(H) is computed for every representative H (one with no
-    zuppo outside it is G, which is normal), and each member c of a class
-    keeps its images c^g under the moving generators g, a sum of 1 << x^g
-    over its members.  A member d first found as c^g gets N(d) = N(c)^g,
-    the image of N(c), or N(c) itself when N(c) is normal, so the lattice
-    receives every subgroup's normalizer.
+    zuppo outside it is G, which is normal) by a scan over the cosets of H
+    that stops once it holds |G|/|class| members (orbit-stabilizer), and
+    each member c of a class keeps its images c^g under the moving
+    generators g, a sum of 1 << x^g over its members.  A member d first
+    found as c^g gets N(d) = N(c)^g, the image of N(c), or N(c) itself when
+    N(c) is normal, so the lattice receives every subgroup's normalizer.
 
     Classes.  The orbit walked for each class of more than one subgroup is
     its whole class (central generators move nothing), and the lattice
@@ -451,6 +480,7 @@ def _classes(G: FiniteGroup) -> tuple[dict, dict, list]:
     normalizers: dict[int, int] = {}  # mask -> N mask
     reps: list[int] = []
     orbits: list[list[int]] = []
+    class_size: dict[int, int] = {}  # representative -> its class's size
     # per member of a class of size > 1, its conjugates by the moving
     # generators; d -> (c, i) when d = c^moving[i] was found from c
     images: dict[int, list[int]] = {}
@@ -475,6 +505,7 @@ def _classes(G: FiniteGroup) -> tuple[dict, dict, list]:
                     found[d] = (c, i)
                     orbit.append(d)
         orbits.append(orbit)
+        class_size[k] = len(orbit)
         if len(orbit) * k.bit_count() == G.order:  # |N(K)| = |G|/|orbit| = |K|
             normalizers[k] = k
 
@@ -489,7 +520,8 @@ def _classes(G: FiniteGroup) -> tuple[dict, dict, list]:
             hgens = known[h]
             nm = normalizers.get(h)
             if nm is None:
-                nm = normalizers[h] = _normalizer_mask(G, h, hgens)
+                nm = normalizers[h] = _normalizer_mask(G, h, hgens,
+                                                       class_size[h])
             # H and the joins of prime index over H so far, in either pass
             covered = covers.get(h, h)
             if soluble:  # z in N(H) of p-power order with z^p in H

@@ -137,26 +137,41 @@ def _step_ok(L: SubgroupLattice, a: int, b: int, k: int) -> bool:
 def ksub_set(L: SubgroupLattice, k: int, top: int | None = None) -> frozenset[int]:
     """Ids k-submodular in `top` (default: the whole group).  One walk per
     top answers every k: level j takes the steps of kind at most j, leaves a
-    step of kind n > j to level n, and ends as `L.ksub_reach[top][j]`."""
+    step of kind n > j to level n, and ends as `L.ksub_reach[top][j]`.
+
+    From each subgroup b it reaches, the walk takes every unreached a that
+    is normal in b at once, as one bitset (`SubgroupLattice.normal_bits`),
+    and asks `step_kind` only about the unreached maximal subgroups of b of
+    prime index.  No other step is legal: a step a -> b of kind n >= 1 has
+    prime index p = |b : a| (`step_kind`), and a subgroup c with a < c < b
+    would have |b : c| > 1 properly dividing p by Lagrange's theorem, so a
+    is maximal in b.  A maximal subgroup a of b lies in `L.prime_down[b]`
+    exactly when |b : a| is prime."""
     if k < 1:
         raise GroupError("k-submodularity needs k >= 1")
     if top is None:
         top = L.top.id
     sets = L.ksub_reach.get(top)
     if sets is None:
-        seen, sets, later = set(), [], {0: {top}}
+        prime_down, hasse_down = L.prime_down, L.hasse_down
+        seen, sets, later = 0, [], {0: 1 << top}
         while later:
-            frontier = list(later.pop(len(sets), set()) - seen)
-            seen.update(frontier)
-            for b in frontier:
-                for a in L.subs_of(b):
-                    if a not in seen and (n := step_kind(L, a, b)) is not None:
+            new = later.pop(len(sets), 0) & ~seen
+            seen |= new
+            frontier = set_bits(new)
+            for b in frontier:  # the list grows as it is read
+                normal = L.normal_bits(b, ~seen)
+                seen |= normal
+                frontier += set_bits(normal)
+                for a in hasse_down[b]:
+                    if (not (seen >> a & 1) and prime_down[b] >> a & 1
+                            and (n := step_kind(L, a, b)) is not None):
                         if n <= len(sets):
-                            seen.add(a)
+                            seen |= 1 << a
                             frontier.append(a)
                         else:
-                            later.setdefault(n, set()).add(a)
-            sets.append(frozenset(seen))
+                            later[n] = later.get(n, 0) | 1 << a
+            sets.append(frozenset(set_bits(seen)))
         sets = L.ksub_reach[top] = tuple(sets)
     return sets[min(k, len(sets) - 1)]
 

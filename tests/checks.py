@@ -1,6 +1,6 @@
 """Checks of one lattice or group, each comparing two forms of one fact.
 Tier-1 tests run them on small groups; CI's "Large lattices" step runs the
-same functions on S4 x S4 and Hol(Z41), too slow for tier-1."""
+same functions on S4 x S4, Hol(Z41) and E2^6, too slow for tier-1."""
 import importlib.util
 from collections import Counter
 

@@ -358,6 +358,36 @@ def test_normalizer_conjugates_core_match_definitions(name, args):
                 conj[a][g] == s.mask for g in members)
 
 
+@pytest.mark.parametrize("name,args", [
+    ("holomorph_cyclic", [19]), ("direct", [("sym", [4]), ("sym", [3])])])
+def test_each_orbit_under_a_subgroup_is_walked_once(name, args, monkeypatch):
+    """`conjugates(a, within=b)` keeps the orbit it walks for every member:
+    asking for another member of a walked orbit conjugates no member set,
+    and every member gets the same list."""
+    L = _reference_group(name, args).lattice()
+    calls = []
+    conjugate_mask = FiniteGroup.conjugate_mask
+
+    def count(G, mask, g):
+        calls.append(g)
+        return conjugate_mask(G, mask, g)
+
+    monkeypatch.setattr(FiniteGroup, "conjugate_mask", count)
+    shared = 0
+    for b in range(len(L) - 1):
+        walked = set()
+        for a in L.subs_of(b):
+            if a in walked:
+                continue
+            orbit = L.conjugates(a, within=b)
+            before = len(calls)
+            assert all(L.conjugates(x, within=b) is orbit for x in orbit)
+            assert len(calls) == before, (b, a)
+            walked.update(orbit)
+            shared += len(orbit) > 1
+    assert calls and shared
+
+
 def _closure_by_permutations(G, gens):
     """Mask of the subgroup generated by the given ordinals, by closing the
     set of permutations under right multiplication."""

@@ -9,7 +9,7 @@ from grouplab import (GroupError, OrderCapExceeded, Permutation,
                       direct_product, generate, group_from_spec, named_group)
 from grouplab import structure, submodular
 from grouplab.lattice import SubgroupLattice, all_subgroups
-from grouplab.permgroup import factorize, set_bits
+from grouplab.permgroup import factorize, is_prime, set_bits
 from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  is_modular_subgroup, is_n_maximal_with_index,
                                  is_n_modularly_embedded,
@@ -341,8 +341,11 @@ def test_ksub_set_separates_k_outside_corpus(p, q, n, sizes, classes_from):
     """Two Frobenius groups p:q^n outside the corpus against the
     definitional step table: Frob(17,2^3) has steps of kind 3 and lies in
     the four classes only from k = 3, which no corpus group needs.  Both
-    are supersoluble: 1 < Z_p < G has cyclic factors."""
+    are supersoluble: 1 < Z_p < G has cyclic factors.  The walk of every
+    top is checked against one `reach_down` per k, k = 1..4."""
     L = named_group("frobenius_metacyclic", [p, q, n]).lattice()
+    for top in range(len(L)):
+        check_ksub_per_k(L, top, (1, 2, 3, 4))
     table = step_table(L)
     for k, size in zip((1, 2, 3), sizes):
         reach = ksub_set(L, k)
@@ -350,6 +353,30 @@ def test_ksub_set_separates_k_outside_corpus(p, q, n, sizes, classes_from):
         theirs = classes_by_definition(L, table, k, True)
         ours = {c: submodular.in_class(L, c, k) for c in submodular.CLASS_IDS}
         assert ours == theirs == dict.fromkeys(ours, k >= classes_from), k
+
+
+@pytest.mark.parametrize("group", [
+    lambda: direct_product(named_group("sym", [4]), named_group("sym", [3])),
+    lambda: named_group("holomorph_cyclic", [19])], ids=["S4xS3", "Hol(Z19)"])
+def test_ksub_walk_asks_only_about_maximal_non_normal_steps(group,
+                                                            monkeypatch):
+    """Every top's walk takes the normal steps as one bitset and asks
+    `step_kind` only about unreached maximal subgroups of prime index that
+    are not normal."""
+    L = group().lattice()
+    asked = []
+
+    def spy(L, a, b):
+        asked.append((a, b))
+        return step_kind(L, a, b)
+
+    monkeypatch.setattr(submodular, "step_kind", spy)
+    for top in range(len(L)):
+        ksub_set(L, 1, top=top)
+    assert asked
+    for a, b in asked:
+        assert a in L.hasse_down[b] and not L.is_normal_in(a, b), (a, b)
+        assert is_prime(L.subgroups[b].order // L.subgroups[a].order), (a, b)
 
 
 def test_conjugation_invariance_of_ksub(s4, hol5):
