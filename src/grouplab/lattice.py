@@ -271,9 +271,9 @@ class SubgroupLattice:
         return self.leq(a, b) and self.leq(b, self.normalizer(a))
 
     def normal_bits(self, b: int, among: int) -> int:
-        """The ids in bitset `among` (~x for the ids outside x) that are
-        normal in b, as a bitset: the a with a <= b <= N(a), as in
-        `is_normal_in`, tested for each a in `among` & down[b]."""
+        """The ids in bitset `among` that are normal in b, as a bitset: the
+        a with a <= b <= N(a), as in `is_normal_in`, tested for each a in
+        `among` & down[b]."""
         up_b, norms = self.up[b], self._normalizers
         out = 0
         for a in set_bits(among & self.down[b]):
@@ -367,7 +367,9 @@ def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
 
     The soluble pass extends H by each zuppo z, of p-power order say,
     with z in N(H) and z^p in H; the candidates are one AND of bitmasks
-    over element ordinals, N(H) & zuppos & ~covered (see below).  Then
+    over element ordinals, N(H) & roots(H) & ~covered, roots(H) holding
+    the zuppos z with z^p in H, taken lowest bit first, and each join
+    found clears its members from them (see below).  Then
     <H, z> = H<z> and <z> meets H in <z^p>, so |<H, z> : H| = p and the
     join is the union of the cosets z^i H = H z^i for i < p, each read
     from row z^i of the multiplication table at H's members, with no
@@ -450,16 +452,16 @@ def _classes(G: FiniteGroup) -> tuple[dict, dict, list]:
     e = G.identity_ordinal
     full = G.full_mask()
     cyc_mask = {g: mask for mask, g in cyc_items}
-    zpow: dict[int, int] = {}  # zuppo's least generator z -> z^p
+    zuppos: list[int] = []  # each zuppo's least generator
+    roots: dict[int, int] = {}  # x -> the bits of the zuppos z with z^p = x
     for mask, z in cyc_items:
         q = prime_power(mask.bit_count())
         if q is not None:  # z^p by p - 1 products: e when |z| = p
             w = z
             for _ in range(q[0] - 1):
                 w = mult[w][z]
-            zpow[z] = w
-    zuppos = list(zpow)
-    zuppo_bits = sum(1 << z for z in zuppos)
+            zuppos.append(z)
+            roots[w] = roots.get(w, 0) | 1 << z
     pow2 = [1 << x for x in range(G.order)]
     primes = set(factorize(G.order))
 
@@ -525,50 +527,56 @@ def _classes(G: FiniteGroup) -> tuple[dict, dict, list]:
             # H and the joins of prime index over H so far, in either pass
             covered = covers.get(h, h)
             if soluble:  # z in N(H) of p-power order with z^p in H
-                outside = [z for z in set_bits(nm & zuppo_bits & ~covered)
-                           if h >> zpow[z] & 1]
                 hm = set_bits(h)
-            else:  # the soluble pass covered whole N(H)-orbits
-                outside = [z for z in zuppos if not covered >> z & 1]
-                acting = moving if nm == full else [
-                    g for g in G.generators_of(nm, h, hgens) if not central(g)]
-                if acting:  # one zuppo per N(H)-orbit
-                    unvisited = set(outside)
-                    orbit_reps = []
-                    for z in outside:
-                        if z not in unvisited:
-                            continue
-                        orbit_reps.append(z)
-                        unvisited.discard(z)
-                        stack = [z]
-                        while stack:
-                            x = stack.pop()
-                            for g in acting:
-                                y = canon[conj(x, g)]
-                                if y in unvisited:
-                                    unvisited.discard(y)
-                                    stack.append(y)
-                    outside = orbit_reps
+                fresh = nm & ~covered & sum(
+                    bits for x, bits in roots.items() if h >> x & 1)
+                while fresh:  # lowest first; a join's zuppos are covered
+                    z = (fresh & -fresh).bit_length() - 1
+                    j, w = h, z  # the cosets z^i H = H z^i for i < p
+                    while not h >> w & 1:
+                        j |= sum(map(pow2.__getitem__,
+                                     map(mult[w].__getitem__, hm)))
+                        w = mult[w][z]
+                    covered |= j
+                    fresh &= ~j
+                    if j not in known:  # H's generators in <z> are not needed
+                        add_class(j, tuple(x for x in hgens
+                                           if not cyc_mask[z] >> x & 1) + (z,))
+                covers[h] = covered
+                continue
+            # the soluble pass covered whole N(H)-orbits
+            outside = [z for z in zuppos if not covered >> z & 1]
+            acting = moving if nm == full else [
+                g for g in G.generators_of(nm, h, hgens) if not central(g)]
+            if acting:  # one zuppo per N(H)-orbit
+                unvisited = set(outside)
+                orbit_reps = []
+                for z in outside:
+                    if z not in unvisited:
+                        continue
+                    orbit_reps.append(z)
+                    unvisited.discard(z)
+                    stack = [z]
+                    while stack:
+                        x = stack.pop()
+                        for g in acting:
+                            y = canon[conj(x, g)]
+                            if y in unvisited:
+                                unvisited.discard(y)
+                                stack.append(y)
+                outside = orbit_reps
             h_order = h.bit_count()
             for z in outside:
                 if covered >> z & 1:
                     continue  # <H, z> is the join of prime index holding z
                 zmask = cyc_mask[z]
-                if soluble:  # the cosets z^i H = H z^i for i < p
-                    j, w = h, z
-                    while not h >> w & 1:
-                        j |= sum(map(pow2.__getitem__,
-                                     map(mult[w].__getitem__, hm)))
-                        w = mult[w][z]
-                else:
-                    j = (zmask if h & ~zmask == 0  # h <= <z>
-                         else G.closure_mask(hgens + (z,), h))
+                j = (zmask if h & ~zmask == 0  # h <= <z>
+                     else G.closure_mask(hgens + (z,), h))
                 if j.bit_count() // h_order in primes:
                     covered |= j
                 if j not in known:  # H's generators in <z> are not needed
                     add_class(j, tuple(x for x in hgens if not zmask >> x & 1)
                               + (z,))
-            covers[h] = covered
 
     # N(c^g) = N(c)^g, and a normal N(c), whose class is itself, is N(c)^g
     for d, (c, i) in found.items():

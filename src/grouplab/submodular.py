@@ -153,14 +153,17 @@ def ksub_set(L: SubgroupLattice, k: int, top: int | None = None) -> frozenset[in
         top = L.top.id
     sets = L.ksub_reach.get(top)
     if sets is None:
-        prime_down, hasse_down = L.prime_down, L.hasse_down
+        down, prime_down, hasse_down = L.down, L.prime_down, L.hasse_down
         seen, sets, later = 0, [], {0: 1 << top}
         while later:
             new = later.pop(len(sets), 0) & ~seen
             seen |= new
             frontier = set_bits(new)
             for b in frontier:  # the list grows as it is read
-                normal = L.normal_bits(b, ~seen)
+                rest = down[b] & ~seen
+                if not rest:  # every subgroup of b is reached
+                    continue
+                normal = L.normal_bits(b, rest)
                 seen |= normal
                 frontier += set_bits(normal)
                 for a in hasse_down[b]:
