@@ -5,13 +5,12 @@ Exit codes: 0 success / predicate true / all suites pass, 1 predicate false
 or suite failure, 2 usage or input error, 141 stdout closed early.
 
 Each command's grammar is one row of `COMMANDS`.  A well-formed command line
-is read straight from that row (`read_argv`); argparse, built from the same
-rows, answers the rest: help, the forms the reader leaves to it, and every
-usage error, so it alone writes help and error text.
+is read straight from that row (`read_argv`); one argparse parser, with a
+subparser per row, answers the rest: help, the forms the reader leaves to
+it, and every usage error, so it alone writes help and error text.
 """
 from __future__ import annotations
 
-import functools
 import os
 import sys
 import types
@@ -197,29 +196,14 @@ def cmd_export_lattice(args) -> int:
     return EXIT_TRUE
 
 
-def _columns() -> int:
-    """`shutil.get_terminal_size().columns`, without importing shutil."""
-    try:
-        cols = int(os.environ.get("COLUMNS", 0))
-    except ValueError:
-        cols = 0
-    try:  # stdout may be None, closed or not a terminal
-        return cols if cols > 0 else os.get_terminal_size(
-            sys.__stdout__.fileno()).columns or 80
-    except (AttributeError, ValueError, OSError):
-        return 80
-
-
 def _parser(**kw):
     """An ArgumentParser whose usage errors raise ParseError, so `main`
     reports them on one `error:` line and returns 2 instead of argparse
-    printing usage and exiting.  Help wraps to `_columns()` less argparse's
-    2-column margin, looked up once per parser: a HelpFormatter would import
-    shutil, once per argument.  argparse is imported here, so that importing
-    the module does not load it."""
+    printing usage and exiting.  argparse is imported here, so that
+    importing the module does not load it; its help formatter loads shutil
+    for the terminal width."""
     import argparse
-    p = argparse.ArgumentParser(formatter_class=functools.partial(
-        argparse.HelpFormatter, width=_columns() - 2), **kw)
+    p = argparse.ArgumentParser(**kw)
 
     def error(message: str):
         raise ParseError(f"{p.prog}: {message}")
@@ -284,21 +268,16 @@ def _arguments(name: str):
         yield arg, {**kw, "default": default()} if callable(default) else kw
 
 
-def build_parser(name: str | None = None):
-    """Command `name`'s parser alone, or with no name all six as subparsers."""
-    def add_arguments(p, name):
-        for arg, kw in _arguments(name):
-            p.add_argument(arg, **kw)
-        return p
-
-    if name:
-        return add_arguments(_parser(prog=f"grouplab {name}"), name)
+def build_parser():
+    """The top-level parser, each of the six commands a subparser."""
     top = _parser(prog="grouplab",
                   description="finite-group engine for submodularity analysis")
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_parser)
     for cmd, (help_, _, _) in COMMANDS.items():
-        add_arguments(sub.add_parser(cmd, help=help_), cmd)
+        p = sub.add_parser(cmd, help=help_)
+        for arg, kw in _arguments(cmd):
+            p.add_argument(arg, **kw)
     return top
 
 
@@ -363,17 +342,7 @@ def read_argv(argv: list[str]):
 def parse_args(argv: list[str]):
     """The parsed `argv`: read from `COMMANDS` when it is well formed, else
     argparse's Namespace, help or usage error."""
-    args = read_argv(argv)
-    if args is not None:
-        return args
-    if not argv or argv[0] not in COMMANDS:  # help, typos: the full parser
-        return build_parser().parse_args(argv)
-    import argparse
-    args, extra = build_parser(argv[0]).parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:  # worded as the top-level parser words them
-        raise ParseError(f"grouplab: unrecognized arguments: {' '.join(extra)}")
-    return args
+    return read_argv(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

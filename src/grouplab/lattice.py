@@ -234,9 +234,7 @@ class SubgroupLattice:
         of `within` is walked once, as the orbit is kept for every member."""
         if within is None or within == self.top.id:
             return self._class_of[a]
-        # a 4-tuple, apart from the ("conjugates", x, g) image entries
-        key = ("conjugates", a, "within", within)
-        hit = self._memos.get(key)
+        hit = self._memos.get(("conjugates", a, within))
         if hit is not None:
             return hit
         subs, conj = self.subgroups, self.group.conjugate_mask
@@ -250,15 +248,14 @@ class SubgroupLattice:
                 for g in gens:
                     if nx >> g & 1:  # g normalizes x
                         continue
-                    y = self.memo(("conjugates", x, g), lambda: self.by_mask[
-                        conj(subs[x].mask, g)])
+                    y = self.by_mask[conj(subs[x].mask, g)]
                     if y not in seen:
                         seen.add(y)
                         new.append(y)
             frontier = new
         orbit = sorted(seen)
         for y in orbit:
-            self._memos["conjugates", y, "within", within] = orbit
+            self._memos["conjugates", y, within] = orbit
         return orbit
 
     def normalizer(self, a: int) -> int:

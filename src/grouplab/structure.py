@@ -143,7 +143,7 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 def normal_ids_in(L: SubgroupLattice, b: int) -> tuple[int, ...]:
     """Ids of the normal subgroups of member b, ascending."""
     return L.memo((normal_ids_in, b), lambda: tuple(
-        a for a in L.subs_of(b) if L.is_normal_in(a, b)))
+        set_bits(L.normal_bits(b, L.down[b]))))
 
 
 def fitting(G: FiniteGroup) -> Subgroup:
