@@ -28,8 +28,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 
-from .permgroup import (FiniteGroup, factorize, is_prime, quotient_cached,
-                        set_bits)
+from .permgroup import FiniteGroup, factorize, quotient_cached, set_bits
 from .lattice import Subgroup, SubgroupLattice
 from . import structure
 
@@ -165,21 +164,28 @@ def p_subnormal_set(L: SubgroupLattice, variant_k: bool = False) -> frozenset[in
     K-P-subnormal (each step of prime index or normal) in the top group."""
     if not variant_k:
         return frozenset(set_bits(L.prime_down[L.top.id]))
-    subs = L.subgroups
-    return L.memo((p_subnormal_set,), lambda: frozenset(L.reach_down(
-        L.top.id, lambda a, b: is_prime(subs[b].order // subs[a].order)
-        or L.is_normal_in(a, b))))
+
+    def steps(b: int, rest: int) -> int:
+        prime = rest & L.prime_down[b]
+        return L.normal_bits(b, rest) | sum(
+            1 << a for a in L.hasse_down[b] if prime >> a & 1)
+
+    return L.memo((p_subnormal_set,), lambda: frozenset(set_bits(sum(
+        L.walk_down(1 << L.top.id, steps)))))
 
 
 def f_subnormal_set(L: SubgroupLattice, F: ClassOracle) -> frozenset[int]:
-    """Ids F-subnormal in the lattice's top group.
+    """Ids F-subnormal in the lattice's top group: joined to it by a chain
+    whose every step a -> b has the residual b^F inside a.  The walk asks
+    for the residual of each subgroup b it reaches once, and takes the ids
+    above it as one bitset, so only the quotients of b actually reached
+    are built."""
 
-    Residuals are computed lazily per chain node, so only groups actually
-    touched by the backward search are materialized.
-    """
-    return L.memo((f_subnormal_set, F.name), lambda: frozenset(L.reach_down(
-        L.top.id,
-        lambda a, b: residual_mask(L, b, F) & ~L.subgroups[a].mask == 0)))
+    def steps(b: int, rest: int) -> int:
+        return rest & L.up[L.by_mask[residual_mask(L, b, F)]]
+
+    return L.memo((f_subnormal_set, F.name), lambda: frozenset(set_bits(sum(
+        L.walk_down(1 << L.top.id, steps)))))
 
 
 # -- local formations and the w-construction ---------------------------------

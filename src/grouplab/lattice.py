@@ -109,8 +109,6 @@ class SubgroupLattice:
             for a in ids:
                 self._class_of[a] = ids
         self._memos: dict[tuple, object] = {}
-        # a plain dict, the hottest read: a third of a `memo` call's cost
-        self._subs_of: dict[int, list[int]] = {}
         # perfbench's tracer reads the sizes of `submodular`'s two caches;
         # ksub_reach[top][j]: the ids with a chain up to top whose every
         # step has kind at most j, for j = 0 up to the largest needed
@@ -194,13 +192,6 @@ class SubgroupLattice:
     def interval(self, a: int, b: int) -> list[int]:
         """Ids c with a <= c <= b, ascending."""
         return set_bits(self.down[b] & self.up[a])
-
-    def subs_of(self, b: int) -> list[int]:
-        """Ids of the subgroups of b, ascending; kept, as many pairs share b."""
-        hit = self._subs_of.get(b)
-        if hit is None:
-            hit = self._subs_of[b] = set_bits(self.down[b])
-        return hit
 
     def memo(self, key: tuple, compute: Callable[[], object]):
         """compute(), worked out on the first call with `key` and kept with
@@ -288,26 +279,25 @@ class SubgroupLattice:
         none, is its own."""
         return self.meet(*self.hasse_down[self.top.id])
 
-    def reach_down(self, top: int, pred) -> dict[int, int]:
-        """Ids a with a chain a = A0 < ... < Am = top whose every step (A, B)
-        satisfies pred(A, B), mapped to the least such m.
-
-        Breadth first from `top`, so the distances also give shortest
-        witnesses.  Submodularity, k-submodular witnesses, K-P- and
-        F-subnormality search with it; the k-submodular sets of every k
-        come from `submodular.ksub_set`'s own walk by levels of step kind.
-        """
-        dist = {top: 0}
-        frontier = [top]
-        while frontier:
-            new = []
-            for b in frontier:
-                for a in self.subs_of(b):
-                    if a not in dist and pred(a, b):
-                        dist[a] = dist[b] + 1
-                        new.append(a)
-            frontier = new
-        return dist
+    def walk_down(self, seeds: int, steps: Callable[[int, int], int],
+                  seen: int = 0) -> list[int]:
+        """Breadth first from the ids of bitset `seeds` outside `seen`: the
+        list of levels, disjoint bitsets, level i holding the ids whose
+        shortest chain of legal steps up to a seed has i steps.  steps(b,
+        rest) gives, as a bitset, the ids of `rest` one legal step below b;
+        `rest`, never 0, is b's subgroups outside `seen` and the levels so
+        far, the one being built included.  Every chain search is this walk."""
+        down, levels = self.down, []
+        new = seeds & ~seen
+        while new:
+            levels.append(new)
+            seen |= new
+            new = 0
+            for b in set_bits(levels[-1]):
+                rest = down[b] & ~seen & ~new
+                if rest:
+                    new |= steps(b, rest)
+        return levels
 
     # -- subgroup as standalone group ---------------------------------------
 

@@ -64,7 +64,7 @@ def sylow_in(L: SubgroupLattice, b: int, p: int) -> int:
 def _sylows(L: SubgroupLattice, b: int) -> tuple[int, ...]:
     targets = {q**e for q, e in factorize(L.subgroups[b].order).items()}
     found = []
-    for a in L.subs_of(b):
+    for a in set_bits(L.down[b]):
         order = L.subgroups[a].order
         if order in targets:
             targets.discard(order)

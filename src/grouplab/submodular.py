@@ -94,9 +94,11 @@ def _modular_in(L: SubgroupLattice, m: int, b: int) -> bool:
     needs no test of its own.
     """
     up, down, meet, join = L.up, L.down, L.meet, L.join
+    # listed once per b: every m tested in b reads them
+    ys = L.memo((_modular_in, b), lambda: set_bits(down[b]))
     return L.memo((_modular_in, m, b), lambda: all(
         (down[y] & up[meet(y, m)]).bit_count()
-        == (down[join(y, m)] & up[m]).bit_count() for y in L.subs_of(b)))
+        == (down[join(y, m)] & up[m]).bit_count() for y in ys))
 
 
 def is_modular_subgroup(L: SubgroupLattice, m: int) -> bool:
@@ -121,59 +123,61 @@ def submodular_set(L: SubgroupLattice) -> frozenset[int]:
     nonabelian of order pq; then m has prime index, so it is a maximal
     subgroup of b.  Either way m -> b is a step of one of the kinds.
     """
-    return L.memo((submodular_set,), lambda: frozenset(L.reach_down(
-        L.top.id, lambda a, b: L.is_normal_in(a, b) or (
-            a in L.hasse_down[b] and _modular_in(L, a, b)))))
+    return L.memo((submodular_set,), lambda: frozenset(set_bits(sum(
+        L.walk_down(1 << L.top.id, lambda b, rest: _modular_steps(
+            L, b, rest))))))
+
+
+def _modular_steps(L: SubgroupLattice, b: int, rest: int) -> int:
+    """The ids of bitset `rest` normal in b or maximal and modular in b."""
+    out = L.normal_bits(b, rest)
+    cand = rest & ~out
+    for a in L.hasse_down[b]:
+        if cand >> a & 1 and _modular_in(L, a, b):
+            out |= 1 << a
+    return out
 
 
 # -- k-submodularity ---------------------------------------------------------
 
 
-def _step_ok(L: SubgroupLattice, a: int, b: int, k: int) -> bool:
-    kind = step_kind(L, a, b)
-    return kind is not None and kind <= k
+def _k_steps(L: SubgroupLattice, b: int, rest: int, k: int,
+             later: dict[int, int] | None = None) -> int:
+    """The ids of bitset `rest` one step of kind at most k below b, as a
+    bitset; with `later`, an a one step of kind n > k below is put in
+    later[n].  They are b's normal subgroups (`SubgroupLattice.normal_bits`)
+    and the maximal ones of prime index that `step_kind` passes.  No other
+    step is legal: a step a -> b of kind n >= 1 has prime index p = |b : a|
+    (`step_kind`), and a subgroup c with a < c < b would have |b : c| > 1
+    properly dividing p by Lagrange's theorem, so a is maximal in b.  A
+    maximal a of b lies in `L.prime_down[b]` exactly when |b : a| is prime."""
+    out = L.normal_bits(b, rest)
+    cand = rest & ~out & L.prime_down[b]
+    for a in L.hasse_down[b]:
+        if cand >> a & 1 and (n := step_kind(L, a, b)) is not None:
+            if n <= k:
+                out |= 1 << a
+            elif later is not None:
+                later[n] = later.get(n, 0) | 1 << a
+    return out
 
 
 def ksub_set(L: SubgroupLattice, k: int, top: int | None = None) -> frozenset[int]:
-    """Ids k-submodular in `top` (default: the whole group).  One walk per
-    top answers every k: level j takes the steps of kind at most j, leaves a
-    step of kind n > j to level n, and ends as `L.ksub_reach[top][j]`.
-
-    From each subgroup b it reaches, the walk takes every unreached a that
-    is normal in b at once, as one bitset (`SubgroupLattice.normal_bits`),
-    and asks `step_kind` only about the unreached maximal subgroups of b of
-    prime index.  No other step is legal: a step a -> b of kind n >= 1 has
-    prime index p = |b : a| (`step_kind`), and a subgroup c with a < c < b
-    would have |b : c| > 1 properly dividing p by Lagrange's theorem, so a
-    is maximal in b.  A maximal subgroup a of b lies in `L.prime_down[b]`
-    exactly when |b : a| is prime."""
+    """Ids k-submodular in `top` (default: the whole group).  One record per
+    top answers every k: level j continues the walk from the ids reached at
+    j - 1 with the steps of kind at most j (`_k_steps`), leaves a step of
+    kind n > j to level n, and ends as `L.ksub_reach[top][j]`."""
     if k < 1:
         raise GroupError("k-submodularity needs k >= 1")
     if top is None:
         top = L.top.id
     sets = L.ksub_reach.get(top)
     if sets is None:
-        down, prime_down, hasse_down = L.down, L.prime_down, L.hasse_down
         seen, sets, later = 0, [], {0: 1 << top}
         while later:
-            new = later.pop(len(sets), 0) & ~seen
-            seen |= new
-            frontier = set_bits(new)
-            for b in frontier:  # the list grows as it is read
-                rest = down[b] & ~seen
-                if not rest:  # every subgroup of b is reached
-                    continue
-                normal = L.normal_bits(b, rest)
-                seen |= normal
-                frontier += set_bits(normal)
-                for a in hasse_down[b]:
-                    if (not (seen >> a & 1) and prime_down[b] >> a & 1
-                            and (n := step_kind(L, a, b)) is not None):
-                        if n <= len(sets):
-                            seen |= 1 << a
-                            frontier.append(a)
-                        else:
-                            later[n] = later.get(n, 0) | 1 << a
+            j = len(sets)
+            seen |= sum(L.walk_down(later.pop(j, 0), lambda b, rest: _k_steps(
+                L, b, rest, j, later), seen))
             sets.append(frozenset(set_bits(seen)))
         sets = L.ksub_reach[top] = tuple(sets)
     return sets[min(k, len(sets) - 1)]
@@ -184,22 +188,21 @@ def is_k_submodular(L: SubgroupLattice, h: int,
     """(True, chain) when h is k-submodular in the group, else (False, None).
 
     The chain is the shortest, then lexicographically least, list of ids
-    from h up to the top whose every step is legal at k.  The chain
-    lengths of the whole group's search are memoised per k; `ksub_set`
-    keeps the ids of every k, for every top."""
+    from h up to the top whose every step is legal at k, read off the
+    levels of the whole group's walk at k, memoised per k; `ksub_set` keeps
+    the ids of every k, for every top."""
     if k < 1:
         raise GroupError("k-submodularity needs k >= 1")
-    top = L.top.id
-    dist = L.memo((is_k_submodular, k), lambda: L.reach_down(
-        top, lambda a, b: _step_ok(L, a, b, k)))
-    if h not in dist:
+    levels = L.memo((is_k_submodular, k), lambda: tuple(L.walk_down(
+        1 << L.top.id, lambda b, rest: _k_steps(L, b, rest, k))))
+    i = next((i for i, level in enumerate(levels) if level >> h & 1), None)
+    if i is None:
         return False, None
     ids = [h]
-    while ids[-1] != top:
+    for level in reversed(levels[:i]):
         cur = ids[-1]
-        ids.append(next(b for b in set_bits(L.up[cur] ^ (1 << cur))
-                        if dist.get(b) == dist[cur] - 1
-                        and _step_ok(L, cur, b, k)))
+        ids.append(next(b for b in set_bits(level & L.up[cur])
+                        if _k_steps(L, b, 1 << cur, k)))
     return True, ids
 
 
@@ -301,7 +304,7 @@ def _least_k(L: SubgroupLattice, cls: str, top: int) -> int | float:
     if cls == "X":
         need = L.hasse_down[top]
     elif cls == "Y":
-        need = L.subs_of(top)
+        need = set_bits(L.down[top])
     else:
         need = [structure.sylow_in(L, top, p)
                 for p in factorize(L.subgroups[top].order)]

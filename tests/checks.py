@@ -4,10 +4,12 @@ same functions on S4 x S4, Hol(Z41) and E2^6, too slow for tier-1."""
 import importlib.util
 from collections import Counter
 
-from grouplab import structure, submodular
-from grouplab.permgroup import factorize, prime_power, quotient, set_bits
+from grouplab import classes, structure, submodular
+from grouplab.permgroup import (factorize, is_prime, prime_power, quotient,
+                                set_bits)
 from definitions import (automizer_by_interval, classes_by_definition,
-                         ksub_by_definition, schmidt_by_quotient, step_table,
+                         ksub_by_definition, reach_by_pairs,
+                         schmidt_by_quotient, step_table,
                          supersoluble_by_sympy, sympy_group)
 
 
@@ -36,7 +38,7 @@ def check_definitions(L):
 
 def check_ksub_per_k(L, top, ks):
     """`ksub_set` in `top` at each k of `ks`, read from its one walk per
-    top, against one breadth-first `reach_down` per k over the steps legal
+    top, against one `reach_by_pairs` search per k over the steps legal
     at k: `step_kind` at most k, normal steps being 0."""
     for k in ks:
         def legal(a, b):
@@ -44,7 +46,45 @@ def check_ksub_per_k(L, top, ks):
             return kind is not None and kind <= k
 
         assert submodular.ksub_set(L, k, top=top) == frozenset(
-            L.reach_down(top, legal)), (L.group.name, top, k)
+            reach_by_pairs(L, top, legal)), (L.group.name, top, k)
+
+
+def check_chain_walks(L, formations, ks):
+    """The engine's chain walks, which take the normal subgroups as one
+    bitset and ask about maximal subgroups or residuals alone, against the
+    search that asks its step predicate of every pair (`reach_by_pairs`):
+    the K-P-subnormal set, the F-subnormal set of each of `formations`,
+    and at each k of `ks` every witness verdict, each chain the shortest,
+    then lexicographically least, one of legal steps.  Returns the number
+    of chains checked."""
+    top, subs, name = L.top.id, L.subgroups, L.group.name
+    kp = reach_by_pairs(L, top, lambda a, b: L.is_normal_in(a, b)
+                        or is_prime(subs[b].order // subs[a].order))
+    assert classes.p_subnormal_set(L, variant_k=True) == frozenset(kp), name
+    for F in formations:
+        reach = reach_by_pairs(L, top, lambda a, b: (
+            classes.residual_mask(L, b, F) & ~subs[a].mask == 0))
+        assert classes.f_subnormal_set(L, F) == frozenset(reach), (
+            name, F.name)
+    chains = 0
+    for k in ks:
+        def legal(a, b):
+            kind = submodular.step_kind(L, a, b)
+            return kind is not None and kind <= k
+
+        dist = reach_by_pairs(L, top, legal)
+        for h in range(len(L)):
+            ok, chain = submodular.is_k_submodular(L, h, k)
+            assert ok == (h in dist), (name, k, h)
+            if not ok:
+                continue
+            assert chain[0] == h and len(chain) - 1 == dist[h], (name, k, h)
+            for a, b in zip(chain, chain[1:]):
+                assert b == min(c for c in set_bits(L.up[a])
+                                if c != a and dist.get(c) == dist[a] - 1
+                                and legal(a, c)), (name, k, h)
+            chains += 1
+    return chains
 
 
 def check_classes(L):

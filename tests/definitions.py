@@ -3,8 +3,9 @@ group's multiplication table and inverses and a lattice's member masks,
 never the engine's step classifier, cores, nilpotency tests, covers,
 reach sets, generator-wise homomorphism check or power walks; sympy's
 permutation groups give supersolubility.  The forms at the end are the
-other kind: Schmidt's test on the built quotient group, the automizer test
-on the lattice interval [C, G], the submodular set with every modular step
+other kind: the chain search that asks its step predicate of every pair,
+Schmidt's test on the built quotient group, the automizer test on the
+lattice interval [C, G], the submodular set with every modular step
 allowed, and the L suite's lemmas L2.5 and L2.6 written pair by pair, on
 the engine's k-submodular sets."""
 from itertools import combinations, product
@@ -316,6 +317,25 @@ def supersoluble_by_sympy(P):
     return True
 
 
+def reach_by_pairs(L, top, pred):
+    """Ids a with a chain a = A0 < ... < Am = top whose every step (A, B)
+    satisfies pred(A, B), mapped to the least such m: breadth first from
+    `top`, asking pred of every unreached a <= b, with no restriction to
+    normal or maximal steps.  The engine's chain searches, each a
+    `SubgroupLattice.walk_down` with its own steps, are checked against it."""
+    dist = {top: 0}
+    frontier = [top]
+    while frontier:
+        new = []
+        for b in frontier:
+            for a in set_bits(L.down[b]):
+                if a not in dist and pred(a, b):
+                    dist[a] = dist[b] + 1
+                    new.append(a)
+        frontier = new
+    return dist
+
+
 def schmidt_by_quotient(L, m):
     """Schmidt's test on a maximal subgroup m, on the built quotient: m is
     normal, or G/Core(m) is non-abelian of order pq for primes p != q."""
@@ -343,8 +363,8 @@ def automizer_by_interval(L, cf, k):
 def submodular_by_transposition(L):
     """The ids submodular in L's top, searched with every modular step: the
     transposition test `_modular_in` on every pair a <= b reached."""
-    return frozenset(L.reach_down(
-        L.top.id, lambda a, b: submodular._modular_in(L, a, b)))
+    return frozenset(reach_by_pairs(
+        L, L.top.id, lambda a, b: submodular._modular_in(L, a, b)))
 
 
 def lemma_25_per_pair(L, k):

@@ -5,6 +5,7 @@ from grouplab import classes, harness, structure
 from grouplab.classes import (f_function, h_function, in_local_formation,
                               in_wF, residual)
 from grouplab.permgroup import FiniteGroup, set_bits
+from checks import check_chain_walks
 
 
 def test_oracle_basic_classes(s4):
@@ -197,3 +198,13 @@ def test_conjugation_invariance_of_subnormality(s4):
                     classes.f_subnormal_set(L, classes.U)):
         for a in key_set:
             assert set(L.conjugates(a)) <= key_set
+
+
+def test_chain_walks_match_pair_search_on_corpus(corpus):
+    """`check_chain_walks` on every corpus group, with the F-subnormal sets
+    of eight formations and the witnesses of k = 1..4."""
+    formations = ([classes.U, classes.N, classes.S]
+                  + [classes.U_k(k) for k in (1, 2, 3)]
+                  + [harness._K_oracle(k) for k in (1, 2)])
+    assert sum(check_chain_walks(entry.lattice, formations, (1, 2, 3, 4))
+               for entry in corpus) == 4623

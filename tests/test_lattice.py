@@ -13,7 +13,7 @@ from grouplab.submodular import (CLASS_IDS, in_class, is_n_maximal_with_index,
 from checks import check_classes, check_gens, check_order
 from definitions import (frattini_by_nongenerators, generating_pairs,
                          goursat_count, hall_phi2, mobius_to_top,
-                         naive_subgroup_masks)
+                         naive_subgroup_masks, reach_by_pairs)
 
 
 @pytest.mark.parametrize("name,args,count", [
@@ -305,7 +305,7 @@ LATTICE_TABLES = {"group", "subgroups", "by_mask", "bottom", "top", "holders",
 def test_answers_are_kept_by_memo_and_cached_properties():
     """After the verification run, a printed tuple, conjugates under a
     proper subgroup and a member built as a group, a lattice holds its
-    tables, `memo`'s store and three plain dicts, and no group holds a
+    tables, `memo`'s store and two plain dicts, and no group holds a
     hand-rolled inverse or element-order table."""
     corpus = harness.build_corpus(harness.CorpusConfig(cap=24))
     for suite in harness.SUITE_IDS:
@@ -313,13 +313,13 @@ def test_answers_are_kept_by_memo_and_cached_properties():
     L = named_group("sym", [4]).lattice()
     L.subgroups[5].gen_cycles()
     b = next(b for b in range(len(L)) if any(
-        len(L.conjugates(a, within=b)) > 1 for a in L.subs_of(b)))
+        len(L.conjugates(a, within=b)) > 1 for a in set_bits(L.down[b])))
     H = L.subgroup_as_group(b)
     assert H.inv is H.inv and L.subgroup_as_group(b) is H
     groups = [L.group] + [e.group for e in corpus]
     for M in [G.lattice() for G in groups]:
         assert set(vars(M)) - LATTICE_TABLES == {
-            "_memos", "_subs_of", "step_kind_cache", "ksub_reach"}, M.group.name
+            "_memos", "step_kind_cache", "ksub_reach"}, M.group.name
         groups += [H for H in M._memos.values() if isinstance(H, FiniteGroup)]
     groups += [Q for G in groups[:] for Q, _ in G._quotients.values()]
     assert any("inv" in vars(G) for G in groups)
@@ -376,7 +376,7 @@ def test_each_orbit_under_a_subgroup_is_walked_once(name, args, monkeypatch):
     shared = 0
     for b in range(len(L) - 1):
         walked = set()
-        for a in L.subs_of(b):
+        for a in set_bits(L.down[b]):
             if a in walked:
                 continue
             orbit = L.conjugates(a, within=b)
@@ -453,7 +453,6 @@ def test_order_relation_matches_mask_definitions(corpus):
             assert all(L.leq(a.id, b) == (b in ups) for b in range(m))
             downs = [b.id for b in subs if b.mask & ~a.mask == 0]
             assert L.down[a.id] == sum(1 << b for b in downs)
-            assert L.subs_of(a.id) == downs
             over = [subs[b] for b in ups]
             for b in subs:
                 union = a.mask | b.mask
@@ -506,7 +505,8 @@ def test_prime_chains_and_intervals_match_definitions(corpus):
                     assert is_n_maximal_with_index(L, a, b) == (
                         (n, q) if chain else None), (G.name, a, b)
         prime_step = lambda a, b: is_prime(subs[b].order // subs[a].order)
-        assert p_subnormal_set(L) == frozenset(L.reach_down(L.top.id, prime_step))
+        assert p_subnormal_set(L) == frozenset(
+            reach_by_pairs(L, L.top.id, prime_step))
         for a in range(m):
             above = [c for c in range(m) if L.leq(a, c)]
             for b in range(m):

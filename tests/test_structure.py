@@ -251,7 +251,7 @@ def test_missing_sylow_is_an_internal_inconsistency(monkeypatch):
     """A lattice that lacks a Sylow subgroup fails with the engine's typed
     self-check error, a GroupError, not a bare AssertionError."""
     L = named_group("sym", [3]).lattice()
-    monkeypatch.setattr(L, "subs_of", lambda b: [L.bottom.id])
+    monkeypatch.setattr(L, "down", [1 << L.bottom.id] * len(L))
     assert issubclass(structure.InternalInconsistency, GroupError)
     with pytest.raises(structure.InternalInconsistency):
         structure.sylow_in(L, L.top.id, 2)

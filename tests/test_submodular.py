@@ -18,7 +18,7 @@ from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  thm31_characterization, thm32_characterization)
 from checks import check_interval_forms, check_ksub_per_k
 from definitions import (classes_by_definition, ksub_by_definition,
-                         step_by_definition, step_table,
+                         reach_by_pairs, step_by_definition, step_table,
                          submodular_by_transposition)
 from test_fuzz import two_permutations
 
@@ -142,16 +142,18 @@ def test_witness_chain_pinned(s4):
 
 
 def test_witnesses_share_one_search(monkeypatch):
-    """Every witness of one k on a fresh lattice, members and non-members
-    alike, reads one memoised search down from the top."""
+    """Every witness of each k on a fresh lattice, members and non-members
+    alike, reads one memoised walk down from the top per k."""
     L = named_group("sym", [4]).lattice()
-    tops = []
-    real = type(L).reach_down
-    monkeypatch.setattr(type(L), "reach_down", lambda self, top, pred: (
-        tops.append(top) or real(self, top, pred)))
-    answers = [is_k_submodular(L, h, 1)[0] for h in range(len(L))]
-    assert tops == [L.top.id]
-    assert [h for h, ok in enumerate(answers) if ok] == sorted(ksub_set(L, 1))
+    seeds = []
+    real = type(L).walk_down
+    monkeypatch.setattr(type(L), "walk_down", lambda self, *args: (
+        seeds.append(args[0]) or real(self, *args)))
+    answers = {k: [is_k_submodular(L, h, k)[0] for h in range(len(L))]
+               for k in (1, 2)}
+    assert seeds == [1 << L.top.id] * 2
+    for k, ok in answers.items():
+        assert [h for h in range(len(L)) if ok[h]] == sorted(ksub_set(L, k))
 
 
 def test_hol7_y_not_1_submodular(hol7):
@@ -298,28 +300,34 @@ def test_monotone_in_k(hol5, s4):
                                        ("holomorph_cyclic", [19])])
 def test_ksub_set_searches_once_per_top(name, args, monkeypatch):
     """Every k of every top, and every class at every k, reads one record
-    per top, with no breadth-first search."""
+    per top, made by one walk per level of the record; re-reads walk no
+    more."""
     L = all_subgroups(named_group(name, args))
-
-    def no_search(self, top, pred):
-        raise AssertionError("ksub_set ran reach_down")
-
-    monkeypatch.setattr(type(L), "reach_down", no_search)
+    walks = []
+    real = type(L).walk_down
+    monkeypatch.setattr(type(L), "walk_down", lambda self, *args: (
+        walks.append(args) or real(self, *args)))
+    for top in range(len(L)):
+        before = len(walks)
+        ksub_set(L, 1, top=top)
+        assert len(walks) - before == len(L.ksub_reach[top]), top
+    made = len(walks)
     for top in range(len(L)):
         for k in (1, 2, 3, 4):
             ksub_set(L, k, top=top)
     for cls in submodular.CLASS_IDS:
         for k in (1, 2, 3, 4):
             submodular.in_class(L, cls, k)
+    assert len(walks) == made
     assert len(L.ksub_reach) == len(L)
 
 
 def test_ksub_set_matches_per_k_search_on_corpus(corpus):
     """`ksub_set` at k = 1..e+1, e the largest prime exponent of |top|,
-    against one `reach_down` per k: every member top of the corpus groups
-    with at most 150 subgroups, the whole group of the others.  No step in
-    top has a kind above e (`step_kind`), so the sets at max(1, e) and
-    e + 1 agree."""
+    against one pair search per k (`reach_by_pairs`): every member top of
+    the corpus groups with at most 150 subgroups, the whole group of the
+    others.  No step in top has a kind above e (`step_kind`), so the sets
+    at max(1, e) and e + 1 agree."""
     pairs = 0
     for entry in corpus:
         L = entry.lattice
@@ -342,7 +350,7 @@ def test_ksub_set_separates_k_outside_corpus(p, q, n, sizes, classes_from):
     definitional step table: Frob(17,2^3) has steps of kind 3 and lies in
     the four classes only from k = 3, which no corpus group needs.  Both
     are supersoluble: 1 < Z_p < G has cyclic factors.  The walk of every
-    top is checked against one `reach_down` per k, k = 1..4."""
+    top is checked against one pair search per k, k = 1..4."""
     L = named_group("frobenius_metacyclic", [p, q, n]).lattice()
     for top in range(len(L)):
         check_ksub_per_k(L, top, (1, 2, 3, 4))
@@ -438,7 +446,7 @@ def _check_witnesses(G):
             kind = table.get((a, b))
             return kind is not None and kind <= k
 
-        dist = L.reach_down(L.top.id, legal)
+        dist = reach_by_pairs(L, L.top.id, legal)
         # independent oracle: ids are sorted by order, so every proper
         # overgroup of a has a larger id and a descending scan sees it first
         shortest = {L.top.id: 0}
@@ -512,10 +520,10 @@ def test_ksub_set_matches_definition_above_order_60(corpus):
 
 def _modular_oracle(L, m, b):
     """Schmidt's two conditions for m <= b over all pairs of [1, b]."""
-    subs = L.subs_of(b)
+    subs = set_bits(L.down[b])
     # condition (1): <X, m ^ Z> = <X, m> ^ Z for X <= Z
     for z in subs:
-        for x in L.subs_of(z):
+        for x in set_bits(L.down[z]):
             if L.join(x, L.meet(m, z)) != L.meet(L.join(x, m), z):
                 return False
     # condition (2): <m, Y ^ Z> = <m, Y> ^ Z for m <= Z
@@ -535,7 +543,7 @@ def _oracle_verdicts(L):
     def pred(m, b):
         verdicts[m, b] = _modular_oracle(L, m, b)
         return verdicts[m, b]
-    assert frozenset(L.reach_down(L.top.id, pred)) == submodular_set(L)
+    assert frozenset(reach_by_pairs(L, L.top.id, pred)) == submodular_set(L)
     return verdicts
 
 
@@ -553,7 +561,8 @@ def test_modularity_matches_oracle_on_corpus(corpus):
         verdicts = _oracle_verdicts(L)
         if len(L) <= 120:
             verdicts.update(((m, b), _modular_oracle(L, m, b))
-                            for b in range(len(L)) for m in L.subs_of(b)
+                            for b in range(len(L))
+                            for m in set_bits(L.down[b])
                             if (m, b) not in verdicts)
         assert _modularity_mismatches(L, verdicts) == [], entry.name
         checked += len(verdicts)
@@ -589,9 +598,9 @@ class _SetLattice:
     size, with the reads of `SubgroupLattice` that `_modular_in` and the
     oracle make."""
 
-    meet, join, interval, subs_of, memo = (
+    meet, join, interval, memo = (
         SubgroupLattice.meet, SubgroupLattice.join, SubgroupLattice.interval,
-        SubgroupLattice.subs_of, SubgroupLattice.memo)
+        SubgroupLattice.memo)
 
     def __init__(self, family):
         sets = sorted(family, key=lambda s: (len(s), sorted(s)))
@@ -599,7 +608,7 @@ class _SetLattice:
                    for s in sets]
         self.down = [sum(1 << j for j, t in enumerate(sets) if t <= s)
                      for s in sets]
-        self._subs_of, self._memos = {}, {}
+        self._memos = {}
 
 
 @settings(max_examples=80, deadline=None)
@@ -615,7 +624,7 @@ def test_modularity_matches_oracle_on_abstract_lattices(family):
             break
         family |= more
     L = _SetLattice(family)
-    assert [(m, b) for b in range(len(family)) for m in L.subs_of(b)
+    assert [(m, b) for b in range(len(family)) for m in set_bits(L.down[b])
             if submodular._modular_in(L, m, b) != _modular_oracle(L, m, b)
             ] == []
 
