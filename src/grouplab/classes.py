@@ -13,9 +13,10 @@ The classes (constants, and constructors named after the class):
   sylA_cyclic(m, k)  groups whose Sylow subgroups are cyclic and lie in
                      A_exp_k(m, k)
 
-An oracle answers for a lattice member b, as a group, from the parent
-lattice alone: `structure`'s `_in` forms, whether b's generators commute
-and the element orders of b's members.
+An oracle answers for a section b/c (c normal in b) on the interval [c, b]
+of the parent lattice, b/c's lattice by the correspondence theorem.  Only
+`in_local_formation` builds groups: the automizers G/C_G(H/K), the side
+that T3.5 and T3.6 check the local formations K and F against.
 
 "exponents are not divided by the (k+1)th powers of primes" is read as: for
 every prime q, q^(k+1) does not divide exponent(G).  The pi(F) condition of
@@ -34,72 +35,79 @@ from . import structure
 
 
 class ClassOracle(namedtuple("ClassOracle", "name member_in")):
-    """A named class of groups: `member_in(L, b)` says whether lattice
-    member b, as a group, lies in it.  The name keys the residual and
-    F-subnormality memos."""
+    """A named class of groups: `member_in(L, c, b)` says whether the
+    section b/c of lattice L (c normal in b) lies in it.  The name keys the
+    residual and F-subnormality memos."""
 
     __slots__ = ()
 
     def member(self, G: FiniteGroup) -> bool:
         L = G.lattice()
-        return self.member_in(L, L.top.id)
+        return self.member_in(L, L.bottom.id, L.top.id)
 
 
-def _commute(L: SubgroupLattice, b: int) -> bool:
-    """Member b is abelian: its generators commute pairwise."""
-    mult, gens = L.group.mult, L.subgroups[b].gens
-    return all(mult[x][y] == mult[y][x] for x in gens for y in gens)
+def _commute(L: SubgroupLattice, c: int, b: int) -> bool:
+    """bc/c is abelian: c, normalized by b, holds b's generator commutators."""
+    mult, inv, gens = L.group.mult, L.group.inv, L.subgroups[b].gens
+    cmask = L.subgroups[c].mask
+    return all(cmask >> mult[mult[inv[x]][inv[y]]][mult[x][y]] & 1
+               for x in gens for y in gens)
 
 
-def _orders(L: SubgroupLattice, b: int) -> frozenset[int]:
-    """The element orders of member b, the same in b as in the parent."""
-    return L.memo((_orders, b), lambda: frozenset(map(
-        L.group.element_orders.__getitem__, set_bits(L.subgroups[b].mask))))
+def _orders(L: SubgroupLattice, c: int, b: int) -> frozenset[int]:
+    """The element orders of b/c: xc has order |<x> : <x> meet c|, so they
+    are |z| / |z meet c| for the cyclic subgroups z of b."""
+    cyclic = L.memo((_orders,), lambda: sum(
+        1 << L.by_mask[mask] for mask, _ in L.group.cyclic_subgroups[1]))
+    return L.memo((_orders, c, b), lambda: frozenset(
+        L.subgroups[z].order // L.subgroups[L.meet(z, c)].order
+        for z in set_bits(cyclic & L.down[b])))
 
 
-def _exponent_ok(L: SubgroupLattice, b: int, k: int, m: int = 0) -> bool:
-    """No prime (k+1)-th power divides the exponent of member b, and the
+def _exponent_ok(L: SubgroupLattice, c: int, b: int, k: int, m: int = 0) -> bool:
+    """No prime (k+1)-th power divides the exponent of b/c, and the
     exponent divides m (m = 0 leaves it unrestricted)."""
-    exponent = math.lcm(*_orders(L, b))
+    exponent = math.lcm(*_orders(L, c, b))
     return m % exponent == 0 and all(
         e <= k for e in factorize(exponent).values())
 
 
-N = ClassOracle("N", lambda L, b: structure.is_quotient_nilpotent(
-    L, L.bottom.id, b))
-U = ClassOracle("U", structure.is_supersoluble_in)
-S = ClassOracle("S", structure.is_soluble_in)
+N = ClassOracle("N", structure.is_quotient_nilpotent)
+U = ClassOracle("U", lambda L, c, b: structure.is_supersoluble_in(L, b, c))
+S = ClassOracle("S", lambda L, c, b: structure.is_soluble_in(L, b, c))
 
 
 def A_exp_k(m: int, k: int) -> ClassOracle:
-    return ClassOracle(f"A({m})_{k}", lambda L, b: (
-        _commute(L, b) and _exponent_ok(L, b, k, m)))
+    return ClassOracle(f"A({m})_{k}", lambda L, c, b: (
+        _commute(L, c, b) and _exponent_ok(L, c, b, k, m)))
 
 
 def A_k(k: int) -> ClassOracle:
-    return ClassOracle(f"A_{k}", lambda L, b: all(
-        _commute(L, structure.sylow_in(L, b, p))
-        for p in factorize(L.subgroups[b].order)) and _exponent_ok(L, b, k))
+    # the Sylow p-subgroups of b/c are the Pc/c, P a Sylow p-subgroup of b
+    return ClassOracle(f"A_{k}", lambda L, c, b: all(
+        _commute(L, c, structure.sylow_in(L, b, p))
+        for p in factorize(L.subgroups[b].order)) and _exponent_ok(L, c, b, k))
 
 
 def U_k(k: int) -> ClassOracle:
-    return ClassOracle(f"U_{k}", lambda L, b: (
-        structure.is_supersoluble_in(L, b) and _exponent_ok(L, b, k)))
+    return ClassOracle(f"U_{k}", lambda L, c, b: (
+        structure.is_supersoluble_in(L, b, c) and _exponent_ok(L, c, b, k)))
 
 
 def cyclic_A(m: int, k: int) -> ClassOracle:
-    return ClassOracle(f"cycA({m})_{k}", lambda L, b: (
-        _commute(L, b) and _exponent_ok(L, b, k, m)
-        and L.subgroups[b].order in _orders(L, b)))
+    return ClassOracle(f"cycA({m})_{k}", lambda L, c, b: (
+        _commute(L, c, b) and _exponent_ok(L, c, b, k, m)
+        and L.subgroups[b].order // L.subgroups[c].order in _orders(L, c, b)))
 
 
 def sylA_cyclic(m: int, k: int) -> ClassOracle:
-    def member_in(L: SubgroupLattice, b: int) -> bool:
+    def member_in(L: SubgroupLattice, c: int, b: int) -> bool:
         # the Sylow p-subgroup, of order p^a, is cyclic iff some element
         # has order p^a, and then its exponent is p^a
-        orders = _orders(L, b)
+        orders = _orders(L, c, b)
         return all(p**a in orders and m % p**a == 0 and a <= k
-                   for p, a in factorize(L.subgroups[b].order).items())
+                   for p, a in factorize(
+                       L.subgroups[b].order // L.subgroups[c].order).items())
 
     return ClassOracle(f"sylA({m})_{k}cyc", member_in)
 
@@ -127,27 +135,16 @@ def residual_mask(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
     F is assumed to be a formation (every built-in oracle is one): closed
     under quotients and subdirect products, so the normal subgroups with
     quotient in F are closed under intersection, and the first passer of
-    the scan by ascending order is the unique minimum.  It asks b = b/1 of
-    the parent lattice first, and only when b is not in F builds the b/N
-    from `L.subgroup_as_group(b)`, whose ordinals are b's members in
-    ascending order, so it meets them in the order b's own lattice would.
+    the scan by ascending order is the unique minimum.  Each b/a is asked
+    as the section [a, b] of the parent lattice.
     """
     return L.memo((residual_mask, b, F.name), lambda: _residual(L, b, F))
 
 
 def _residual(L: SubgroupLattice, b: int, F: ClassOracle) -> int:
-    if F.member_in(L, b):
-        return L.bottom.mask
-    H = L.subgroup_as_group(b)
-    members = set_bits(L.subgroups[b].mask)
-    for a in structure.normal_ids_in(L, b)[1:]:
-        mask = L.subgroups[a].mask
-        local = mask if H is L.group else sum(
-            1 << i for i, m in enumerate(members) if mask >> m & 1)
-        # the trivial quotient is in every non-empty class we build
-        if a == b or F.member(quotient_cached(H, local)[0]):
-            return mask
-    return L.bottom.mask  # b is trivial
+    # the trivial quotient b/b is in every non-empty class we build
+    return next(L.subgroups[a].mask for a in structure.normal_ids_in(L, b)
+                if a == b or F.member_in(L, a, b))
 
 
 def residual(G: FiniteGroup, F: ClassOracle) -> Subgroup:
@@ -178,8 +175,8 @@ def f_subnormal_set(L: SubgroupLattice, F: ClassOracle) -> frozenset[int]:
     """Ids F-subnormal in the lattice's top group: joined to it by a chain
     whose every step a -> b has the residual b^F inside a.  The walk asks
     for the residual of each subgroup b it reaches once, and takes the ids
-    above it as one bitset, so only the quotients of b actually reached
-    are built."""
+    above it as one bitset, so only the residuals of the b actually reached
+    are worked out."""
 
     def steps(b: int, rest: int) -> int:
         return rest & L.up[L.by_mask[residual_mask(L, b, F)]]

@@ -10,7 +10,9 @@ Checks on a quotient G/N build it as a group (`_quotient`).  Read on the
 interval [N, G] of G's lattice, T3.3's `quotient_closure_X` and
 `quotient_closure_Y` would hold by construction: a chain from h >= N stays
 above N, and `step_kind` of a pair above N is the same in G/N, so the
-interval's k-submodular set is `ksub_set(L, k) & up[N]`.
+interval's k-submodular set is `ksub_set(L, k) & up[N]`.  `_K_oracle`
+builds its sections b/c with c > 1 too: the side of P3.1's `F_eq_wK` that
+does not read the parent's k-submodular walk.
 """
 from __future__ import annotations
 
@@ -290,9 +292,17 @@ def _local_formation_check(cls: str, formation, entry: CorpusEntry, k: int,
 
 
 def _K_oracle(k: int) -> classes.ClassOracle:
-    """The supersoluble-with-k-submodular-Sylows class as a formation."""
-    return classes.ClassOracle(
-        f"Kcls_{k}", lambda L, b: submodular.in_class(L, "K", k, top=b))
+    """K as a formation: b/1 read in the parent lattice, b/c built as a group."""
+
+    def member_in(L: SubgroupLattice, c: int, b: int) -> bool:
+        if c == L.bottom.id:
+            return submodular.in_class(L, "K", k, top=b)
+        H, mask = L.subgroup_as_group(b), L.subgroups[c].mask
+        local = sum(1 << i for i, m in enumerate(set_bits(L.subgroups[b].mask))
+                    if mask >> m & 1)  # H's ordinals: b's members, ascending
+        return submodular.in_class(quotient_cached(H, local)[0].lattice(), "K", k)
+
+    return classes.ClassOracle(f"Kcls_{k}", member_in)
 
 
 def _p31_check(entry: CorpusEntry, k: int, counters: Counter):

@@ -4,12 +4,12 @@ supersolubility, Ore dispersivity, Fitting subgroup, chief factors.
 Each property has one implementation.  Sylow subgroups come from the lattice
 (`sylow_in`).  Nilpotency is `is_quotient_nilpotent` (with c the trivial
 subgroup for a group or lattice member): every maximal subgroup normal.
-Solubility is `is_soluble_in`: every chief factor of prime-power order,
-read from the memoised chief-factor pairs.  The commutator subgroup is
-`derived_subgroup`, supersolubility of a lattice member is
+Solubility of a section b/c is `is_soluble_in`: every chief factor of
+prime-power order, read from b's memoised chief-factor pairs above c.  The
+commutator subgroup is `derived_subgroup`, supersolubility of b/c is
 `is_supersoluble_in`, and normality is the lattice's `is_normal_in`.  The
-`_in` forms take a lattice and a member id and treat the member as a group
-in its own right, so no lattice is rebuilt for a subgroup.
+`_in` forms take a lattice and member ids and treat a member, or a section,
+as a group in its own right, so no lattice is rebuilt for a subgroup.
 
 The five per-member queries `normal_ids_in`, `chief_factor_pairs_in`,
 `chief_factors_in`, `is_supersoluble_in` and `sylow_in` work out each answer
@@ -108,12 +108,13 @@ def is_soluble(G: FiniteGroup) -> bool:
     return is_soluble_in(L, L.top.id)
 
 
-def is_soluble_in(L: SubgroupLattice, b: int) -> bool:
-    """Every chief factor of member b abelian: a direct power of a simple
-    group, it is abelian iff its order is a prime power."""
+def is_soluble_in(L: SubgroupLattice, b: int, c: int = 0) -> bool:
+    """Solubility of b/c (c normal in b, trivial by default): every chief
+    factor, a chief pair (k, h) of b with c <= k, abelian.  A direct power
+    of a simple group is abelian iff its order is a prime power."""
     subs = L.subgroups
     return all(prime_power(subs[h].order // subs[k].order) is not None
-               for k, h in chief_factor_pairs_in(L, b))
+               or not L.leq(c, k) for k, h in chief_factor_pairs_in(L, b))
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
@@ -219,22 +220,23 @@ def _chief_factors(L: SubgroupLattice, b: int) -> tuple[ChiefFactor, ...]:
 # -- supersolubility and dispersivity ---------------------------------------
 
 
-def is_supersoluble_in(L: SubgroupLattice, b: int) -> bool:
-    """Every chief factor of b has prime order; cross-checked against the
-    prime-index-maximal-subgroups criterion when first asked."""
-    return L.memo((is_supersoluble_in, b), lambda: _supersoluble(L, b))
+def is_supersoluble_in(L: SubgroupLattice, b: int, c: int = 0) -> bool:
+    """Supersolubility of b/c (c normal in b, trivial by default): every
+    chief pair (k, h) of b with c <= k has prime order; cross-checked
+    against the prime-index-maximal-subgroups criterion when first asked."""
+    return L.memo((is_supersoluble_in, b, c), lambda: _supersoluble(L, b, c))
 
 
-def _supersoluble(L: SubgroupLattice, b: int) -> bool:
+def _supersoluble(L: SubgroupLattice, b: int, c: int) -> bool:
+    # c is asked of a pair or subgroup only when it fails: for c = 1, never
     primary = all(is_prime(L.subgroups[h].order // L.subgroups[k].order)
-                  for k, h in chief_factor_pairs_in(L, b))
-    # cross-check: all maximal subgroups of b have prime index (Huppert)
-    ob = L.subgroups[b].order
-    crosscheck = ob == 1 or all(
-        is_prime(ob // L.subgroups[m].order) for m in L.hasse_down[b])
+                  or not L.leq(c, k) for k, h in chief_factor_pairs_in(L, b))
+    # cross-check: all maximal subgroups m/c of b/c have prime index (Huppert)
+    crosscheck = all(is_prime(L.subgroups[b].order // L.subgroups[m].order)
+                     or not L.leq(c, m) for m in L.hasse_down[b])
     if primary != crosscheck:
         raise InternalInconsistency(
-            f"supersolubility criteria disagree on {L.group.name} member {b}")
+            f"supersolubility criteria disagree on {L.group.name}, {b}/{c}")
     return primary
 
 

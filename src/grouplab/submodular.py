@@ -39,7 +39,8 @@ def step_kind(L: SubgroupLattice, a: int, b: int) -> int | None:
     in b through the non-normal clause (n is then unique), and None when the
     pair is no legal step at all.  0 is falsy: test for None with `is`.
     A kind n >= 1 has p q^n = |b / Core_b(a)| dividing |b|, so no step in
-    a top has a kind above the largest prime exponent of its order.
+    a top has a kind above the largest prime exponent of its order.  q = p
+    needs no test of its own: a p-group b / Core_b(a) is nilpotent, so refused.
     """
     key = (a, b)
     hit = L.step_kind_cache.get(key, _MISS)
@@ -54,8 +55,7 @@ def step_kind(L: SubgroupLattice, a: int, b: int) -> int | None:
             c = L.core(a, within=b)
             q_order = L.subgroups[b].order // (L.subgroups[c].order * p)
             pp = prime_power(q_order)
-            if (pp is not None and pp[0] != p
-                    and not structure.is_quotient_nilpotent(L, c, b)):
+            if pp is not None and not structure.is_quotient_nilpotent(L, c, b):
                 out = pp[1]
     L.step_kind_cache[key] = out
     return out

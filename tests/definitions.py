@@ -6,11 +6,12 @@ permutation groups give supersolubility.  The forms at the end are the
 other kind: the chain search that asks its step predicate of every pair,
 Schmidt's test on the built quotient group, the automizer test on the
 lattice interval [C, G], the submodular set with every modular step
-allowed, and the L suite's lemmas L2.5 and L2.6 written pair by pair, on
-the engine's k-submodular sets."""
+allowed, the L suite's lemmas L2.5 and L2.6 written pair by pair, on
+the engine's k-submodular sets, and the formation residual found by
+building every quotient as a group."""
 from itertools import combinations, product
 
-from grouplab import harness, submodular
+from grouplab import harness, structure, submodular
 from grouplab.permgroup import (factorize, prime_power, quotient_cached,
                                 set_bits)
 
@@ -407,3 +408,22 @@ def lemma_26_per_pair(G, k):
                             and up == (hn in reach))
             count += h != hn
     return all(verdicts), count
+
+
+def section_as_group(L, c, b):
+    """The section b/c of L (c normal in b) built as a group: the quotient
+    of `L.subgroup_as_group(b)`, whose ordinals are b's members in
+    ascending order, by c in those ordinals."""
+    mask = L.subgroups[c].mask
+    local = sum(1 << i for i, m in enumerate(set_bits(L.subgroups[b].mask))
+                if mask >> m & 1)
+    return quotient_cached(L.subgroup_as_group(b), local)[0]
+
+
+def residual_by_quotients(L, b, F):
+    """The residual b^F as a mask over L's ordinals: the first normal
+    subgroup a of b, by ascending id, with b/a in F, each b/a built as a
+    group (`section_as_group`) and asked with `F.member` on its own
+    lattice."""
+    return next(L.subgroups[a].mask for a in structure.normal_ids_in(L, b)
+                if F.member(section_as_group(L, a, b)))

@@ -4,8 +4,9 @@ groups; the census is exhaustive for its degree: one `generators` entry per
 class of subgroups of S_n.  Tier-1 runs S6 (non-soluble groups of order up
 to 120 among them), CI runs S7."""
 from grouplab import harness, named_group
-from grouplab.structure import derived_subgroup
-from grouplab.submodular import submodular_set
+from grouplab.permgroup import factorize
+from grouplab.structure import derived_subgroup, is_supersoluble_in
+from grouplab.submodular import in_class, submodular_set
 from checks import check_classes, check_definitions
 from definitions import derived_by_definition, submodular_by_transposition
 
@@ -29,13 +30,20 @@ def census(n: int):
 
 
 def check_census(n: int, subgroups: int, classes: int) -> list:
-    """Pin S_n's subgroup and class counts (OEIS A005432 and A000638), run
-    every suite at k = 1, 2, 3 on the census, and on each representative
-    `check_classes`, the submodular set against the search by every
-    modular step and the commutator subgroup against its definition, and
-    `check_definitions` up to ORACLE_ORDER; returns the entries."""
+    """Pin S_n's subgroup and class counts (OEIS A005432 and A000638),
+    check F within U on every representative, run every suite at
+    k = 1, 2, 3 on the census, and on each representative of order at most
+    MAX_ORDER `check_classes`, the submodular set against the search by
+    every modular step and the commutator subgroup against its definition,
+    and `check_definitions` up to ORACLE_ORDER; returns the entries."""
     L, reps, entries = census(n)
     assert (len(L), len(reps)) == (subgroups, classes)
+    # F within U, read in S_n's lattice at k = 1..e+1, e the largest prime
+    # exponent of |a|; R3 checks only K within F
+    in_F = [a for a in reps for k in range(1, 2 + max(
+        factorize(L.subgroups[a].order).values(), default=0))
+        if in_class(L, "F", k, top=a)]
+    assert in_F and all(is_supersoluble_in(L, a) for a in in_F)
     for suite in harness.SUITE_IDS:
         rep = harness.run_suite(suite, [1, 2, 3], entries)
         assert rep.entries and not [r["group"] for r in rep.entries

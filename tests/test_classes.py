@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from grouplab import direct_product, generate, named_group
@@ -6,6 +8,7 @@ from grouplab.classes import (f_function, h_function, in_local_formation,
                               in_wF, residual)
 from grouplab.permgroup import FiniteGroup, set_bits
 from checks import check_chain_walks
+from definitions import residual_by_quotients, section_as_group
 
 
 def test_oracle_basic_classes(s4):
@@ -108,8 +111,8 @@ def _interface_oracles():
 
 
 def test_member_in_matches_member_of_generated_group(corpus, hol7):
-    """`member_in(L, b)`, read in the parent lattice, against `member` of
-    member b generated afresh as a group with its own lattice."""
+    """`member_in(L, 1, b)`, read in the parent lattice, against `member`
+    of member b generated afresh as a group with its own lattice."""
     oracles = _interface_oracles()
     groups = [e.group for e in corpus if e.group.order <= 60] + [hol7]
     mismatches = []
@@ -120,22 +123,75 @@ def test_member_in_matches_member_of_generated_group(corpus, hol7):
             H = generate(G.degree, [G.elements[g] for g in sb.gens])
             for F in oracles:
                 checked += 1
-                if F.member_in(L, sb.id) != F.member(H):
+                if F.member_in(L, L.bottom.id, sb.id) != F.member(H):
                     mismatches.append((G.name, sb.id, F.name))
     assert checked > 50_000 and not mismatches, mismatches[:10]
 
 
+def _section_oracles():
+    """Each built-in oracle at a few parameters."""
+    return [classes.N, classes.U, classes.S, classes.U_k(1), classes.U_k(2),
+            classes.A_k(1), classes.A_exp_k(12, 2), classes.cyclic_A(6, 1),
+            classes.sylA_cyclic(6, 1), classes.sylA_cyclic(12, 2)]
+
+
+def test_section_forms_match_member_of_built_quotient(corpus):
+    """`member_in(L, c, b)`, read on the interval [c, b] of the parent
+    lattice, against `member` of b/c built as a group with its own
+    lattice, on every pair c normal in b of the corpus."""
+    oracles = _section_oracles()
+    mismatches, pairs, verdicts = [], 0, Counter()
+    for entry in corpus:
+        L = entry.lattice
+        for b in range(len(L)):
+            for c in structure.normal_ids_in(L, b):
+                Q = section_as_group(L, c, b)
+                pairs += 1
+                for F in oracles:
+                    ours = F.member_in(L, c, b)
+                    verdicts[F.name, ours] += 1
+                    if ours != F.member(Q):
+                        mismatches.append((entry.name, c, b, F.name))
+    assert pairs == 4989 and not mismatches, mismatches[:10]
+    # every oracle both admits and refuses some section
+    assert all(verdicts[F.name, v] for F in oracles for v in (True, False))
+
+
+def test_residual_matches_scan_of_built_quotients(corpus):
+    """`residual_mask`, which reads sections of the parent lattice, against
+    `residual_by_quotients`, which builds every b/N as a group, on every
+    member of the corpus groups of order <= 60."""
+    oracles = _section_oracles() + [harness._K_oracle(1)]
+    checked = 0
+    for entry in corpus:
+        L = entry.lattice
+        if entry.order > 60:
+            continue
+        for b in range(len(L)):
+            for F in oracles:
+                assert classes.residual_mask(L, b, F) == residual_by_quotients(
+                    L, b, F), (entry.name, b, F.name)
+                checked += 1
+    assert checked == 12_353  # 1,123 members, 11 oracles
+
+
 def test_residual_scan_builds_no_member_lattice():
-    """The scan asks a member about itself in the parent lattice, so the
-    member groups it builds, only to take quotients of, get no lattice."""
+    """The U and U_k(1) scans read every section b/N in the parent lattice:
+    they build no member group and no quotient.  The K oracle builds its
+    sections b/N, N > 1, as groups, but the member groups it takes them of
+    get no lattice of their own."""
+    members = []
     for G in (named_group("sym", [4]), named_group("holomorph_cyclic", [5])):
         L = G.lattice()
-        for F in (classes.U, classes.U_k(1), harness._K_oracle(1)):
+        for F in (classes.U, classes.U_k(1)):
             for b in range(len(L)):
                 classes.residual_mask(L, b, F)
-        members = [H for H in L._memos.values() if isinstance(H, FiniteGroup)]
-        assert members
-        assert all(H._lattice is None for H in members)
+        assert not [key for key in L._memos if key[0] == "subgroup_as_group"]
+        assert not G._quotients
+        for b in range(len(L)):
+            classes.residual_mask(L, b, harness._K_oracle(1))
+        members += [H for H in L._memos.values() if isinstance(H, FiniteGroup)]
+    assert members and all(H._lattice is None for H in members)
 
 
 def test_p_subnormal(s4):

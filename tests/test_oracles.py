@@ -8,9 +8,8 @@ from hypothesis import given, settings
 
 from grouplab import Permutation, direct_product, generate, named_group
 from grouplab import classes, structure, submodular
-from grouplab.permgroup import quotient_cached, set_bits
-from definitions import (classes_by_definition, step_table,
-                         supersoluble_by_sympy, sympy_group)
+from definitions import (classes_by_definition, section_as_group,
+                         step_table, supersoluble_by_sympy, sympy_group)
 from test_fuzz import two_permutations
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -135,12 +134,8 @@ def test_quotient_nilpotency_matches_sympy(name, args):
     L = G.lattice()
     checked = 0
     for sb in L.subgroups:
-        H = L.subgroup_as_group(sb.id)
-        members = set_bits(sb.mask)
         for c in structure.normal_ids_in(L, sb.id):
-            local = sum(1 << i for i, m in enumerate(members)
-                        if L.subgroups[c].mask >> m & 1)
-            Q, _ = quotient_cached(H, local)
+            Q = section_as_group(L, c, sb.id)
             P = sympy_group(Q, [Q.element_index[g] for g in Q.generators])
             assert P.order() == sb.order // L.subgroups[c].order
             assert (structure.is_quotient_nilpotent(L, c, sb.id)
@@ -164,8 +159,9 @@ def test_member_facts_match_sympy(corpus):
         L = G.lattice()
         for sb in L.subgroups:
             P = sympy_group(G, sb.gens)
-            abelian = classes._commute(L, sb.id)
-            cyclic = abelian and math.lcm(*classes._orders(L, sb.id)) == sb.order
+            abelian = classes._commute(L, L.bottom.id, sb.id)
+            cyclic = abelian and math.lcm(
+                *classes._orders(L, L.bottom.id, sb.id)) == sb.order
             ours = (abelian, cyclic, structure.is_soluble_in(L, sb.id))
             theirs = (P.is_abelian, P.is_cyclic, P.is_solvable)
             if ours != theirs:
