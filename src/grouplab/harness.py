@@ -10,7 +10,11 @@ Checks on a quotient G/N build it as a group (`_quotient`).  Read on the
 interval [N, G] of G's lattice, T3.3's `quotient_closure_X` and
 `quotient_closure_Y` would hold by construction: a chain from h >= N stays
 above N, and `step_kind` of a pair above N is the same in G/N, so the
-interval's k-submodular set is `ksub_set(L, k) & up[N]`.  `_K_oracle`
+interval's k-submodular set is `ksub_set(L, k) & up[N]`.  Quotients are
+shared by coset image (`permgroup.quotient`): two parents whose G/N are
+the same permutation group read one group, with its lattice and memos,
+named after the first parent, and each (G, N) gets its own verified
+epimorphism with kernel N.  `_K_oracle`
 builds its sections b/c with c > 1 too: the side of P3.1's `F_eq_wK` that
 does not read the parent's k-submodular walk.
 """

@@ -736,6 +736,12 @@ def spec_order(spec: dict, cap: int) -> int:
     return _BUILDERS[spec["name"]].order(cap, *spec["args"])
 
 
+# Quotient groups by coset image: the frozenset of a quotient's element
+# permutations -> the one FiniteGroup with that element set, held weakly.
+# Created, with the weakref import, by the first quotient.
+_shared_quotients = None
+
+
 def quotient(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
     """Quotient by a normal subgroup, realized as the coset action.
 
@@ -744,10 +750,20 @@ def quotient(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
     to be normal by conjugating that set by G's generators: N^p <= N gives
     N^p = N, as conjugation is a bijection.  The quotient acts on the
     cosets of N (degree = index), numbered in the order of their least
-    elements; coset c is the permutation of its least element, so
-    `coset_of` is the image table.  The epimorphism is verified on G's
-    generators (`Epimorphism.verify`) and its kernel checked against N.
+    elements; coset c is the permutation of its least element, each one
+    checked to be a bijection.
+
+    Groups are shared by coset image: two quotients whose permutations
+    form the same set are one permutation group, so the first one built
+    is kept in a weak table keyed by that set and every later quotient
+    with the same image reads it, with its lattice and every answer
+    memoised on it.  A shared group keeps the first parent's `name`,
+    generators and element order; the image table is then this parent's
+    cosets mapped through the group's `element_index`.  For every (G, N),
+    built or shared, the epimorphism is verified on G's generators
+    (`Epimorphism.verify`) and its kernel checked against N.
     """
+    global _shared_quotients
     ngens = G.generators_of(nmask)
     if G.closure_mask(ngens) != nmask:
         raise GroupError("quotient: member set is not a subgroup")
@@ -769,11 +785,22 @@ def quotient(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
             coset_of[mult[x][m]] = c
     q_elements = [Permutation(coset_of[mult[r][g]] for r in reps)
                   for g in reps]
-    gen_perms = [q_elements[coset_of[G.element_index[p]]]
-                 for p in G.generators]
-    Q = FiniteGroup(len(reps), q_elements, gen_perms,
-                    name=f"{G.name}/N{bin(nmask).count('1')}")
-    epi = Epimorphism(G, Q, tuple(coset_of))
+    if _shared_quotients is None:
+        import weakref  # only quotients need it: the engine loads without it
+        _shared_quotients = weakref.WeakValueDictionary()
+    image = frozenset(q_elements)
+    Q = _shared_quotients.get(image)
+    if Q is None:
+        gen_perms = [q_elements[coset_of[G.element_index[p]]]
+                     for p in G.generators]
+        Q = _shared_quotients[image] = FiniteGroup(
+            len(reps), q_elements, gen_perms,
+            name=f"{G.name}/N{bin(nmask).count('1')}")
+        table = tuple(coset_of)
+    else:
+        ordinal = [Q.element_index[q] for q in q_elements]
+        table = tuple(ordinal[c] for c in coset_of)
+    epi = Epimorphism(G, Q, table)
     epi.verify()
     if epi.kernel_mask() != nmask:
         raise GroupError("quotient: kernel does not match N")

@@ -196,24 +196,32 @@ def chief_factors_in(L: SubgroupLattice, b: int) -> tuple[ChiefFactor, ...]:
 
 
 def _chief_factors(L: SubgroupLattice, b: int) -> tuple[ChiefFactor, ...]:
+    """C_b(H/K) is the first of b's normal subgroups, largest first, whose
+    generators all centralize H/K.  As H and K are normal in b, b acts on
+    H/K by conjugation, and C_b(H/K) is the kernel of that action, so it
+    is normal in b and among those candidates.  A subgroup lies in
+    C_b(H/K) iff its generators do, so every candidate that passes lies in
+    C_b(H/K), and one other than C_b(H/K) has smaller order.  Ids ascend
+    by order, so C_b(H/K) passes first."""
     mult, inv = L.group.mult, L.group.inv
     subs = L.subgroups
-    members = set_bits(subs[b].mask)
+    normals = normal_ids_in(L, b)[::-1]
     factors = []
     for k, h in chief_factor_pairs_in(L, b):
-        kmask = subs[k].mask
-        cmask = 0
-        for g in members:
+        kmask, hgens = subs[k].mask, subs[h].gens
+
+        def centralizes(g):
             gi = inv[g]
-            if all(kmask >> mult[mult[gi][inv[x]]][mult[g][x]] & 1
-                   for x in subs[h].gens):
-                cmask |= 1 << g
+            return all(kmask >> mult[mult[gi][inv[x]]][mult[g][x]] & 1
+                       for x in hgens)
+
+        c = next(n for n in normals if all(map(centralizes, subs[n].gens)))
         factors.append(ChiefFactor(
             below=subs[k], above=subs[h],
             order=subs[h].order // subs[k].order,
             complemented=any(L.join(h, m) == b and L.meet(h, m) == k
                              for m in L.interval(k, b)),
-            centralizer=subs[L.by_mask[cmask]]))
+            centralizer=subs[c]))
     return tuple(factors)
 
 

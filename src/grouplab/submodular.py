@@ -211,17 +211,26 @@ def is_k_submodular(L: SubgroupLattice, h: int,
 
 def is_n_maximal_with_index(L: SubgroupLattice, a: int,
                             b: int) -> tuple[int, int | None] | None:
-    """(n, q) with |b:a| = q^n and an n-step maximal chain a -> b, if any:
-    with prime-power index that chain is one of prime-index covers, so a
-    lies in `L.prime_down[b]` (see `SubgroupLattice._build_order`)."""
+    """(n, q) with |b:a| = q^n and an n-step maximal chain a -> b, if any
+    (`_prime_index_chain`)."""
     if not L.leq(a, b):
         raise GroupError("a must lie in b")
     if a == b:
         return (0, None)
-    # a prime-index chain whose primes differ has no prime-power index
-    pp = (prime_power(L.subgroups[b].order // L.subgroups[a].order)
-          if L.prime_down[b] >> a & 1 else None)
-    return None if pp is None else (pp[1], pp[0])
+    qn = _prime_index_chain(L, a, b)
+    return None if qn is None else (qn[1], qn[0])
+
+
+def _prime_index_chain(L: SubgroupLattice, a: int,
+                       b: int) -> tuple[int, int] | None:
+    """(q, n) with |b:a| = q^n for a < b joined by an n-step maximal chain,
+    else None: with prime-power index that chain is one of prime-index
+    covers, so a lies in `L.prime_down[b]` (see
+    `SubgroupLattice._build_order`), and a prime-index chain whose primes
+    differ has no prime-power index."""
+    if not L.prime_down[b] >> a & 1:
+        return None
+    return prime_power(L.subgroups[b].order // L.subgroups[a].order)
 
 
 def is_k_LM_group(L: SubgroupLattice,
@@ -241,11 +250,12 @@ def is_k_LM_group(L: SubgroupLattice,
 def _lm_rises(L: SubgroupLattice) -> tuple[tuple[float, tuple[int, int]], ...]:
     """(n, pair) at each pair that needs a larger n than every pair before
     it; a pair without a prime-power chain needs infinity."""
+    down = L.down
     need, rises = 0, []
     for a, b in L.maximal_in_join():
         # b is not under a, so the meet is below b and n >= 1
-        nq = is_n_maximal_with_index(L, L.meet(a, b), b)
-        n = math.inf if nq is None else nq[0]
+        qn = _prime_index_chain(L, (down[a] & down[b]).bit_length() - 1, b)
+        n = math.inf if qn is None else qn[1]
         if n > need:
             need = n
             rises.append((n, (a, b)))

@@ -8,7 +8,7 @@ from grouplab import classes, structure, submodular
 from grouplab.permgroup import (factorize, is_prime, prime_power, quotient,
                                 set_bits)
 from definitions import (automizer_by_interval, classes_by_definition,
-                         ksub_by_definition, reach_by_pairs,
+                         coset_action, ksub_by_definition, reach_by_pairs,
                          schmidt_by_quotient, step_table,
                          supersoluble_by_sympy, sympy_group)
 
@@ -151,7 +151,16 @@ def check_interval_forms(L):
 
 def check_quotient(G, nmask):
     """The quotient of G by its normal subgroup with member mask `nmask`:
-    its order is the index, and its epimorphism's kernel is that subgroup."""
+    its order is the index, its epimorphism's kernel is that subgroup, and
+    its elements, built or shared with an earlier parent's quotient, are
+    the coset action computed from G's table (`coset_action`), each x
+    mapped to the ordinal of its coset's permutation.  Returns the
+    quotient group."""
     Q, epi = quotient(G, nmask)
     assert Q.order * nmask.bit_count() == G.order, (G.name, nmask)
     assert epi.kernel_mask() == nmask, (G.name, nmask)
+    action = coset_action(G, nmask)
+    assert set(Q.elements) == set(action), (G.name, nmask)
+    assert list(epi.table) == [Q.element_index[p] for p in action], (
+        G.name, nmask)
+    return Q

@@ -7,8 +7,10 @@ other kind: the chain search that asks its step predicate of every pair,
 Schmidt's test on the built quotient group, the automizer test on the
 lattice interval [C, G], the submodular set with every modular step
 allowed, the L suite's lemmas L2.5 and L2.6 written pair by pair, on
-the engine's k-submodular sets, and the formation residual found by
-building every quotient as a group."""
+the engine's k-submodular sets, the formation residual found by
+building every quotient as a group, the chief-factor centralizer found
+by testing every member, and the coset action of a quotient computed
+from the parent's table."""
 from itertools import combinations, product
 
 from grouplab import harness, structure, submodular
@@ -427,3 +429,32 @@ def residual_by_quotients(L, b, F):
     lattice."""
     return next(L.subgroups[a].mask for a in structure.normal_ids_in(L, b)
                 if F.member(section_as_group(L, a, b)))
+
+
+def centralizer_by_members(L, k, h, b):
+    """C_b(H/K) for the chief pair (k, h) of member b, as a mask: the g in
+    b with [g, x] in K for every generator x of H, each member of b
+    tested."""
+    G = L.group
+    mult, inv = G.mult, G.inv
+    kmask = L.subgroups[k].mask
+    out = 0
+    for g in set_bits(L.subgroups[b].mask):
+        if all(kmask >> mult[mult[inv[g]][inv[x]]][mult[g][x]] & 1
+               for x in L.subgroups[h].gens):
+            out |= 1 << g
+    return out
+
+
+def coset_action(G, nmask):
+    """The permutation each element x of G induces on the cosets of the
+    normal subgroup `nmask` by right multiplication, Nr -> Nrx, as a list
+    over G's ordinals; the cosets are numbered in the order of their least
+    elements, as `quotient` numbers them."""
+    mult = G.mult
+    members = set_bits(nmask)
+    cosets = sorted({frozenset(mult[x][m] for m in members)
+                     for x in range(G.order)}, key=min)
+    number = {y: i for i, coset in enumerate(cosets) for y in coset}
+    return [tuple(number[mult[min(coset)][x]] for coset in cosets)
+            for x in range(G.order)]

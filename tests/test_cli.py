@@ -469,9 +469,10 @@ def test_one_shot_commands_import_no_heavy_stdlib():
 def test_engine_imports_no_re_json_or_argparse():
     # each loads only on the path that uses it: re for cycle text, json for
     # spec files and reports, argparse (and gettext) for help and usage
-    # errors; re loads enum.  The layers are the benchmark's import probe
+    # errors, weakref for quotients (R1 builds none); re loads enum.  The
+    # layers are the benchmark's import probe
     proc = _python(
-        "lazy = {'re', 'json', 'argparse', 'enum', 'gettext'}; "
+        "lazy = {'re', 'json', 'argparse', 'enum', 'gettext', 'weakref'}; "
         "import grouplab.permgroup, grouplab.lattice, grouplab.structure; "
         "import grouplab.classes, grouplab.submodular, grouplab.harness; "
         "from grouplab import cli, harness; "

@@ -1,3 +1,4 @@
+import gc
 import random
 from operator import itemgetter
 
@@ -8,7 +9,9 @@ from grouplab import (FiniteGroup, GroupError, OrderCapExceeded, ParseError,
                       Permutation, direct_product, generate, group_from_spec,
                       named_group, permgroup, quotient)
 from grouplab.permgroup import (Epimorphism, factorize, is_prime, order_cap,
-                                prime_power, set_bits, spec_order)
+                                prime_power, quotient_cached, set_bits,
+                                spec_order)
+from grouplab.structure import normal_subgroups
 from checks import check_quotient
 from definitions import (element_orders_by_definition,
                          is_epimorphism_by_definition)
@@ -201,6 +204,48 @@ def test_quotient_rejects_non_subgroup():
                     [e, x["(1 2)"], x["(1 3)"]]):
         with pytest.raises(GroupError, match="not a subgroup"):
             quotient(G, sum(1 << m for m in members))
+
+
+def test_quotients_with_one_coset_image_share_one_group(monkeypatch):
+    """S3/A3, D4 by each of its three normal subgroups of order 4, and S3
+    with its identity listed last by A3 are one group, Z2 on two points,
+    named after the first parent; each epimorphism is verified and has its
+    own N as kernel.  The last parent's first coset is the odd one, so its
+    table reads the shared group's elements the other way round.  The
+    table holds the group weakly: once the parents are dropped, it is
+    empty."""
+    monkeypatch.setattr(permgroup, "_shared_quotients", None)
+    S3, D4 = named_group("sym", [3]), named_group("dihedral", [4])
+    e = S3.elements[S3.identity_ordinal]
+    S3e = FiniteGroup(3, sorted(S3.elements, key=e.__eq__), S3.generators)
+    parents = [(S3, s.mask) for s in normal_subgroups(S3) if s.order == 3]
+    parents += [(D4, s.mask) for s in normal_subgroups(D4) if s.order == 4]
+    parents += [(S3e, s.mask) for s in normal_subgroups(S3e) if s.order == 3]
+    assert len(parents) == 5 and S3e.identity_ordinal == 5
+    quotients = [quotient_cached(G, nmask) for G, nmask in parents]
+    Q = quotients[0][0]
+    assert (Q.order, Q.degree, Q.name) == (2, 2, "S3/N3")
+    for (G, nmask), (shared, epi) in zip(parents, quotients):
+        assert shared is Q and epi.source is G
+        assert is_epimorphism_by_definition(epi)
+        assert epi.kernel_mask() == nmask
+    assert quotients[-1][1].table[0] != Q.identity_ordinal
+    assert list(permgroup._shared_quotients.values()) == [Q]
+    del S3, D4, S3e, parents, quotients, Q, G, shared, epi
+    gc.collect()
+    assert len(permgroup._shared_quotients) == 0
+
+
+def test_quotients_are_the_coset_action_on_corpus(corpus):
+    """For every proper normal N of every corpus group of order at most
+    60, the quotient's elements, built or shared, are the coset action
+    computed from G's table, and the image of x is the ordinal of its
+    coset's permutation (`check_quotient`).  Kept alive, the quotients
+    share groups."""
+    kept = [check_quotient(e.group, N.mask)
+            for e in corpus if e.order <= 60
+            for N in normal_subgroups(e.group)[:-1]]
+    assert len({id(Q) for Q in kept}) < len(kept)
 
 
 def test_group_from_spec_kinds():
@@ -415,9 +460,6 @@ def test_mult_matches_definition_on_corpus(corpus):
 
 @pytest.mark.parametrize("name,args", [("sym", [4]), ("holomorph_cyclic", [5])])
 def test_mult_matches_definition_on_quotients(name, args):
-    from grouplab.permgroup import quotient_cached
-    from grouplab.structure import normal_subgroups
-
     G = named_group(name, args)
     for N in normal_subgroups(G):
         Q, _ = quotient_cached(G, N.mask)

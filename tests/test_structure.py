@@ -10,6 +10,7 @@ from grouplab.structure import (all_sylow, chief_factors, derived_subgroup,
                                 fitting, is_nilpotent, is_ore_dispersive,
                                 is_soluble, is_supersoluble, normal_subgroups,
                                 sylow, sylow_count)
+from definitions import centralizer_by_members
 
 
 def test_sylow_orders(s4):
@@ -124,6 +125,18 @@ def test_chief_factor_centralizers_match_definition(name, args):
                        for x in above):
                     cmask |= 1 << g
             assert cf.centralizer.mask == cmask
+
+
+def test_chief_factor_centralizers_match_member_scan(corpus):
+    """C_b(H/K), read from b's normal subgroups, equals the scan over every
+    member of b (`centralizer_by_members`), for every chief factor of
+    every member b of every corpus lattice."""
+    for e in corpus:
+        L = e.lattice
+        for b in range(len(L)):
+            for cf in structure.chief_factors_in(L, b):
+                assert cf.centralizer.mask == centralizer_by_members(
+                    L, cf.below.id, cf.above.id, b), (e.name, b)
 
 
 def _chief_factor_pairs_by_definition(L, b):
