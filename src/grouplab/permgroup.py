@@ -758,9 +758,9 @@ def quotient(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
     is kept in a weak table keyed by that set and every later quotient
     with the same image reads it, with its lattice and every answer
     memoised on it.  A shared group keeps the first parent's `name`,
-    generators and element order; the image table is then this parent's
-    cosets mapped through the group's `element_index`.  For every (G, N),
-    built or shared, the epimorphism is verified on G's generators
+    generators and element order.  Every image table, built or shared, is
+    this parent's coset numbering mapped through the group's
+    `element_index`; the epimorphism is verified on G's generators
     (`Epimorphism.verify`) and its kernel checked against N.
     """
     global _shared_quotients
@@ -796,11 +796,8 @@ def quotient(G: FiniteGroup, nmask: int) -> tuple[FiniteGroup, Epimorphism]:
         Q = _shared_quotients[image] = FiniteGroup(
             len(reps), q_elements, gen_perms,
             name=f"{G.name}/N{bin(nmask).count('1')}")
-        table = tuple(coset_of)
-    else:
-        ordinal = [Q.element_index[q] for q in q_elements]
-        table = tuple(ordinal[c] for c in coset_of)
-    epi = Epimorphism(G, Q, table)
+    ordinal = [Q.element_index[q] for q in q_elements]
+    epi = Epimorphism(G, Q, tuple(ordinal[c] for c in coset_of))
     epi.verify()
     if epi.kernel_mask() != nmask:
         raise GroupError("quotient: kernel does not match N")

@@ -39,8 +39,10 @@ def step_kind(L: SubgroupLattice, a: int, b: int) -> int | None:
     in b through the non-normal clause (n is then unique), and None when the
     pair is no legal step at all.  0 is falsy: test for None with `is`.
     A kind n >= 1 has p q^n = |b / Core_b(a)| dividing |b|, so no step in
-    a top has a kind above the largest prime exponent of its order.  q = p
-    needs no test of its own: a p-group b / Core_b(a) is nilpotent, so refused.
+    a top has a kind above the largest prime exponent of its order.  The
+    nilpotency test never refuses: a / Core_b(a) is a maximal subgroup of
+    b / Core_b(a) that is not normal, and in a nilpotent group every maximal
+    subgroup is normal.  So b / Core_b(a) is no p-group either, and q != p.
     """
     key = (a, b)
     hit = L.step_kind_cache.get(key, _MISS)
@@ -288,11 +290,11 @@ def class_threshold(L: SubgroupLattice, cls: str,
 
     Membership is monotone in k, so it holds exactly from the threshold on.
     X, Y and F each ask that fixed ids lie in the k-submodular set of
-    `top`, and those sets are nested in k: a step of kind n is legal at
-    every k >= n.  They stop growing at the last level of `ksub_set`'s walk,
-    so the search for k ends there, and a class not reached by then is
-    reached at no k.  K is F and supersoluble, and supersolubility does
-    not depend on k, so K's threshold is F's or math.inf.
+    `top`: level k of `ksub_set`'s walk, `L.ksub_reach[top]`, or its last
+    level for k beyond.  So the threshold is the first level holding the
+    class's ids, and at least 1 (level 0 holds the subnormal ids); when no
+    level holds them, no k does.  K is F and supersoluble, and
+    supersolubility does not depend on k, so K's threshold is F's or math.inf.
 
     One Sylow p-subgroup per prime is tested: all are conjugate in `top`,
     and conjugation by an element of `top` is an automorphism of `top`; it
@@ -318,12 +320,10 @@ def _least_k(L: SubgroupLattice, cls: str, top: int) -> int | float:
     else:
         need = [structure.sylow_in(L, top, p)
                 for p in factorize(L.subgroups[top].order)]
-    k = 1
-    while not ksub_set(L, k, top=top).issuperset(need):
-        if k >= len(L.ksub_reach[top]) - 1:  # the walk's last level
-            return math.inf
-        k += 1
-    return k
+    ksub_set(L, 1, top=top)  # fills the record of every level
+    j = next((j for j, ids in enumerate(L.ksub_reach[top])
+              if ids.issuperset(need)), None)
+    return math.inf if j is None else max(j, 1)
 
 
 # -- theorem characterizations -----------------------------------------------
@@ -374,8 +374,7 @@ def thm32_characterization(L: SubgroupLattice, variant: int, k: int) -> bool:
     if variant == 1:
         return in_class(L, "Y", k)
     if variant == 2:
-        return all(ksub_set(L, k, top=a).issuperset(L.hasse_down[a])
-                   for a in range(len(L.subgroups)))
+        return all(in_class(L, "X", k, top=a) for a in range(len(L.subgroups)))
     if variant == 3:
         if not structure.is_supersoluble_in(L, top):
             return False

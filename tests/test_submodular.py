@@ -18,7 +18,8 @@ from grouplab.submodular import (is_k_LM_group, is_k_submodular,
                                  thm31_characterization, thm32_characterization)
 from checks import check_interval_forms, check_ksub_per_k
 from definitions import (classes_by_definition, ksub_by_definition,
-                         reach_by_pairs, step_by_definition, step_table,
+                         quotient_nilpotent_by_lcs, reach_by_pairs,
+                         step_by_definition, step_table,
                          submodular_by_transposition)
 from test_fuzz import two_permutations
 
@@ -432,6 +433,30 @@ def test_step_kind_matches_definition_on_corpus(corpus):
                 if step_kind(L, *pair) != kind] == [], entry.name
         kinds.update(table.values())
     assert kinds == {0: 3578, None: 1737, 1: 823, 2: 103}
+
+
+def test_nilpotency_clause_never_refuses_on_corpus(corpus):
+    """`step_kind`'s docstring argues that its nilpotency test never
+    refuses: for every step a < b of prime index with a not normal in b,
+    b / Core_b(a) is not nilpotent, here by its lower central series on the
+    element sets of every corpus lattice."""
+    steps = 0
+    for entry in corpus:
+        G, L = entry.group, entry.lattice
+        mult, inv = G.mult, G.inv
+        for b in range(len(L)):
+            upper = set(set_bits(L.subgroups[b].mask))
+            for a in L.hasse_down[b]:
+                if not is_prime(L.subgroups[b].order // L.subgroups[a].order):
+                    continue
+                lower = set(set_bits(L.subgroups[a].mask))
+                core = set.intersection(*(
+                    {mult[mult[inv[g]][h]][g] for h in lower} for g in upper))
+                if core != lower:
+                    assert not quotient_nilpotent_by_lcs(G, upper, core), (
+                        entry.name, a, b)
+                    steps += 1
+    assert steps == 948
 
 
 def _check_witnesses(G):
