@@ -163,7 +163,8 @@ def cmd_verify(args) -> int:
     for s in suites:
         if s not in harness.SUITE_IDS:
             raise GroupError(f"unknown suite {s!r}")
-    corpus = harness.build_corpus(harness.CorpusConfig(cap=args.cap))
+    corpus = harness.build_corpus(
+        None if args.cap is None else harness.CorpusConfig(cap=args.cap))
     reports = [harness.run_suite(s, ks, corpus) for s in suites]
     if args.out:
         harness.report_to_file(reports, args.out)
@@ -177,7 +178,8 @@ def cmd_verify(args) -> int:
 
 def cmd_corpus(args) -> int:
     from . import harness
-    corpus = harness.build_corpus(harness.CorpusConfig(cap=args.cap))
+    corpus = harness.build_corpus(
+        None if args.cap is None else harness.CorpusConfig(cap=args.cap))
     for e in corpus:
         print(f"{e.name:24s} {' '.join(e.tags())}")
     print(f"total: {len(corpus)} entries")
@@ -212,17 +214,8 @@ def _parser(**kw):
     return p
 
 
-def _corpus_cap() -> int:
-    """--cap's default, read from harness when a parser or a reading needs it,
-    so that importing the module does not load harness."""
-    from . import harness
-    return harness.DEFAULT_CORPUS_CAP
-
-
 # name -> (help, arguments, command).  Each argument is (name or flag, its
-# add_argument keywords), in the parser's order; a callable default is called
-# afresh for every parser and every reading, so no two calls share a --gens
-# list.
+# add_argument keywords), in the parser's order.
 COMMANDS = {
     "show": ("summarize a group", (
         ("group", {"help": "spec: JSON, file path, or builder:args"}),
@@ -231,7 +224,7 @@ COMMANDS = {
     "check": ("evaluate a subgroup predicate", (
         ("predicate", {"choices": PREDICATES}),
         ("group", {}),
-        ("--gens", {"action": "append", "default": list, "help":
+        ("--gens", {"action": "append", "help":
                     "subgroup generator in cycle notation (repeatable)"}),
         ("--k", {"type": int, "default": 1}),
         ("--n", {"type": int, "default": 1}),
@@ -244,12 +237,12 @@ COMMANDS = {
         ("--suite", {"required": True,
                      "help": "comma-separated suite ids, e.g. T3.1,T3.2"}),
         ("--k", {"default": "1,2,3"}),
-        ("--cap", {"type": int, "default": _corpus_cap}),
+        ("--cap", {"type": int}),
         ("--out", {"help": "write JSON report to this path"}),
     ), cmd_verify),
     "corpus": ("corpus inspection", (
         ("action", {"choices": ["list"]}),
-        ("--cap", {"type": int, "default": _corpus_cap}),
+        ("--cap", {"type": int}),
     ), cmd_corpus),
     "export-lattice": ("emit the subgroup lattice", (
         ("group", {}),
@@ -261,22 +254,15 @@ COMMANDS = {
 }
 
 
-def _arguments(name: str):
-    """Command `name`'s (name or flag, keywords) rows, defaults made."""
-    for arg, kw in COMMANDS[name][1]:
-        default = kw.get("default")
-        yield arg, {**kw, "default": default()} if callable(default) else kw
-
-
 def build_parser():
     """The top-level parser, each of the six commands a subparser."""
     top = _parser(prog="grouplab",
                   description="finite-group engine for submodularity analysis")
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_parser)
-    for cmd, (help_, _, _) in COMMANDS.items():
+    for cmd, (help_, rows, _) in COMMANDS.items():
         p = sub.add_parser(cmd, help=help_)
-        for arg, kw in _arguments(cmd):
+        for arg, kw in rows:
             p.add_argument(arg, **kw)
     return top
 
@@ -306,7 +292,7 @@ def read_argv(argv: list[str]):
     `--gens`, negative numbers, every error): argparse answers those."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    rows = dict(_arguments(argv[0]))
+    rows = dict(COMMANDS[argv[0]][1])
     got = {"command": argv[0]}
     for arg, kw in rows.items():
         if arg.startswith("-"):
@@ -328,8 +314,8 @@ def read_argv(argv: list[str]):
                 got[dest] = True
                 continue
             value = _value(kw, next(tokens, "-"))
-            got[dest] = ([*got[dest], value] if kw.get("action") == "append"
-                         else value)
+            got[dest] = ([*(got[dest] or ()), value]
+                         if kw.get("action") == "append" else value)
         if required or len(given) != len(positionals):
             return None
         for arg, text in zip(positionals, given):

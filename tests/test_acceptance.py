@@ -136,6 +136,9 @@ def test_criterion_10_collapse_and_inclusion_chain(corpus):
         assert r1.counters["nonvacuous_maximal_checks"] > 0
         r3 = harness.run_suite("R3", [1, 2, 3], corpus)
         assert r3.passed and r3.summary()["failed"] == 0
+        # no corpus group is in F but not K at any k; tests/test_census.py's
+        # 7^2:S3 is
+        assert r3.counters.get("strictness_F_not_K", 0) == 0
         hit = harness.class_diff_witness(corpus, "X", 2, "X", 1)
         assert hit is not None
         print(f"  strictness witness: {hit.name} in X(2) but not X(1)")

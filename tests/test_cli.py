@@ -254,6 +254,24 @@ def test_corpus_list(capsys):
     assert "S4" in out and "total:" in out
 
 
+def test_cap_defaults_to_the_stock_corpus(capsys, monkeypatch):
+    # without --cap, verify and corpus list build the corpus at the default
+    # cap; --cap 1 is still an input error
+    from grouplab import harness
+    caps = []
+
+    def build_corpus(config=None):
+        caps.append((config or harness.CorpusConfig()).cap)
+        return []
+    monkeypatch.setattr(harness, "build_corpus", build_corpus)
+    assert run(capsys, "verify", "--suite", "R1", "--k", "1")[0] == 0
+    assert run(capsys, "corpus", "list")[0] == 0
+    assert caps == [harness.DEFAULT_CORPUS_CAP] * 2
+    code, out, err = run(capsys, "corpus", "list", "--cap", "1")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_export_lattice_dot(capsys, tmp_path):
     code, out, _ = run(capsys, "export-lattice", "sym:4", "--emit-dot",
                        "--k", "1")
